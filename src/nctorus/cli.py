@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -88,13 +87,7 @@ def _setup(config: dict, args) -> dict:
                         int(box_cfg.get("G", box_cfg.get("grid_size", 0))))
     seed = int(config.get("seed", 7))
     tols = resolve(config.get("tolerances"), scale=args.tol_scale)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("NCTORUS_THREADS", "1") or 1)
-    if threads <= 0:
-        threads = os.cpu_count() or 1
-    return {"d": d, "box": box, "seed": seed, "tols": tols,
-            "threads": threads, "config": config}
+    return {"d": d, "box": box, "seed": seed, "tols": tols, "config": config}
 
 
 def _element(config: dict, key: str, alpha: float, seed: int,
@@ -264,7 +257,7 @@ def _cmd_dirac(env: dict, out: Path) -> int:
     growth = dynamics.growth_sequence(d, max(radius, box.block_bound) + 1)
     rows = dirac.resolvent_profile(
         d, box, range(-radius, radius + 1), etas, growth=growth,
-        slack=env["tols"]["dirac_bound_slack"], threads=env["threads"])
+        slack=env["tols"]["dirac_bound_slack"])
     _write_csv(out / "dirac_blocks.csv",
                ["n", "eta", "sigma_min", "bound", "margin"],
                [[row["n"], row["eta"], row["sigma_min"], row["bound"],
@@ -349,8 +342,7 @@ def _cmd_verify(env: dict, out: Path) -> int:
     cfg = env["config"]
     quick = bool(cfg.get("quick", True))
     results = verify.run_all(env["d"], env["box"], env["tols"],
-                             seed=env["seed"], quick=quick,
-                             threads=env["threads"])
+                             seed=env["seed"], quick=quick)
     _write_csv(out / "verify.csv", ["name", "tolerance", "observed", "passed"],
                [[r.name, r.tolerance, r.observed, r.passed] for r in results])
     failures = [r.name for r in results if not r.passed]
@@ -387,8 +379,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default NCTORUS_THREADS or 1)")
     parser.add_argument("--tol-scale", type=float, default=1.0,
                         help="multiply every tolerance by this factor")
     args = parser.parse_args(argv)

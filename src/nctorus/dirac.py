@@ -14,13 +14,12 @@ with the conjugate transpose of the upper one at truncation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .dynamics import DiffeoSpec, GrowthSequence, growth_sequence, radon_nikodym
 from .errors import OutOfBoxError, RouteMismatchError
 from .gns import TruncationBox, _context
+from .modular import _conjugated_rows
 
 _ETA_SPECIAL = (0.0, 0.5, 1.0)
 
@@ -152,17 +151,10 @@ def matrix_element_closed_form(eta: float, k: int, l: int, r: int, s: int,
     kk = k + box.block_bound
     a_k = float(a[kk])
     if eta == 0.5:
-        key = ("delta_hat", k)
-        if key not in ctx.extras:
-            ctx.extras[key] = np.fft.fft(ctx.delta[kk].astype(complex)) / g
-        hat = ctx.extras[key]
         a_minus = float(a[box.block_bound - k])
         return -(1j * l * (1.0 if l == s else 0.0)
-                 + a_minus * hat[(l - s) % g])
-    key = ("inv_delta_hat", k)
-    if key not in ctx.extras:
-        ctx.extras[key] = np.fft.fft(1.0 / ctx.delta[kk].astype(complex)) / g
-    hat = ctx.extras[key]
+                 + a_minus * ctx.delta_hat[kk, (l - s) % g])
+    hat = ctx.inv_delta_hat[kk]
     drift = 1j * l - a_k if eta == 0.0 else 1j * s - a_k
     return drift * hat[(s - l) % g]
 
@@ -203,7 +195,9 @@ def matrix_element_oracle_table(eta: float, k: int, d: DiffeoSpec,
     a_minus = float(a[flip])
     sqrt_delta_inv = ctx.delta[flip] ** (-0.5)
     sel = span + box.mode_bound
-    eps_grid = _eps_grid_rows(ctx, box, kk, sel)
+    # grid rows, not the band-projected epsilon table: projecting would
+    # clip the analytic tails that the quadrature pairing keeps
+    eps_grid = _conjugated_rows(ctx, kk)[sel]
     stage = eps_grid.T * sqrt_delta_inv[:, None]
     spec = np.fft.fft(stage, axis=0)
     freqs = np.fft.fftfreq(g, d=1.0 / g).astype(int)
@@ -211,24 +205,6 @@ def matrix_element_oracle_table(eta: float, k: int, d: DiffeoSpec,
     stage = np.fft.ifft(spec, axis=0)
     stage *= sqrt_delta_inv[:, None]
     return np.conj(eps_grid) @ stage / g
-
-
-def _eps_grid_rows(ctx, box: TruncationBox, k_index: int,
-                   sel: np.ndarray) -> np.ndarray:
-    """Conjugated basis functions on the grid, rows indexed by ``sel``.
-
-    Synthesized directly from the density and the iterate angles; going
-    through the band-projected coefficient tables would clip the
-    analytic tails that the quadrature pairing is supposed to keep.
-    """
-    key = ("eps_grid", k_index)
-    if key not in ctx.extras:
-        flip = box.n_blocks - 1 - k_index
-        modes = box.modes()
-        waves = np.exp(-1j * np.multiply.outer(
-            modes, ctx.iterate_angles[flip]))
-        ctx.extras[key] = np.sqrt(ctx.delta[flip])[None, :] * waves
-    return ctx.extras[key][sel]
 
 
 def master_deviation(d: DiffeoSpec, box: TruncationBox, radius: int,
@@ -253,7 +229,7 @@ def master_deviation(d: DiffeoSpec, box: TruncationBox, radius: int,
 
 def resolvent_profile(d: DiffeoSpec, box: TruncationBox, ns, etas,
                       growth: GrowthSequence | None = None,
-                      slack: float = 1e-6, threads: int = 1) -> list[dict]:
+                      slack: float = 1e-6) -> list[dict]:
     """Singular value rows of the deformed corners with their bounds.
 
     Each row carries the smallest singular value, the bound
@@ -268,8 +244,7 @@ def resolvent_profile(d: DiffeoSpec, box: TruncationBox, ns, etas,
     a = a_sequence(growth, n_top)
     offset = (len(a) - 1) // 2
 
-    def one(job):
-        n, eta = job
+    def one(n, eta):
         corner = deformed_corner(n, eta, d, box, float(a[n + offset]))
         sigma = np.linalg.svd(corner, compute_uv=False)
         sigma_min = float(sigma[-1])
@@ -287,11 +262,7 @@ def resolvent_profile(d: DiffeoSpec, box: TruncationBox, ns, etas,
             "margin": bound - 1.0 / effective,
         }
 
-    jobs = [(int(n), float(eta)) for n in ns for eta in etas]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, jobs))
-    return [one(job) for job in jobs]
+    return [one(int(n), float(eta)) for n in ns for eta in etas]
 
 
 def commutator_block(n: int, eta: float, d: DiffeoSpec, box: TruncationBox,

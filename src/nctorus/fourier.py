@@ -21,6 +21,7 @@ from .dynamics import DiffeoSpec
 from .errors import GridTooSmallError, RouteMismatchError
 from .gns import (GnsOperator, GnsVector, TruncationBox, _context, represent,
                   vacuum)
+from .modular import _conjugated_rows
 from .weyl import WeylElement
 
 
@@ -73,21 +74,16 @@ def epsilon_basis(d: DiffeoSpec, box: TruncationBox) -> np.ndarray:
     blocks vanish.
     """
     ctx = _context(d, box)
-    if "epsilon" not in ctx.extras:
+    if ctx.epsilon is None:
         g = box.grid_size
-        modes = box.modes()
+        band = box.modes() % g
         eps = np.empty((box.n_blocks, box.n_modes, box.n_modes),
                        dtype=complex)
-        sqrt_delta = ctx.delta_power(0.5)
-        for i, k in enumerate(box.blocks()):
-            flip = box.n_blocks - 1 - i
-            waves = np.exp(-1j * np.multiply.outer(
-                modes, ctx.iterate_angles[flip]))
-            rows = sqrt_delta[flip][None, :] * waves
-            c = np.fft.fft(rows, axis=1) / g
-            eps[i] = c[:, modes % g]
-        ctx.extras["epsilon"] = eps
-    return ctx.extras["epsilon"]
+        for i in range(box.n_blocks):
+            c = np.fft.fft(_conjugated_rows(ctx, i), axis=1) / g
+            eps[i] = c[:, band]
+        ctx.epsilon = eps
+    return ctx.epsilon
 
 
 def paren_vector(x: GnsVector, d: DiffeoSpec) -> FourierCoeffs:
@@ -117,16 +113,12 @@ def paren_functional(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
         # first would charge the comparison with tail mass the vacuum
         # route never sees.
         ctx = _context(d, box)
-        rows = a.apply_to_grid(vacuum(box).on_grid())
-        rows *= ctx.delta_power(0.5)
+        rows = a.apply_to_grid(vacuum(box).on_grid()) * ctx.sqrt_delta
         table = np.empty((box.n_blocks, box.n_modes), dtype=complex)
-        modes = box.modes()
         for i in range(box.n_blocks):
             flip = box.n_blocks - 1 - i
-            eps = (np.sqrt(ctx.delta[flip])[None, :]
-                   * np.exp(-1j * np.multiply.outer(
-                       modes, ctx.iterate_angles[flip])))
-            table[i] = np.mean(rows[flip][None, :] * np.conj(eps), axis=1)
+            table[i] = np.conj(_conjugated_rows(ctx, i)) @ rows[flip]
+        table /= box.grid_size
         return FourierCoeffs("paren", table, box)
     if route != "vacuum":
         raise ValueError(f"unknown route {route!r}")

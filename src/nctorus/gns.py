@@ -10,7 +10,10 @@ diagonally up to shifts,
 with multiplier functions ``m_{n, s}(z) = sum_m f(m, s)
 exp(i m (psi(z) + 2 pi alpha (2 n - s)))`` where ``psi`` is the angle of
 ``h^{-1}(z)``.  Everything downstream (modular operators, transforms,
-Dirac blocks) reuses the cached per-box context built here.
+Dirac blocks) reuses the cached per-box context built here: one inverse
+solve into the chart ``u = h^{-1}``, the closed-form densities
+``delta_n`` and the chart transport ``y -> y o F_n`` (resample, phase,
+resample) that every use of J goes through.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import DiffeoSpec, iterate_lift, radon_nikodym
+from .dynamics import DiffeoSpec
 from .errors import AlphaMismatchError, OutOfBoxError, TailMassError
 from .grids import default_grid_size, grid_angles, project_to_modes
 from .weyl import WeylElement, star_product
@@ -69,7 +72,16 @@ class TruncationBox:
 
 
 class _Context:
-    """Per (dynamics, box) precomputation shared across modules."""
+    """Per (dynamics, box) chart data shared across modules.
+
+    One inverse solve puts the grid into the chart ``u = H^{-1}(x)``, in
+    which the dynamics is the rigid rotation by ``2 alpha``.  From it the
+    densities ``delta_n = H'(u + 2 alpha n) / H'(u)`` follow in closed
+    form, and transport along ``f^n``, ``y -> y o F_n`` on the grid,
+    becomes resample, phase, resample: ``from_chart(to_chart(y), phase)``.
+    Memory is O(G^2 + (2K + 1) G), plus the conjugated basis table once
+    :func:`nctorus.fourier.epsilon_basis` has filled ``epsilon``.
+    """
 
     def __init__(self, d: DiffeoSpec, box: TruncationBox):
         self.d = d
@@ -77,22 +89,54 @@ class _Context:
         g = box.grid_size
         self.theta = grid_angles(g)
         self.x = np.arange(g) / g
-        self.psi = 2.0 * np.pi * d.lift.inverse(self.x)
-        blocks = box.blocks()
-        self.iterate_angles = np.empty((box.n_blocks, g))
-        self.delta = np.empty((box.n_blocks, g))
-        for i, n in enumerate(blocks):
-            self.iterate_angles[i] = 2.0 * np.pi * iterate_lift(d, int(n), self.x)
-            self.delta[i] = radon_nikodym(d, int(n), x=self.x)
-        self._delta_pows: dict[float, np.ndarray] = {}
-        self.extras: dict = {}
+        u = d.lift.inverse(self.x)
+        self.psi = 2.0 * np.pi * u
+        shift = 2.0 * d.alpha * box.blocks()
+        self.delta = (d.lift.derivative(u[None, :] + shift[:, None])
+                      / d.lift.derivative(u)[None, :])
+        self.sqrt_delta = np.sqrt(self.delta)
+        self.delta_hat = np.fft.fft(self.delta, axis=1) / g
+        self.inv_delta_hat = np.fft.fft(1.0 / self.delta, axis=1) / g
+        freqs = np.fft.fftfreq(g, d=1.0 / g)
+        # E[j, xi] = exp(2 pi i xi H(x_j)) samples y o H on the uniform u
+        # grid from the x-spectrum of y; the outer FFTs make the map act
+        # on samples.  Its accuracy rests on the u-spectrum of y o H
+        # decaying inside the grid band.
+        spectra = _waves(d.lift.value(self.x), freqs)
+        self._to_chart = np.fft.fft(np.fft.fft(spectra, axis=0),
+                                    axis=1).T / (g * g)
+        self.phase = _waves(shift, freqs)
+        self._from_chart = _waves(u, freqs).T
+        waves = np.exp(1j * np.multiply.outer(box.modes(), self.theta))
+        self.wave_spectra = self.to_chart(waves)
+        self.epsilon: np.ndarray | None = None
 
-    def delta_power(self, a: float) -> np.ndarray:
-        """Blockwise ``delta_n ** a`` on the grid, cached per exponent."""
-        a = float(a)
-        if a not in self._delta_pows:
-            self._delta_pows[a] = self.delta ** a
-        return self._delta_pows[a]
+    def to_chart(self, rows: np.ndarray) -> np.ndarray:
+        """u-spectra of ``y o H`` for grid rows y."""
+        return rows @ self._to_chart
+
+    def from_chart(self, spectra: np.ndarray,
+                   phase: np.ndarray) -> np.ndarray:
+        """Rotate u-spectra by ``2 alpha n``; sample ``y o F_n`` on the grid.
+
+        ``phase`` is a row of :attr:`phase` (one n for every row) or the
+        whole table (row i moves along ``F_{n_i}``).
+        """
+        return (spectra * phase) @ self._from_chart
+
+
+def _waves(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """``exp(2 pi i points[j] freqs[k])`` with the cycle count kept exact.
+
+    Cycle counts reach about K G / 2 in the rotation phases.  Splitting
+    the points on a 2^-30 lattice makes the large product exact (while
+    |points| G < 2^24), so only its fraction is rounded before the
+    multiply by 2 pi.
+    """
+    coarse = np.round(points * 2.0 ** 30) / 2.0 ** 30
+    cycles = (np.multiply.outer(coarse, freqs) % 1.0
+              + np.multiply.outer(points - coarse, freqs))
+    return np.exp(2j * np.pi * cycles)
 
 
 @lru_cache(maxsize=8)

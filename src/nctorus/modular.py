@@ -5,6 +5,12 @@ multiplication by the density ``delta_n(z)``, and the conjugation J is
 
     (J x)_n(z) = delta_n(z)^{1/2} conj(x_{-n}(f^n(z))).
 
+J is evaluated with the transport of the per-box context: resample into
+the chart ``u = H^{-1}(x)``, rotate by ``2 alpha n`` as a phase, resample
+back.  :func:`apply_J`, the conjugated Borel calculus and the conjugated
+basis ``eps_kl = J e_kl`` read by the fourier and dirac modules all use
+that one primitive.
+
 Powers and more general Borel functions of Delta are blockwise grid
 multiplications followed by re-projection onto the retained modes; the
 dropped spectral mass is watched and raised as :class:`AliasingError`
@@ -17,7 +23,7 @@ import numpy as np
 
 from .dynamics import DiffeoSpec
 from .errors import AliasingError, SingularBlockError
-from .gns import GnsVector, TruncationBox, _context, _grid_to_blocks, vacuum, represent
+from .gns import GnsVector, TruncationBox, _context, represent, vacuum
 from .weyl import WeylElement, involution
 
 _DEFAULT_TAIL = 1e-6
@@ -46,54 +52,39 @@ def apply_delta_power(x: GnsVector, a: float, d: DiffeoSpec,
     used by the closure ``S = J Delta^{1/2}``.
     """
     ctx = _context(d, x.box)
-    rows = x.on_grid() * ctx.delta_power(0.5 * a)
+    rows = x.on_grid() * ctx.delta ** (0.5 * a)
     return _reproject(x.box, rows, x.norm(), tail_tol, f"Delta^{a}/2")
-
-
-def _j_phases(ctx) -> np.ndarray:
-    """Evaluation phases exp(i l F_n-angles), cached on the context."""
-    if "j_phases" not in ctx.extras:
-        modes = ctx.box.modes()
-        ctx.extras["j_phases"] = np.exp(
-            1j * ctx.iterate_angles[:, :, None] * modes[None, None, :])
-    return ctx.extras["j_phases"]
-
-
-def apply_J(x: GnsVector, d: DiffeoSpec,
-            tail_tol: float = _DEFAULT_TAIL) -> GnsVector:
-    """Modular conjugation, an antiunitary involution."""
-    ctx = _context(d, x.box)
-    box = x.box
-    phases = _j_phases(ctx)
-    rows = np.empty((box.n_blocks, box.grid_size), dtype=complex)
-    for i in range(box.n_blocks):
-        flipped = box.n_blocks - 1 - i
-        values = phases[i] @ x.coeffs[flipped]
-        rows[i] = np.conj(values)
-    rows *= ctx.delta_power(0.5)
-    return _reproject(box, rows, x.norm(), tail_tol, "J")
 
 
 def _j_on_grid(ctx, rows: np.ndarray) -> np.ndarray:
     """One J step on raw grid rows, keeping all grid modes.
 
-    Used by the conjugated Borel calculus, where projecting the
-    intermediate vectors onto the retained band would contaminate the
-    composite with truncation error that neither route owns.
+    Row n becomes ``delta_n^{1/2} conj(y_{-n} o F_n)``, all blocks in one
+    transport batch.  The conjugated Borel calculus chains these steps:
+    projecting the intermediate vectors onto the retained band would
+    contaminate the composite with truncation error that neither route
+    owns.
     """
-    g = ctx.box.grid_size
-    nb = ctx.box.n_blocks
-    if "j_grid_phases" not in ctx.extras:
-        freqs = np.fft.fftfreq(g, d=1.0 / g)
-        ctx.extras["j_grid_phases"] = np.exp(
-            1j * ctx.iterate_angles[:, :, None] * freqs[None, None, :])
-    phases = ctx.extras["j_grid_phases"]
-    coeffs = np.fft.fft(rows, axis=1) / g
-    out = np.empty_like(rows)
-    for i in range(nb):
-        out[i] = np.conj(phases[i] @ coeffs[nb - 1 - i])
-    out *= ctx.delta_power(0.5)
-    return out
+    spectra = ctx.to_chart(rows[::-1])
+    return ctx.sqrt_delta * np.conj(ctx.from_chart(spectra, ctx.phase))
+
+
+def _conjugated_rows(ctx, i: int) -> np.ndarray:
+    """Grid rows of ``eps_kl = J e_kl`` for the block ``k`` of row i.
+
+    Row l holds ``delta_{-k}^{1/2} conj(e_l o F_{-k})``, the block
+    ``-k`` component (the only one that is nonzero), at grid resolution.
+    """
+    flip = ctx.box.n_blocks - 1 - i
+    return ctx.sqrt_delta[flip] * np.conj(
+        ctx.from_chart(ctx.wave_spectra, ctx.phase[flip]))
+
+
+def apply_J(x: GnsVector, d: DiffeoSpec,
+            tail_tol: float = _DEFAULT_TAIL) -> GnsVector:
+    """Modular conjugation, an antiunitary involution."""
+    rows = _j_on_grid(_context(d, x.box), x.on_grid())
+    return _reproject(x.box, rows, x.norm(), tail_tol, "J")
 
 
 def tomita_check(f: WeylElement, d: DiffeoSpec, box: TruncationBox,

@@ -7,6 +7,8 @@ alpha, one-harmonic conjugator, block and mode bounds 16, grid 256).
 
 from __future__ import annotations
 
+import math
+
 DEFAULTS: dict[str, float] = {
     "weyl_relation": 1e-14,
     "star_associativity": 1e-12,
@@ -45,8 +47,12 @@ def resolve(overrides: dict[str, float] | None = None, scale: float = 1.0) -> di
     """Return the tolerance table with ``overrides`` applied, then scaled.
 
     Band edges (``fejer_ratio_*``) and the Dirichlet band are structural
-    and are never scaled; everything else multiplies by ``scale``.
+    and are never scaled; everything else multiplies by ``scale``.  A
+    scale or override that is not a finite positive number raises
+    ``ValueError``, and so does a product that overflows: a NaN or
+    infinite tolerance would pass every check.
     """
+    _require_positive("tolerance scale", scale)
     table = dict(DEFAULTS)
     if overrides:
         unknown = sorted(set(overrides) - set(table))
@@ -58,4 +64,11 @@ def resolve(overrides: dict[str, float] | None = None, scale: float = 1.0) -> di
         for key in table:
             if key not in unscaled:
                 table[key] *= scale
+    for key, value in table.items():
+        _require_positive(f"tolerance {key}", value)
     return table
+
+
+def _require_positive(label: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{label} must be finite and positive, got {value}")

@@ -342,7 +342,7 @@ def dirac_master_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
 
 
 def dirac_bounds_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
-                       n_radius: int = 8, threads: int = 1) -> list[CheckResult]:
+                       n_radius: int = 8) -> list[CheckResult]:
     growth = dynamics.growth_sequence(d, max(n_radius, box.block_bound) + 1)
     a = dirac.a_sequence(growth, n_radius + 1)
     tele = dirac.telescoping_deviation(a, growth)
@@ -350,8 +350,7 @@ def dirac_bounds_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
     ns = [n for n in range(-n_radius, n_radius + 1)]
     etas = (0.0, 0.25, 0.5, 0.75, 1.0)
     rows = dirac.resolvent_profile(d, box, ns, etas, growth=growth,
-                                   slack=tols["dirac_bound_slack"],
-                                   threads=threads)
+                                   slack=tols["dirac_bound_slack"])
     margin = min(row["margin"] for row in rows)
     kernel_ok = all(row["kernel_dim"] == (1 if row["n"] == 0 else 0)
                     for row in rows)
@@ -378,7 +377,7 @@ def dirac_bounds_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
 
 
 def run_all(d: DiffeoSpec, box: TruncationBox, tols: dict, seed: int = 7,
-            quick: bool = True, threads: int = 1) -> list[CheckResult]:
+            quick: bool = True) -> list[CheckResult]:
     """Full battery; ``quick`` shrinks counts and sweep radii."""
     rng = np.random.default_rng(seed)
     count = 20 if quick else 100
@@ -396,6 +395,5 @@ def run_all(d: DiffeoSpec, box: TruncationBox, tols: dict, seed: int = 7,
     results += summation_suite(d, box, tols, rng)
     results += dirichlet_suite(d, box, tols)
     results += dirac_master_suite(d, box, tols, radius=radius)
-    results += dirac_bounds_suite(d, box, tols, n_radius=radius,
-                                  threads=threads)
+    results += dirac_bounds_suite(d, box, tols, n_radius=radius)
     return results

@@ -144,14 +144,26 @@ def test_alpha_zero_requires_classical_flag(tmp_path):
     assert code == 0
 
 
-def test_threads_flag_and_env(tmp_path, monkeypatch):
+@pytest.mark.parametrize("tolerances, scale", [
+    (None, "nan"),
+    (None, "inf"),
+    (None, "-1"),
+    (None, "0"),
+    ({"weyl_relation": float("inf")}, "1"),
+    ({"weyl_relation": float("nan")}, "1"),
+    ({"weyl_relation": -1e-14}, "1"),
+    ({"weyl_relation": 0.0}, "1"),
+], ids=["scale-nan", "scale-inf", "scale-negative", "scale-zero",
+        "override-inf", "override-nan", "override-negative", "override-zero"])
+def test_non_finite_or_non_positive_tolerance_exits_one(tmp_path, tolerances,
+                                                        scale):
+    # json writes these as Infinity/NaN, which the config loader accepts
     config = dict(ROTATION)
-    config["dirac"] = {"etas": [0.0], "master_radius": 2}
-    code, _, _ = run_cli(tmp_path, "dirac", config, "--threads", "2")
-    assert code == 0
-    monkeypatch.setenv("NCTORUS_THREADS", "2")
-    code, _, _ = run_cli(tmp_path, "dirac", config)
-    assert code == 0
+    if tolerances is not None:
+        config["tolerances"] = tolerances
+    code, _, report = run_cli(tmp_path, "star", config, "--tol-scale", scale)
+    assert code == 1
+    assert report is None
 
 
 def test_unknown_command_exits_nonzero(capsys):

@@ -1,10 +1,12 @@
 """Modular conjugation, modular operator powers, Borel calculus."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nctorus import dynamics, gns, modular, weyl
+from nctorus import dynamics, fourier, gns, modular, weyl
 from nctorus.errors import AliasingError, SingularBlockError
 from nctorus.gns import TruncationBox
 
@@ -105,3 +107,77 @@ def test_rotation_modular_operator_is_trivial(rot, box, rng):
     x = orbit_vector(rot, box, rng)
     dev = (modular.apply_delta_power(x, 0.5, rot) - x).norm()
     assert dev < 1e-13
+
+
+def j_reference(x, d):
+    """``(J x)_n(x_j) = delta_n^{1/2} conj(x_{-n}(F_n(x_j)))`` pointwise.
+
+    Reference for the chart transport: the iterate and the density come
+    straight from the dynamics module and the trigonometric sum of each
+    block is written out at the iterate positions.
+    """
+    box = x.box
+    grid = np.arange(box.grid_size) / box.grid_size
+    rows = np.empty((box.n_blocks, box.grid_size), dtype=complex)
+    for i, n in enumerate(box.blocks()):
+        f_n = dynamics.iterate_lift(d, int(n), grid)
+        waves = np.exp(2j * np.pi * np.multiply.outer(f_n, box.modes()))
+        source = x.coeffs[box.n_blocks - 1 - i]
+        rows[i] = (np.sqrt(dynamics.radon_nikodym(d, int(n), x=grid))
+                   * np.conj(waves @ source))
+    return rows
+
+
+def band(box, rows):
+    """Mode coefficients ``|l| <= M`` of grid rows."""
+    c = np.fft.fft(rows, axis=1) / box.grid_size
+    return c[:, box.modes() % box.grid_size]
+
+
+@pytest.mark.parametrize("case, tol", [("bench", 1e-13), ("rot", 1e-14)])
+def test_j_matches_the_pointwise_definition(case, tol, request, small_box,
+                                            rng):
+    # on the rotation the chart is the identity and transport is a phase
+    d = request.getfixturevalue(case)
+    x = gns.random_vector(rng, small_box)
+    ref = band(small_box, j_reference(x, d))
+    got = modular.apply_J(x, d, tail_tol=np.inf)
+    assert np.max(np.abs(got.coeffs - ref)) <= tol
+    eps = fourier.epsilon_basis(d, small_box)
+    kb, mb = small_box.block_bound, small_box.mode_bound
+    for k, l in ((-6, 8), (0, -3), (3, 5), (6, -8), (-2, 0)):
+        e_kl = gns.basis_vector(small_box, k, l)
+        ref = band(small_box, j_reference(e_kl, d))[-k + kb]
+        assert np.max(np.abs(eps[k + kb, l + mb] - ref)) <= tol, (k, l)
+
+
+def test_modular_memory_is_bounded(bench, rng):
+    """J, the conjugated basis and the modular paren route stay O(G^2)."""
+    box = TruncationBox(32, 32)
+    f = weyl.random_element(rng, bench.alpha, 2, decay=2.0)
+    gns._context.cache_clear()
+    tracemalloc.start()
+    try:
+        x = gns.represent(f, bench, box).apply(gns.vacuum(box))
+        modular.conjugated_borel_apply(x, ("power", 0.5), bench)
+        modular.apply_J(x, bench)
+        fourier.epsilon_basis(bench, box)
+        fourier.paren_functional(f, bench, box, route="modular")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gns._context.cache_clear()
+    assert peak < 64 * 2 ** 20
+
+
+def test_context_build_solves_the_chart_once(bench, small_box, monkeypatch):
+    calls = []
+    inverse = dynamics.ConjugatorLift.inverse
+
+    def counting(self, y):
+        calls.append(y)
+        return inverse(self, y)
+
+    monkeypatch.setattr(dynamics.ConjugatorLift, "inverse", counting)
+    gns._Context(bench, small_box)
+    assert len(calls) == 1
