@@ -14,7 +14,7 @@ from .dynamics import (ConjugatorLift, DiffeoSpec, GrowthSequence, benchmark,
 from .errors import (AliasingError, AlphaMismatchError, GridMismatchError,
                      GridTooSmallError, InverseSolveError, NcTorusError,
                      OutOfBoxError, PositivityError, RouteMismatchError,
-                     SingularBlockError, TailMassError)
+                     SingularBlockError)
 from .fourier import (FourierCoeffs, anti_transform, classical_limit_compare,
                       epsilon_basis, hat_functional, hat_vector,
                       paren_functional, paren_vector,

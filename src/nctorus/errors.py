@@ -33,10 +33,6 @@ class InverseSolveError(NcTorusError):
     """The lift inverse solver failed to reach the residual target."""
 
 
-class TailMassError(NcTorusError):
-    """An adaptive mode truncation could not push the tail below tolerance."""
-
-
 class OutOfBoxError(NcTorusError):
     """An index lies outside the truncation box."""
 

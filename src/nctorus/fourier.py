@@ -212,6 +212,9 @@ def dirichlet_coefficient_table(n: int, d: DiffeoSpec,
     The degree-n Dirichlet functional pairs an operator's block-0
     diagonal multiplier against the Dirichlet kernel; on the generators
     this produces the 0/1 indicator table supported on the k = 0 row.
+    The adjoint of ``u_kl`` has a shift-0 term only when k = 0, so only
+    that row is built; its block-0 multiplier is the conjugate of the
+    block-0 row of ``u_0l``.
     """
     from .gns import build_u_kl
 
@@ -226,13 +229,9 @@ def dirichlet_coefficient_table(n: int, d: DiffeoSpec,
     kernel = np.exp(1j * np.multiply.outer(js, ctx.theta)).sum(axis=0)
     row0 = box.block_bound
     table = np.zeros((box.n_blocks, box.n_modes), dtype=complex)
-    for i, k in enumerate(box.blocks()):
-        for j, l in enumerate(box.modes()):
-            adj = build_u_kl(d, box, int(k), int(l)).adjoint()
-            mult = adj.terms.get(0)
-            if mult is None:
-                continue
-            table[i, j] = np.mean(mult[row0] * kernel)
+    for j, l in enumerate(box.modes()):
+        mult = np.conj(build_u_kl(d, box, 0, int(l)).terms[0][row0])
+        table[row0, j] = np.mean(mult * kernel)
     return FourierCoeffs("hat", table, box)
 
 

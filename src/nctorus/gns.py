@@ -9,11 +9,13 @@ diagonally up to shifts,
 
 with multiplier functions ``m_{n, s}(z) = sum_m f(m, s)
 exp(i m (psi(z) + 2 pi alpha (2 n - s)))`` where ``psi`` is the angle of
-``h^{-1}(z)``.  Everything downstream (modular operators, transforms,
+``h^{-1}(z)``; each shift row is one matrix product of a twist table
+and a wave table.  Everything downstream (modular operators, transforms,
 Dirac blocks) reuses the cached per-box context built here: one inverse
 solve into the chart ``u = h^{-1}``, the closed-form densities
 ``delta_n`` and the chart transport ``y -> y o F_n`` (resample, phase,
-resample) that every use of J goes through.
+resample) that every use of J goes through.  The generator products
+``u_kl`` are closed forms in the same chart, with no series behind them.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import DiffeoSpec
-from .errors import AlphaMismatchError, OutOfBoxError, TailMassError
+from .dynamics import ConjugatorLift, DiffeoSpec
+from .errors import AlphaMismatchError, OutOfBoxError
 from .grids import default_grid_size, grid_angles, project_to_modes
-from .weyl import WeylElement, star_product
+from .weyl import WeylElement
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ class _Context:
         g = box.grid_size
         self.theta = grid_angles(g)
         self.x = np.arange(g) / g
-        u = d.lift.inverse(self.x)
+        self.u = u = d.lift.inverse(self.x)
         self.psi = 2.0 * np.pi * u
         shift = 2.0 * d.alpha * box.blocks()
         self.delta = (d.lift.derivative(u[None, :] + shift[:, None])
@@ -125,18 +127,21 @@ class _Context:
         return (spectra * phase) @ self._from_chart
 
 
-def _waves(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """``exp(2 pi i points[j] freqs[k])`` with the cycle count kept exact.
+def _cycles(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """``points[j] freqs[k]`` modulo 1, with the large product kept exact.
 
     Cycle counts reach about K G / 2 in the rotation phases.  Splitting
     the points on a 2^-30 lattice makes the large product exact (while
-    |points| G < 2^24), so only its fraction is rounded before the
-    multiply by 2 pi.
+    |points freqs| < 2^23), so only its fraction is rounded.
     """
     coarse = np.round(points * 2.0 ** 30) / 2.0 ** 30
-    cycles = (np.multiply.outer(coarse, freqs) % 1.0
-              + np.multiply.outer(points - coarse, freqs))
-    return np.exp(2j * np.pi * cycles)
+    return (np.multiply.outer(coarse, freqs) % 1.0
+            + np.multiply.outer(points - coarse, freqs))
+
+
+def _waves(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """``exp(2 pi i points[j] freqs[k])``, reduced by :func:`_cycles`."""
+    return np.exp(2j * np.pi * _cycles(points, freqs))
 
 
 @lru_cache(maxsize=8)
@@ -327,7 +332,12 @@ class GnsOperator:
 
 
 def represent(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> GnsOperator:
-    """Image of a coefficient table in the block representation."""
+    """Image of a coefficient table in the block representation.
+
+    Each shift row is one product ``(twist * coeffs) @ waves`` of the
+    (2K + 1, n_m) table ``exp(2 pi i alpha m (2 n - s))`` and the
+    (n_m, G) table ``exp(i m psi)`` over the row's modes m.
+    """
     if f.alpha != d.alpha:
         raise AlphaMismatchError(
             f"element alpha {f.alpha!r} does not match dynamics {d.alpha!r}")
@@ -335,13 +345,6 @@ def represent(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> GnsOperator:
     rows: dict[int, dict[int, complex]] = {}
     for p, v in f.items():
         rows.setdefault(p.n, {})[p.m] = v
-    wave_cache: dict[int, np.ndarray] = {}
-
-    def mode_wave(m: int) -> np.ndarray:
-        if m not in wave_cache:
-            wave_cache[m] = np.exp(1j * m * ctx.psi)
-        return wave_cache[m]
-
     terms: dict[int, np.ndarray] = {}
     blocks = box.blocks()
     for s, row in rows.items():
@@ -350,12 +353,11 @@ def represent(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> GnsOperator:
                 f"shift {s} exceeds the block range; term dropped",
                 stacklevel=2)
             continue
-        mult = np.zeros((box.n_blocks, box.grid_size), dtype=complex)
-        for m, v in row.items():
-            wave = mode_wave(m)
-            twist = np.exp(2j * np.pi * d.alpha * m * (2 * blocks - s))
-            mult += v * twist[:, None] * wave[None, :]
-        terms[s] = mult
+        ms = np.fromiter(row, dtype=np.int64, count=len(row))
+        coeffs = np.fromiter(row.values(), dtype=complex, count=len(row))
+        twist = _waves(d.alpha, np.multiply.outer(2 * blocks - s, ms))
+        waves = np.exp(1j * np.multiply.outer(ms, ctx.psi))
+        terms[s] = (twist * coeffs) @ waves
     return GnsOperator(box, terms)
 
 
@@ -368,37 +370,32 @@ def conjugator_mode_table(d: DiffeoSpec, l: int, mode_bound: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _u_kl_cached(d: DiffeoSpec, box: TruncationBox, k: int, l: int,
-                 tail_tol: float) -> GnsOperator:
-    if l == 0:
-        g_l = WeylElement.unit(d.alpha)
-    else:
-        mode_bound = max(3 * box.mode_bound, 4 * abs(l), 16)
-        while True:
-            coeffs = conjugator_mode_table(d, l, mode_bound)
-            tail = float(np.sqrt(max(0.0, 1.0 - np.sum(np.abs(coeffs) ** 2))))
-            if tail <= tail_tol:
-                break
-            mode_bound *= 2
-            if mode_bound > 1 << 16:
-                raise TailMassError(
-                    f"conjugator power {l} tail stuck at {tail:.3e}")
-        table = {(m, 0): c for m, c in
-                 zip(range(-mode_bound, mode_bound + 1), coeffs)}
-        g_l = WeylElement(d.alpha, table)
-    f_k = WeylElement.generator(d.alpha, 0, k)
-    return represent(star_product(f_k, g_l), d, box)
+def _u_kl_cached(d: DiffeoSpec, box: TruncationBox, k: int,
+                 l: int) -> GnsOperator:
+    ctx = _context(d, box)
+    # F_j = H(u + 2 alpha j) is H(u + frac(2 alpha j)) plus an integer,
+    # which l times drops out of the exponential.
+    shift = _cycles(2.0 * d.alpha, box.blocks() - k)
+    lift = d.lift.value(ctx.u[None, :] + shift[:, None])
+    return GnsOperator(box, {k: np.exp(2j * np.pi * l * lift)})
 
 
-def build_u_kl(d: DiffeoSpec, box: TruncationBox, k: int, l: int,
-               tail_tol: float = 1e-10) -> GnsOperator:
-    """Unitary generator pair product ``u_kl`` as a represented operator.
+def build_u_kl(d: DiffeoSpec, box: TruncationBox, k: int,
+               l: int) -> GnsOperator:
+    """Unitary generator pair product ``u_kl = W(0, k) * h^l``, represented.
 
-    The conjugator power ``h^l`` is expanded adaptively until the
-    dropped spectral mass is below ``tail_tol`` (Parseval against the
-    unit modulus of ``h^l``).
+    Its only shift is k, and row n of that shift is the closed-form
+    multiplier ``exp(2 pi i l F_{n-k}(x))`` with ``F_j = H(u + 2 alpha j)``
+    in the chart ``u = H^{-1}(x)``; no series is truncated.
     """
-    return _u_kl_cached(d, box, int(k), int(l), float(tail_tol))
+    return _u_kl_cached(d, box, int(k), int(l))
+
+
+@lru_cache(maxsize=8)
+def _state_chart(lift: ConjugatorLift, size: int) -> np.ndarray:
+    u = lift.inverse(np.arange(size) / size)
+    u.flags.writeable = False
+    return u
 
 
 def state_coefficients(d: DiffeoSpec, mode_bound: int,
@@ -406,10 +403,10 @@ def state_coefficients(d: DiffeoSpec, mode_bound: int,
     """Moments ``mu(m) = integral exp(2 pi i m h^{-1}(x)) dx``.
 
     Indexed ``-mode_bound .. mode_bound``; these are the coefficients of
-    the invariant state on the first generator row.
+    the invariant state on the first generator row.  The ``size``-point
+    inverse solve is cached per lift, independent of any box grid.
     """
-    x = np.arange(size) / size
-    u = d.lift.inverse(x)
+    u = _state_chart(d.lift, size)
     ms = np.arange(-mode_bound, mode_bound + 1)
     return np.exp(2j * np.pi * np.multiply.outer(ms, u)).mean(axis=1)
 

@@ -40,7 +40,8 @@ def weyl_relation_suite(alpha: float, tols: dict,
     alphas = [0.0, 0.25]
     if alpha not in alphas:
         alphas.append(alpha)
-    dev = max(weyl.weyl_relation_check(a, pairs) for a in alphas)
+    dev = float(np.max([weyl.weyl_relation_check(a, pairs)
+                        for a in alphas]))
     return [_result("weyl_relation", dev, tols["weyl_relation"],
                     f"{len(pairs)} generator pairs, {len(alphas)} twists")]
 
@@ -57,16 +58,18 @@ def star_algebra_suite(alpha: float, tols: dict, rng: np.random.Generator,
         h = weyl.random_element(rng, alpha, 2)
         left = weyl.star_product(weyl.star_product(f, g), h)
         right = weyl.star_product(f, weyl.star_product(g, h))
-        assoc = max(assoc, weyl.table_distance(left, right))
-        tracial = max(tracial, abs(weyl.trace(weyl.star_product(f, g))
-                                   - weyl.trace(weyl.star_product(g, f))))
-        invol = max(invol, weyl.table_distance(
+        assoc = np.maximum(assoc, weyl.table_distance(left, right))
+        tracial = np.maximum(tracial,
+                             abs(weyl.trace(weyl.star_product(f, g))
+                                 - weyl.trace(weyl.star_product(g, f))))
+        invol = np.maximum(invol, weyl.table_distance(
             weyl.involution(weyl.star_product(f, g)),
             weyl.star_product(weyl.involution(g), weyl.involution(f))))
         probe = weyl.star_product(
             weyl.WeylElement.generator(alpha, -1, -2), f)
-        recover = max(recover, abs(probe[(0, 0)]
-                                   - weyl.abstract_fourier_coeff(f, 1, 2)))
+        recover = np.maximum(recover,
+                             abs(probe[(0, 0)]
+                                 - weyl.abstract_fourier_coeff(f, 1, 2)))
     return [
         _result("star_associativity", assoc, tols["star_associativity"],
                 f"{count} random triples"),
@@ -86,13 +89,13 @@ def dynamics_suite(d: DiffeoSpec, box: TruncationBox,
     worst_mean = 0.0
     for n in range(-4, 5):
         dn = dynamics.radon_nikodym(d, n, x=ctx.x)
-        worst_mean = max(worst_mean, abs(float(np.mean(dn)) - 1.0))
+        worst_mean = np.maximum(worst_mean, abs(float(np.mean(dn)) - 1.0))
         for m in range(-4, 5):
             lhs = dynamics.radon_nikodym(d, m + n, x=ctx.x)
             fn = dynamics.iterate_lift(d, n, ctx.x) % 1.0
             rhs = dynamics.radon_nikodym(d, m, x=fn) * dn
-            worst_cocycle = max(worst_cocycle,
-                                float(np.max(np.abs(lhs - rhs))))
+            worst_cocycle = np.maximum(worst_cocycle,
+                                       float(np.max(np.abs(lhs - rhs))))
     rho = dynamics.rotation_number(d, iterations=256)
     rho_dev = abs(rho - 2.0 * d.alpha)
     return [
@@ -123,8 +126,8 @@ def gns_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
     for k in range(-kr, kr + 1):
         for l in range(-lr, lr + 1):
             image = gns.build_u_kl(d, box, k, l).apply(xi)
-            u_dev = max(u_dev,
-                        (image - gns.basis_vector(box, k, l)).norm())
+            u_dev = np.maximum(u_dev,
+                               (image - gns.basis_vector(box, k, l)).norm())
 
     # The sequential product is compared on grid rows: the interior
     # block margin covers both shifts, and keeping the intermediate at
@@ -141,19 +144,19 @@ def gns_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
         x = gns.random_vector(rng, box, block_margin=6, mode_margin=6)
         seq = af.apply_to_grid(ag.apply_to_grid(x.on_grid()))
         comp = afg.apply_to_grid(x.on_grid())
-        hom_dev = max(hom_dev, float(np.sqrt(np.sum(
+        hom_dev = np.maximum(hom_dev, float(np.sqrt(np.sum(
             np.mean(np.abs(seq - comp) ** 2, axis=1)))))
         y = gns.random_vector(rng, box, block_margin=6, mode_margin=6)
         star_rep = gns.represent(weyl.involution(f), d, box)
-        adj_dev = max(adj_dev, abs(af.apply(x).inner(y)
-                                   - x.inner(star_rep.apply(y))))
+        adj_dev = np.maximum(adj_dev, abs(af.apply(x).inner(y)
+                                          - x.inner(star_rep.apply(y))))
 
     state_dev = 0.0
     for _ in range(hom_count):
         f = weyl.random_element(rng, d.alpha, 3)
-        state_dev = max(state_dev,
-                        abs(gns.state_eval(f, d, route="series")
-                            - gns.state_eval(f, d, route="gns")))
+        state_dev = np.maximum(state_dev,
+                               abs(gns.state_eval(f, d, route="series")
+                                   - gns.state_eval(f, d, route="gns")))
     return [
         _result("basis_gram", gram_dev, tols["gram"],
                 "quadrature orthonormality"),
@@ -174,7 +177,7 @@ def modular_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
     tomita_dev = 0.0
     for _ in range(count):
         f = weyl.random_element(rng, d.alpha, 2, decay=2.0)
-        tomita_dev = max(tomita_dev, modular.tomita_check(f, d, box))
+        tomita_dev = np.maximum(tomita_dev, modular.tomita_check(f, d, box))
 
     # J is probed on algebra-orbit vectors pi(f) xi; raw coefficient
     # noise carries too much high-mode mass through the compositions
@@ -188,15 +191,15 @@ def modular_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
         g = weyl.random_element(rng, d.alpha, 2, decay=2.0)
         x = gns.represent(f, d, box).apply(xi)
         y = gns.represent(g, d, box).apply(xi)
-        j_dev = max(j_dev, (modular.conjugated_borel_apply(
+        j_dev = np.maximum(j_dev, (modular.conjugated_borel_apply(
             x, ("power", 0.0), d) - x).norm())
-        anti_dev = max(anti_dev,
-                       abs(modular.apply_J(x, d).inner(modular.apply_J(y, d))
-                           - y.inner(x)))
+        anti_dev = np.maximum(
+            anti_dev, abs(modular.apply_J(x, d).inner(modular.apply_J(y, d))
+                          - y.inner(x)))
         for fn in (("power", 0.5), ("power", -1.0),
                    ("rational", (1.0, 2.0), (1.0, 3.0))):
-            borel_dev = max(borel_dev,
-                            modular.borel_identity_check(fn, x, d))
+            borel_dev = np.maximum(borel_dev,
+                                   modular.borel_identity_check(fn, x, d))
     return [
         _result("tomita_conjugation", tomita_dev, tomita_tol,
                 f"{count} random interior elements"),
@@ -216,18 +219,19 @@ def parseval_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
         table = fourier.hat_functional(f, d, box)
         lhs = gns.state_eval(
             weyl.star_product(weyl.involution(f), f), d, route="series")
-        parseval_dev = max(parseval_dev, abs(lhs.real - table.l2() ** 2)
-                           + abs(lhs.imag))
+        parseval_dev = np.maximum(parseval_dev,
+                                  abs(lhs.real - table.l2() ** 2)
+                                  + abs(lhs.imag))
     xi = gns.vacuum(box)
     for _ in range(5):
         f = weyl.random_element(rng, d.alpha, 2, decay=1.0)
         table = fourier.hat_functional(f, d, box)
         norm = gns.represent(f, d, box).apply(xi).norm()
-        hy_dev = max(hy_dev, table.sup() - norm)
+        hy_dev = np.maximum(hy_dev, table.sup() - norm)
     return [
         _result("parseval", parseval_dev, tols["parseval"],
                 f"{count} random elements"),
-        _result("hausdorff_young_endpoint", max(hy_dev, 0.0),
+        _result("hausdorff_young_endpoint", np.maximum(hy_dev, 0.0),
                 tols["hausdorff_young_endpoint"],
                 "sup coefficient vs vector norm"),
     ]
@@ -240,7 +244,7 @@ def classical_suite(box: TruncationBox, tols: dict, rng: np.random.Generator,
     for _ in range(count):
         f = weyl.random_element(rng, 0.0, radius, decay=1.0)
         devs = fourier.classical_limit_compare(f, box)
-        worst = max(worst, devs["hat"], devs["paren"])
+        worst = float(np.max([worst, devs["hat"], devs["paren"]]))
     return [_result("classical_limit", worst, tols["classical_limit"],
                     f"{count} random elements, both kinds")]
 
@@ -253,13 +257,13 @@ def wts_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
     for w in points:
         for (m, n) in ((0, 1), (1, 0), (1, 2)):
             f = weyl.WeylElement.generator(d.alpha, m, n)
-            gen_dev = max(gen_dev,
-                          summation.wts_deviation(f, w, d, box, radius))
+            gen_dev = np.maximum(gen_dev,
+                                 summation.wts_deviation(f, w, d, box, radius))
     rand_dev = 0.0
     for w in points[:1]:
         f = weyl.random_element(rng, d.alpha, 2, decay=1.0)
-        rand_dev = max(rand_dev,
-                       summation.wts_deviation(f, w, d, box, radius))
+        rand_dev = np.maximum(rand_dev,
+                              summation.wts_deviation(f, w, d, box, radius))
     return [
         _result("wts_generators", gen_dev, tols["wts_generators"],
                 f"sweep |k|, |l| <= {radius}"),
@@ -290,7 +294,7 @@ def summation_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
         abel_errs = [row["l2_error"] for row in abel_rows]
         drops = [abel_errs[i] - abel_errs[i + 1] for i in range(2)]
         results.append(CheckResult(
-            f"abel_monotone_{kind}", min(drops), 0.0,
+            f"abel_monotone_{kind}", float(np.min(drops)), 0.0,
             all(dr > 0.0 for dr in drops),
             "errors strictly decreasing in r"))
     x = gns.random_vector(rng, box,
@@ -319,9 +323,9 @@ def dirichlet_suite(d: DiffeoSpec, box: TruncationBox,
     table_dev = float(np.max(np.abs(table.table - expected)))
 
     wide = TruncationBox(small.block_bound, small.mode_bound, grid_size=256)
-    sup_dev = max(
+    sup_dev = float(np.max([
         abs(fourier.dirichlet_coefficient_table(n, d, wide).sup() - 1.0)
-        for n in (10, 100))
+        for n in (10, 100)]))
     return [
         _result("dirichlet_growth", band_dev, tols["dirichlet_band"],
                 "L1 norm increment vs logarithmic slope"),
@@ -351,7 +355,7 @@ def dirac_bounds_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
     etas = (0.0, 0.25, 0.5, 0.75, 1.0)
     rows = dirac.resolvent_profile(d, box, ns, etas, growth=growth,
                                    slack=tols["dirac_bound_slack"])
-    margin = min(row["margin"] for row in rows)
+    margin = float(np.min([row["margin"] for row in rows]))
     kernel_ok = all(row["kernel_dim"] == (1 if row["n"] == 0 else 0)
                     for row in rows)
 
@@ -361,7 +365,7 @@ def dirac_bounds_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
             for eta in (0.0, 0.5, 1.0):
                 _, norm, bound = dirac.commutator_block(
                     n, eta, d, box, growth, generator=generator)
-                comm_excess = max(
+                comm_excess = np.maximum(
                     comm_excess,
                     norm - bound * (1.0 + tols["dirac_bound_slack"]))
     return [
@@ -370,9 +374,8 @@ def dirac_bounds_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
         CheckResult("resolvent_margin", margin, 0.0,
                     margin >= 0.0 and kernel_ok,
                     "bound minus resolvent, min over blocks and eta"),
-        CheckResult("commutator_bound", comm_excess, 0.0,
-                    comm_excess <= 0.0,
-                    "norm never above the growth bound"),
+        _result("commutator_bound", comm_excess, 0.0,
+                "norm never above the growth bound"),
     ]
 
 

@@ -139,3 +139,70 @@ def test_oversized_shift_warns_and_drops(bench, small_box):
     with pytest.warns(UserWarning):
         a = gns.represent(f, bench, small_box)
     assert a.apply(gns.vacuum(small_box)).norm() < 1e-15
+
+
+def reference_represent(f, d, box):
+    """Per-coefficient represent: one twisted wave per table entry."""
+    psi = gns._context(d, box).psi
+    blocks = box.blocks()
+    terms = {}
+    for p, v in f.items():
+        twist = np.exp(2j * np.pi * d.alpha * p.m * (2 * blocks - p.n))
+        wave = np.exp(1j * p.m * psi)
+        terms[p.n] = terms.get(p.n, 0) + v * twist[:, None] * wave[None, :]
+    return terms
+
+
+def series_u_kl(d, box, k, l, mode_bound=64):
+    """``W(0, k) * h^l`` with ``h^l`` expanded in its mode series.
+
+    At 0.3 conjugator amplitude and |l| <= 8 the Bessel tail beyond
+    mode 64 is far below double precision.
+    """
+    table = gns.conjugator_mode_table(d, l, mode_bound)
+    g_l = weyl.WeylElement(d.alpha, {(m, 0): c for m, c in
+                                     zip(range(-mode_bound, mode_bound + 1),
+                                         table)})
+    f_k = weyl.WeylElement.generator(d.alpha, 0, k)
+    return reference_represent(weyl.star_product(f_k, g_l), d, box)
+
+
+@pytest.mark.parametrize("name", ["bench", "rot"])
+def test_closed_form_u_kl_matches_the_series(name, request):
+    d = request.getfixturevalue(name)
+    b = TruncationBox(8, 8)
+    devs = []
+    for k in range(-4, 5):
+        for l in range(-8, 9):
+            got = gns.build_u_kl(d, b, k, l).terms
+            want = series_u_kl(d, b, k, l)
+            assert set(got) == set(want) == {k}
+            devs.append(np.max(np.abs(got[k] - want[k])))
+    assert np.max(devs) < 1e-12
+
+
+def test_represent_matches_the_per_coefficient_loop(bench, small_box):
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        f = weyl.random_element(rng, bench.alpha, 3, decay=0.5)
+        got = gns.represent(f, bench, small_box).terms
+        want = reference_represent(f, bench, small_box)
+        assert set(got) == set(want)
+        for s in want:
+            assert np.max(np.abs(got[s] - want[s])) < 1e-13
+
+
+def test_state_series_solves_the_chart_once(bench, monkeypatch):
+    calls = []
+    inverse = dynamics.ConjugatorLift.inverse
+
+    def counting(self, y):
+        calls.append(y)
+        return inverse(self, y)
+
+    monkeypatch.setattr(dynamics.ConjugatorLift, "inverse", counting)
+    gns._state_chart.cache_clear()
+    f = weyl.random_element(np.random.default_rng(3), bench.alpha, 2)
+    first = gns.state_eval(f, bench, route="series")
+    assert gns.state_eval(f, bench, route="series") == first
+    assert len(calls) == 1

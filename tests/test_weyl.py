@@ -139,3 +139,84 @@ def test_smooth_seminorm_frozen_values():
     assert_allclose(weyl.smooth_seminorm(e10, d, 0, 1), 10.0 / 7.0, atol=1e-9)
     assert weyl.smooth_seminorm(e01, d, 0, 1) == 0.0
     assert_allclose(weyl.smooth_seminorm(e01, d, 2, 0), 4.0, atol=1e-12)
+
+
+def loop_star_product(f, g):
+    """Reference twisted convolution: the plain double loop over pairs."""
+    out = {}
+    two_pi_alpha = 2.0 * np.pi * f.alpha
+    for a, fa in f.items():
+        for b, gb in g.items():
+            key = (a.m + b.m, a.n + b.n)
+            phase = np.exp(-1j * two_pi_alpha * b.form(a))
+            out[key] = out.get(key, 0.0) + fa * gb * phase
+    return weyl.WeylElement(f.alpha, out)
+
+
+def assert_matches_loop(f, g, gate=1e-13, same_support=True):
+    got = weyl.star_product(f, g)
+    want = loop_star_product(f, g)
+    if same_support:
+        assert set(got.support()) == set(want.support())
+    assert weyl.table_distance(got, want) < gate
+
+
+def test_star_product_matches_the_loop_on_random_elements():
+    rng = np.random.default_rng(8)
+    for r1 in range(4):
+        for r2 in range(4):
+            assert_matches_loop(weyl.random_element(rng, ALPHA, r1),
+                                weyl.random_element(rng, ALPHA, r2))
+
+
+def test_star_product_with_an_empty_operand():
+    f = weyl.random_element(np.random.default_rng(2), ALPHA, 2)
+    empty = weyl.WeylElement(ALPHA)
+    assert len(weyl.star_product(f, empty)) == 0
+    assert len(weyl.star_product(empty, f)) == 0
+    assert len(weyl.star_product(empty, empty)) == 0
+    with pytest.raises(AlphaMismatchError):
+        weyl.star_product(empty, weyl.WeylElement(0.25))
+
+
+def test_star_product_drops_cancelled_terms():
+    # (1 + W(1,0)) (1 - W(-1,0)): the two origin terms cancel exactly
+    f = weyl.WeylElement(ALPHA, {(0, 0): 1.0, (1, 0): 1.0})
+    g = weyl.WeylElement(ALPHA, {(0, 0): 1.0, (-1, 0): -1.0})
+    assert set(weyl.star_product(f, g).support()) == {(1, 0), (-1, 0)}
+    assert_matches_loop(f, g)
+
+
+def test_star_product_matches_the_loop_on_far_apart_supports():
+    corners = [(sm * 1000, sn * 1000) for sm in (-1, 1) for sn in (-1, 1)]
+    f = weyl.WeylElement(ALPHA, {key: 1.0 + 0.5j * i
+                                 for i, key in enumerate(corners)})
+    g = weyl.WeylElement(ALPHA, {(1000, -1000): 0.3, (0, 1): -2.0j,
+                                 (-999, 1000): 1.5})
+    assert_matches_loop(f, g)
+    assert_matches_loop(g, f)
+    assert_matches_loop(f, f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                          st.floats(-1, 1), st.floats(-1, 1)),
+                max_size=6),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                          st.floats(-1, 1), st.floats(-1, 1)),
+                max_size=6))
+def test_star_product_matches_the_loop_property(f_entries, g_entries):
+    f = weyl.WeylElement(ALPHA, [((m, n), complex(re, im))
+                                 for m, n, re, im in f_entries])
+    g = weyl.WeylElement(ALPHA, [((m, n), complex(re, im))
+                                 for m, n, re, im in g_entries])
+    # A sum that cancels to exactly zero on one route may leave a
+    # rounding residue on the other, so only the distance is gated.
+    assert_matches_loop(f, g, same_support=False)
+
+
+def test_table_distance_keeps_nan():
+    f = weyl.WeylElement(ALPHA, {(0, 0): 1.0, (1, 2): complex("nan")})
+    g = weyl.WeylElement(ALPHA, {(0, 0): 1.0, (1, 2): 1.0})
+    assert np.isnan(weyl.table_distance(f, g))
+    assert np.isnan(weyl.table_distance(g, f))
