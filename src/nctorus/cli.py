@@ -1,9 +1,11 @@
 """Command line front end: JSON config in, CSV plus JSON report out.
 
 Outputs are data only and bitwise deterministic for a fixed config (no
-timestamps, fixed float formatting).  Exit codes: 0 on success, 1 for
-usage or configuration problems, 2 when a tolerance check fails (the
-report JSON then carries the failures).
+timestamps, fixed float formatting).  Every gate is a verify check over
+the library functions the verify suites call, so a NaN or infinite
+deviation fails it.  Exit codes: 0 on success, 1 for usage or
+configuration problems, 2 when a check fails (the report JSON then
+lists the failures).
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -40,7 +41,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_report(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -102,13 +103,14 @@ def _element(config: dict, key: str, alpha: float, seed: int,
 
 
 def _finish(env: dict, out: Path, name: str, report: dict,
-            failures: list[str]) -> int:
+            checks: list[verify.CheckResult]) -> int:
+    failures = sorted({r.name for r in checks if not r.passed})
     report["config_echo"] = env["config"]
     report["tolerances"] = env["tols"]
-    report["failures"] = sorted(failures)
-    _write_report(out / f"{name}_report.json", report)
+    report["failures"] = failures
+    _write_json(out / f"{name}_report.json", report)
     if failures:
-        print(json.dumps({"command": name, "failures": sorted(failures)},
+        print(json.dumps({"command": name, "failures": failures},
                          sort_keys=True))
         return 2
     return 0
@@ -119,26 +121,24 @@ def _cmd_star(env: dict, out: Path) -> int:
     f = _element(cfg, "element", d.alpha, env["seed"])
     g = _element(cfg, "second_element", d.alpha, env["seed"], offset=1)
     product = weyl.star_product(f, g)
-    with open(out / "star_product.json", "w") as handle:
-        json.dump(product.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(out / "star_product.json", product.to_dict())
     span = range(-2, 3)
     pairs = [((m, n), (mm, nn)) for m in span for n in span
              for mm in span for nn in span]
-    relation_dev = weyl.weyl_relation_check(d.alpha, pairs)
+    relation = verify.check("weyl_relation",
+                            weyl.weyl_relation_check(d.alpha, pairs),
+                            env["tols"]["weyl_relation"])
     tr = weyl.trace(product)
     report = {
         "alpha": d.alpha,
         "entries": len(product),
         "trace_re": tr.real,
         "trace_im": tr.imag,
-        "relation_deviation": relation_dev,
-        "tolerance": env["tols"]["weyl_relation"],
+        "relation_deviation": relation.observed,
+        "tolerance": relation.tolerance,
         "outputs": ["star_product.json"],
     }
-    failures = (["weyl_relation"]
-                if relation_dev > env["tols"]["weyl_relation"] else [])
-    return _finish(env, out, "star", report, failures)
+    return _finish(env, out, "star", report, [relation])
 
 
 def _cmd_represent(env: dict, out: Path) -> int:
@@ -160,18 +160,18 @@ def _cmd_represent(env: dict, out: Path) -> int:
                ["shift", "n", "mode", "re", "im"], term_rows)
     norm = operator.apply(gns.vacuum(box)).norm()
     sup = table.sup()
+    endpoint = verify.check("hausdorff_young_endpoint",
+                            np.maximum(sup - norm, 0.0),
+                            env["tols"]["hausdorff_young_endpoint"])
     report = {
         "operator_norm": operator.norm_estimate(),
         "vacuum_image_norm": norm,
         "sup_coefficient": sup,
-        "endpoint_slack": max(0.0, sup - norm),
-        "tolerance": env["tols"]["hausdorff_young_endpoint"],
+        "endpoint_slack": endpoint.observed,
+        "tolerance": endpoint.tolerance,
         "outputs": ["vacuum_image.csv", "represent_terms.csv"],
     }
-    failures = (["hausdorff_young_endpoint"]
-                if sup - norm > env["tols"]["hausdorff_young_endpoint"]
-                else [])
-    return _finish(env, out, "represent", report, failures)
+    return _finish(env, out, "represent", report, [endpoint])
 
 
 def _cmd_fourier(env: dict, out: Path) -> int:
@@ -192,15 +192,14 @@ def _cmd_fourier(env: dict, out: Path) -> int:
     _write_csv(out / "riemann_lebesgue.csv", ["kind", "ring", "sup"],
                profile_rows)
     outputs.append("riemann_lebesgue.csv")
-    route_dev = fourier.route_agreement(f, d, box)
+    routes = verify.check("paren_routes", fourier.route_agreement(f, d, box),
+                          env["tols"]["paren_routes"])
     report = {
-        "route_deviation": route_dev,
-        "tolerance": env["tols"]["paren_routes"],
+        "route_deviation": routes.observed,
+        "tolerance": routes.tolerance,
         "outputs": outputs,
     }
-    failures = (["paren_routes"]
-                if route_dev > env["tols"]["paren_routes"] else [])
-    return _finish(env, out, "fourier", report, failures)
+    return _finish(env, out, "fourier", report, [routes])
 
 
 def _smoothing(env: dict, out: Path, name: str) -> int:
@@ -222,96 +221,60 @@ def _smoothing(env: dict, out: Path, name: str) -> int:
                [[row["parameter"], row["l2_error"], row["sup_coeff_error"]]
                 for row in rows])
     report = {"kind": kind, "outputs": [csv_name]}
-    failures = []
-    errs = [row["l2_error"] for row in rows]
     if name == "fejer":
-        ratios = [errs[i + 1] / errs[i] for i in range(len(errs) - 1)
-                  if errs[i] > 0]
-        lo, hi = env["tols"]["fejer_ratio_low"], env["tols"]["fejer_ratio_high"]
-        report["ratios"] = ratios
-        report["band"] = [lo, hi]
-        if any(not lo <= r <= hi for r in ratios):
-            failures.append("fejer_ratio_band")
-        x = gns.random_vector(np.random.default_rng(env["seed"]), box,
-                              block_margin=box.block_bound - 2,
-                              mode_margin=box.mode_bound - 2)
-        dev = summation.transference_integral_check(x, 3, 16, d)
-        report["transference_deviation"] = dev
-        if dev > env["tols"]["transference_integral"]:
-            failures.append("transference_integral")
+        tols = env["tols"]
+        checks = verify.ratio_band_checks(
+            ["fejer_ratio_band"] * (len(rows) - 1), rows,
+            tols["fejer_ratio_low"], tols["fejer_ratio_high"])
+        report["ratios"] = [r.observed for r in checks]
+        report["band"] = [tols["fejer_ratio_low"], tols["fejer_ratio_high"]]
+        transference = verify.transference_check(
+            d, box, tols, np.random.default_rng(env["seed"]))
+        report["transference_deviation"] = transference.observed
+        checks.append(transference)
     else:
-        drops = [errs[i] - errs[i + 1] for i in range(len(errs) - 1)]
-        report["monotone"] = all(dr > 0 for dr in drops)
-        if not report["monotone"]:
-            failures.append("abel_monotone")
-    return _finish(env, out, name, report, failures)
+        monotone = verify.decrease_check("abel_monotone", rows)
+        report["monotone"] = monotone.passed
+        checks = [monotone]
+    return _finish(env, out, name, report, checks)
 
 
 def _cmd_dirac(env: dict, out: Path) -> int:
-    cfg, d, box = env["config"], env["d"], env["box"]
+    cfg, d, box, tols = env["config"], env["d"], env["box"], env["tols"]
     section = cfg.get("dirac", {})
     radius = int(section.get("block_radius", 8))
     etas = [float(e) for e in section.get("etas", [0.0, 0.25, 0.5, 0.75, 1.0])]
     master_radius = min(int(section.get("master_radius", 4)),
                         box.block_bound, box.mode_bound)
     growth = dynamics.growth_sequence(d, max(radius, box.block_bound) + 1)
-    rows = dirac.resolvent_profile(
-        d, box, range(-radius, radius + 1), etas, growth=growth,
-        slack=env["tols"]["dirac_bound_slack"])
+    rows = dirac.resolvent_profile(d, box, range(-radius, radius + 1), etas,
+                                   growth, tols["dirac_bound_slack"])
     _write_csv(out / "dirac_blocks.csv",
                ["n", "eta", "sigma_min", "bound", "margin"],
                [[row["n"], row["eta"], row["sigma_min"], row["bound"],
                  row["margin"]] for row in rows])
-    a = dirac.a_sequence(growth, radius + 1)
-    tele = dirac.telescoping_deviation(a, growth)
-
-    a_box = dirac.a_sequence(growth, box.block_bound)
-    span = range(-master_radius, master_radius + 1)
-    element_rows = []
-    master = 0.0
-    for eta in (e for e in etas if e in (0.0, 0.5, 1.0)):
-        for k in span:
-            oracle = dirac.matrix_element_oracle_table(
-                eta, k, d, box, a_box, master_radius)
-            for si, s in enumerate(span):
-                for li, l in enumerate(span):
-                    closed = dirac.matrix_element_closed_form(
-                        eta, k, l, k, s, d, box, a_box)
-                    dev = abs(closed - oracle[si, li])
-                    master = max(master, dev)
-                    element_rows.append([eta, k, l, s, closed.real,
-                                         closed.imag, dev])
+    telescoping, margin, commutator = verify.dirac_bound_checks(
+        d, box, tols, growth, rows, radius, ("shift",))
+    elements = dirac.master_elements(
+        d, box, master_radius, [e for e in etas if e in (0.0, 0.5, 1.0)],
+        growth)
     _write_csv(out / "dirac_elements.csv",
                ["eta", "k", "l", "s", "re", "im", "deviation"],
-               element_rows)
-    comm_excess = 0.0
-    for n in range(-radius, radius + 1):
-        for eta in (0.0, 0.5, 1.0):
-            _, norm, bound = dirac.commutator_block(n, eta, d, box, growth)
-            comm_excess = max(
-                comm_excess,
-                norm - bound * (1.0 + env["tols"]["dirac_bound_slack"]))
-    margin = min(row["margin"] for row in rows)
-    master_tol = (env["tols"]["dirac_master_rotation"] if d.is_rotation
-                  else env["tols"]["dirac_master"])
+               [[eta, k, l, s, closed.real, closed.imag, dev]
+                for eta, k, l, s, closed, dev in elements])
+    master = verify.check(
+        "dirac_master", dirac.element_deviation(elements),
+        tols["dirac_master_rotation" if d.is_rotation else "dirac_master"])
     report = {
-        "master_deviation": master,
-        "master_tolerance": master_tol,
-        "telescoping": tele,
-        "commutator_excess": comm_excess,
-        "min_margin": margin,
+        "master_deviation": master.observed,
+        "master_tolerance": master.tolerance,
+        "telescoping": telescoping.observed,
+        "commutator_excess": commutator.observed,
+        "min_margin": margin.observed,
         "outputs": ["dirac_blocks.csv", "dirac_elements.csv"],
     }
-    failures = []
-    if master > master_tol:
-        failures.append("dirac_master")
-    if tele > env["tols"]["telescoping"]:
-        failures.append("telescoping")
-    if comm_excess > 0.0:
-        failures.append("commutator_bound")
-    if margin < 0.0:
-        failures.append("resolvent_margin")
-    return _finish(env, out, "dirac", report, failures)
+    return _finish(env, out, "dirac", report,
+                   [master, telescoping, commutator, margin])
 
 
 def _cmd_growth(env: dict, out: Path) -> int:
@@ -324,18 +287,15 @@ def _cmd_growth(env: dict, out: Path) -> int:
         lam = summation.SummationKernel("dirichlet", order=n).l1_norm()
         rows.append([n, growth.gamma(n), float(a[n_max + n]), lam])
     _write_csv(out / "growth.csv", ["n", "gamma", "a", "dirichlet_l1"], rows)
-    lam10 = summation.SummationKernel("dirichlet", order=10).l1_norm()
-    lam100 = summation.SummationKernel("dirichlet", order=100).l1_norm()
-    target = 4.0 / math.pi ** 2 * math.log(10.0)
-    band_dev = abs((lam100 - lam10) - target)
+    band = verify.check("dirichlet_growth",
+                        summation.dirichlet_growth_deviation(10, 100),
+                        env["tols"]["dirichlet_band"])
     report = {
-        "band_deviation": band_dev,
-        "band": env["tols"]["dirichlet_band"],
+        "band_deviation": band.observed,
+        "band": band.tolerance,
         "outputs": ["growth.csv"],
     }
-    failures = (["dirichlet_growth"]
-                if band_dev > env["tols"]["dirichlet_band"] else [])
-    return _finish(env, out, "growth", report, failures)
+    return _finish(env, out, "growth", report, [band])
 
 
 def _cmd_verify(env: dict, out: Path) -> int:
@@ -345,7 +305,6 @@ def _cmd_verify(env: dict, out: Path) -> int:
                              seed=env["seed"], quick=quick)
     _write_csv(out / "verify.csv", ["name", "tolerance", "observed", "passed"],
                [[r.name, r.tolerance, r.observed, r.passed] for r in results])
-    failures = [r.name for r in results if not r.passed]
     for r in results:
         tag = "PASS" if r.passed else "FAIL"
         extra = f"  ({r.note})" if r.note else ""
@@ -358,7 +317,7 @@ def _cmd_verify(env: dict, out: Path) -> int:
                              "tolerance": r.tolerance,
                              "passed": r.passed} for r in results},
     }
-    return _finish(env, out, "verify", report, failures)
+    return _finish(env, out, "verify", report, results)
 
 
 _COMMANDS = {

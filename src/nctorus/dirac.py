@@ -46,8 +46,8 @@ def telescoping_deviation(a: np.ndarray, growth: GrowthSequence) -> float:
     worst = 0.0
     for n in range(-block_bound + 1, block_bound + 1):
         step = abs(a[n - 1 + block_bound] - a[n + block_bound])
-        worst = max(worst, abs(step * growth.gamma(n) - 1.0))
-    return worst
+        worst = np.maximum(worst, abs(step * growth.gamma(n) - 1.0))
+    return float(worst)
 
 
 def _delta_grid(d: DiffeoSpec, box: TruncationBox, n: int,
@@ -58,6 +58,15 @@ def _delta_grid(d: DiffeoSpec, box: TruncationBox, n: int,
     if abs(n) <= box.block_bound:
         return ctx.delta[n + box.block_bound]
     return radon_nikodym(d, n, x=ctx.x)
+
+
+def _drift_derivative(stage: np.ndarray, drift: float,
+                      sign: float = 1.0) -> np.ndarray:
+    """Columns of ``stage`` under ``sign d/dtheta - drift``, spectrally."""
+    g = stage.shape[0]
+    freqs = np.fft.fftfreq(g, d=1.0 / g).astype(int)
+    spec = np.fft.fft(stage, axis=0) * (sign * 1j * freqs - drift)[:, None]
+    return np.fft.ifft(spec, axis=0)
 
 
 def _grid_pipeline(box: TruncationBox, left: np.ndarray, drift: float,
@@ -71,12 +80,8 @@ def _grid_pipeline(box: TruncationBox, left: np.ndarray, drift: float,
     modes = box.modes()
     theta = 2.0 * np.pi * np.arange(g) / g
     waves = np.exp(1j * np.multiply.outer(theta, modes))
-    stage = right[:, None] * waves
-    spec = np.fft.fft(stage, axis=0)
-    freqs = np.fft.fftfreq(g, d=1.0 / g).astype(int)
-    sign = -1.0 if conjugate else 1.0
-    spec *= (sign * 1j * freqs - drift)[:, None]
-    stage = np.fft.ifft(spec, axis=0)
+    stage = _drift_derivative(right[:, None] * waves, drift,
+                              -1.0 if conjugate else 1.0)
     stage *= left[:, None]
     rows = np.fft.fft(stage, axis=0) / g
     return rows[modes % g]
@@ -99,12 +104,12 @@ def deformed_block(n: int, eta: float, d: DiffeoSpec, box: TruncationBox,
     truncation the two agree exactly because the mode projections
     sandwich both products).
     """
+    upper = deformed_corner(n, eta, d, box, a_n)
     delta = _delta_grid(d, box, n)
-    upper = _grid_pipeline(box, delta ** (eta - 1.0), a_n, delta ** (-eta))
     lower = _grid_pipeline(box, delta ** (-eta), a_n, delta ** (eta - 1.0),
                            conjugate=True)
     dev = float(np.max(np.abs(lower - upper.conj().T)))
-    if dev > check_tol:
+    if not dev <= check_tol:
         raise RouteMismatchError(
             f"corner adjoint deviation {dev:.3e} at block {n}")
     m = box.n_modes
@@ -182,11 +187,7 @@ def matrix_element_oracle_table(eta: float, k: int, d: DiffeoSpec,
             stage = waves * (1j * span - a_k)[None, :]
             stage /= ctx.delta[kk][:, None]
         else:
-            stage = waves / ctx.delta[kk][:, None]
-            spec = np.fft.fft(stage, axis=0)
-            freqs = np.fft.fftfreq(g, d=1.0 / g).astype(int)
-            spec *= (1j * freqs - a_k)[:, None]
-            stage = np.fft.ifft(spec, axis=0)
+            stage = _drift_derivative(waves / ctx.delta[kk][:, None], a_k)
         rows = np.fft.fft(stage, axis=0) / g
         return rows[span % g]
     if eta != 0.5:
@@ -198,23 +199,20 @@ def matrix_element_oracle_table(eta: float, k: int, d: DiffeoSpec,
     # grid rows, not the band-projected epsilon table: projecting would
     # clip the analytic tails that the quadrature pairing keeps
     eps_grid = _conjugated_rows(ctx, kk)[sel]
-    stage = eps_grid.T * sqrt_delta_inv[:, None]
-    spec = np.fft.fft(stage, axis=0)
-    freqs = np.fft.fftfreq(g, d=1.0 / g).astype(int)
-    spec *= (1j * freqs - a_minus)[:, None]
-    stage = np.fft.ifft(spec, axis=0)
+    stage = _drift_derivative(eps_grid.T * sqrt_delta_inv[:, None], a_minus)
     stage *= sqrt_delta_inv[:, None]
     return np.conj(eps_grid) @ stage / g
 
 
-def master_deviation(d: DiffeoSpec, box: TruncationBox, radius: int,
-                     etas=(0.0, 0.5, 1.0),
-                     growth: GrowthSequence | None = None) -> float:
-    """Sup deviation of closed-form elements from the grid oracle."""
+def master_elements(d: DiffeoSpec, box: TruncationBox, radius: int,
+                    etas=_ETA_SPECIAL,
+                    growth: GrowthSequence | None = None) -> list[tuple]:
+    """Rows ``(eta, k, l, s, closed, |closed - oracle|)`` over
+    ``|k|, |l|, |s| <= radius``, the closed form against the grid oracle."""
     if growth is None:
         growth = growth_sequence(d, box.block_bound)
     a = a_sequence(growth, box.block_bound)
-    worst = 0.0
+    rows = []
     span = range(-radius, radius + 1)
     for eta in etas:
         for k in span:
@@ -223,8 +221,21 @@ def master_deviation(d: DiffeoSpec, box: TruncationBox, radius: int,
                 for li, l in enumerate(span):
                     closed = matrix_element_closed_form(
                         eta, k, l, k, s, d, box, a)
-                    worst = max(worst, abs(closed - oracle[si, li]))
-    return worst
+                    rows.append((eta, k, l, s, closed,
+                                 abs(closed - oracle[si, li])))
+    return rows
+
+
+def element_deviation(rows: list[tuple]) -> float:
+    """Sup of the deviation column of :func:`master_elements` rows."""
+    return float(np.max([row[-1] for row in rows], initial=0.0))
+
+
+def master_deviation(d: DiffeoSpec, box: TruncationBox, radius: int,
+                     etas=_ETA_SPECIAL,
+                     growth: GrowthSequence | None = None) -> float:
+    """Sup deviation of closed-form elements from the grid oracle."""
+    return element_deviation(master_elements(d, box, radius, etas, growth))
 
 
 def resolvent_profile(d: DiffeoSpec, box: TruncationBox, ns, etas,
@@ -302,3 +313,17 @@ def commutator_block(n: int, eta: float, d: DiffeoSpec, box: TruncationBox,
     bound = (abs(step) * growth.gamma(n) ** (1.0 - eta)
              * growth.gamma(other) ** eta)
     return matrix, norm, bound
+
+
+def commutator_excess(d: DiffeoSpec, box: TruncationBox,
+                      growth: GrowthSequence, ns, etas=_ETA_SPECIAL,
+                      generators=("shift",), slack: float = 1e-6) -> float:
+    """Largest ``norm - bound (1 + slack)`` over the blocks, floored at 0."""
+    excess = 0.0
+    for generator in generators:
+        for n in ns:
+            for eta in etas:
+                _, norm, bound = commutator_block(n, eta, d, box, growth,
+                                                  generator=generator)
+                excess = np.maximum(excess, norm - bound * (1.0 + slack))
+    return float(excess)

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DiffeoSpec
-from .errors import GridTooSmallError, RouteMismatchError
-from .gns import (GnsOperator, GnsVector, TruncationBox, _context, represent,
-                  vacuum)
+from .errors import GridTooSmallError
+from .gns import GnsVector, TruncationBox, _context, represent, vacuum
 from .modular import _conjugated_rows
 from .weyl import WeylElement
 
@@ -183,10 +182,10 @@ def classical_limit_compare(f: WeylElement, box: TruncationBox,
     dev_paren = 0.0
     for k in box.blocks():
         for l in box.modes():
-            dev_hat = max(dev_hat, abs(hat.entry(k, l) - read(l, k)))
-            dev_paren = max(dev_paren,
-                            abs(paren.entry(k, l) - read(-l, -k)))
-    return {"hat": dev_hat, "paren": dev_paren}
+            dev_hat = np.maximum(dev_hat, abs(hat.entry(k, l) - read(l, k)))
+            dev_paren = np.maximum(dev_paren,
+                                   abs(paren.entry(k, l) - read(-l, -k)))
+    return {"hat": float(dev_hat), "paren": float(dev_paren)}
 
 
 def riemann_lebesgue_profile(c: FourierCoeffs) -> np.ndarray:
@@ -235,13 +234,10 @@ def dirichlet_coefficient_table(n: int, d: DiffeoSpec,
     return FourierCoeffs("hat", table, box)
 
 
-def route_agreement(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
-                    tol: float | None = None) -> float:
-    """Sup deviation between the two paren routes; optionally enforced."""
+def route_agreement(f: WeylElement, d: DiffeoSpec,
+                    box: TruncationBox) -> float:
+    """Sup deviation between the two paren routes (the ``paren_routes``
+    check)."""
     t1 = paren_functional(f, d, box, route="vacuum")
     t2 = paren_functional(f, d, box, route="modular")
-    dev = float(np.max(np.abs(t1.table - t2.table)))
-    if tol is not None and dev > tol:
-        raise RouteMismatchError(
-            f"paren routes deviate by {dev:.3e} (tolerance {tol:.1e})")
-    return dev
+    return float(np.max(np.abs(t1.table - t2.table)))

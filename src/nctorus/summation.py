@@ -11,6 +11,7 @@ operator resampling implemented in :func:`transfer_operator`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +170,15 @@ def convergence_profile(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
     return rows
 
 
+def dirichlet_growth_deviation(low: int, high: int) -> float:
+    """Distance of the Dirichlet L1 increment from low to high order
+    from its logarithmic slope ``(4 / pi^2) log(high / low)``."""
+    lam_low = SummationKernel("dirichlet", order=low).l1_norm()
+    lam_high = SummationKernel("dirichlet", order=high).l1_norm()
+    target = 4.0 / math.pi ** 2 * math.log(high / low)
+    return abs((lam_high - lam_low) - target)
+
+
 def transference_integral_check(x: GnsVector, n_order: int, q_points: int,
                                 d: DiffeoSpec) -> float:
     """Quadrature transference integral versus the damped table.
@@ -215,5 +225,5 @@ def wts_deviation(f: WeylElement, w: TransferencePoint, d: DiffeoSpec,
             moved = transfer_operator(build_u_kl(d, box, k, l), w)
             lhs = x.inner(moved.apply(xi))
             rhs = (w.w1 ** (-l)) * (w.w2 ** (-k)) * table.entry(k, l)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+            worst = np.maximum(worst, abs(lhs - rhs))
+    return float(worst)

@@ -38,8 +38,6 @@ DEFAULTS: dict[str, float] = {
     "dirac_master_rotation": 1e-12,
     "dirac_bound_slack": 1e-6,
     "telescoping": 1e-12,
-    "corner_adjoint": 1e-9,
-    "reprojection_tail": 1e-6,
 }
 
 

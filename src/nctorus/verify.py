@@ -1,13 +1,13 @@
 """Named verification suites behind the CLI and the acceptance surface.
 
 Every suite returns :class:`CheckResult` rows with the observed
-deviation and the tolerance it was held against, so callers can render
-uniform reports and exit codes without re-deriving pass logic.
+deviation and the tolerance it was held against; the CLI commands build
+their rows with the same constructors.  Every comparison with NaN is
+False, so a non-finite deviation fails.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +26,31 @@ class CheckResult:
     note: str = ""
 
 
-def _result(name: str, observed: float, tolerance: float,
-            note: str = "") -> CheckResult:
+def check(name: str, observed: float, tolerance: float,
+          note: str = "") -> CheckResult:
+    """Passes when ``observed <= tolerance``."""
     return CheckResult(name, float(observed), float(tolerance),
                        bool(observed <= tolerance), note)
+
+
+def ratio_band_checks(names, rows: list[dict], low: float,
+                      high: float) -> list[CheckResult]:
+    """Successive ``l2_error`` ratios of convergence profile rows, each
+    held in ``[low, high]``; a zero error gives inf or NaN, which fails."""
+    errs = np.array([row["l2_error"] for row in rows], dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = errs[1:] / errs[:-1]
+    return [CheckResult(name, float(r), float(high), bool(low <= r <= high),
+                        f"band [{low}, {high}]")
+            for name, r in zip(names, ratios)]
+
+
+def decrease_check(name: str, rows: list[dict],
+                   note: str = "") -> CheckResult:
+    """Passes when ``l2_error`` strictly decreases; observed: least drop."""
+    drops = -np.diff([row["l2_error"] for row in rows])
+    return CheckResult(name, float(np.min(drops, initial=np.inf)), 0.0,
+                       bool(np.all(drops > 0.0)), note)
 
 
 def weyl_relation_suite(alpha: float, tols: dict,
@@ -42,8 +63,8 @@ def weyl_relation_suite(alpha: float, tols: dict,
         alphas.append(alpha)
     dev = float(np.max([weyl.weyl_relation_check(a, pairs)
                         for a in alphas]))
-    return [_result("weyl_relation", dev, tols["weyl_relation"],
-                    f"{len(pairs)} generator pairs, {len(alphas)} twists")]
+    return [check("weyl_relation", dev, tols["weyl_relation"],
+                  f"{len(pairs)} generator pairs, {len(alphas)} twists")]
 
 
 def star_algebra_suite(alpha: float, tols: dict, rng: np.random.Generator,
@@ -71,14 +92,14 @@ def star_algebra_suite(alpha: float, tols: dict, rng: np.random.Generator,
                              abs(probe[(0, 0)]
                                  - weyl.abstract_fourier_coeff(f, 1, 2)))
     return [
-        _result("star_associativity", assoc, tols["star_associativity"],
-                f"{count} random triples"),
-        _result("star_traciality", tracial, tols["star_traciality"],
-                f"{count} random pairs"),
-        _result("star_involution", invol, tols["star_associativity"],
-                "anti-homomorphism"),
-        _result("coefficient_recovery", recover, tols["star_associativity"],
-                "generator pairing route"),
+        check("star_associativity", assoc, tols["star_associativity"],
+              f"{count} random triples"),
+        check("star_traciality", tracial, tols["star_traciality"],
+              f"{count} random pairs"),
+        check("star_involution", invol, tols["star_associativity"],
+              "anti-homomorphism"),
+        check("coefficient_recovery", recover, tols["star_associativity"],
+              "generator pairing route"),
     ]
 
 
@@ -99,20 +120,18 @@ def dynamics_suite(d: DiffeoSpec, box: TruncationBox,
     rho = dynamics.rotation_number(d, iterations=256)
     rho_dev = abs(rho - 2.0 * d.alpha)
     return [
-        _result("cocycle_identity", worst_cocycle, tols["cocycle"],
-                "|m|, |n| <= 4 on the grid"),
-        _result("density_normalization", worst_mean,
-                tols["growth_normalization"]),
-        _result("rotation_number", rho_dev, tols["rotation_number"],
-                "256 orbit points"),
+        check("cocycle_identity", worst_cocycle, tols["cocycle"],
+              "|m|, |n| <= 4 on the grid"),
+        check("density_normalization", worst_mean,
+              tols["growth_normalization"]),
+        check("rotation_number", rho_dev, tols["rotation_number"],
+              "256 orbit points"),
     ]
 
 
 def gns_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
               rng: np.random.Generator, u_radius: int = 8,
               hom_count: int = 10) -> list[CheckResult]:
-    from .grids import quadrature_inner
-
     ctx = gns._context(d, box)
     modes = box.modes()
     waves = np.exp(1j * np.multiply.outer(modes, ctx.theta))
@@ -158,15 +177,15 @@ def gns_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
                                abs(gns.state_eval(f, d, route="series")
                                    - gns.state_eval(f, d, route="gns")))
     return [
-        _result("basis_gram", gram_dev, tols["gram"],
-                "quadrature orthonormality"),
-        _result("u_kl_vacuum", u_dev, tols["u_kl_vacuum"],
-                f"|k|, |l| <= {min(kr, lr)}"),
-        _result("homomorphism", hom_dev, tols["homomorphism"],
-                "interior vectors"),
-        _result("adjoint_pairing", adj_dev, tols["homomorphism"]),
-        _result("state_routes", state_dev, tols["state_routes"],
-                "series vs vacuum expectation"),
+        check("basis_gram", gram_dev, tols["gram"],
+              "quadrature orthonormality"),
+        check("u_kl_vacuum", u_dev, tols["u_kl_vacuum"],
+              f"|k|, |l| <= {min(kr, lr)}"),
+        check("homomorphism", hom_dev, tols["homomorphism"],
+              "interior vectors"),
+        check("adjoint_pairing", adj_dev, tols["homomorphism"]),
+        check("state_routes", state_dev, tols["state_routes"],
+              "series vs vacuum expectation"),
     ]
 
 
@@ -201,12 +220,12 @@ def modular_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
             borel_dev = np.maximum(borel_dev,
                                    modular.borel_identity_check(fn, x, d))
     return [
-        _result("tomita_conjugation", tomita_dev, tomita_tol,
-                f"{count} random interior elements"),
-        _result("j_involution", j_dev, tols["borel"]),
-        _result("j_antiunitary", anti_dev, tols["borel"]),
-        _result("borel_identity", borel_dev, tols["borel"],
-                "powers and a rational function"),
+        check("tomita_conjugation", tomita_dev, tomita_tol,
+              f"{count} random interior elements"),
+        check("j_involution", j_dev, tols["borel"]),
+        check("j_antiunitary", anti_dev, tols["borel"]),
+        check("borel_identity", borel_dev, tols["borel"],
+              "powers and a rational function"),
     ]
 
 
@@ -229,11 +248,11 @@ def parseval_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
         norm = gns.represent(f, d, box).apply(xi).norm()
         hy_dev = np.maximum(hy_dev, table.sup() - norm)
     return [
-        _result("parseval", parseval_dev, tols["parseval"],
-                f"{count} random elements"),
-        _result("hausdorff_young_endpoint", np.maximum(hy_dev, 0.0),
-                tols["hausdorff_young_endpoint"],
-                "sup coefficient vs vector norm"),
+        check("parseval", parseval_dev, tols["parseval"],
+              f"{count} random elements"),
+        check("hausdorff_young_endpoint", np.maximum(hy_dev, 0.0),
+              tols["hausdorff_young_endpoint"],
+              "sup coefficient vs vector norm"),
     ]
 
 
@@ -245,8 +264,8 @@ def classical_suite(box: TruncationBox, tols: dict, rng: np.random.Generator,
         f = weyl.random_element(rng, 0.0, radius, decay=1.0)
         devs = fourier.classical_limit_compare(f, box)
         worst = float(np.max([worst, devs["hat"], devs["paren"]]))
-    return [_result("classical_limit", worst, tols["classical_limit"],
-                    f"{count} random elements, both kinds")]
+    return [check("classical_limit", worst, tols["classical_limit"],
+                  f"{count} random elements, both kinds")]
 
 
 def wts_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
@@ -265,9 +284,9 @@ def wts_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
         rand_dev = np.maximum(rand_dev,
                               summation.wts_deviation(f, w, d, box, radius))
     return [
-        _result("wts_generators", gen_dev, tols["wts_generators"],
-                f"sweep |k|, |l| <= {radius}"),
-        _result("wts_random", rand_dev, tols["wts_random"]),
+        check("wts_generators", gen_dev, tols["wts_generators"],
+              f"sweep |k|, |l| <= {radius}"),
+        check("wts_random", rand_dev, tols["wts_random"]),
     ]
 
 
@@ -279,40 +298,32 @@ def summation_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
         rows = summation.convergence_profile(
             f, d, box, kind,
             [summation.SummationKernel("fejer", order=n) for n in (4, 8, 16)])
-        errs = [row["l2_error"] for row in rows]
-        for i, label in enumerate(("8_over_4", "16_over_8")):
-            ratio = errs[i + 1] / errs[i]
-            results.append(CheckResult(
-                f"fejer_ratio_{kind}_{label}", ratio,
-                tols["fejer_ratio_high"],
-                tols["fejer_ratio_low"] <= ratio <= tols["fejer_ratio_high"],
-                f"band [{tols['fejer_ratio_low']}, {tols['fejer_ratio_high']}]"))
+        results += ratio_band_checks(
+            [f"fejer_ratio_{kind}_{label}"
+             for label in ("8_over_4", "16_over_8")],
+            rows, tols["fejer_ratio_low"], tols["fejer_ratio_high"])
         abel_rows = summation.convergence_profile(
             f, d, box, kind,
             [summation.SummationKernel("abel", radius=r)
              for r in (0.9, 0.99, 0.999)])
-        abel_errs = [row["l2_error"] for row in abel_rows]
-        drops = [abel_errs[i] - abel_errs[i + 1] for i in range(2)]
-        results.append(CheckResult(
-            f"abel_monotone_{kind}", float(np.min(drops)), 0.0,
-            all(dr > 0.0 for dr in drops),
-            "errors strictly decreasing in r"))
-    x = gns.random_vector(rng, box,
-                          block_margin=box.block_bound - 2,
-                          mode_margin=box.mode_bound - 2)
-    dev = summation.transference_integral_check(x, 3, 16, d)
-    results.append(_result("transference_integral", dev,
-                           tols["transference_integral"],
-                           "N = 3 on the 16 point grid"))
+        results.append(decrease_check(f"abel_monotone_{kind}", abel_rows,
+                                      "errors strictly decreasing in r"))
+    results.append(transference_check(d, box, tols, rng))
     return results
+
+
+def transference_check(d: DiffeoSpec, box: TruncationBox, tols: dict,
+                       rng: np.random.Generator) -> CheckResult:
+    x = gns.random_vector(rng, box, block_margin=box.block_bound - 2,
+                          mode_margin=box.mode_bound - 2)
+    return check("transference_integral",
+                 summation.transference_integral_check(x, 3, 16, d),
+                 tols["transference_integral"], "N = 3 on the 16 point grid")
 
 
 def dirichlet_suite(d: DiffeoSpec, box: TruncationBox,
                     tols: dict) -> list[CheckResult]:
-    lam10 = summation.SummationKernel("dirichlet", order=10).l1_norm()
-    lam100 = summation.SummationKernel("dirichlet", order=100).l1_norm()
-    target = 4.0 / math.pi ** 2 * math.log(10.0)
-    band_dev = abs((lam100 - lam10) - target)
+    band_dev = summation.dirichlet_growth_deviation(10, 100)
 
     small = TruncationBox(min(4, box.block_bound), min(6, box.mode_bound))
     table = fourier.dirichlet_coefficient_table(3, d, small)
@@ -327,55 +338,53 @@ def dirichlet_suite(d: DiffeoSpec, box: TruncationBox,
         abs(fourier.dirichlet_coefficient_table(n, d, wide).sup() - 1.0)
         for n in (10, 100)]))
     return [
-        _result("dirichlet_growth", band_dev, tols["dirichlet_band"],
-                "L1 norm increment vs logarithmic slope"),
-        _result("dirichlet_table", table_dev, tols["dirichlet_table"],
-                "0/1 indicator via quadrature"),
-        _result("dirichlet_sup_pinned", sup_dev, tols["dirichlet_table"],
-                "coefficient sup stays 1 at orders 10 and 100"),
+        check("dirichlet_growth", band_dev, tols["dirichlet_band"],
+              "L1 norm increment vs logarithmic slope"),
+        check("dirichlet_table", table_dev, tols["dirichlet_table"],
+              "0/1 indicator via quadrature"),
+        check("dirichlet_sup_pinned", sup_dev, tols["dirichlet_table"],
+              "coefficient sup stays 1 at orders 10 and 100"),
     ]
 
 
 def dirac_master_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
                        radius: int = 8) -> list[CheckResult]:
-    tol = (tols["dirac_master_rotation"] if d.is_rotation
-           else tols["dirac_master"])
-    dev = dirac.master_deviation(d, box, radius)
-    return [_result("dirac_master", dev, tol,
-                    f"eta in {{0, 1/2, 1}}, |k|, |l|, |s| <= {radius}")]
+    return [check("dirac_master", dirac.master_deviation(d, box, radius),
+                  tols["dirac_master_rotation" if d.is_rotation
+                       else "dirac_master"],
+                  f"eta in {{0, 1/2, 1}}, |k|, |l|, |s| <= {radius}")]
 
 
 def dirac_bounds_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
                        n_radius: int = 8) -> list[CheckResult]:
     growth = dynamics.growth_sequence(d, max(n_radius, box.block_bound) + 1)
-    a = dirac.a_sequence(growth, n_radius + 1)
-    tele = dirac.telescoping_deviation(a, growth)
+    rows = dirac.resolvent_profile(
+        d, box, range(-n_radius, n_radius + 1), (0.0, 0.25, 0.5, 0.75, 1.0),
+        growth=growth, slack=tols["dirac_bound_slack"])
+    return dirac_bound_checks(d, box, tols, growth, rows, n_radius,
+                              ("shift", "shift_inverse"))
 
-    ns = [n for n in range(-n_radius, n_radius + 1)]
-    etas = (0.0, 0.25, 0.5, 0.75, 1.0)
-    rows = dirac.resolvent_profile(d, box, ns, etas, growth=growth,
-                                   slack=tols["dirac_bound_slack"])
+
+def dirac_bound_checks(d: DiffeoSpec, box: TruncationBox, tols: dict,
+                       growth, rows: list[dict], n_radius: int,
+                       generators) -> list[CheckResult]:
+    """Telescoping, resolvent and commutator rows over ``|n| <= n_radius``
+    from resolvent profile ``rows``; the corner kernel must be n = 0 only."""
+    a = dirac.a_sequence(growth, n_radius + 1)
     margin = float(np.min([row["margin"] for row in rows]))
     kernel_ok = all(row["kernel_dim"] == (1 if row["n"] == 0 else 0)
                     for row in rows)
-
-    comm_excess = 0.0
-    for generator in ("shift", "shift_inverse"):
-        for n in ns:
-            for eta in (0.0, 0.5, 1.0):
-                _, norm, bound = dirac.commutator_block(
-                    n, eta, d, box, growth, generator=generator)
-                comm_excess = np.maximum(
-                    comm_excess,
-                    norm - bound * (1.0 + tols["dirac_bound_slack"]))
+    excess = dirac.commutator_excess(
+        d, box, growth, range(-n_radius, n_radius + 1),
+        generators=generators, slack=tols["dirac_bound_slack"])
     return [
-        _result("telescoping", tele, tols["telescoping"],
-                "|a_{n-1} - a_n| Gamma_|n| = 1"),
+        check("telescoping", dirac.telescoping_deviation(a, growth),
+              tols["telescoping"], "|a_{n-1} - a_n| Gamma_|n| = 1"),
         CheckResult("resolvent_margin", margin, 0.0,
                     margin >= 0.0 and kernel_ok,
                     "bound minus resolvent, min over blocks and eta"),
-        _result("commutator_bound", comm_excess, 0.0,
-                "norm never above the growth bound"),
+        check("commutator_bound", excess, 0.0,
+              "norm never above the growth bound"),
     ]
 
 

@@ -255,6 +255,6 @@ def smooth_seminorm(f: WeylElement, d: DiffeoSpec, k_weight: int,
             spec = np.fft.fft(values)
             spec *= (1j * freqs) ** l_deriv
             values = np.fft.ifft(spec)
-        worst = max(worst, (abs(n) + 1) ** k_weight
-                    * float(np.max(np.abs(values))))
-    return worst
+        worst = np.maximum(worst, (abs(n) + 1) ** k_weight
+                           * float(np.max(np.abs(values))))
+    return float(worst)

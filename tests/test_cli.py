@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from nctorus import cli
+from nctorus import cli, dirac, fourier, summation, weyl
 
 
 def run_cli(tmp_path, name, config, *extra):
@@ -164,6 +164,56 @@ def test_non_finite_or_non_positive_tolerance_exits_one(tmp_path, tolerances,
     code, _, report = run_cli(tmp_path, "star", config, "--tol-scale", scale)
     assert code == 1
     assert report is None
+
+
+@pytest.mark.parametrize("name", ["corner_adjoint", "reprojection_tail"])
+def test_removed_tolerance_names_exit_one(tmp_path, name):
+    # neither key was ever read; naming one is an unknown tolerance now
+    config = dict(ROTATION, tolerances={name: 1e-9})
+    code, _, report = run_cli(tmp_path, "star", config)
+    assert code == 1
+    assert report is None
+
+
+def _nan(*args, **kwargs):
+    return float("nan")
+
+
+def _first_error_nan(real):
+    def profile(*args, **kwargs):
+        rows = real(*args, **kwargs)
+        rows[0]["l2_error"] = float("nan")
+        return rows
+    return profile
+
+
+# command, owner, attribute, NaN replacement, check that must fail
+NAN_SOURCES = [
+    ("star", weyl, "weyl_relation_check", _nan, "weyl_relation"),
+    ("represent", fourier.FourierCoeffs, "sup", _nan,
+     "hausdorff_young_endpoint"),
+    ("fourier", fourier, "route_agreement", _nan, "paren_routes"),
+    ("fejer", summation, "transference_integral_check", _nan,
+     "transference_integral"),
+    ("fejer", summation, "convergence_profile",
+     _first_error_nan(summation.convergence_profile), "fejer_ratio_band"),
+    ("dirac", dirac, "matrix_element_closed_form",
+     lambda *args: complex("nan"), "dirac_master"),
+    ("dirac", dirac, "telescoping_deviation", _nan, "telescoping"),
+    ("growth", summation.SummationKernel, "l1_norm", _nan,
+     "dirichlet_growth"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, owner, attr, replacement, check", NAN_SOURCES,
+    ids=[f"{c[0]}-{c[4]}" for c in NAN_SOURCES])
+def test_nan_deviation_exits_two(tmp_path, monkeypatch, command, owner, attr,
+                                 replacement, check):
+    monkeypatch.setattr(owner, attr, replacement)
+    code, _, report = run_cli(tmp_path, command, BENCH)
+    assert code == 2
+    assert check in report["failures"]
 
 
 def test_unknown_command_exits_nonzero(capsys):

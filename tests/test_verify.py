@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from nctorus import modular, tolerances, verify
+from nctorus import dirac, dynamics, fourier, modular, summation, tolerances
+from nctorus import verify
 
 
 def test_nan_tomita_deviation_fails(rot, small_box, monkeypatch):
@@ -16,3 +17,56 @@ def test_nan_tomita_deviation_fails(rot, small_box, monkeypatch):
     assert math.isnan(row.observed)
     assert not row.passed
 
+
+def _row(rows, name):
+    return next(r for r in rows if r.name == name)
+
+
+def test_one_nan_matrix_element_fails_dirac_master(rot, small_box,
+                                                   monkeypatch):
+    real = dirac.matrix_element_closed_form
+    calls = []
+
+    def third_is_nan(*args):
+        calls.append(args)
+        return complex("nan") if len(calls) == 3 else real(*args)
+
+    monkeypatch.setattr(dirac, "matrix_element_closed_form", third_is_nan)
+    row = _row(verify.dirac_master_suite(rot, small_box, tolerances.resolve(),
+                                         radius=2), "dirac_master")
+    assert len(calls) > 3
+    assert math.isnan(row.observed)
+    assert not row.passed
+
+
+def test_nan_growth_number_fails_telescoping(rot, small_box, monkeypatch):
+    real = dirac.telescoping_deviation
+
+    def nan_gamma_2(a, growth):
+        values = list(growth.values)
+        values[2] = float("nan")
+        return real(a, dynamics.GrowthSequence(tuple(values)))
+
+    monkeypatch.setattr(dirac, "telescoping_deviation", nan_gamma_2)
+    row = _row(verify.dirac_bounds_suite(rot, small_box, tolerances.resolve(),
+                                         n_radius=2), "telescoping")
+    assert math.isnan(row.observed)
+    assert not row.passed
+
+
+def test_one_nan_hat_coefficient_fails_wts_generators(rot, small_box,
+                                                      monkeypatch):
+    real = summation.hat_vector
+
+    def nan_at_origin(x):
+        table = real(x)
+        poisoned = table.table.copy()
+        poisoned[small_box.block_bound, small_box.mode_bound] = np.nan
+        return fourier.FourierCoeffs(table.kind, poisoned, table.box)
+
+    monkeypatch.setattr(summation, "hat_vector", nan_at_origin)
+    row = _row(verify.wts_suite(rot, small_box, tolerances.resolve(),
+                                np.random.default_rng(1), radius=2),
+               "wts_generators")
+    assert math.isnan(row.observed)
+    assert not row.passed
