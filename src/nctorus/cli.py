@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dirac, dynamics, fourier, gns, summation, verify, weyl
+from . import dirac, dynamics, fourier, gns, grids, summation, verify, weyl
 from .dynamics import DiffeoSpec, benchmark
 from .errors import NcTorusError
 from .gns import TruncationBox
@@ -149,12 +149,10 @@ def _cmd_represent(env: dict, out: Path) -> int:
                ["kind", "k", "l", "re", "im", "abs"], _coeff_rows(table))
     operator = gns.represent(f, d, box)
     term_rows = []
-    g = box.grid_size
     for s in sorted(operator.terms):
-        hats = np.fft.fft(operator.terms[s], axis=1) / g
-        for i, n in enumerate(box.blocks()):
-            for l in box.modes():
-                v = hats[i][l % g]
+        hats = grids.project_to_modes(operator.terms[s], box.mode_bound).coeffs
+        for n, row in zip(box.blocks(), hats):
+            for l, v in zip(box.modes(), row):
                 term_rows.append([s, int(n), int(l), v.real, v.imag])
     _write_csv(out / "represent_terms.csv",
                ["shift", "n", "mode", "re", "im"], term_rows)

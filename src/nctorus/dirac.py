@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import DiffeoSpec, GrowthSequence, growth_sequence, radon_nikodym
+from .dynamics import DiffeoSpec, GrowthSequence, growth_sequence
 from .errors import OutOfBoxError, RouteMismatchError
 from .gns import TruncationBox, _context
+from .grids import (at_modes, grid_angles, spectral_derivative, spectrum,
+                    toeplitz)
 from .modular import _conjugated_rows
 
 _ETA_SPECIAL = (0.0, 0.5, 1.0)
@@ -52,21 +54,13 @@ def telescoping_deviation(a: np.ndarray, growth: GrowthSequence) -> float:
 
 def _delta_grid(d: DiffeoSpec, box: TruncationBox, n: int,
                 ctx=None) -> np.ndarray:
-    """Density of block n on the grid, from the context when in range."""
+    """Density ``H'(u + 2 alpha n) / H'(u)`` of block n on the context grid."""
     if ctx is None:
         ctx = _context(d, box)
     if abs(n) <= box.block_bound:
         return ctx.delta[n + box.block_bound]
-    return radon_nikodym(d, n, x=ctx.x)
-
-
-def _drift_derivative(stage: np.ndarray, drift: float,
-                      sign: float = 1.0) -> np.ndarray:
-    """Columns of ``stage`` under ``sign d/dtheta - drift``, spectrally."""
-    g = stage.shape[0]
-    freqs = np.fft.fftfreq(g, d=1.0 / g).astype(int)
-    spec = np.fft.fft(stage, axis=0) * (sign * 1j * freqs - drift)[:, None]
-    return np.fft.ifft(spec, axis=0)
+    return (d.lift.derivative(ctx.u + 2.0 * d.alpha * n)
+            / d.lift.derivative(ctx.u))
 
 
 def _grid_pipeline(box: TruncationBox, left: np.ndarray, drift: float,
@@ -76,15 +70,12 @@ def _grid_pipeline(box: TruncationBox, left: np.ndarray, drift: float,
     ``conjugate`` flips the derivative sign, giving the formal adjoint
     factor ``-d/dtheta - drift``.
     """
-    g = box.grid_size
     modes = box.modes()
-    theta = 2.0 * np.pi * np.arange(g) / g
-    waves = np.exp(1j * np.multiply.outer(theta, modes))
-    stage = _drift_derivative(right[:, None] * waves, drift,
-                              -1.0 if conjugate else 1.0)
+    waves = np.exp(1j * np.multiply.outer(grid_angles(box.grid_size), modes))
+    stage = spectral_derivative(right[:, None] * waves, drift,
+                                -1.0 if conjugate else 1.0, axis=0)
     stage *= left[:, None]
-    rows = np.fft.fft(stage, axis=0) / g
-    return rows[modes % g]
+    return at_modes(spectrum(stage, axis=0), modes, axis=0)
 
 
 def deformed_corner(n: int, eta: float, d: DiffeoSpec, box: TruncationBox,
@@ -152,16 +143,14 @@ def matrix_element_closed_form(eta: float, k: int, l: int, r: int, s: int,
     if r != k:
         return 0.0 + 0.0j
     ctx = _context(d, box)
-    g = box.grid_size
     kk = k + box.block_bound
     a_k = float(a[kk])
     if eta == 0.5:
         a_minus = float(a[box.block_bound - k])
         return -(1j * l * (1.0 if l == s else 0.0)
-                 + a_minus * ctx.delta_hat[kk, (l - s) % g])
-    hat = ctx.inv_delta_hat[kk]
+                 + a_minus * at_modes(ctx.delta_hat[kk], l - s))
     drift = 1j * l - a_k if eta == 0.0 else 1j * s - a_k
-    return drift * hat[(s - l) % g]
+    return drift * at_modes(ctx.inv_delta_hat[kk], s - l)
 
 
 def matrix_element_oracle_table(eta: float, k: int, d: DiffeoSpec,
@@ -177,7 +166,6 @@ def matrix_element_oracle_table(eta: float, k: int, d: DiffeoSpec,
     if radius > min(box.block_bound, box.mode_bound) or abs(k) > box.block_bound:
         raise OutOfBoxError("oracle radius exceeds the box")
     ctx = _context(d, box)
-    g = box.grid_size
     kk = k + box.block_bound
     a_k = float(a[kk])
     span = np.arange(-radius, radius + 1)
@@ -187,9 +175,9 @@ def matrix_element_oracle_table(eta: float, k: int, d: DiffeoSpec,
             stage = waves * (1j * span - a_k)[None, :]
             stage /= ctx.delta[kk][:, None]
         else:
-            stage = _drift_derivative(waves / ctx.delta[kk][:, None], a_k)
-        rows = np.fft.fft(stage, axis=0) / g
-        return rows[span % g]
+            stage = spectral_derivative(waves / ctx.delta[kk][:, None], a_k,
+                                        axis=0)
+        return at_modes(spectrum(stage, axis=0), span, axis=0)
     if eta != 0.5:
         raise ValueError("oracle covers eta in {0, 1/2, 1}")
     flip = box.n_blocks - 1 - kk
@@ -199,9 +187,10 @@ def matrix_element_oracle_table(eta: float, k: int, d: DiffeoSpec,
     # grid rows, not the band-projected epsilon table: projecting would
     # clip the analytic tails that the quadrature pairing keeps
     eps_grid = _conjugated_rows(ctx, kk)[sel]
-    stage = _drift_derivative(eps_grid.T * sqrt_delta_inv[:, None], a_minus)
+    stage = spectral_derivative(eps_grid.T * sqrt_delta_inv[:, None], a_minus,
+                                axis=0)
     stage *= sqrt_delta_inv[:, None]
-    return np.conj(eps_grid) @ stage / g
+    return np.conj(eps_grid) @ stage / box.grid_size
 
 
 def master_elements(d: DiffeoSpec, box: TruncationBox, radius: int,
@@ -305,10 +294,7 @@ def commutator_block(n: int, eta: float, d: DiffeoSpec, box: TruncationBox,
     delta_n = _delta_grid(d, box, n, ctx)
     delta_o = _delta_grid(d, box, other, ctx)
     mult = step * delta_n ** (eta - 1.0) * delta_o ** (-eta)
-    g = box.grid_size
-    modes = box.modes()
-    hats = np.fft.fft(mult.astype(complex)) / g
-    matrix = hats[(modes[:, None] - modes[None, :]) % g]
+    matrix = toeplitz(spectrum(mult), box.mode_bound)
     norm = float(np.linalg.norm(matrix, ord=2))
     bound = (abs(step) * growth.gamma(n) ** (1.0 - eta)
              * growth.gamma(other) ** eta)

@@ -20,6 +20,7 @@ import numpy as np
 from .dynamics import DiffeoSpec
 from .errors import GridTooSmallError
 from .gns import GnsVector, TruncationBox, _context, represent, vacuum
+from .grids import at_modes, project_to_modes, spectrum
 from .modular import _conjugated_rows
 from .weyl import WeylElement
 
@@ -74,13 +75,11 @@ def epsilon_basis(d: DiffeoSpec, box: TruncationBox) -> np.ndarray:
     """
     ctx = _context(d, box)
     if ctx.epsilon is None:
-        g = box.grid_size
-        band = box.modes() % g
         eps = np.empty((box.n_blocks, box.n_modes, box.n_modes),
                        dtype=complex)
         for i in range(box.n_blocks):
-            c = np.fft.fft(_conjugated_rows(ctx, i), axis=1) / g
-            eps[i] = c[:, band]
+            eps[i] = project_to_modes(_conjugated_rows(ctx, i),
+                                      box.mode_bound).coeffs
         ctx.epsilon = eps
     return ctx.epsilon
 
@@ -121,15 +120,11 @@ def paren_functional(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
         return FourierCoeffs("paren", table, box)
     if route != "vacuum":
         raise ValueError(f"unknown route {route!r}")
-    g = box.grid_size
     row0 = box.block_bound
     table = np.zeros((box.n_blocks, box.n_modes), dtype=complex)
     for i, k in enumerate(box.blocks()):
-        mult = a.terms.get(-int(k))
-        if mult is None:
-            continue
-        c = np.fft.fft(mult[row0]) / g
-        table[i] = c[(-box.modes()) % g]
+        if -int(k) in a.terms:
+            table[i] = at_modes(spectrum(a.terms[-int(k)][row0]), -box.modes())
     return FourierCoeffs("paren", table, box)
 
 
@@ -171,21 +166,14 @@ def classical_limit_compare(f: WeylElement, box: TruncationBox,
     for p, v in f.items():
         samples += v * np.multiply.outer(np.exp(1j * p.m * theta),
                                          np.exp(1j * p.n * theta))
-    coeff = np.fft.fft2(samples) / (g1 * g1)
-
-    def read(m: int, n: int) -> complex:
-        return complex(coeff[m % g1, n % g1])
-
-    hat = hat_functional(f, d, box)
-    paren = paren_functional(f, d, box, route="vacuum")
-    dev_hat = 0.0
-    dev_paren = 0.0
-    for k in box.blocks():
-        for l in box.modes():
-            dev_hat = np.maximum(dev_hat, abs(hat.entry(k, l) - read(l, k)))
-            dev_paren = np.maximum(dev_paren,
-                                   abs(paren.entry(k, l) - read(-l, -k)))
-    return {"hat": float(dev_hat), "paren": float(dev_paren)}
+    coeff = spectrum(spectrum(samples), axis=0)
+    ks, ls = box.blocks(), box.modes()
+    hat = hat_functional(f, d, box).table
+    paren = paren_functional(f, d, box, route="vacuum").table
+    # table[k, l] against coeff(l, k) and coeff(-l, -k)
+    dev_hat = np.abs(hat - at_modes(at_modes(coeff, ls, axis=0), ks).T)
+    dev_paren = np.abs(paren - at_modes(at_modes(coeff, -ls, axis=0), -ks).T)
+    return {"hat": float(np.max(dev_hat)), "paren": float(np.max(dev_paren))}
 
 
 def riemann_lebesgue_profile(c: FourierCoeffs) -> np.ndarray:

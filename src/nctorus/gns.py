@@ -28,7 +28,8 @@ import numpy as np
 
 from .dynamics import ConjugatorLift, DiffeoSpec
 from .errors import AlphaMismatchError, OutOfBoxError
-from .grids import default_grid_size, grid_angles, project_to_modes
+from .grids import (FourierPoly, default_grid_size, frequencies, grid_angles,
+                    project_to_modes, spectrum, toeplitz)
 from .weyl import WeylElement
 
 
@@ -97,16 +98,15 @@ class _Context:
         self.delta = (d.lift.derivative(u[None, :] + shift[:, None])
                       / d.lift.derivative(u)[None, :])
         self.sqrt_delta = np.sqrt(self.delta)
-        self.delta_hat = np.fft.fft(self.delta, axis=1) / g
-        self.inv_delta_hat = np.fft.fft(1.0 / self.delta, axis=1) / g
-        freqs = np.fft.fftfreq(g, d=1.0 / g)
+        self.delta_hat = spectrum(self.delta)
+        self.inv_delta_hat = spectrum(1.0 / self.delta)
+        freqs = frequencies(g)
         # E[j, xi] = exp(2 pi i xi H(x_j)) samples y o H on the uniform u
         # grid from the x-spectrum of y; the outer FFTs make the map act
         # on samples.  Its accuracy rests on the u-spectrum of y o H
         # decaying inside the grid band.
-        spectra = _waves(d.lift.value(self.x), freqs)
-        self._to_chart = np.fft.fft(np.fft.fft(spectra, axis=0),
-                                    axis=1).T / (g * g)
+        spectra = spectrum(_waves(d.lift.value(self.x), freqs), axis=0)
+        self._to_chart = spectrum(spectra).T
         self.phase = _waves(shift, freqs)
         self._from_chart = _waves(u, freqs).T
         waves = np.exp(1j * np.multiply.outer(box.modes(), self.theta))
@@ -147,17 +147,6 @@ def _waves(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _context(d: DiffeoSpec, box: TruncationBox) -> _Context:
     return _Context(d, box)
-
-
-def _blocks_to_grid(box: TruncationBox, coeffs: np.ndarray) -> np.ndarray:
-    buf = np.zeros((coeffs.shape[0], box.grid_size), dtype=complex)
-    buf[:, box.modes() % box.grid_size] = coeffs
-    return np.fft.ifft(buf, axis=1) * box.grid_size
-
-
-def _grid_to_blocks(box: TruncationBox, grid: np.ndarray) -> np.ndarray:
-    c = np.fft.fft(grid, axis=1) / box.grid_size
-    return c[:, box.modes() % box.grid_size]
 
 
 class GnsVector:
@@ -206,7 +195,7 @@ class GnsVector:
 
     def on_grid(self) -> np.ndarray:
         """All blocks evaluated on the quadrature grid, shape (2K+1, G)."""
-        return _blocks_to_grid(self.box, self.coeffs)
+        return FourierPoly(self.coeffs).on_grid(self.box.grid_size).values
 
 
 def vacuum(box: TruncationBox) -> GnsVector:
@@ -275,7 +264,8 @@ class GnsOperator:
         if x.box != self.box:
             raise ValueError("vector box does not match operator box")
         out = self.apply_to_grid(x.on_grid())
-        return GnsVector(self.box, _grid_to_blocks(self.box, out))
+        return GnsVector(self.box,
+                         project_to_modes(out, self.box.mode_bound).coeffs)
 
     def adjoint(self) -> "GnsOperator":
         """Adjoint via ``(A*)_{n, s} = conj(m_{n + s... })`` reindexing.
@@ -312,19 +302,13 @@ class GnsOperator:
     def dense(self) -> np.ndarray:
         """Dense matrix in the ``basis_vector`` ordering (blocks outer)."""
         box = self.box
-        k, g = box.block_bound, box.grid_size
-        modes = box.modes()
-        diff = (modes[:, None] - modes[None, :]) % g
-        dim = box.dim
-        out = np.zeros((dim, dim), dtype=complex)
+        nb, nm = box.n_blocks, box.n_modes
+        out = np.zeros((nb, nm, nb, nm), dtype=complex)
         for s, mult in self.terms.items():
-            hats = np.fft.fft(mult, axis=1) / g
-            for n in range(max(-k, -k + s), min(k, k + s) + 1):
-                rows = slice((n + k) * box.n_modes, (n + k + 1) * box.n_modes)
-                cols = slice((n - s + k) * box.n_modes,
-                             (n - s + k + 1) * box.n_modes)
-                out[rows, cols] = hats[n + k][diff]
-        return out
+            hats = spectrum(mult)
+            for i in range(max(0, s), min(nb, nb + s)):
+                out[i, :, i - s, :] = toeplitz(hats[i], box.mode_bound)
+        return out.reshape(box.dim, box.dim)
 
     def norm_estimate(self) -> float:
         """Spectral norm of the dense truncation."""

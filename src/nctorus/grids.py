@@ -1,4 +1,4 @@
-"""Equispaced circle grids and truncated Fourier series.
+"""Equispaced circle grids: the one home of the sampled Fourier convention.
 
 Everything downstream works with functions sampled at the angles
 ``theta_j = 2 pi j / G`` and with trigonometric polynomials carrying
@@ -6,10 +6,13 @@ modes ``|l| <= M``.  The sampled Fourier coefficient convention is
 
     c(l) = (1/G) sum_j g(theta_j) exp(-i l theta_j),
 
-which reproduces the analytic coefficient exactly whenever ``g`` is a
+with mode ``l`` stored at index ``l % G`` of the spectrum (FFT order).
+It reproduces the analytic coefficient exactly whenever ``g`` is a
 polynomial with mode bound below ``G - M``.  Powers of two at least
 ``8 (M + 1)`` keep every quadrature appearing in the package alias free
-with a wide safety margin.
+with a wide safety margin.  Every grid <-> band transform of the
+package goes through this module; sample arrays may be row stacks, with
+the grid along the last axis unless an ``axis`` is given.
 """
 
 from __future__ import annotations
@@ -35,6 +38,59 @@ def grid_angles(size: int) -> np.ndarray:
 
 def _values_of(g) -> np.ndarray:
     return np.asarray(getattr(g, "values", g), dtype=complex)
+
+
+def _slots(modes, size: int):
+    """Spectrum index ``l % size`` of each integer mode l."""
+    return np.asarray(modes) % size
+
+
+def frequencies(size: int) -> np.ndarray:
+    """Integer mode held at each spectrum index: ``0, 1, .., -2, -1``."""
+    return np.fft.fftfreq(size, d=1.0 / size).astype(int)
+
+
+def spectrum(g, axis: int = -1) -> np.ndarray:
+    """Sampled Fourier coefficients ``c(l)`` along ``axis``, in FFT order."""
+    values = _values_of(g)
+    spec = np.fft.fft(values, axis=axis)
+    spec /= values.shape[axis]
+    return spec
+
+
+def at_modes(spec: np.ndarray, modes, axis: int = -1) -> np.ndarray:
+    """Coefficients at integer ``modes`` (any shape) of FFT-ordered spectra."""
+    # Plain indexing, not np.take: on a stack it returns a column-major
+    # array, and that memory order fixes the summation order of later
+    # norms and inner products, hence the bits of the artifacts.
+    index = [slice(None)] * spec.ndim
+    index[axis] = _slots(modes, spec.shape[axis])
+    return spec[tuple(index)]
+
+
+def toeplitz(spec: np.ndarray, mode_bound: int) -> np.ndarray:
+    """Band matrices ``[l, l'] -> c(l - l')`` of spectra: for a multiplier,
+    its action on ``|l| <= mode_bound`` followed by the band projection."""
+    modes = np.arange(-mode_bound, mode_bound + 1)
+    return at_modes(spec, np.subtract.outer(modes, modes))
+
+
+def spectral_derivative(g, drift: float = 0.0, sign: float = 1.0,
+                        order: int = 1, axis: int = -1) -> np.ndarray:
+    """Samples of ``(sign d/dtheta - drift)^order g``, mode by mode."""
+    values = _values_of(g)
+    shape = [1] * values.ndim
+    shape[axis] = -1
+    symbol = (sign * 1j * frequencies(values.shape[axis]) - drift) ** order
+    spec = np.fft.fft(values, axis=axis) * symbol.reshape(shape)
+    return np.fft.ifft(spec, axis=axis)
+
+
+def rotate(g, angle: float) -> np.ndarray:
+    """Samples of ``g(theta + angle)``, i.e. ``m(z) -> m(exp(i angle) z)``."""
+    values = _values_of(g)
+    twist = np.exp(1j * frequencies(values.shape[-1]) * angle)
+    return np.fft.ifft(np.fft.fft(values) * twist)
 
 
 @dataclass(frozen=True)
@@ -79,13 +135,13 @@ class FourierPoly:
         return phases @ self.coeffs
 
     def on_grid(self, size: int) -> GridFunction:
-        """Exact evaluation on the equispaced grid via zero-padded FFT."""
+        """Exact evaluation on the grid via zero-padded FFT, row by row."""
         m = self.mode_bound
         if size < 2 * m + 1:
             raise GridTooSmallError(
                 f"grid {size} cannot carry modes up to {m}")
-        buf = np.zeros(size, dtype=complex)
-        buf[self.modes() % size] = self.coeffs
+        buf = np.zeros(self.coeffs.shape[:-1] + (size,), dtype=complex)
+        buf[..., _slots(self.modes(), size)] = self.coeffs
         return GridFunction(np.fft.ifft(buf) * size)
 
     def derivative(self) -> "FourierPoly":
@@ -94,7 +150,7 @@ class FourierPoly:
 
 
 def project_to_modes(g, mode_bound: int) -> FourierPoly:
-    """Project grid samples onto modes ``|l| <= mode_bound``.
+    """Project grid samples onto modes ``|l| <= mode_bound``, row by row.
 
     Exact for polynomials sampled alias free; for general samples this
     is the discrete Fourier truncation.
@@ -104,23 +160,20 @@ def project_to_modes(g, mode_bound: int) -> FourierPoly:
     if size < 2 * mode_bound + 1:
         raise GridTooSmallError(
             f"grid {size} cannot resolve modes up to {mode_bound}")
-    c = np.fft.fft(values) / size
     modes = np.arange(-mode_bound, mode_bound + 1)
-    return FourierPoly(c[modes % size])
+    return FourierPoly(at_modes(spectrum(values), modes))
 
 
 def projection_tail(g, mode_bound: int) -> float:
     """L2 mass of the sampled spectrum outside ``|l| <= mode_bound``.
 
-    Only the in-grid tail is visible; energy aliased from beyond the
-    grid bandwidth folds into the retained modes and is not counted.
+    Rows of a stack count together.  Only the in-grid tail is visible;
+    energy aliased from beyond the grid bandwidth folds into the
+    retained modes and is not counted.
     """
-    values = _values_of(g)
-    size = values.shape[-1]
-    c = np.fft.fft(values) / size
-    modes = np.fft.fftfreq(size, d=1.0 / size).astype(int)
-    outside = np.abs(modes) > mode_bound
-    return float(np.sqrt(np.sum(np.abs(c[outside]) ** 2)))
+    c = spectrum(g)
+    outside = np.abs(frequencies(c.shape[-1])) > mode_bound
+    return float(np.sqrt(np.sum(np.abs(c[..., outside]) ** 2)))
 
 
 def quadrature_mean(g) -> complex:

@@ -14,7 +14,7 @@ that one primitive.
 Powers and more general Borel functions of Delta are blockwise grid
 multiplications followed by re-projection onto the retained modes; the
 dropped spectral mass is watched and raised as :class:`AliasingError`
-when it exceeds the tail tolerance.
+when it exceeds the tail tolerance or is not finite.
 """
 
 from __future__ import annotations
@@ -24,24 +24,23 @@ import numpy as np
 from .dynamics import DiffeoSpec
 from .errors import AliasingError, SingularBlockError
 from .gns import GnsVector, TruncationBox, _context, represent, vacuum
+from .grids import project_to_modes, projection_tail
 from .weyl import WeylElement, involution
 
 _DEFAULT_TAIL = 1e-6
 
 
-def _reproject(box: TruncationBox, grid_rows: np.ndarray, ref_norm: float,
-               tail_tol: float, label: str) -> GnsVector:
-    """Project grid rows back to the mode band, policing the dropped mass."""
-    g = box.grid_size
-    c = np.fft.fft(grid_rows, axis=1) / g
-    freqs = np.fft.fftfreq(g, d=1.0 / g).astype(int)
-    outside = np.abs(freqs) > box.mode_bound
-    dropped = float(np.sqrt(np.sum(np.abs(c[:, outside]) ** 2)))
-    if ref_norm > 0 and dropped / ref_norm > tail_tol:
+def _reproject(x: GnsVector, grid_rows: np.ndarray, tail_tol: float,
+               label: str) -> GnsVector:
+    """Project grid rows computed from x to the band; raise unless the
+    dropped mass is finite and within ``tail_tol`` of a finite ``|x|``."""
+    m, ref_norm = x.box.mode_bound, x.norm()
+    dropped = projection_tail(grid_rows, m)
+    if not (np.isfinite(ref_norm) and dropped <= tail_tol * ref_norm):
         raise AliasingError(
-            f"{label} dropped {dropped / ref_norm:.3e} relative mass "
-            f"(tolerance {tail_tol:.1e})")
-    return GnsVector(box, c[:, box.modes() % g])
+            f"{label} dropped {dropped:.3e} of norm {ref_norm:.3e} "
+            f"(relative tolerance {tail_tol:.1e})")
+    return GnsVector(x.box, project_to_modes(grid_rows, m).coeffs)
 
 
 def apply_delta_power(x: GnsVector, a: float, d: DiffeoSpec,
@@ -53,7 +52,7 @@ def apply_delta_power(x: GnsVector, a: float, d: DiffeoSpec,
     """
     ctx = _context(d, x.box)
     rows = x.on_grid() * ctx.delta ** (0.5 * a)
-    return _reproject(x.box, rows, x.norm(), tail_tol, f"Delta^{a}/2")
+    return _reproject(x, rows, tail_tol, f"Delta^{a}/2")
 
 
 def _j_on_grid(ctx, rows: np.ndarray) -> np.ndarray:
@@ -84,7 +83,7 @@ def apply_J(x: GnsVector, d: DiffeoSpec,
             tail_tol: float = _DEFAULT_TAIL) -> GnsVector:
     """Modular conjugation, an antiunitary involution."""
     rows = _j_on_grid(_context(d, x.box), x.on_grid())
-    return _reproject(x.box, rows, x.norm(), tail_tol, "J")
+    return _reproject(x, rows, tail_tol, "J")
 
 
 def tomita_check(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
@@ -124,7 +123,7 @@ def borel_apply(x: GnsVector, fn, d: DiffeoSpec,
     """
     ctx = _context(d, x.box)
     rows = x.on_grid() * _fn_values(fn, ctx.delta)
-    return _reproject(x.box, rows, x.norm(), tail_tol, "Borel calculus")
+    return _reproject(x, rows, tail_tol, "Borel calculus")
 
 
 def conjugated_borel_apply(x: GnsVector, fn, d: DiffeoSpec,
@@ -138,8 +137,7 @@ def conjugated_borel_apply(x: GnsVector, fn, d: DiffeoSpec,
     rows = _j_on_grid(ctx, x.on_grid())
     rows = rows * _fn_values(fn, ctx.delta)
     rows = _j_on_grid(ctx, rows)
-    return _reproject(x.box, rows, x.norm(), tail_tol,
-                      "conjugated Borel calculus")
+    return _reproject(x, rows, tail_tol, "conjugated Borel calculus")
 
 
 def borel_identity_check(fn, x: GnsVector, d: DiffeoSpec,
@@ -149,5 +147,5 @@ def borel_identity_check(fn, x: GnsVector, d: DiffeoSpec,
     ctx = _context(d, x.box)
     rows = x.on_grid() * _fn_values(fn, ctx.delta, inverse=True,
                                     conjugate=True)
-    right = _reproject(x.box, rows, x.norm(), tail_tol, "Borel calculus")
+    right = _reproject(x, rows, tail_tol, "Borel calculus")
     return (left - right).norm()

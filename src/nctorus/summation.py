@@ -22,6 +22,7 @@ from .fourier import (FourierCoeffs, anti_transform, hat_functional,
                       hat_vector, paren_functional)
 from .gns import (GnsOperator, GnsVector, TruncationBox, build_u_kl,
                   represent, vacuum)
+from .grids import rotate
 from .modular import apply_delta_power
 from .weyl import WeylElement
 
@@ -106,15 +107,9 @@ def transfer_operator(a: GnsOperator, w: TransferencePoint) -> GnsOperator:
     Shift s picks up the phase ``w2^s`` and every multiplier function is
     rotated, ``m(z) -> m(w1 z)``.
     """
-    box = a.box
-    g = box.grid_size
-    freqs = np.fft.fftfreq(g, d=1.0 / g).astype(int)
-    twist = np.exp(1j * freqs * np.angle(w.w1))
-    terms = {}
-    for s, mult in a.terms.items():
-        spec = np.fft.fft(mult, axis=1) * twist[None, :]
-        terms[s] = (w.w2 ** s) * np.fft.ifft(spec, axis=1)
-    return GnsOperator(box, terms)
+    angle = np.angle(w.w1)
+    return GnsOperator(a.box, {s: (w.w2 ** s) * rotate(mult, angle)
+                               for s, mult in a.terms.items()})
 
 
 def table_of(f: WeylElement, d: DiffeoSpec, box: TruncationBox,

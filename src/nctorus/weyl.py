@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import DiffeoSpec
 from .errors import AlphaMismatchError
-from .grids import default_grid_size, grid_angles
+from .grids import default_grid_size, grid_angles, spectral_derivative
 
 
 class SymplecticPair(NamedTuple):
@@ -245,16 +245,13 @@ def smooth_seminorm(f: WeylElement, d: DiffeoSpec, k_weight: int,
     for p, v in f.items():
         rows.setdefault(p.n, {})[p.m] = v
     worst = 0.0
-    freqs = np.fft.fftfreq(size, d=1.0 / size).astype(int)
     for n, row in rows.items():
         base = psi - 2.0 * np.pi * d.alpha * n
         values = np.zeros(size, dtype=complex)
         for m, v in row.items():
             values += v * np.exp(1j * m * base)
         if l_deriv:
-            spec = np.fft.fft(values)
-            spec *= (1j * freqs) ** l_deriv
-            values = np.fft.ifft(spec)
+            values = spectral_derivative(values, order=l_deriv)
         worst = np.maximum(worst, (abs(n) + 1) ** k_weight
                            * float(np.max(np.abs(values))))
     return float(worst)

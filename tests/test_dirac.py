@@ -122,3 +122,26 @@ def test_normalized_step_identity(bench, growth):
     off = 8
     assert_allclose((a[off + 1] - a[off]) * growth.gamma(1), 1.0, atol=1e-12)
     assert dirac.telescoping_deviation(a, growth) < 1e-12
+
+
+def test_corner_beyond_the_box_solves_no_chart(bench, monkeypatch):
+    box = TruncationBox(3, 4)
+    n = box.block_bound + 1
+    growth = dynamics.growth_sequence(bench, n)
+    a_n = float(dirac.a_sequence(growth, n)[2 * n])
+    warm = dirac.deformed_corner(n, 0.5, bench, box, a_n)
+    calls = []
+    inverse = dynamics.ConjugatorLift.inverse
+
+    def counting(self, y):
+        calls.append(y)
+        return inverse(self, y)
+
+    monkeypatch.setattr(dynamics.ConjugatorLift, "inverse", counting)
+    again = dirac.deformed_corner(n, 0.5, bench, box, a_n)
+    assert calls == []
+    assert np.array_equal(again, warm)
+    # the density beyond the box is the closed form on the same chart
+    ctx = gns._context(bench, box)
+    assert np.array_equal(dirac._delta_grid(bench, box, n, ctx),
+                          dynamics.radon_nikodym(bench, n, x=ctx.x))

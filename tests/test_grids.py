@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -37,6 +39,16 @@ def test_derivative_multiplies_by_il():
     theta = grids.grid_angles(32)
     want = 2j * np.exp(1j * theta) - 4j * (1.0 + 1j) * np.exp(-4j * theta)
     assert_allclose(poly.derivative().evaluate(theta), want, atol=1e-13)
+    # the spectral derivative on a stack acts row by row, along any axis
+    stack = np.stack([poly.on_grid(32).values, np.exp(3j * theta)])
+    rows = np.stack([want, 3j * np.exp(3j * theta)])
+    assert_allclose(grids.spectral_derivative(stack), rows, atol=1e-12)
+    assert_allclose(grids.spectral_derivative(stack.T, axis=0), rows.T,
+                    atol=1e-12)
+    # sign d/dtheta - drift, applied twice
+    shifted = (-1j * 3 - 0.5) ** 2 * np.exp(3j * theta)
+    assert_allclose(grids.spectral_derivative(stack, 0.5, -1.0, order=2)[1],
+                    shifted, atol=1e-12)
 
 
 def test_projection_roundtrip_and_tail():
@@ -51,6 +63,62 @@ def test_projection_roundtrip_and_tail():
     # dropping the edge modes leaves exactly their mass in the tail
     mass = abs(entries[5]) ** 2 + abs(entries[-5]) ** 2
     assert_allclose(grids.projection_tail(f, 4) ** 2, mass, rtol=1e-10)
+    # a row stack projects row by row; its tail counts all rows together
+    coeffs = rng.normal(size=(3, 11)) + 1j * rng.normal(size=(3, 11))
+    stack = grids.FourierPoly(coeffs).on_grid(64).values
+    assert stack.shape == (3, 64)
+    for row, c in zip(stack, coeffs):
+        assert np.array_equal(row, grids.FourierPoly(c).on_grid(64).values)
+    band = grids.project_to_modes(stack, 4).coeffs
+    assert band.shape == (3, 9)
+    for row, got in zip(stack, band):
+        assert np.array_equal(got, grids.project_to_modes(row, 4).coeffs)
+    assert_allclose(band, coeffs[:, 1:-1], atol=1e-13)
+    tails = [grids.projection_tail(row, 4) for row in stack]
+    assert_allclose(grids.projection_tail(stack, 4),
+                    np.sqrt(np.sum(np.square(tails))), rtol=1e-14)
+    assert_allclose(grids.projection_tail(stack, 4),
+                    np.linalg.norm(coeffs[:, [0, -1]]), rtol=1e-12)
+
+
+def test_toeplitz_matches_the_mode_loop():
+    rng = np.random.default_rng(5)
+    g, m = 32, 4
+    spec = rng.normal(size=(2, g)) + 1j * rng.normal(size=(2, g))
+    mats = grids.toeplitz(spec, m)
+    assert mats.shape == (2, 2 * m + 1, 2 * m + 1)
+    freqs = list(grids.frequencies(g))
+    for r in range(2):
+        c = dict(zip(freqs, spec[r]))
+        for i, l in enumerate(range(-m, m + 1)):
+            for j, lp in enumerate(range(-m, m + 1)):
+                assert mats[r, i, j] == c[l - lp]
+    # on the band it multiplies by the function the spectrum samples
+    theta = grids.grid_angles(g)
+    mult = 2.0 + np.cos(theta)
+    x = np.zeros(2 * m + 1, dtype=complex)
+    x[m + 1] = 1.0
+    prod = grids.project_to_modes(mult * np.exp(1j * theta), m).coeffs
+    assert_allclose(grids.toeplitz(grids.spectrum(mult), m) @ x, prod,
+                    atol=1e-15)
+
+
+def test_rotate_shifts_the_angle():
+    theta = grids.grid_angles(16)
+    stack = np.stack([np.exp(2j * theta), np.cos(3 * theta) + 0j])
+    want = np.stack([np.exp(2j * (theta + 0.3)), np.cos(3 * (theta + 0.3))])
+    assert_allclose(grids.rotate(stack, 0.3), want, atol=1e-14)
+
+
+def test_only_grids_calls_the_fft():
+    """The sampled Fourier convention lives in one module."""
+    package = Path(grids.__file__).parent
+    users = []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        if "np.fft" in text or "numpy.fft" in text:
+            users.append(path.name)
+    assert users == ["grids.py"]
 
 
 def test_on_grid_rejects_undersized_grid():

@@ -181,3 +181,17 @@ def test_context_build_solves_the_chart_once(bench, small_box, monkeypatch):
     monkeypatch.setattr(dynamics.ConjugatorLift, "inverse", counting)
     gns._Context(bench, small_box)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("op", [
+    lambda x, d: modular.apply_J(x, d),
+    lambda x, d: modular.apply_delta_power(x, 1.0, d),
+    lambda x, d: modular.borel_apply(x, ("power", 0.5), d),
+], ids=["J", "delta_power", "borel"])
+def test_reprojection_fails_closed_on_nan(bench, small_box, rng, op):
+    x = orbit_vector(bench, small_box, rng)
+    x.coeffs[small_box.block_bound, small_box.mode_bound + 1] = np.nan
+    with pytest.raises(AliasingError):
+        op(x, bench)
+    zero = gns.GnsVector.zeros(small_box)
+    assert op(zero, bench).norm() == 0.0

@@ -115,6 +115,13 @@ def test_serialization_roundtrip():
     assert weyl.table_distance(again, f) == 0.0
 
 
+def test_shift_support_lists_distinct_second_indices():
+    f = weyl.WeylElement(0.3, {(1, 2): 1.0, (-4, 2): 2.0, (0, -3): 1j,
+                               (5, 0): 0.5})
+    assert f.shift_support() == [-3, 0, 2]
+    assert weyl.WeylElement(0.3).shift_support() == []
+
+
 def test_random_element_is_deterministic():
     a = weyl.random_element(np.random.default_rng(99), ALPHA, 2, decay=1.0)
     b = weyl.random_element(np.random.default_rng(99), ALPHA, 2, decay=1.0)
