@@ -52,11 +52,9 @@ def telescoping_deviation(a: np.ndarray, growth: GrowthSequence) -> float:
     return float(worst)
 
 
-def _delta_grid(d: DiffeoSpec, box: TruncationBox, n: int,
-                ctx=None) -> np.ndarray:
+def _delta_grid(d: DiffeoSpec, box: TruncationBox, n: int) -> np.ndarray:
     """Density ``H'(u + 2 alpha n) / H'(u)`` of block n on the context grid."""
-    if ctx is None:
-        ctx = _context(d, box)
+    ctx = _context(d, box)
     if abs(n) <= box.block_bound:
         return ctx.delta[n + box.block_bound]
     return (d.lift.derivative(ctx.u + 2.0 * d.alpha * n)
@@ -283,7 +281,6 @@ def commutator_block(n: int, eta: float, d: DiffeoSpec, box: TruncationBox,
         growth = growth_sequence(d, bound_needed)
     a = a_sequence(growth, bound_needed)
     off = bound_needed
-    ctx = _context(d, box)
     if generator == "shift":
         other = n - 1
     elif generator == "shift_inverse":
@@ -291,8 +288,8 @@ def commutator_block(n: int, eta: float, d: DiffeoSpec, box: TruncationBox,
     else:
         raise ValueError(f"unknown generator {generator!r}")
     step = float(a[other + off] - a[n + off])
-    delta_n = _delta_grid(d, box, n, ctx)
-    delta_o = _delta_grid(d, box, other, ctx)
+    delta_n = _delta_grid(d, box, n)
+    delta_o = _delta_grid(d, box, other)
     mult = step * delta_n ** (eta - 1.0) * delta_o ** (-eta)
     matrix = toeplitz(spectrum(mult), box.mode_bound)
     norm = float(np.linalg.norm(matrix, ord=2))

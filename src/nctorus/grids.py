@@ -40,7 +40,7 @@ def _values_of(g) -> np.ndarray:
     return np.asarray(getattr(g, "values", g), dtype=complex)
 
 
-def _slots(modes, size: int):
+def _slots(modes, size: int) -> np.ndarray:
     """Spectrum index ``l % size`` of each integer mode l."""
     return np.asarray(modes) % size
 
@@ -53,9 +53,7 @@ def frequencies(size: int) -> np.ndarray:
 def spectrum(g, axis: int = -1) -> np.ndarray:
     """Sampled Fourier coefficients ``c(l)`` along ``axis``, in FFT order."""
     values = _values_of(g)
-    spec = np.fft.fft(values, axis=axis)
-    spec /= values.shape[axis]
-    return spec
+    return np.fft.fft(values, axis=axis) / values.shape[axis]
 
 
 def at_modes(spec: np.ndarray, modes, axis: int = -1) -> np.ndarray:
@@ -66,6 +64,12 @@ def at_modes(spec: np.ndarray, modes, axis: int = -1) -> np.ndarray:
     index = [slice(None)] * spec.ndim
     index[axis] = _slots(modes, spec.shape[axis])
     return spec[tuple(index)]
+
+
+def tail_mass(spec: np.ndarray, mode_bound: int) -> float:
+    """L2 mass of FFT-ordered spectra, all rows, outside |l| <= mode_bound."""
+    outside = np.abs(frequencies(spec.shape[-1])) > mode_bound
+    return float(np.sqrt(np.sum(np.abs(spec[..., outside]) ** 2)))
 
 
 def toeplitz(spec: np.ndarray, mode_bound: int) -> np.ndarray:
@@ -171,9 +175,7 @@ def projection_tail(g, mode_bound: int) -> float:
     energy aliased from beyond the grid bandwidth folds into the
     retained modes and is not counted.
     """
-    c = spectrum(g)
-    outside = np.abs(frequencies(c.shape[-1])) > mode_bound
-    return float(np.sqrt(np.sum(np.abs(c[..., outside]) ** 2)))
+    return tail_mass(spectrum(g), mode_bound)
 
 
 def quadrature_mean(g) -> complex:

@@ -24,7 +24,7 @@ import numpy as np
 from .dynamics import DiffeoSpec
 from .errors import AliasingError, SingularBlockError
 from .gns import GnsVector, TruncationBox, _context, represent, vacuum
-from .grids import project_to_modes, projection_tail
+from .grids import at_modes, spectrum, tail_mass
 from .weyl import WeylElement, involution
 
 _DEFAULT_TAIL = 1e-6
@@ -34,13 +34,13 @@ def _reproject(x: GnsVector, grid_rows: np.ndarray, tail_tol: float,
                label: str) -> GnsVector:
     """Project grid rows computed from x to the band; raise unless the
     dropped mass is finite and within ``tail_tol`` of a finite ``|x|``."""
-    m, ref_norm = x.box.mode_bound, x.norm()
-    dropped = projection_tail(grid_rows, m)
+    c, ref_norm = spectrum(grid_rows), x.norm()
+    dropped = tail_mass(c, x.box.mode_bound)
     if not (np.isfinite(ref_norm) and dropped <= tail_tol * ref_norm):
         raise AliasingError(
             f"{label} dropped {dropped:.3e} of norm {ref_norm:.3e} "
             f"(relative tolerance {tail_tol:.1e})")
-    return GnsVector(x.box, project_to_modes(grid_rows, m).coeffs)
+    return GnsVector(x.box, at_modes(c, x.box.modes()))
 
 
 def apply_delta_power(x: GnsVector, a: float, d: DiffeoSpec,

@@ -143,5 +143,5 @@ def test_corner_beyond_the_box_solves_no_chart(bench, monkeypatch):
     assert np.array_equal(again, warm)
     # the density beyond the box is the closed form on the same chart
     ctx = gns._context(bench, box)
-    assert np.array_equal(dirac._delta_grid(bench, box, n, ctx),
+    assert np.array_equal(dirac._delta_grid(bench, box, n),
                           dynamics.radon_nikodym(bench, n, x=ctx.x))
