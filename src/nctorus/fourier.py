@@ -160,12 +160,12 @@ def classical_limit_compare(f: WeylElement, box: TruncationBox,
         d = rotation(0.0, classical=True)
     if not (d.classical and d.alpha == 0.0 and d.is_rotation):
         raise ValueError("classical comparison needs alpha = 0, identity h")
-    g1 = 1 << max(4, int(np.ceil(np.log2(4 * (f.sup_radius + 1)))))
+    # g1 > max(K, M) + radius, so no box mode aliases onto the support
+    reach = max(box.block_bound, box.mode_bound) + f.sup_radius
+    g1 = 1 << max(4, (4 * f.sup_radius + 3).bit_length(), reach.bit_length())
     theta = 2.0 * np.pi * np.arange(g1) / g1
-    samples = np.zeros((g1, g1), dtype=complex)
-    for p, v in f.items():
-        samples += v * np.multiply.outer(np.exp(1j * p.m * theta),
-                                         np.exp(1j * p.n * theta))
+    waves = np.exp(1j * np.multiply.outer(f.keys, theta))
+    samples = (waves[:, 0].T * f.values) @ waves[:, 1]
     coeff = spectrum(spectrum(samples), axis=0)
     ks, ls = box.blocks(), box.modes()
     hat = hat_functional(f, d, box).table

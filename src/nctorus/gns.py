@@ -150,7 +150,7 @@ def _context(d: DiffeoSpec, box: TruncationBox) -> _Context:
 
 
 class GnsVector:
-    """Block family of mode coefficients, shape (2K + 1, 2M + 1).
+    """Block family of mode coefficients, shape (2K + 1, 2M + 1), C order.
 
     ``coeffs[n + K, l + M]`` is the coefficient of ``z^l`` in block n.
     """
@@ -158,7 +158,7 @@ class GnsVector:
     __slots__ = ("box", "coeffs")
 
     def __init__(self, box: TruncationBox, coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=complex)
+        coeffs = np.ascontiguousarray(coeffs, dtype=complex)
         if coeffs.shape != (box.n_blocks, box.n_modes):
             raise ValueError(
                 f"coefficient shape {coeffs.shape} does not match box")
@@ -326,19 +326,14 @@ def represent(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> GnsOperator:
         raise AlphaMismatchError(
             f"element alpha {f.alpha!r} does not match dynamics {d.alpha!r}")
     ctx = _context(d, box)
-    rows: dict[int, dict[int, complex]] = {}
-    for p, v in f.items():
-        rows.setdefault(p.n, {})[p.m] = v
     terms: dict[int, np.ndarray] = {}
     blocks = box.blocks()
-    for s, row in rows.items():
+    for s, ms, coeffs in f.rows():
         if abs(s) > 2 * box.block_bound:
             warnings.warn(
                 f"shift {s} exceeds the block range; term dropped",
                 stacklevel=2)
             continue
-        ms = np.fromiter(row, dtype=np.int64, count=len(row))
-        coeffs = np.fromiter(row.values(), dtype=complex, count=len(row))
         twist = _waves(d.alpha, np.multiply.outer(2 * blocks - s, ms))
         waves = np.exp(1j * np.multiply.outer(ms, ctx.psi))
         terms[s] = (twist * coeffs) @ waves
@@ -405,13 +400,13 @@ def state_eval(f: WeylElement, d: DiffeoSpec, route: str = "series",
     accuracy and are compared in the verification suite.
     """
     if route == "series":
-        radius = max((abs(p.m) for p, _ in f.items()), default=0)
+        radius = int(np.abs(f.keys[:, 0]).max(initial=0))
         mu = state_coefficients(d, radius)
-        return complex(sum(v * mu[p.m + radius]
-                           for p, v in f.items() if p.n == 0))
+        row = f.keys[:, 1] == 0
+        return complex(sum(f.values[row] * mu[f.keys[row, 0] + radius]))
     if route == "gns":
         if box is None:
-            k = max(1, max((abs(p.n) for p, _ in f.items()), default=0))
+            k = max(1, int(np.abs(f.keys[:, 1]).max(initial=0)))
             m = max(1, f.sup_radius)
             box = TruncationBox(k, m)
         xi = vacuum(box)

@@ -132,6 +132,10 @@ def test_bad_config_exits_one(tmp_path):
     missing = tmp_path / "nope.json"
     assert cli.main(["star", "--config", str(missing),
                      "--out", str(tmp_path / "o2")]) == 1
+    for coeff in ({"m": "x", "n": 0, "re": 1.0}, {"m": 1, "re": 1.0}):
+        bad_key = dict(ROTATION, element={"alpha": ROTATION["alpha"],
+                                          "coeffs": [coeff]})
+        assert run_cli(tmp_path, "star", bad_key)[0] == 1
 
 
 def test_alpha_zero_requires_classical_flag(tmp_path):

@@ -107,3 +107,11 @@ def test_dirichlet_needs_enough_grid(bench, small_box):
     # order 100 against a 64 point grid would alias the full band back
     with pytest.raises(GridTooSmallError):
         fourier.dirichlet_coefficient_table(100, bench, small_box)
+
+
+def test_classical_limit_oracle_grid_covers_the_box(rng):
+    """The oracle grid exceeds max(K, M) + radius, so box modes beyond
+    the support do not alias onto it."""
+    f = weyl.random_element(rng, 0.0, 8, decay=1.0)
+    devs = fourier.classical_limit_compare(f, TruncationBox(56, 56))
+    assert max(devs.values()) <= 1e-10, devs

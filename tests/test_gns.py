@@ -206,3 +206,14 @@ def test_state_series_solves_the_chart_once(bench, monkeypatch):
     first = gns.state_eval(f, bench, route="series")
     assert gns.state_eval(f, bench, route="series") == first
     assert len(calls) == 1
+
+
+def test_vector_norm_does_not_depend_on_memory_layout(small_box):
+    shape = (small_box.n_blocks, small_box.n_modes)
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = gns.GnsVector(small_box, c)
+        y = gns.GnsVector(small_box, np.asfortranarray(c))
+        assert x.norm() == y.norm()
+        assert x.inner(x) == y.inner(y)

@@ -227,3 +227,101 @@ def test_table_distance_keeps_nan():
     g = weyl.WeylElement(ALPHA, {(0, 0): 1.0, (1, 2): 1.0})
     assert np.isnan(weyl.table_distance(f, g))
     assert np.isnan(weyl.table_distance(g, f))
+
+
+def test_duplicate_keys_are_summed_and_cancellations_dropped():
+    f = weyl.WeylElement(ALPHA, [((1, 2), 0.5), ((0, 0), 1.0),
+                                 ((1, 2), 0.25j), ((3, -1), 2.0),
+                                 ((3, -1), -2.0)])
+    assert f.support() == [(0, 0), (1, 2)]
+    assert f[(1, 2)] == 0.5 + 0.25j
+    assert f.keys.dtype == np.int64 and f.keys.shape == (2, 2)
+    # an exact cancellation under + and - leaves no key behind
+    g = weyl.WeylElement(ALPHA, {(0, 0): -1.0, (5, 5): 1j})
+    assert (f + g).support() == [(1, 2), (5, 5)]
+    assert len(f - f) == 0
+    assert weyl.table_distance(f, f) == 0.0
+
+
+def test_items_are_sorted_pairs():
+    f = weyl.WeylElement(ALPHA, {(2, -1): 1.0, (-1, 3): 2j, (-1, -3): 3.0})
+    assert [p for p, _ in f.items()] == [(-1, -3), (-1, 3), (2, -1)]
+    assert all(isinstance(p, weyl.SymplecticPair) and isinstance(v, complex)
+               for p, v in f.items())
+    assert weyl.involution(f).support() == [(-2, 1), (1, -3), (1, 3)]
+
+
+def test_nan_survives_every_table_operation():
+    f = weyl.WeylElement(ALPHA, {(0, 0): 1.0, (1, 2): complex("nan")})
+    g = weyl.WeylElement(ALPHA, {(0, 1): 0.5j})
+    for out in (f, f + g, g + f, f - g, weyl.involution(f),
+                weyl.star_product(f, g), weyl.star_product(g, f),
+                f.scaled(2.0)):
+        assert np.isnan(out.values).any()
+        assert np.isnan(weyl.table_distance(out, g))
+
+
+def test_malformed_keys_are_rejected():
+    with pytest.raises(ValueError):
+        weyl.WeylElement(ALPHA, [((1, 2, 3), 1.0)])
+    with pytest.raises(ValueError):
+        weyl.WeylElement.from_dict(
+            {"alpha": ALPHA, "coeffs": [{"m": "x", "n": 0, "re": 1.0}]})
+    with pytest.raises(KeyError):
+        weyl.WeylElement.from_dict({"alpha": ALPHA,
+                                    "coeffs": [{"m": 1, "re": 1.0}]})
+
+
+def test_random_element_keeps_its_draw_order():
+    rng = np.random.default_rng(5)
+    want = [complex(rng.standard_normal(), rng.standard_normal())
+            / (1.0 + abs(m) + abs(n)) ** 1.5
+            for m in range(-2, 3) for n in range(-2, 3)]
+    f = weyl.random_element(np.random.default_rng(5), ALPHA, 2, decay=1.5)
+    assert f.values.tolist() == want
+
+
+RELATION_PAIRS = [((m, n), (r, s))
+                  for m in range(-3, 4) for n in range(-3, 4)
+                  for r in range(-3, 4) for s in range(-3, 4)]
+
+
+def test_relation_check_makes_one_star_product(monkeypatch):
+    calls = []
+    real = weyl.star_product
+
+    def counting(f, g):
+        calls.append((len(f), len(g)))
+        return real(f, g)
+
+    monkeypatch.setattr(weyl, "star_product", counting)
+    assert weyl.weyl_relation_check(ALPHA, RELATION_PAIRS) == 0.0
+    assert calls == [(49, 49)]
+
+
+def _drop_first(p):
+    return p - weyl.WeylElement(p.alpha, [p.items()[0]])
+
+
+def _first_key_off_by_one(p):
+    return weyl.WeylElement(p.alpha, [((q.m + (i == 0), q.n), v)
+                                      for i, (q, v) in enumerate(p.items())])
+
+
+@pytest.mark.parametrize("mutant", [
+    lambda real: lambda f, g: real(g, f),
+    lambda real: lambda f, g: _drop_first(real(f, g)),
+    lambda real: lambda f, g: _first_key_off_by_one(real(f, g)),
+], ids=["swapped_operands", "dropped_term", "key_off_by_one"])
+def test_relation_check_catches_a_faulty_product(monkeypatch, mutant):
+    monkeypatch.setattr(weyl, "star_product", mutant(weyl.star_product))
+    assert weyl.weyl_relation_check(0.25, RELATION_PAIRS) > 1e-14
+
+
+def test_far_apart_keys_keep_their_places():
+    far = {(0, -2 ** 40): 1.0, (2 ** 40, 2 ** 40): 2.0}
+    f = weyl.WeylElement(ALPHA, far)
+    assert f.support() == sorted(far)
+    unit = weyl.WeylElement.unit(ALPHA)
+    assert weyl.star_product(f, unit).support() == sorted(far)
+    assert weyl.table_distance(weyl.star_product(unit, f), f) == 0.0
