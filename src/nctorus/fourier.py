@@ -8,7 +8,12 @@ while the paren table pairs against the conjugated basis
     paren(k, l) = omega(a u_kl) = <Delta^{1/2} x, eps_kl>.
 
 The second equality is the route-agreement fact checked in the test
-surface; both routes are implemented below.
+surface; both routes are implemented below.  No eps table is kept: J is
+antilinear, so the pairings with every ``eps_kl`` are the transposed J
+transport applied to ``Delta^{1/2} x``, and the paren synthesis
+``sum c_kl eps_kl`` is ``J`` of the vector with coefficients
+``conj(c_kl)``.  :func:`epsilon_basis` builds the basis itself on
+request, as a reference.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .dynamics import DiffeoSpec
 from .errors import GridTooSmallError
 from .gns import GnsVector, TruncationBox, _context, represent, vacuum
 from .grids import at_modes, project_to_modes, spectrum
-from .modular import _conjugated_rows
+from .modular import _conjugated_rows, _epsilon_pairings, _j_on_grid
 from .weyl import WeylElement
 
 
@@ -67,32 +72,22 @@ def hat_functional(f: WeylElement, d: DiffeoSpec,
 
 
 def epsilon_basis(d: DiffeoSpec, box: TruncationBox) -> np.ndarray:
-    """Coefficients of ``eps_kl = J e_kl``, cached on the context.
+    """Coefficients of ``eps_kl = J e_kl``, built on request; reference.
 
     ``eps[k + K, l + M]`` holds the mode coefficients of the block
     ``-k`` component ``delta_{-k}(z)^{1/2} f^{-k}(z)^{-l}``; all other
-    blocks vanish.
+    blocks vanish.  The transforms below never build this table.
     """
     ctx = _context(d, box)
-    if ctx.epsilon is None:
-        eps = np.empty((box.n_blocks, box.n_modes, box.n_modes),
-                       dtype=complex)
-        for i in range(box.n_blocks):
-            eps[i] = project_to_modes(_conjugated_rows(ctx, i),
+    return np.stack([project_to_modes(_conjugated_rows(ctx, i),
                                       box.mode_bound).coeffs
-        ctx.epsilon = eps
-    return ctx.epsilon
+                     for i in range(box.n_blocks)])
 
 
 def paren_vector(x: GnsVector, d: DiffeoSpec) -> FourierCoeffs:
     """Pair a vector against the conjugated basis."""
-    box = x.box
-    eps = epsilon_basis(d, box)
-    table = np.empty((box.n_blocks, box.n_modes), dtype=complex)
-    for i in range(box.n_blocks):
-        flip = box.n_blocks - 1 - i
-        table[i] = np.conj(eps[i]) @ x.coeffs[flip]
-    return FourierCoeffs("paren", table, box)
+    table = _epsilon_pairings(_context(d, x.box), x.on_grid())
+    return FourierCoeffs("paren", table, x.box)
 
 
 def paren_functional(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
@@ -112,12 +107,7 @@ def paren_functional(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
         # route never sees.
         ctx = _context(d, box)
         rows = a.apply_to_grid(vacuum(box).on_grid()) * ctx.sqrt_delta
-        table = np.empty((box.n_blocks, box.n_modes), dtype=complex)
-        for i in range(box.n_blocks):
-            flip = box.n_blocks - 1 - i
-            table[i] = np.conj(_conjugated_rows(ctx, i)) @ rows[flip]
-        table /= box.grid_size
-        return FourierCoeffs("paren", table, box)
+        return FourierCoeffs("paren", _epsilon_pairings(ctx, rows), box)
     if route != "vacuum":
         raise ValueError(f"unknown route {route!r}")
     row0 = box.block_bound
@@ -132,17 +122,15 @@ def anti_transform(c: FourierCoeffs, d: DiffeoSpec) -> GnsVector:
     """Synthesize the vector with the given table.
 
     Hat tables come back verbatim as coefficients; paren tables expand
-    against the conjugated basis (target of the smoothed series).
+    against the conjugated basis (target of the smoothed series), which
+    by antilinearity is ``J`` of the conjugated table read as a vector.
     """
     box = c.box
     if c.kind == "hat":
         return GnsVector(box, c.table.copy())
-    eps = epsilon_basis(d, box)
-    coeffs = np.zeros((box.n_blocks, box.n_modes), dtype=complex)
-    for i in range(box.n_blocks):
-        flip = box.n_blocks - 1 - i
-        coeffs[flip] += c.table[i] @ eps[i]
-    return GnsVector(box, coeffs)
+    rows = GnsVector(box, np.conj(c.table)).on_grid()
+    rows = _j_on_grid(_context(d, box), rows)
+    return GnsVector(box, project_to_modes(rows, box.mode_bound).coeffs)
 
 
 def classical_limit_compare(f: WeylElement, box: TruncationBox,

@@ -82,8 +82,7 @@ class _Context:
     densities ``delta_n = H'(u + 2 alpha n) / H'(u)`` follow in closed
     form, and transport along ``f^n``, ``y -> y o F_n`` on the grid,
     becomes resample, phase, resample: ``from_chart(to_chart(y), phase)``.
-    Memory is O(G^2 + (2K + 1) G), plus the conjugated basis table once
-    :func:`nctorus.fourier.epsilon_basis` has filled ``epsilon``.
+    Memory is O(G^2 + (2K + 1) G); no per-(k, l) table is kept.
     """
 
     def __init__(self, d: DiffeoSpec, box: TruncationBox):
@@ -111,7 +110,6 @@ class _Context:
         self._from_chart = _waves(u, freqs).T
         waves = np.exp(1j * np.multiply.outer(box.modes(), self.theta))
         self.wave_spectra = self.to_chart(waves)
-        self.epsilon: np.ndarray | None = None
 
     def to_chart(self, rows: np.ndarray) -> np.ndarray:
         """u-spectra of ``y o H`` for grid rows y."""
@@ -213,16 +211,14 @@ def basis_vector(box: TruncationBox, k: int, l: int) -> GnsVector:
 
 
 def random_vector(rng: np.random.Generator, box: TruncationBox,
-                  block_margin: int = 0, mode_margin: int = 0,
-                  normalize: bool = True) -> GnsVector:
-    """Random vector supported away from the box edges by the margins."""
+                  block_margin: int = 0, mode_margin: int = 0) -> GnsVector:
+    """Random unit vector supported away from the box edges by the margins."""
     coeffs = np.zeros((box.n_blocks, box.n_modes), dtype=complex)
     bs = slice(block_margin, box.n_blocks - block_margin)
     ms = slice(mode_margin, box.n_modes - mode_margin)
     shape = (box.n_blocks - 2 * block_margin, box.n_modes - 2 * mode_margin)
     coeffs[bs, ms] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    if normalize:
-        coeffs /= np.linalg.norm(coeffs)
+    coeffs /= np.linalg.norm(coeffs)
     return GnsVector(box, coeffs)
 
 

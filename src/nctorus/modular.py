@@ -7,14 +7,15 @@ multiplication by the density ``delta_n(z)``, and the conjugation J is
 
 J is evaluated with the transport of the per-box context: resample into
 the chart ``u = H^{-1}(x)``, rotate by ``2 alpha n`` as a phase, resample
-back.  :func:`apply_J`, the conjugated Borel calculus and the conjugated
-basis ``eps_kl = J e_kl`` read by the fourier and dirac modules all use
-that one primitive.
+back.  This module is the one home of that transport: :func:`apply_J`,
+the conjugated Borel calculus, the paren synthesis and the Dirac oracle
+apply it, and the paren pairings against the conjugated basis
+``eps_kl = J e_kl`` apply its transpose.
 
 Powers and more general Borel functions of Delta are blockwise grid
 multiplications followed by re-projection onto the retained modes; the
 dropped spectral mass is watched and raised as :class:`AliasingError`
-when it exceeds the tail tolerance or is not finite.
+when it exceeds the fixed relative tail tolerance or is not finite.
 """
 
 from __future__ import annotations
@@ -30,21 +31,19 @@ from .weyl import WeylElement, involution
 _DEFAULT_TAIL = 1e-6
 
 
-def _reproject(x: GnsVector, grid_rows: np.ndarray, tail_tol: float,
-               label: str) -> GnsVector:
+def _reproject(x: GnsVector, grid_rows: np.ndarray, label: str) -> GnsVector:
     """Project grid rows computed from x to the band; raise unless the
-    dropped mass is finite and within ``tail_tol`` of a finite ``|x|``."""
+    dropped mass is finite and within ``_DEFAULT_TAIL`` of a finite |x|."""
     c, ref_norm = spectrum(grid_rows), x.norm()
     dropped = tail_mass(c, x.box.mode_bound)
-    if not (np.isfinite(ref_norm) and dropped <= tail_tol * ref_norm):
+    if not (np.isfinite(ref_norm) and dropped <= _DEFAULT_TAIL * ref_norm):
         raise AliasingError(
             f"{label} dropped {dropped:.3e} of norm {ref_norm:.3e} "
-            f"(relative tolerance {tail_tol:.1e})")
+            f"(relative tolerance {_DEFAULT_TAIL:.1e})")
     return GnsVector(x.box, at_modes(c, x.box.modes()))
 
 
-def apply_delta_power(x: GnsVector, a: float, d: DiffeoSpec,
-                      tail_tol: float = _DEFAULT_TAIL) -> GnsVector:
+def apply_delta_power(x: GnsVector, a: float, d: DiffeoSpec) -> GnsVector:
     """Apply ``Delta^(a/2)``: block n multiplies by ``delta_n^(a/2)``.
 
     The half-power convention makes ``a = 1`` the modular square root
@@ -52,7 +51,7 @@ def apply_delta_power(x: GnsVector, a: float, d: DiffeoSpec,
     """
     ctx = _context(d, x.box)
     rows = x.on_grid() * ctx.delta ** (0.5 * a)
-    return _reproject(x, rows, tail_tol, f"Delta^{a}/2")
+    return _reproject(x, rows, f"Delta^{a}/2")
 
 
 def _j_on_grid(ctx, rows: np.ndarray) -> np.ndarray:
@@ -68,30 +67,42 @@ def _j_on_grid(ctx, rows: np.ndarray) -> np.ndarray:
     return ctx.sqrt_delta * np.conj(ctx.from_chart(spectra, ctx.phase))
 
 
+def _epsilon_pairings(ctx, rows: np.ndarray) -> np.ndarray:
+    """Quadrature pairings ``<y, eps_kl>`` of grid rows y, all (k, l).
+
+    Entry ``[k + K, l + M]`` pairs block ``-k`` of y with the only
+    nonzero block of ``eps_kl = J e_kl``.  The transport is a fixed
+    linear map, so the whole table is its transpose applied to
+    ``delta^{1/2} y``: two matrix products, with no per-block basis.
+    """
+    spectra = (ctx.sqrt_delta * rows)[::-1] @ ctx._from_chart.T
+    return (spectra * ctx.phase[::-1]) @ ctx.wave_spectra.T / ctx.box.grid_size
+
+
 def _conjugated_rows(ctx, i: int) -> np.ndarray:
     """Grid rows of ``eps_kl = J e_kl`` for the block ``k`` of row i.
 
     Row l holds ``delta_{-k}^{1/2} conj(e_l o F_{-k})``, the block
     ``-k`` component (the only one that is nonzero), at grid resolution.
+    This per-block form serves the reference basis
+    :func:`nctorus.fourier.epsilon_basis` and the Dirac eta = 1/2 oracle.
     """
     flip = ctx.box.n_blocks - 1 - i
     return ctx.sqrt_delta[flip] * np.conj(
         ctx.from_chart(ctx.wave_spectra, ctx.phase[flip]))
 
 
-def apply_J(x: GnsVector, d: DiffeoSpec,
-            tail_tol: float = _DEFAULT_TAIL) -> GnsVector:
+def apply_J(x: GnsVector, d: DiffeoSpec) -> GnsVector:
     """Modular conjugation, an antiunitary involution."""
     rows = _j_on_grid(_context(d, x.box), x.on_grid())
-    return _reproject(x, rows, tail_tol, "J")
+    return _reproject(x, rows, "J")
 
 
-def tomita_check(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
-                 tail_tol: float = _DEFAULT_TAIL) -> float:
+def tomita_check(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> float:
     """Deviation of ``J Delta^{1/2} pi(f) xi`` from ``pi(f*) xi``."""
     xi = vacuum(box)
-    left = apply_J(apply_delta_power(represent(f, d, box).apply(xi), 1.0, d,
-                                     tail_tol), d, tail_tol)
+    root = apply_delta_power(represent(f, d, box).apply(xi), 1.0, d)
+    left = apply_J(root, d)
     right = represent(involution(f), d, box).apply(xi)
     return (left - right).norm()
 
@@ -114,8 +125,7 @@ def _fn_values(fn, t: np.ndarray, inverse: bool = False,
     raise ValueError(f"unknown function descriptor {fn!r}")
 
 
-def borel_apply(x: GnsVector, fn, d: DiffeoSpec,
-                tail_tol: float = _DEFAULT_TAIL) -> GnsVector:
+def borel_apply(x: GnsVector, fn, d: DiffeoSpec) -> GnsVector:
     """Apply ``fn(Delta)`` for fn in the small dictionary.
 
     ``fn`` is ``("power", a)`` for ``t^a`` or ``("rational", num, den)``
@@ -123,11 +133,10 @@ def borel_apply(x: GnsVector, fn, d: DiffeoSpec,
     """
     ctx = _context(d, x.box)
     rows = x.on_grid() * _fn_values(fn, ctx.delta)
-    return _reproject(x, rows, tail_tol, "Borel calculus")
+    return _reproject(x, rows, "Borel calculus")
 
 
-def conjugated_borel_apply(x: GnsVector, fn, d: DiffeoSpec,
-                           tail_tol: float = _DEFAULT_TAIL) -> GnsVector:
+def conjugated_borel_apply(x: GnsVector, fn, d: DiffeoSpec) -> GnsVector:
     """Apply ``J fn(Delta) J`` with intermediates at grid resolution.
 
     Only the final result is projected back onto the retained band, so
@@ -137,15 +146,14 @@ def conjugated_borel_apply(x: GnsVector, fn, d: DiffeoSpec,
     rows = _j_on_grid(ctx, x.on_grid())
     rows = rows * _fn_values(fn, ctx.delta)
     rows = _j_on_grid(ctx, rows)
-    return _reproject(x, rows, tail_tol, "conjugated Borel calculus")
+    return _reproject(x, rows, "conjugated Borel calculus")
 
 
-def borel_identity_check(fn, x: GnsVector, d: DiffeoSpec,
-                         tail_tol: float = _DEFAULT_TAIL) -> float:
+def borel_identity_check(fn, x: GnsVector, d: DiffeoSpec) -> float:
     """Deviation in ``J fn(Delta) J = conj-fn(Delta^{-1})`` applied to x."""
-    left = conjugated_borel_apply(x, fn, d, tail_tol)
+    left = conjugated_borel_apply(x, fn, d)
     ctx = _context(d, x.box)
     rows = x.on_grid() * _fn_values(fn, ctx.delta, inverse=True,
                                     conjugate=True)
-    right = _reproject(x, rows, tail_tol, "Borel calculus")
+    right = _reproject(x, rows, "Borel calculus")
     return (left - right).norm()

@@ -114,8 +114,11 @@ def dynamics_suite(d: DiffeoSpec, box: TruncationBox,
         dn = density[n]
         worst_mean = np.maximum(worst_mean, abs(float(np.mean(dn)) - 1.0))
         fn = dynamics.iterate_lift(d, n, ctx.x) % 1.0
+        # radon_nikodym(d, m, x=fn) for every m, from one solve at fn
+        un = d.lift.inverse(fn)
+        dun = d.lift.derivative(un)
         for m in range(-4, 5):
-            rhs = dynamics.radon_nikodym(d, m, x=fn) * dn
+            rhs = d.lift.derivative(un + 2.0 * d.alpha * m) / dun * dn
             worst_cocycle = np.maximum(
                 worst_cocycle, float(np.max(np.abs(density[m + n] - rhs))))
     rho = dynamics.rotation_number(d, iterations=256)

@@ -1,10 +1,12 @@
 """Hat and paren transforms, inversion, Dirichlet coefficient tables."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nctorus import dynamics, fourier, gns, weyl
+from nctorus import dynamics, fourier, gns, modular, weyl
 from nctorus.errors import GridTooSmallError
 from nctorus.gns import TruncationBox
 
@@ -63,6 +65,71 @@ def test_epsilon_basis_is_near_orthonormal(bench, box):
             nrm = np.linalg.norm(eps[k0 + k, l0 + l])
             assert abs(nrm - 1.0) < 1e-6
             assert nrm <= 1.0 + 1e-12
+
+
+def unflipped_pairings(ctx, rows):
+    """Mutant of the eps pairings that pairs block k with eps_kl's block k,
+    not its block -k."""
+    moved = (ctx.sqrt_delta * rows) @ ctx._from_chart.T
+    return moved * ctx.phase @ ctx.wave_spectra.T / ctx.box.grid_size
+
+
+def paren_deviations(d, box, rng):
+    """Deviations of the three paren transforms from the explicit
+    conjugated basis: the eps table and its grid rows, block by block."""
+    eps = fourier.epsilon_basis(d, box)
+    ctx = gns._context(d, box)
+    nb = box.n_blocks
+    flips = nb - 1 - np.arange(nb)
+
+    x = gns.random_vector(rng, box)
+    want = np.stack([np.conj(eps[i]) @ x.coeffs[flips[i]] for i in range(nb)])
+    vector = np.max(np.abs(fourier.paren_vector(x, d).table - want))
+
+    f = weyl.random_element(rng, d.alpha, 2, decay=1.0)
+    rows = (gns.represent(f, d, box).apply_to_grid(gns.vacuum(box).on_grid())
+            * ctx.sqrt_delta)
+    want = np.stack([np.conj(modular._conjugated_rows(ctx, i)) @ rows[flips[i]]
+                     for i in range(nb)]) / box.grid_size
+    got = fourier.paren_functional(f, d, box, route="modular").table
+    functional = np.max(np.abs(got - want))
+
+    table = (rng.standard_normal((nb, box.n_modes))
+             + 1j * rng.standard_normal((nb, box.n_modes)))
+    want = np.zeros_like(table)
+    for i in range(nb):
+        want[flips[i]] = table[i] @ eps[i]
+    got = fourier.anti_transform(fourier.FourierCoeffs("paren", table, box), d)
+    synthesis = np.linalg.norm(got.coeffs - want) / np.linalg.norm(want)
+    return vector, functional, synthesis
+
+
+@pytest.mark.parametrize("box", [TruncationBox(6, 8), TruncationBox(16, 16)])
+def test_paren_transforms_match_the_epsilon_basis(bench, box, rng):
+    assert max(paren_deviations(bench, box, rng)) <= 1e-13
+
+
+def test_epsilon_comparison_rejects_an_unflipped_pairing(bench, small_box,
+                                                         rng, monkeypatch):
+    monkeypatch.setattr(fourier, "_epsilon_pairings", unflipped_pairings)
+    vector, functional, _ = paren_deviations(bench, small_box, rng)
+    assert vector > 1e-3 and functional > 1e-3
+
+
+def test_paren_transforms_retain_no_table(bench, rng):
+    """The pairing and the synthesis leave nothing on the context."""
+    box = TruncationBox(32, 32)
+    gns._context(bench, box)
+    x = gns.random_vector(rng, box)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        back = fourier.anti_transform(fourier.paren_vector(x, bench), bench)
+        del back
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 ** 20
 
 
 def test_classical_limit_matches_swapped_coefficients(rng):

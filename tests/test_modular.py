@@ -1,6 +1,8 @@
 """Modular conjugation, modular operator powers, Borel calculus."""
 
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,8 +143,10 @@ def test_j_matches_the_pointwise_definition(case, tol, request, small_box,
     d = request.getfixturevalue(case)
     x = gns.random_vector(rng, small_box)
     ref = band(small_box, j_reference(x, d))
-    got = modular.apply_J(x, d, tail_tol=np.inf)
-    assert np.max(np.abs(got.coeffs - ref)) <= tol
+    # the band of the J rows, without the aliasing guard of apply_J
+    got = band(small_box, modular._j_on_grid(gns._context(d, small_box),
+                                             x.on_grid()))
+    assert np.max(np.abs(got - ref)) <= tol
     eps = fourier.epsilon_basis(d, small_box)
     kb, mb = small_box.block_bound, small_box.mode_bound
     for k, l in ((-6, 8), (0, -3), (3, 5), (6, -8), (-2, 0)):
@@ -195,3 +199,12 @@ def test_reprojection_fails_closed_on_nan(bench, small_box, rng, op):
         op(x, bench)
     zero = gns.GnsVector.zeros(small_box)
     assert op(zero, bench).norm() == 0.0
+
+
+def test_only_gns_and_modular_name_the_transport():
+    """The J transport is built in the context and applied in modular."""
+    package = Path(gns.__file__).parent
+    users = [path.name for path in sorted(package.glob("*.py"))
+             if re.search(r"to_chart|from_chart|wave_spectra",
+                          path.read_text())]
+    assert users == ["gns.py", "modular.py"]

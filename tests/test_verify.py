@@ -74,9 +74,9 @@ def test_one_nan_hat_coefficient_fails_wts_generators(rot, small_box,
 
 def test_dynamics_suite_solves_each_density_once(bench, small_box,
                                                  monkeypatch):
-    """17 distinct densities, 9 iterates and the 81 right-hand densities
-    are the only grid inverse solves; the orbit of the rotation number
-    solves at single points."""
+    """17 distinct densities, 9 iterates and one solve at each iterate
+    for its 9 right-hand densities are the only grid inverse solves; the
+    orbit of the rotation number solves at single points."""
     from nctorus import gns
 
     gns._context(bench, small_box)
@@ -91,4 +91,4 @@ def test_dynamics_suite_solves_each_density_once(bench, small_box,
     monkeypatch.setattr(dynamics.ConjugatorLift, "inverse", counting)
     rows = verify.dynamics_suite(bench, small_box, tolerances.resolve())
     assert all(r.passed for r in rows)
-    assert len(grid_calls) == 17 + 9 + 81
+    assert len(grid_calls) == 17 + 9 + 9
