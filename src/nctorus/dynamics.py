@@ -34,7 +34,7 @@ class ConjugatorLift:
     ``sin_coeffs[k-1]`` and ``cos_coeffs[k-1]`` multiply ``sin(2 pi k x)``
     and ``cos(2 pi k x) - 1``.  Instantiation fails with
     :class:`PositivityError` when the derivative is not positive on a
-    dense grid.
+    dense grid; a NaN derivative counts as not positive.
     """
 
     sin_coeffs: tuple[float, ...] = ()
@@ -46,11 +46,10 @@ class ConjugatorLift:
         object.__setattr__(self, "cos_coeffs",
                            tuple(float(b) for b in self.cos_coeffs))
         x = np.arange(_CHECK_GRID) / _CHECK_GRID
-        deriv = self.derivative(x)
-        if float(np.min(deriv)) <= 1e-9:
+        low = float(np.min(self.derivative(x)))
+        if not low > 1e-9:
             raise PositivityError(
-                "lift derivative is not strictly positive; "
-                f"min H' = {float(np.min(deriv)):.3e}")
+                f"lift derivative not strictly positive: min H' = {low:.3e}")
         disp = self.displacement(x)
         object.__setattr__(self, "_disp_lo", float(np.min(disp)) - 1e-9)
         object.__setattr__(self, "_disp_hi", float(np.max(disp)) + 1e-9)
@@ -83,7 +82,8 @@ class ConjugatorLift:
     def inverse(self, y):
         """Solve ``H(x) = y`` by bracketed bisection plus Newton polish.
 
-        Bisection runs to interval width 1e-8, Newton to residual 1e-13.
+        Bisection runs to interval width 1e-8, Newton to residual 1e-13;
+        any other residual, NaN included, raises :class:`InverseSolveError`.
         Vectorized; scalar input returns a scalar.
         """
         scalar = np.isscalar(y) or np.asarray(y).ndim == 0
@@ -106,10 +106,10 @@ class ConjugatorLift:
                 if float(np.max(np.abs(resid))) <= _NEWTON_RESIDUAL:
                     break
                 x = x - resid / self.derivative(x)
-            resid = float(np.max(np.abs(self.value(x) - y_arr)))
-            if resid > _NEWTON_RESIDUAL:
-                raise InverseSolveError(
-                    f"inverse residual {resid:.3e} above {_NEWTON_RESIDUAL}")
+        resid = float(np.max(np.abs(self.value(x) - y_arr)))
+        if not resid <= _NEWTON_RESIDUAL:
+            raise InverseSolveError(
+                f"inverse residual {resid:.3e} above {_NEWTON_RESIDUAL}")
         return float(x[0]) if scalar else x
 
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .dynamics import DiffeoSpec
 from .errors import GridTooSmallError
-from .gns import GnsVector, TruncationBox, _context, represent, vacuum
+from .gns import (GnsVector, TruncationBox, _context, _u_kl_rows, represent,
+                  vacuum)
 from .grids import at_modes, project_to_modes, spectrum
 from .modular import _conjugated_rows, _epsilon_pairings, _j_on_grid
 from .weyl import WeylElement
@@ -188,11 +189,9 @@ def dirichlet_coefficient_table(n: int, d: DiffeoSpec,
     diagonal multiplier against the Dirichlet kernel; on the generators
     this produces the 0/1 indicator table supported on the k = 0 row.
     The adjoint of ``u_kl`` has a shift-0 term only when k = 0, so only
-    that row is built; its block-0 multiplier is the conjugate of the
-    block-0 row of ``u_0l``.
+    that row is filled; its block-0 multipliers are the conjugates of the
+    block-0 rows of the ``u_0l``, evaluated together as one stack.
     """
-    from .gns import build_u_kl
-
     g = box.grid_size
     if g < n + box.mode_bound + 48:
         raise GridTooSmallError(
@@ -202,11 +201,9 @@ def dirichlet_coefficient_table(n: int, d: DiffeoSpec,
     ctx = _context(d, box)
     js = np.arange(-n, n + 1)
     kernel = np.exp(1j * np.multiply.outer(js, ctx.theta)).sum(axis=0)
-    row0 = box.block_bound
     table = np.zeros((box.n_blocks, box.n_modes), dtype=complex)
-    for j, l in enumerate(box.modes()):
-        mult = np.conj(build_u_kl(d, box, 0, int(l)).terms[0][row0])
-        table[row0, j] = np.mean(mult * kernel)
+    mults = np.conj(_u_kl_rows(d, box, 0, box.modes(), 0))
+    table[box.block_bound] = np.mean(mults * kernel, axis=-1)
     return FourierCoeffs("hat", table, box)
 
 

@@ -15,7 +15,7 @@ Dirac blocks) reuses the cached per-box context built here: one inverse
 solve into the chart ``u = h^{-1}``, the closed-form densities
 ``delta_n`` and the chart transport ``y -> y o F_n`` (resample, phase,
 resample) that every use of J goes through.  The generator products
-``u_kl`` are closed forms in the same chart, with no series behind them.
+``u_kl`` are uncached closed forms in the same chart, read row by row.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class _Context:
     densities ``delta_n = H'(u + 2 alpha n) / H'(u)`` follow in closed
     form, and transport along ``f^n``, ``y -> y o F_n`` on the grid,
     becomes resample, phase, resample: ``from_chart(to_chart(y), phase)``.
-    Memory is O(G^2 + (2K + 1) G); no per-(k, l) table is kept.
+    Memory is O(G^2 + (2K + 1) G); nothing per (k, l) is kept anywhere.
     """
 
     def __init__(self, d: DiffeoSpec, box: TruncationBox):
@@ -344,15 +344,18 @@ def conjugator_mode_table(d: DiffeoSpec, l: int, mode_bound: int) -> np.ndarray:
     return project_to_modes(values, mode_bound).coeffs
 
 
-@lru_cache(maxsize=None)
-def _u_kl_cached(d: DiffeoSpec, box: TruncationBox, k: int,
-                 l: int) -> GnsOperator:
+def _u_kl_rows(d: DiffeoSpec, box: TruncationBox, k, l, n) -> np.ndarray:
+    """Rows ``exp(2 pi i l F_{n-k}(x))``: row n of the shift-k ``u_kl``.
+
+    k, l and n broadcast; the grid is the appended last axis, so each
+    caller evaluates only the rows it reads and nothing is kept.
+    """
     ctx = _context(d, box)
     # F_j = H(u + 2 alpha j) is H(u + frac(2 alpha j)) plus an integer,
     # which l times drops out of the exponential.
-    shift = _cycles(2.0 * d.alpha, box.blocks() - k)
-    lift = d.lift.value(ctx.u[None, :] + shift[:, None])
-    return GnsOperator(box, {k: np.exp(2j * np.pi * l * lift)})
+    shift = _cycles(2.0 * d.alpha, n - k)
+    lift = d.lift.value(ctx.u + shift[..., None])
+    return np.exp(2j * np.pi * np.asarray(l)[..., None] * lift)
 
 
 def build_u_kl(d: DiffeoSpec, box: TruncationBox, k: int,
@@ -361,9 +364,10 @@ def build_u_kl(d: DiffeoSpec, box: TruncationBox, k: int,
 
     Its only shift is k, and row n of that shift is the closed-form
     multiplier ``exp(2 pi i l F_{n-k}(x))`` with ``F_j = H(u + 2 alpha j)``
-    in the chart ``u = H^{-1}(x)``; no series is truncated.
+    in the chart ``u = H^{-1}(x)``; no series is truncated, and nothing
+    is cached per ``(k, l)``.
     """
-    return _u_kl_cached(d, box, int(k), int(l))
+    return GnsOperator(box, {k: _u_kl_rows(d, box, k, l, box.blocks())})
 
 
 @lru_cache(maxsize=8)

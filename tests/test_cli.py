@@ -136,6 +136,10 @@ def test_bad_config_exits_one(tmp_path):
         bad_key = dict(ROTATION, element={"alpha": ROTATION["alpha"],
                                           "coeffs": [coeff]})
         assert run_cli(tmp_path, "star", bad_key)[0] == 1
+    nan_lift = {"diffeo": {"alpha": 0.3,
+                           "conjugator": {"sin": [float("nan")]}}}
+    for command in ("growth", "star"):
+        assert run_cli(tmp_path, command, nan_lift)[0] == 1
 
 
 def test_alpha_zero_requires_classical_flag(tmp_path):

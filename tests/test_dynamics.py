@@ -10,7 +10,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nctorus import dynamics
-from nctorus.errors import OutOfBoxError, PositivityError
+from nctorus.errors import (InverseSolveError, OutOfBoxError,
+                            PositivityError)
 
 GOLDEN_ALPHA = 0.30901699437494745  # (sqrt(5) - 1) / 4
 
@@ -121,3 +122,15 @@ def test_steep_lift_rejected():
     # amplitude 0.2 on the raw sine coefficient gives H' < 0 somewhere
     with pytest.raises(PositivityError):
         dynamics.ConjugatorLift(sin_coeffs=(0.2,))
+
+
+def test_nan_lift_rejected():
+    with pytest.raises(PositivityError):
+        dynamics.ConjugatorLift(sin_coeffs=(float("nan"),))
+
+
+@pytest.mark.parametrize("name", ["bench", "rot"])
+def test_inverse_refuses_a_nan_target(name, request):
+    lift = request.getfixturevalue(name).lift
+    with pytest.raises(InverseSolveError):
+        lift.inverse(np.array([0.1, np.nan]))

@@ -163,6 +163,22 @@ def test_dirichlet_table_is_an_indicator(bench, small_box):
             assert abs(table.table[k0 + k, l0 + l] - want) < 1e-8, (k, l)
 
 
+def test_dirichlet_table_is_bit_equal_to_the_per_mode_loop(bench):
+    """One stack of u_0l rows gives the bits of one u_0l at a time."""
+    box = TruncationBox(6, 8)
+    n = 5
+    js = np.arange(-n, n + 1)
+    kernel = np.exp(1j * np.multiply.outer(
+        js, gns._context(bench, box).theta)).sum(axis=0)
+    want = np.zeros((box.n_blocks, box.n_modes), dtype=complex)
+    row0 = box.block_bound
+    for j, l in enumerate(box.modes()):
+        mult = np.conj(gns.build_u_kl(bench, box, 0, l).terms[0][row0])
+        want[row0, j] = np.mean(mult * kernel)
+    got = fourier.dirichlet_coefficient_table(n, bench, box).table
+    assert got.tobytes() == want.tobytes()
+
+
 def test_dirichlet_sup_stays_pinned(bench):
     wide = TruncationBox(6, 8, grid_size=256)
     for n in (10, 100):

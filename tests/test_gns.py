@@ -6,6 +6,9 @@ exp(i t + 0.3 i sin t) up to the angle scaling.  scipy provides the
 independent oracle for that identity.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.special
@@ -179,6 +182,40 @@ def test_closed_form_u_kl_matches_the_series(name, request):
             assert set(got) == set(want) == {k}
             devs.append(np.max(np.abs(got[k] - want[k])))
     assert np.max(devs) < 1e-12
+
+
+def closed_form_u_kl(d, box, k, l):
+    """Whole shift-k multiplier of ``u_kl``, every row in one expression."""
+    ctx = gns._context(d, box)
+    shift = gns._cycles(2.0 * d.alpha, box.blocks() - k)
+    lift = d.lift.value(ctx.u[None, :] + shift[:, None])
+    return np.exp(2j * np.pi * l * lift)
+
+
+@pytest.mark.parametrize("name", ["bench", "rot"])
+def test_u_kl_rows_are_bit_equal_to_the_whole_multiplier(name, request):
+    d = request.getfixturevalue(name)
+    b = TruncationBox(6, 8)
+    for k in b.blocks():
+        for l in b.modes():
+            got = gns.build_u_kl(d, b, k, l).terms
+            assert set(got) == {k}
+            assert got[k].tobytes() == closed_form_u_kl(d, b, k, l).tobytes()
+
+
+def test_every_cache_is_bounded():
+    """No module memoizes without a finite size bound."""
+    package = Path(gns.__file__).parent
+    unbounded = []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        if re.search(r"functools\.cache\b|import .*\bcache\b|@cache\b", text):
+            unbounded.append(f"{path.name}: functools.cache")
+        code = re.sub(r"(?m)^\s*(from|import) .*$", "", text)
+        for args in re.findall(r"\blru_cache\b(\([^)]*\))?", code):
+            if not re.fullmatch(r"\(maxsize=[1-9][0-9]*\)", args):
+                unbounded.append(f"{path.name}: lru_cache{args}")
+    assert unbounded == []
 
 
 def test_represent_matches_the_per_coefficient_loop(bench, small_box):

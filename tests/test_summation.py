@@ -74,6 +74,11 @@ def test_transference_point_must_be_unimodular():
     assert abs(abs(w.w2) - 1.0) < 1e-15
     with pytest.raises(ValueError):
         summation.TransferencePoint(1.5, 1.0)
+    for bad in (complex("nan"), float("nan"), complex("inf")):
+        with pytest.raises(ValueError):
+            summation.TransferencePoint(bad, 1.0)
+        with pytest.raises(ValueError):
+            summation.TransferencePoint(1.0, bad)
 
 
 def test_transfer_vector_twists_coefficients(bench, small_box):
@@ -138,3 +143,62 @@ def test_transference_integral_route(bench, box, rng):
     assert dev < 1e-9
     with pytest.raises(GridTooSmallError):
         summation.transference_integral_check(x, 3, 6, bench)
+
+
+def per_pair_wts(f, w, d, box, radius):
+    """Weak transference with one transferred ``u_kl`` operator per pair."""
+    x = gns.represent(f, d, box).apply(gns.vacuum(box))
+    xi = gns.vacuum(box)
+    worst = 0.0
+    kr = min(radius, box.block_bound)
+    lr = min(radius, box.mode_bound)
+    for k in range(-kr, kr + 1):
+        for l in range(-lr, lr + 1):
+            u = summation.transfer_operator(gns.build_u_kl(d, box, k, l), w)
+            lhs = x.inner(u.apply(xi))
+            rhs = w.w1 ** (-l) * w.w2 ** (-k) * x.block(k)[box.mode_bound + l]
+            worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def wts_cases(d, rng):
+    points = [summation.TransferencePoint.from_angles(1.1, 2.3),
+              summation.TransferencePoint.from_angles(4.0, 0.7)]
+    elements = [weyl.WeylElement.generator(d.alpha, 1, 2),
+                weyl.random_element(rng, d.alpha, 2, decay=1.0)]
+    return [(f, w) for w in points for f in elements]
+
+
+@pytest.mark.parametrize("box", [TruncationBox(6, 8), TruncationBox(16, 16)])
+def test_batched_wts_matches_the_per_pair_loop(bench, box, rng):
+    for f, w in wts_cases(bench, rng):
+        got = summation.wts_deviation(f, w, bench, box, 8)
+        assert abs(got - per_pair_wts(f, w, bench, box, 8)) <= 1e-15
+
+
+def _next_row(real):
+    return lambda d, box, k, l, n: real(d, box, k, l, n + 1)
+
+
+def _unphased(real, w):
+    def rotate(rows, angle):
+        ks = np.arange(rows.shape[0]) - rows.shape[0] // 2
+        return real(rows, angle) * (w.w2 ** -ks)[:, None, None]
+    return rotate
+
+
+@pytest.mark.parametrize("mutant", ["row n = k + 1", "no w2^k", "unrotated"])
+def test_wts_gate_rejects_mutants(bench, small_box, monkeypatch, mutant):
+    """Reading the wrong row, dropping the block phase or skipping the
+    rotation each break the 1e-12 wts_generators gate."""
+    w = summation.TransferencePoint.from_angles(1.1, 2.3)
+    if mutant == "row n = k + 1":
+        monkeypatch.setattr(summation, "_u_kl_rows",
+                            _next_row(summation._u_kl_rows))
+    elif mutant == "no w2^k":
+        monkeypatch.setattr(summation, "rotate",
+                            _unphased(summation.rotate, w))
+    else:
+        monkeypatch.setattr(summation, "rotate", lambda rows, angle: rows)
+    f = weyl.WeylElement.generator(bench.alpha, 1, 2)
+    assert summation.wts_deviation(f, w, bench, small_box, 8) > 1e-12

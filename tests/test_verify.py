@@ -1,11 +1,13 @@
 """Verification suites fail closed on non-finite deviations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
-from nctorus import dirac, dynamics, fourier, modular, summation, tolerances
-from nctorus import verify
+from nctorus import dirac, dynamics, fourier, gns, modular, summation
+from nctorus import tolerances, verify
+from nctorus.gns import TruncationBox
 
 
 def test_nan_tomita_deviation_fails(rot, small_box, monkeypatch):
@@ -77,8 +79,6 @@ def test_dynamics_suite_solves_each_density_once(bench, small_box,
     """17 distinct densities, 9 iterates and one solve at each iterate
     for its 9 right-hand densities are the only grid inverse solves; the
     orbit of the rotation number solves at single points."""
-    from nctorus import gns
-
     gns._context(bench, small_box)
     grid_calls = []
     inverse = dynamics.ConjugatorLift.inverse
@@ -92,3 +92,19 @@ def test_dynamics_suite_solves_each_density_once(bench, small_box,
     rows = verify.dynamics_suite(bench, small_box, tolerances.resolve())
     assert all(r.passed for r in rows)
     assert len(grid_calls) == 17 + 9 + 9
+
+
+def test_wts_suite_retains_no_multipliers(bench):
+    """The transference sweep keeps nothing per (k, l) once it returns."""
+    box = TruncationBox(16, 16)
+    gns._context(bench, box)
+    tols, rng = tolerances.resolve(), np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = verify.wts_suite(bench, box, tols, rng)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(row.passed for row in rows)
+    assert retained < 2 ** 20
