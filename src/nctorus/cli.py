@@ -213,6 +213,8 @@ def _smoothing(env: dict, out: Path, name: str) -> int:
         params = section.get("radii", [0.9, 0.99, 0.999])
         kernels = [summation.SummationKernel("abel", radius=float(r))
                    for r in params]
+    if len(kernels) < 2:
+        raise ValueError(f"{name} needs at least two kernels to compare")
     rows = summation.convergence_profile(f, d, box, kind, kernels)
     csv_name = f"{name}_convergence.csv"
     _write_csv(out / csv_name, ["parameter", "l2_error", "sup_coeff_error"],
@@ -245,6 +247,12 @@ def _cmd_dirac(env: dict, out: Path) -> int:
     master_radius = min(int(section.get("master_radius", 4)),
                         box.block_bound, box.mode_bound)
     growth = dynamics.growth_sequence(d, max(radius, box.block_bound) + 1)
+    # an empty element table raises here, before any artifact is written
+    elements = dirac.master_elements(
+        d, box, master_radius, [e for e in etas if e in (0.0, 0.5, 1.0)],
+        growth)
+    master = verify.check("dirac_master", dirac.element_deviation(elements),
+                          tols["dirac_master"])
     rows = dirac.resolvent_profile(d, box, range(-radius, radius + 1), etas,
                                    growth, tols["dirac_bound_slack"])
     _write_csv(out / "dirac_blocks.csv",
@@ -253,16 +261,10 @@ def _cmd_dirac(env: dict, out: Path) -> int:
                  row["margin"]] for row in rows])
     telescoping, margin, commutator = verify.dirac_bound_checks(
         d, box, tols, growth, rows, radius, ("shift",))
-    elements = dirac.master_elements(
-        d, box, master_radius, [e for e in etas if e in (0.0, 0.5, 1.0)],
-        growth)
     _write_csv(out / "dirac_elements.csv",
                ["eta", "k", "l", "s", "re", "im", "deviation"],
                [[eta, k, l, s, closed.real, closed.imag, dev]
                 for eta, k, l, s, closed, dev in elements])
-    master = verify.check(
-        "dirac_master", dirac.element_deviation(elements),
-        tols["dirac_master_rotation" if d.is_rotation else "dirac_master"])
     report = {
         "master_deviation": master.observed,
         "master_tolerance": master.tolerance,

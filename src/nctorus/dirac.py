@@ -215,7 +215,9 @@ def master_elements(d: DiffeoSpec, box: TruncationBox, radius: int,
 
 def element_deviation(rows: list[tuple]) -> float:
     """Sup of the deviation column of :func:`master_elements` rows."""
-    return float(np.max([row[-1] for row in rows], initial=0.0))
+    if not rows:
+        raise ValueError("no master elements (etas 0, 1/2, 1; radius >= 0)")
+    return float(np.max([row[-1] for row in rows]))
 
 
 def master_deviation(d: DiffeoSpec, box: TruncationBox, radius: int,

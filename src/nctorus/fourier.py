@@ -27,7 +27,8 @@ from .errors import GridTooSmallError
 from .gns import (GnsVector, TruncationBox, _context, _u_kl_rows, represent,
                   vacuum)
 from .grids import at_modes, project_to_modes, spectrum
-from .modular import _conjugated_rows, _epsilon_pairings, _j_on_grid
+from .modular import (_conjugated_rows, _epsilon_pairings, _j_on_grid,
+                      _root_rows)
 from .weyl import WeylElement
 
 
@@ -100,17 +101,14 @@ def paren_functional(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
     "modular" pairs ``Delta^{1/2} pi(a) xi`` against the conjugated
     basis.
     """
-    a = represent(f, d, box)
     if route == "modular":
-        # The whole pipeline stays at grid resolution: projecting the
-        # vacuum image or the conjugated basis onto the retained band
-        # first would charge the comparison with tail mass the vacuum
-        # route never sees.
-        ctx = _context(d, box)
-        rows = a.apply_to_grid(vacuum(box).on_grid()) * ctx.sqrt_delta
-        return FourierCoeffs("paren", _epsilon_pairings(ctx, rows), box)
+        # grid resolution throughout: a band cut would charge the
+        # comparison with tail mass the vacuum route never sees
+        table = _epsilon_pairings(_context(d, box), _root_rows(f, d, box))
+        return FourierCoeffs("paren", table, box)
     if route != "vacuum":
         raise ValueError(f"unknown route {route!r}")
+    a = represent(f, d, box)
     row0 = box.block_bound
     table = np.zeros((box.n_blocks, box.n_modes), dtype=complex)
     for i, k in enumerate(box.blocks()):

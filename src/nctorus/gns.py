@@ -269,14 +269,11 @@ class GnsOperator:
         Concretely the shift -s multiplier row n is the conjugate of the
         shift s multiplier row n + s, zero where that row leaves the box.
         """
-        k = self.box.block_bound
         new_terms: dict[int, np.ndarray] = {}
         for s, mult in self.terms.items():
             arr = np.zeros_like(mult)
-            for i in range(mult.shape[0]):
-                j = i + s
-                if 0 <= j < mult.shape[0]:
-                    arr[i] = np.conj(mult[j])
+            lo, hi = max(0, -s), max(0, -s, len(mult) - max(0, s))
+            arr[lo:hi] = np.conj(mult[lo + s:hi + s])
             new_terms[-s] = new_terms.get(-s, 0) + arr
         return GnsOperator(self.box, new_terms)
 

@@ -25,7 +25,7 @@ import numpy as np
 from .dynamics import DiffeoSpec
 from .errors import AliasingError, SingularBlockError
 from .gns import GnsVector, TruncationBox, _context, represent, vacuum
-from .grids import at_modes, spectrum, tail_mass
+from .grids import at_modes, project_to_modes, spectrum, tail_mass
 from .weyl import WeylElement, involution
 
 _DEFAULT_TAIL = 1e-6
@@ -98,12 +98,18 @@ def apply_J(x: GnsVector, d: DiffeoSpec) -> GnsVector:
     return _reproject(x, rows, "J")
 
 
+def _root_rows(f: WeylElement, d: DiffeoSpec, box: TruncationBox):
+    """Unprojected grid rows of ``Delta^{1/2} pi(f) xi``; built only here."""
+    rows = represent(f, d, box).apply_to_grid(vacuum(box).on_grid())
+    return rows * _context(d, box).sqrt_delta
+
+
 def tomita_check(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> float:
-    """Deviation of ``J Delta^{1/2} pi(f) xi`` from ``pi(f*) xi``."""
-    xi = vacuum(box)
-    root = apply_delta_power(represent(f, d, box).apply(xi), 1.0, d)
-    left = apply_J(root, d)
-    right = represent(involution(f), d, box).apply(xi)
+    """Deviation of ``J Delta^{1/2} pi(f) xi`` from ``pi(f*) xi``, the
+    left side composed on the grid and projected once."""
+    rows = _j_on_grid(_context(d, box), _root_rows(f, d, box))
+    left = GnsVector(box, project_to_modes(rows, box.mode_bound).coeffs)
+    right = represent(involution(f), d, box).apply(vacuum(box))
     return (left - right).norm()
 
 

@@ -23,7 +23,7 @@ from .fourier import (FourierCoeffs, anti_transform, hat_functional,
 from .gns import (GnsOperator, GnsVector, TruncationBox, _u_kl_rows,
                   represent, vacuum)
 from .grids import project_to_modes, rotate
-from .modular import apply_delta_power
+from .modular import _root_rows
 from .weyl import WeylElement
 
 
@@ -124,11 +124,11 @@ def table_of(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
 def summation_reference(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
                         kind: str) -> GnsVector:
     """Limit object of the smoothed series for each kind."""
-    x = represent(f, d, box).apply(vacuum(box))
     if kind == "hat":
-        return x
+        return represent(f, d, box).apply(vacuum(box))
     if kind == "paren":
-        return apply_delta_power(x, 1.0, d)
+        rows = _root_rows(f, d, box)
+        return GnsVector(box, project_to_modes(rows, box.mode_bound).coeffs)
     raise ValueError(f"unknown kind {kind!r}")
 
 

@@ -1,8 +1,8 @@
 """Central tolerance table used by the verification suites and the CLI.
 
-The defaults are pinned for the benchmark configuration (golden-ratio
-alpha, one-harmonic conjugator, block and mode bounds 16, grid 256).
-``resolve`` merges user overrides and an optional global scale factor.
+One tolerance per check on every dynamics: exact identities sit at
+1e-12 or tighter, the rest at values measured on the benchmark dynamics
+at K = M = 16, G = 256.  ``resolve`` applies overrides and a scale.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ DEFAULTS: dict[str, float] = {
     "gram": 1e-14,
     "u_kl_vacuum": 1e-8,
     "homomorphism": 1e-10,
-    "tomita": 1e-7,
-    "tomita_rotation": 1e-9,
+    "tomita": 1e-12,
     "borel": 1e-9,
     "paren_routes": 1e-7,
     "parseval": 1e-12,
@@ -34,8 +33,7 @@ DEFAULTS: dict[str, float] = {
     "transference_integral": 1e-9,
     "dirichlet_band": 0.2,
     "dirichlet_table": 1e-8,
-    "dirac_master": 1e-7,
-    "dirac_master_rotation": 1e-12,
+    "dirac_master": 1e-12,
     "dirac_bound_slack": 1e-6,
     "telescoping": 1e-12,
 }

@@ -47,10 +47,10 @@ def ratio_band_checks(names, rows: list[dict], low: float,
 
 def decrease_check(name: str, rows: list[dict],
                    note: str = "") -> CheckResult:
-    """Passes when ``l2_error`` strictly decreases; observed: least drop."""
+    """Passes when ``l2_error`` has drops, all positive; observed: least."""
     drops = -np.diff([row["l2_error"] for row in rows])
     return CheckResult(name, float(np.min(drops, initial=np.inf)), 0.0,
-                       bool(np.all(drops > 0.0)), note)
+                       bool(drops.size > 0 and np.all(drops > 0.0)), note)
 
 
 def weyl_relation_suite(alpha: float, tols: dict,
@@ -195,8 +195,6 @@ def gns_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
 
 def modular_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
                   rng: np.random.Generator, count: int = 20) -> list[CheckResult]:
-    tomita_tol = (tols["tomita_rotation"] if d.is_rotation
-                  else tols["tomita"])
     tomita_dev = 0.0
     for _ in range(count):
         f = weyl.random_element(rng, d.alpha, 2, decay=2.0)
@@ -224,7 +222,7 @@ def modular_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
             borel_dev = np.maximum(borel_dev,
                                    modular.borel_identity_check(fn, x, d))
     return [
-        check("tomita_conjugation", tomita_dev, tomita_tol,
+        check("tomita_conjugation", tomita_dev, tols["tomita"],
               f"{count} random interior elements"),
         check("j_involution", j_dev, tols["borel"]),
         check("j_antiunitary", anti_dev, tols["borel"]),
@@ -354,8 +352,7 @@ def dirichlet_suite(d: DiffeoSpec, box: TruncationBox,
 def dirac_master_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
                        radius: int = 8) -> list[CheckResult]:
     return [check("dirac_master", dirac.master_deviation(d, box, radius),
-                  tols["dirac_master_rotation" if d.is_rotation
-                       else "dirac_master"],
+                  tols["dirac_master"],
                   f"eta in {{0, 1/2, 1}}, |k|, |l|, |s| <= {radius}")]
 
 

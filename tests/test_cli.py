@@ -174,9 +174,29 @@ def test_non_finite_or_non_positive_tolerance_exits_one(tmp_path, tolerances,
     assert report is None
 
 
-@pytest.mark.parametrize("name", ["corner_adjoint", "reprojection_tail"])
+@pytest.mark.parametrize("command, section", [
+    ("abel", {"abel": {"radii": [0.9]}}),
+    ("fejer", {"fejer": {"orders": [4]}}),
+    ("dirac", {"dirac": {"etas": [0.25]}}),
+    ("dirac", {"dirac": {"master_radius": -1}}),
+], ids=["abel-one-radius", "fejer-one-order", "dirac-no-closed-form-eta",
+        "dirac-negative-master-radius"])
+def test_config_with_nothing_to_compare_exits_one(tmp_path, command, section):
+    # one radius or order has no drop or ratio to hold, and the master
+    # check has no element off eta in {0, 1/2, 1} or at a negative radius:
+    # a gate over nothing must not pass
+    code, out, report = run_cli(tmp_path, command, dict(BENCH, **section))
+    assert code == 1
+    assert report is None
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("name", ["corner_adjoint", "reprojection_tail",
+                                  "tomita_rotation", "dirac_master_rotation"])
 def test_removed_tolerance_names_exit_one(tmp_path, name):
-    # neither key was ever read; naming one is an unknown tolerance now
+    # each key was deleted from the table (the first two were never read,
+    # the rotation keys gave way to one tolerance per identity); naming
+    # one is an unknown tolerance now
     config = dict(ROTATION, tolerances={name: 1e-9})
     code, _, report = run_cli(tmp_path, "star", config)
     assert code == 1

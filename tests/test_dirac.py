@@ -75,7 +75,7 @@ def test_closed_form_rotation_values():
 
 
 def test_master_deviation_benchmark(bench, box):
-    assert dirac.master_deviation(bench, box, 4) < 1e-7
+    assert dirac.master_deviation(bench, box, 4) < 1e-12
 
 
 def test_master_deviation_rotation(rot, box):

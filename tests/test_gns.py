@@ -104,6 +104,26 @@ def test_adjoint_matches_involution(bench, small_box, rng):
     assert abs(lhs - a.adjoint().apply(y).inner(x).conjugate()) < 1e-10
 
 
+def test_adjoint_slices_match_the_row_loop(rng):
+    """One slice per shift gives the old per-row copy bit for bit,
+    including shifts that move every row out of the box."""
+    b = TruncationBox(3, 4)
+    shape = (b.n_blocks, b.grid_size)
+    terms = {s: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+             for s in range(-9, 10)}
+    expected: dict[int, np.ndarray] = {}
+    for s, mult in terms.items():
+        arr = np.zeros_like(mult)
+        for i in range(mult.shape[0]):
+            if 0 <= i + s < mult.shape[0]:
+                arr[i] = np.conj(mult[i + s])
+        expected[-s] = arr
+    got = gns.GnsOperator(b, terms).adjoint().terms
+    assert sorted(got) == sorted(expected)
+    for s, arr in expected.items():
+        assert np.array_equal(got[s], arr), s
+
+
 def test_dense_matrix_agrees_with_apply(bench, rng):
     b = TruncationBox(2, 3)
     f = weyl.random_element(rng, bench.alpha, 2, decay=0.5)

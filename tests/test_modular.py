@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nctorus import dynamics, fourier, gns, modular, weyl
+from nctorus import dynamics, fourier, gns, modular, tolerances, weyl
 from nctorus.errors import AliasingError, SingularBlockError
 from nctorus.gns import TruncationBox
 
@@ -64,21 +64,61 @@ def test_j_fixes_the_vacuum(bench, box):
     assert (modular.apply_J(xi, bench) - xi).norm() < 1e-12
 
 
-def test_tomita_on_the_benchmark(bench, box, rng):
-    """S pi(a) xi = pi(a*) xi within the truncation tail."""
+def tomita_worst(d, box, rng, count=5):
     worst = 0.0
-    for _ in range(5):
-        f = weyl.random_element(rng, bench.alpha, 2, decay=2.0)
-        worst = max(worst, modular.tomita_check(f, bench, box))
-    assert worst < 1e-7
+    for _ in range(count):
+        f = weyl.random_element(rng, d.alpha, 2, decay=2.0)
+        worst = max(worst, modular.tomita_check(f, d, box))
+    return worst
+
+
+def test_tomita_on_the_benchmark(bench, box, rng):
+    """S pi(a) xi = pi(a*) xi to roundoff: the chain is composed on the
+    grid and projected once."""
+    assert tomita_worst(bench, box, rng) < 1e-12
 
 
 def test_tomita_rotation_case_is_exact(rot, box, rng):
-    worst = 0.0
-    for _ in range(5):
-        f = weyl.random_element(rng, rot.alpha, 2, decay=2.0)
-        worst = max(worst, modular.tomita_check(f, rot, box))
-    assert worst < 1e-12
+    assert tomita_worst(rot, box, rng) < 1e-12
+
+
+@pytest.mark.parametrize("case", ["bench", "rot"])
+@pytest.mark.parametrize("bounds", [(6, 8), (8, 8)])
+def test_tomita_is_exact_on_small_boxes(case, bounds, request, rng):
+    # with a band cut between Delta^{1/2} and J the aliasing guard trips
+    # on the benchmark dynamics at these boxes
+    d = request.getfixturevalue(case)
+    assert tomita_worst(d, TruncationBox(*bounds), rng) < 1e-12
+
+
+def _root_rows_power(power):
+    def rows(f, d, box):
+        root = gns.represent(f, d, box).apply_to_grid(
+            gns.vacuum(box).on_grid())
+        return root * gns._context(d, box).delta ** power
+    return rows
+
+
+def _j_without_conjugate(ctx, rows):
+    spectra = ctx.to_chart(rows[::-1])
+    return ctx.sqrt_delta * ctx.from_chart(spectra, ctx.phase)
+
+
+def _j_without_flip(ctx, rows):
+    spectra = ctx.to_chart(rows)
+    return ctx.sqrt_delta * np.conj(ctx.from_chart(spectra, ctx.phase))
+
+
+@pytest.mark.parametrize("attr, mutant", [
+    ("_root_rows", _root_rows_power(0.5001)),
+    ("_root_rows", _root_rows_power(0.0)),
+    ("_j_on_grid", _j_without_conjugate),
+    ("_j_on_grid", _j_without_flip),
+], ids=["delta-power-0.5001", "no-sqrt-delta", "no-conjugate", "no-flip"])
+def test_tomita_gate_catches_mutants(bench, small_box, rng, monkeypatch,
+                                     attr, mutant):
+    monkeypatch.setattr(modular, attr, mutant)
+    assert tomita_worst(bench, small_box, rng) > tolerances.DEFAULTS["tomita"]
 
 
 def test_borel_identity(bench, box, rng):
@@ -202,9 +242,10 @@ def test_reprojection_fails_closed_on_nan(bench, small_box, rng, op):
 
 
 def test_only_gns_and_modular_name_the_transport():
-    """The J transport is built in the context and applied in modular."""
+    """The J transport and ``delta^{1/2}`` are built in the context and
+    applied in modular, so ``Delta^{1/2} pi(f) xi`` has one composition."""
     package = Path(gns.__file__).parent
     users = [path.name for path in sorted(package.glob("*.py"))
-             if re.search(r"to_chart|from_chart|wave_spectra",
+             if re.search(r"to_chart|from_chart|wave_spectra|\bsqrt_delta\b",
                           path.read_text())]
     assert users == ["gns.py", "modular.py"]

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from nctorus import dirac, dynamics, fourier, gns, modular, summation
 from nctorus import tolerances, verify
@@ -22,6 +23,19 @@ def test_nan_tomita_deviation_fails(rot, small_box, monkeypatch):
 
 def _row(rows, name):
     return next(r for r in rows if r.name == name)
+
+
+def test_decrease_check_needs_a_drop():
+    for rows in ([], [{"l2_error": 0.5}]):
+        result = verify.decrease_check("abel_monotone", rows)
+        assert not result.passed
+    two = [{"l2_error": 0.5}, {"l2_error": 0.25}]
+    assert verify.decrease_check("abel_monotone", two).passed
+
+
+def test_empty_master_element_table_is_an_error():
+    with pytest.raises(ValueError):
+        dirac.element_deviation([])
 
 
 def test_one_nan_matrix_element_fails_dirac_master(rot, small_box,
