@@ -161,15 +161,21 @@ def _cmd_represent(env: dict, out: Path) -> int:
     endpoint = verify.check("hausdorff_young_endpoint",
                             np.maximum(sup - norm, 0.0),
                             env["tols"]["hausdorff_young_endpoint"])
+    # sup |f^| <= ||pi(f) xi|| <= ||pi(f)||; the second inequality's
+    # slack is a roundoff too, so it shares the endpoint's tolerance
+    operator_norm = operator.norm_estimate()
+    bound = verify.check("operator_norm_bound",
+                         np.maximum(norm - operator_norm, 0.0),
+                         env["tols"]["hausdorff_young_endpoint"])
     report = {
-        "operator_norm": operator.norm_estimate(),
+        "operator_norm": operator_norm,
         "vacuum_image_norm": norm,
         "sup_coefficient": sup,
         "endpoint_slack": endpoint.observed,
         "tolerance": endpoint.tolerance,
         "outputs": ["vacuum_image.csv", "represent_terms.csv"],
     }
-    return _finish(env, out, "represent", report, [endpoint])
+    return _finish(env, out, "represent", report, [endpoint, bound])
 
 
 def _cmd_fourier(env: dict, out: Path) -> int:

@@ -292,20 +292,51 @@ class GnsOperator:
     def __sub__(self, other: "GnsOperator") -> "GnsOperator":
         return self + other.scaled(-1.0)
 
+    def _block_rows(self):
+        """Block rows of the dense matrix, built one row at a time.
+
+        Yields ``(i, cols, blocks)`` per block row i: block ``(i, i - s)``
+        is the Toeplitz mode matrix of row i of shift s, and the row
+        holds one such block per shift that stays in the box.
+        """
+        nb, m = self.box.n_blocks, self.box.mode_bound
+        hats = {s: spectrum(mult) for s, mult in self.terms.items()}
+        for i in range(nb):
+            shifts = [s for s in hats if 0 <= i - s < nb]
+            yield (i, [i - s for s in shifts],
+                   [toeplitz(hats[s][i], m) for s in shifts])
+
     def dense(self) -> np.ndarray:
         """Dense matrix in the ``basis_vector`` ordering (blocks outer)."""
         box = self.box
         nb, nm = box.n_blocks, box.n_modes
         out = np.zeros((nb, nm, nb, nm), dtype=complex)
-        for s, mult in self.terms.items():
-            hats = spectrum(mult)
-            for i in range(max(0, s), min(nb, nb + s)):
-                out[i, :, i - s, :] = toeplitz(hats[i], box.mode_bound)
+        for i, cols, blocks in self._block_rows():
+            for j, block in zip(cols, blocks):
+                out[i, :, j, :] = block
         return out.reshape(box.dim, box.dim)
 
     def norm_estimate(self) -> float:
-        """Spectral norm of the dense truncation."""
-        return float(np.linalg.norm(self.dense(), ord=2))
+        """Spectral norm of the dense truncation, ``sqrt(lambda_max(A^H A))``.
+
+        The Gram matrix is summed block row by block row without forming
+        A: row i, its blocks ``B_i`` side by side, adds ``B_i^H B_i`` to
+        the blocks (j, j') of its columns.  Memory is one Gram matrix
+        plus one block row; the Hermitian eigensolve of the Gram replaces
+        the SVD of A at the same relative accuracy.
+        """
+        box = self.box
+        nb, nm = box.n_blocks, box.n_modes
+        gram = np.zeros((nb, nm, nb, nm), dtype=complex)
+        for _, cols, blocks in self._block_rows():
+            if not cols:
+                continue
+            row = np.hstack(blocks)
+            p, j = len(cols), np.array(cols)
+            pairs = (row.conj().T @ row).reshape(p, nm, p, nm)
+            gram[j[:, None], :, j[None, :], :] += pairs.transpose(0, 2, 1, 3)
+        top = np.linalg.eigvalsh(gram.reshape(box.dim, box.dim))[-1]
+        return float(np.sqrt(max(top, 0.0)))
 
 
 def represent(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> GnsOperator:

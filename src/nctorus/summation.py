@@ -132,13 +132,16 @@ def summation_reference(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def _damped(table: FourierCoeffs, kernel: SummationKernel) -> FourierCoeffs:
+    box = table.box
+    return table.damped(kernel.coefficients(box.blocks()),
+                        kernel.coefficients(box.modes()))
+
+
 def smoothed_mean(table: FourierCoeffs, kernel: SummationKernel,
                   d: DiffeoSpec) -> GnsVector:
     """Kernel-damped anti-transform of a coefficient table."""
-    box = table.box
-    damped = table.damped(kernel.coefficients(box.blocks()),
-                          kernel.coefficients(box.modes()))
-    return anti_transform(damped, d)
+    return anti_transform(_damped(table, kernel), d)
 
 
 def convergence_profile(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
@@ -152,9 +155,8 @@ def convergence_profile(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
     reference = summation_reference(f, d, box, kind)
     rows = []
     for kernel in kernels:
-        mean = smoothed_mean(table, kernel, d)
-        damped = table.damped(kernel.coefficients(box.blocks()),
-                              kernel.coefficients(box.modes()))
+        damped = _damped(table, kernel)
+        mean = anti_transform(damped, d)
         param = kernel.radius if kernel.kind == "abel" else kernel.order
         rows.append({
             "parameter": param,

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from nctorus import cli, dirac, fourier, summation, weyl
+from nctorus import cli, dirac, fourier, gns, summation, weyl
 
 
 def run_cli(tmp_path, name, config, *extra):
@@ -52,6 +52,7 @@ def test_represent_command_reports_norms(tmp_path):
     rows = read_csv(out / "represent_terms.csv")
     assert {"shift", "n", "mode", "re", "im"} <= set(rows[0])
     assert report["vacuum_image_norm"] > 0.0
+    assert report["operator_norm"] >= report["vacuum_image_norm"]
 
 
 def test_fourier_command_emits_tables(tmp_path):
@@ -220,6 +221,8 @@ NAN_SOURCES = [
     ("star", weyl, "weyl_relation_check", _nan, "weyl_relation"),
     ("represent", fourier.FourierCoeffs, "sup", _nan,
      "hausdorff_young_endpoint"),
+    ("represent", gns.GnsOperator, "norm_estimate", _nan,
+     "operator_norm_bound"),
     ("fourier", fourier, "route_agreement", _nan, "paren_routes"),
     ("fejer", summation, "transference_integral_check", _nan,
      "transference_integral"),

@@ -7,6 +7,7 @@ independent oracle for that identity.
 """
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,63 @@ def test_dense_matrix_agrees_with_apply(bench, rng):
     x = gns.random_vector(rng, b)
     direct = a.apply(x).coeffs.ravel()
     assert_allclose(mat @ x.coeffs.ravel(), direct, atol=1e-12)
+
+
+def _edge_element(alpha, radius, k, seed):
+    """Random element of the given radius plus terms at shifts +-2K and
+    +-(2K - 1), the farthest shifts that keep one or two block pairs."""
+    rng = np.random.default_rng(seed)
+    f = weyl.random_element(rng, alpha, radius, decay=1.0)
+    edge = {(m, s): complex(*rng.standard_normal(2))
+            for s in (2 * k, 1 - 2 * k, 2 * k - 1, -2 * k) for m in (-1, 2)}
+    return f + weyl.WeylElement(alpha, edge)
+
+
+@pytest.mark.parametrize("name", ["bench", "rot"])
+@pytest.mark.parametrize("k, m", [(2, 3), (6, 8), (12, 12)])
+@pytest.mark.parametrize("radius", [2, 3])
+def test_norm_estimate_matches_the_svd(name, k, m, radius, request):
+    """The block-row Gram eigensolve against the SVD of the dense matrix."""
+    d = request.getfixturevalue(name)
+    b = TruncationBox(k, m)
+    a = gns.represent(_edge_element(d.alpha, radius, k, 10 * k + radius),
+                      d, b)
+    assert {2 * k, -2 * k} <= set(a.terms)
+    svd = np.linalg.norm(a.dense(), ord=2)
+    assert abs(a.norm_estimate() - svd) <= 1e-13 * svd
+
+
+def test_norm_estimate_of_no_terms_is_zero():
+    assert gns.GnsOperator(TruncationBox(2, 3), {}).norm_estimate() == 0.0
+
+
+def test_norm_estimate_never_builds_the_dense_matrix(bench, monkeypatch):
+    b = TruncationBox(6, 8)
+    f = weyl.random_element(np.random.default_rng(3), bench.alpha, 2)
+    a = gns.represent(f, bench, b)
+    svd = np.linalg.norm(a.dense(), ord=2)
+
+    def refuse(self):
+        raise AssertionError("dense() called")
+
+    monkeypatch.setattr(gns.GnsOperator, "dense", refuse)
+    assert abs(a.norm_estimate() - svd) <= 1e-13 * svd
+
+
+def test_norm_estimate_memory_is_one_gram(bench):
+    """Traced peak at most 1.25 Gram matrices; ``conj().T @ dense`` needs
+    about three (the matrix, its adjoint copy and the product)."""
+    b = TruncationBox(12, 12)
+    f = weyl.random_element(np.random.default_rng(5), bench.alpha, 2,
+                            decay=1.0)
+    a = gns.represent(f, bench, b)
+    tracemalloc.start()
+    try:
+        a.norm_estimate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 16 * b.dim ** 2
 
 
 def test_state_weights_frozen(bench):
