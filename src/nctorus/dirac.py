@@ -108,13 +108,9 @@ def deformed_block(n: int, eta: float, d: DiffeoSpec, box: TruncationBox,
     return out
 
 
-def undeformed_corner(box: TruncationBox, a_n: float) -> np.ndarray:
-    """Diagonal corner with entries ``i l - a_n``."""
-    return np.diag(1j * box.modes() - a_n)
-
-
 def diagonal_inverse_norm(box: TruncationBox, a_n: float) -> float:
-    """Norm of the inverse of the undeformed corner.
+    """Norm of the inverse of the undeformed corner, the diagonal matrix
+    with entries ``i l - a_n``.
 
     For ``a_n = 0`` the mode 0 eigenvalue vanishes; the norm is then
     taken on the complement of the kernel.

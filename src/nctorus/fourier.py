@@ -26,7 +26,7 @@ from .dynamics import DiffeoSpec
 from .errors import GridTooSmallError
 from .gns import (GnsVector, TruncationBox, _context, _u_kl_rows, represent,
                   vacuum)
-from .grids import at_modes, project_to_modes, spectrum
+from .grids import at_modes, dirichlet_kernel, project_to_modes, spectrum
 from .modular import (_conjugated_rows, _epsilon_pairings, _j_on_grid,
                       _root_rows)
 from .weyl import WeylElement
@@ -137,9 +137,10 @@ def classical_limit_compare(f: WeylElement, box: TruncationBox,
     """Compare both tables against the commutative transform.
 
     At alpha = 0 with the identity conjugator the element is an honest
-    function on the two-torus; its coefficients are recovered here with
-    a two dimensional FFT of samples, swapped into the block/mode
-    layout (hat picks up (l, k), paren picks up (-l, -k)).
+    function on the two-torus, ``sum f(m, n) z1^m z2^n``, and its
+    commutative Fourier transform is the table f itself.  The oracle is
+    that table scattered into the block/mode layout: hat(k, l) reads
+    f(l, k) and paren(k, l) reads f(-l, -k); keys outside the box drop.
     """
     from .dynamics import rotation
 
@@ -147,20 +148,22 @@ def classical_limit_compare(f: WeylElement, box: TruncationBox,
         d = rotation(0.0, classical=True)
     if not (d.classical and d.alpha == 0.0 and d.is_rotation):
         raise ValueError("classical comparison needs alpha = 0, identity h")
-    # g1 > max(K, M) + radius, so no box mode aliases onto the support
-    reach = max(box.block_bound, box.mode_bound) + f.sup_radius
-    g1 = 1 << max(4, (4 * f.sup_radius + 3).bit_length(), reach.bit_length())
-    theta = 2.0 * np.pi * np.arange(g1) / g1
-    waves = np.exp(1j * np.multiply.outer(f.keys, theta))
-    samples = (waves[:, 0].T * f.values) @ waves[:, 1]
-    coeff = spectrum(spectrum(samples), axis=0)
-    ks, ls = box.blocks(), box.modes()
     hat = hat_functional(f, d, box).table
     paren = paren_functional(f, d, box, route="vacuum").table
-    # table[k, l] against coeff(l, k) and coeff(-l, -k)
-    dev_hat = np.abs(hat - at_modes(at_modes(coeff, ls, axis=0), ks).T)
-    dev_paren = np.abs(paren - at_modes(at_modes(coeff, -ls, axis=0), -ks).T)
+    dev_hat = np.abs(hat - _swapped_table(f, box, 1))
+    dev_paren = np.abs(paren - _swapped_table(f, box, -1))
     return {"hat": float(np.max(dev_hat)), "paren": float(np.max(dev_paren))}
+
+
+def _swapped_table(f: WeylElement, box: TruncationBox,
+                   sign: int) -> np.ndarray:
+    """Box table holding ``f(m, n)`` at (k, l) = (sign n, sign m)."""
+    ks, ls = sign * f.keys[:, 1], sign * f.keys[:, 0]
+    inside = (np.abs(ks) <= box.block_bound) & (np.abs(ls) <= box.mode_bound)
+    table = np.zeros((box.n_blocks, box.n_modes), dtype=complex)
+    table[ks[inside] + box.block_bound,
+          ls[inside] + box.mode_bound] = f.values[inside]
+    return table
 
 
 def riemann_lebesgue_profile(c: FourierCoeffs) -> np.ndarray:
@@ -184,8 +187,9 @@ def dirichlet_coefficient_table(n: int, d: DiffeoSpec,
     """Hat table of the Dirichlet functional by quadrature.
 
     The degree-n Dirichlet functional pairs an operator's block-0
-    diagonal multiplier against the Dirichlet kernel; on the generators
-    this produces the 0/1 indicator table supported on the k = 0 row.
+    diagonal multiplier against the Dirichlet kernel (its closed form,
+    sampled on the grid); on the generators this produces the 0/1
+    indicator table supported on the k = 0 row.
     The adjoint of ``u_kl`` has a shift-0 term only when k = 0, so only
     that row is filled; its block-0 multipliers are the conjugates of the
     block-0 rows of the ``u_0l``, evaluated together as one stack.
@@ -196,9 +200,7 @@ def dirichlet_coefficient_table(n: int, d: DiffeoSpec,
             f"order-{n} kernel quadrature needs grid >= "
             f"{n + box.mode_bound + 48}, got {g}; pass a box with a "
             "larger grid_size")
-    ctx = _context(d, box)
-    js = np.arange(-n, n + 1)
-    kernel = np.exp(1j * np.multiply.outer(js, ctx.theta)).sum(axis=0)
+    kernel = dirichlet_kernel(n, _context(d, box).theta)
     table = np.zeros((box.n_blocks, box.n_modes), dtype=complex)
     mults = np.conj(_u_kl_rows(d, box, 0, box.modes(), 0))
     table[box.block_bound] = np.mean(mults * kernel, axis=-1)

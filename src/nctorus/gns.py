@@ -15,7 +15,9 @@ Dirac blocks) reuses the cached per-box context built here: one inverse
 solve into the chart ``u = h^{-1}``, the closed-form densities
 ``delta_n`` and the chart transport ``y -> y o F_n`` (resample, phase,
 resample) that every use of J goes through.  The generator products
-``u_kl`` are uncached closed forms in the same chart, read row by row.
+``u_kl`` are uncached closed forms in the same chart, read row by row,
+and the moments of the invariant state are closed forms in the lift
+coefficients.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import ConjugatorLift, DiffeoSpec
+from .dynamics import DiffeoSpec
 from .errors import AlphaMismatchError, OutOfBoxError
 from .grids import (FourierPoly, default_grid_size, frequencies, grid_angles,
                     project_to_modes, spectrum, toeplitz)
@@ -364,14 +366,6 @@ def represent(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> GnsOperator:
     return GnsOperator(box, terms)
 
 
-def conjugator_mode_table(d: DiffeoSpec, l: int, mode_bound: int) -> np.ndarray:
-    """Fourier coefficients of ``h^l`` for modes ``-mode_bound..mode_bound``."""
-    g = default_grid_size(mode_bound)
-    x = np.arange(g) / g
-    values = np.exp(2j * np.pi * l * d.lift.value(x))
-    return project_to_modes(values, mode_bound).coeffs
-
-
 def _u_kl_rows(d: DiffeoSpec, box: TruncationBox, k, l, n) -> np.ndarray:
     """Rows ``exp(2 pi i l F_{n-k}(x))``: row n of the shift-k ``u_kl``.
 
@@ -398,24 +392,23 @@ def build_u_kl(d: DiffeoSpec, box: TruncationBox, k: int,
     return GnsOperator(box, {k: _u_kl_rows(d, box, k, l, box.blocks())})
 
 
-@lru_cache(maxsize=8)
-def _state_chart(lift: ConjugatorLift, size: int) -> np.ndarray:
-    u = lift.inverse(np.arange(size) / size)
-    u.flags.writeable = False
-    return u
-
-
-def state_coefficients(d: DiffeoSpec, mode_bound: int,
-                       size: int = 8192) -> np.ndarray:
-    """Moments ``mu(m) = integral exp(2 pi i m h^{-1}(x)) dx``.
+def state_coefficients(d: DiffeoSpec, mode_bound: int) -> np.ndarray:
+    """Moments ``mu(m) = integral exp(2 pi i m h^{-1}(x)) dx``, closed form.
 
     Indexed ``-mode_bound .. mode_bound``; these are the coefficients of
-    the invariant state on the first generator row.  The ``size``-point
-    inverse solve is cached per lift, independent of any box grid.
+    the invariant state on the first generator row.  Substituting
+    ``x = H(u)`` gives ``mu(m) = integral exp(2 pi i m u) H'(u) du``, and
+    ``H'`` is a trigonometric polynomial: ``mu(0) = 1``,
+    ``mu(+-k) = pi k (a_k -+ i b_k)`` for the sin and cos coefficients
+    ``a_k``, ``b_k`` of the lift, and every other moment vanishes.  No
+    inverse solve and no quadrature.
     """
-    u = _state_chart(d.lift, size)
-    ms = np.arange(-mode_bound, mode_bound + 1)
-    return np.exp(2j * np.pi * np.multiply.outer(ms, u)).mean(axis=1)
+    positive = np.zeros(mode_bound, dtype=complex)
+    for k, a in enumerate(d.lift.sin_coeffs[:mode_bound], start=1):
+        positive[k - 1] += np.pi * k * a
+    for k, b in enumerate(d.lift.cos_coeffs[:mode_bound], start=1):
+        positive[k - 1] -= 1j * np.pi * k * b
+    return np.concatenate([np.conj(positive[::-1]), [1.0], positive])
 
 
 def state_eval(f: WeylElement, d: DiffeoSpec, route: str = "series",
@@ -423,9 +416,9 @@ def state_eval(f: WeylElement, d: DiffeoSpec, route: str = "series",
     """Invariant state applied to a table, by series or by inner product.
 
     The series route contracts the ``n = 0`` row of the table against
-    the moment sequence; the gns route represents the element on a box
-    and takes the vacuum expectation.  The two agree within quadrature
-    accuracy and are compared in the verification suite.
+    the closed-form moments; the gns route represents the element
+    on a box and takes the vacuum expectation by grid quadrature.  The
+    two are compared in the verification suite.
     """
     if route == "series":
         radius = int(np.abs(f.keys[:, 0]).max(initial=0))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, GridTooSmallError
+from .errors import GridTooSmallError
 
 
 def default_grid_size(mode_bound: int) -> int:
@@ -97,6 +97,36 @@ def rotate(g, angle: float) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(values) * twist)
 
 
+def _sine_ratio(p: int, angles) -> np.ndarray:
+    """``sin(p t / 2) / sin(t / 2)``, its limit p at t = 0.
+
+    The angles are first reduced to ``[-pi, pi]``, without rounding on
+    ``[-2 pi, 2 pi]`` (the grid angles among them), so t = 0 is the only
+    zero of the denominator; unreduced, ``t = +-2 pi`` would divide
+    roundoff by roundoff.
+    """
+    angles = np.asarray(angles, dtype=float)
+    t = angles - 2.0 * np.pi * np.round(angles / (2.0 * np.pi))
+    half = np.sin(0.5 * t)
+    pole = half == 0.0
+    return np.where(pole, float(p),
+                    np.sin(0.5 * p * t) / np.where(pole, 1.0, half))
+
+
+def dirichlet_kernel(order: int, angles) -> np.ndarray:
+    """``sum_{|j| <= order} exp(i j t) = sin((order + 1/2) t) / sin(t / 2)``.
+
+    Closed form: memory is O(len(angles)) at any order.
+    """
+    return _sine_ratio(2 * order + 1, angles)
+
+
+def fejer_kernel(order: int, angles) -> np.ndarray:
+    """``sum_{|j| <= order} (1 - |j| / (order + 1)) exp(i j t)``, which is
+    ``(sin((order + 1) t / 2) / sin(t / 2))^2 / (order + 1)``."""
+    return _sine_ratio(order + 1, angles) ** 2 / (order + 1)
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Complex samples of a circle function on the equispaced grid."""
@@ -132,12 +162,6 @@ class FourierPoly:
         m = self.mode_bound
         return np.arange(-m, m + 1)
 
-    def evaluate(self, angles) -> np.ndarray:
-        """Evaluate at arbitrary angles (vectorized Horner-free sum)."""
-        angles = np.asarray(angles, dtype=float)
-        phases = np.exp(1j * np.multiply.outer(angles, self.modes()))
-        return phases @ self.coeffs
-
     def on_grid(self, size: int) -> GridFunction:
         """Exact evaluation on the grid via zero-padded FFT, row by row."""
         m = self.mode_bound
@@ -147,10 +171,6 @@ class FourierPoly:
         buf = np.zeros(self.coeffs.shape[:-1] + (size,), dtype=complex)
         buf[..., _slots(self.modes(), size)] = self.coeffs
         return GridFunction(np.fft.ifft(buf) * size)
-
-    def derivative(self) -> "FourierPoly":
-        """Angular derivative d/dtheta."""
-        return FourierPoly(self.coeffs * (1j * self.modes()))
 
 
 def project_to_modes(g, mode_bound: int) -> FourierPoly:
@@ -166,29 +186,3 @@ def project_to_modes(g, mode_bound: int) -> FourierPoly:
             f"grid {size} cannot resolve modes up to {mode_bound}")
     modes = np.arange(-mode_bound, mode_bound + 1)
     return FourierPoly(at_modes(spectrum(values), modes))
-
-
-def projection_tail(g, mode_bound: int) -> float:
-    """L2 mass of the sampled spectrum outside ``|l| <= mode_bound``.
-
-    Rows of a stack count together.  Only the in-grid tail is visible;
-    energy aliased from beyond the grid bandwidth folds into the
-    retained modes and is not counted.
-    """
-    return tail_mass(spectrum(g), mode_bound)
-
-
-def quadrature_mean(g) -> complex:
-    """Quadrature of ``g`` against normalized Lebesgue measure."""
-    values = _values_of(g)
-    return complex(np.mean(values, axis=-1))
-
-
-def quadrature_inner(f, g) -> complex:
-    """L2 inner product ``(1/G) sum f conj(g)``, linear in the first slot."""
-    fv = _values_of(f)
-    gv = _values_of(g)
-    if fv.shape[-1] != gv.shape[-1]:
-        raise GridMismatchError(
-            f"grid sizes {fv.shape[-1]} and {gv.shape[-1]} differ")
-    return complex(np.mean(fv * np.conj(gv), axis=-1))

@@ -1,7 +1,9 @@
 """Summation kernels, transference points and smoothed series.
 
 The double series attached to a hat or paren table is summed through
-separable kernel weights; the two-angle transference action
+separable kernel weights.  Kernel values are closed forms (the Dirichlet
+and Fejer ratios of sines live in :mod:`grids`), so no table of mode
+waves is built at any order.  The two-angle transference action
 
     (V_w x)_n(z) = w2^n x_n(w1 z)
 
@@ -22,7 +24,8 @@ from .fourier import (FourierCoeffs, anti_transform, hat_functional,
                       hat_vector, paren_functional)
 from .gns import (GnsOperator, GnsVector, TruncationBox, _u_kl_rows,
                   represent, vacuum)
-from .grids import project_to_modes, rotate
+from .grids import (dirichlet_kernel, fejer_kernel, project_to_modes,
+                    rotate)
 from .modular import _root_rows
 from .weyl import WeylElement
 
@@ -75,17 +78,21 @@ class SummationKernel:
         return (js <= self.order).astype(float)
 
     def values(self, angles) -> np.ndarray:
-        """Kernel values; mode sums for the polynomial kernels, closed
-        form for Abel-Poisson."""
+        """Kernel values in closed form, O(len(angles)) memory at any order.
+
+        Dirichlet ``sin((n + 1/2) t) / sin(t / 2)`` and Fejer
+        ``(sin((n + 1) t / 2) / sin(t / 2))^2 / (n + 1)`` come from
+        :mod:`grids` (angles reduced to ``[-pi, pi]``, limits 2n + 1 and
+        n + 1 at t = 0); Abel-Poisson is ``(1 - r^2) / (1 - 2 r cos t + r^2)``.
+        """
         angles = np.asarray(angles, dtype=float)
         if self.kind == "abel":
             r = self.radius
             return ((1.0 - r * r)
                     / (1.0 - 2.0 * r * np.cos(angles) + r * r))
-        js = np.arange(-self.order, self.order + 1)
-        weights = self.coefficients(js)
-        return np.real(np.exp(1j * np.multiply.outer(js, angles))
-                       .T @ weights)
+        if self.kind == "fejer":
+            return fejer_kernel(self.order, angles)
+        return dirichlet_kernel(self.order, angles)
 
     def l1_norm(self, size: int = 8192) -> float:
         """Quadrature of |kernel| over the circle."""

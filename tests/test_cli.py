@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,28 @@ def test_verify_is_deterministic(tmp_path):
         outputs.append(((out / "verify.csv").read_bytes(),
                         (out / "verify_report.json").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_verify_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """Quick verify at K = M = 16, seed 101, writes the same bytes under
+    one and two OpenBLAS threads; a sampled classical-limit oracle (a
+    threaded matrix product) used to move ``classical_limit``."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"truncation": {"K": 16, "M": 16},
+                               "seed": 101, "quick": True}))
+    src = Path(cli.__file__).resolve().parents[1]
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-m", "nctorus.cli", "verify",
+             "--config", str(cfg), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        written.append((out / "verify.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_tolerance_failure_exits_two(tmp_path):

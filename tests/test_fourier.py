@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nctorus import dynamics, fourier, gns, modular, weyl
+from nctorus import dynamics, fourier, gns, grids, modular, weyl
 from nctorus.errors import GridTooSmallError
 from nctorus.gns import TruncationBox
 
@@ -167,9 +167,7 @@ def test_dirichlet_table_is_bit_equal_to_the_per_mode_loop(bench):
     """One stack of u_0l rows gives the bits of one u_0l at a time."""
     box = TruncationBox(6, 8)
     n = 5
-    js = np.arange(-n, n + 1)
-    kernel = np.exp(1j * np.multiply.outer(
-        js, gns._context(bench, box).theta)).sum(axis=0)
+    kernel = grids.dirichlet_kernel(n, gns._context(bench, box).theta)
     want = np.zeros((box.n_blocks, box.n_modes), dtype=complex)
     row0 = box.block_bound
     for j, l in enumerate(box.modes()):
@@ -193,8 +191,16 @@ def test_dirichlet_needs_enough_grid(bench, small_box):
 
 
 def test_classical_limit_oracle_grid_covers_the_box(rng):
-    """The oracle grid exceeds max(K, M) + radius, so box modes beyond
-    the support do not alias onto it."""
+    """A box far wider than the support compares as well: the oracle is
+    the table itself, with no sampling grid for box modes to alias on."""
     f = weyl.random_element(rng, 0.0, 8, decay=1.0)
     devs = fourier.classical_limit_compare(f, TruncationBox(56, 56))
+    assert max(devs.values()) <= 1e-10, devs
+
+
+def test_classical_limit_drops_keys_outside_the_box(rng):
+    """A support wider than the box: the transforms see only the box,
+    and so does the scattered oracle."""
+    f = weyl.random_element(rng, 0.0, 4, decay=0.5)
+    devs = fourier.classical_limit_compare(f, TruncationBox(2, 2))
     assert max(devs.values()) <= 1e-10, devs

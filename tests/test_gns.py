@@ -19,6 +19,8 @@ from nctorus import dynamics, gns, weyl
 from nctorus.errors import AlphaMismatchError, OutOfBoxError
 from nctorus.gns import TruncationBox
 
+import oracle
+
 
 def test_box_layout():
     b = TruncationBox(3, 4)
@@ -44,18 +46,18 @@ def test_vacuum_and_basis():
 def test_conjugator_modes_match_bessel(bench):
     """Mode table of h^l against the Bessel closed form."""
     for l in (1, 2, -3):
-        table = gns.conjugator_mode_table(bench, l, 8)
+        table = oracle.conjugator_mode_table(bench, l, 8)
         want = scipy.special.jv(np.arange(-8, 9) - l, 0.3 * l)
         assert_allclose(table, want, atol=1e-12)
 
 
 def test_conjugator_modes_frozen_spot_values(bench):
     # mpmath besselj literals, dps = 40
-    t1 = gns.conjugator_mode_table(bench, 1, 4)
+    t1 = oracle.conjugator_mode_table(bench, 1, 4)
     assert_allclose(t1[4 + 1], 0.97762624653829609, atol=1e-12)
     assert_allclose(t1[4 + 2], 0.14831881627310401, atol=1e-12)
     assert_allclose(t1[4 + 0], -0.14831881627310401, atol=1e-12)
-    t2 = gns.conjugator_mode_table(bench, 2, 4)
+    t2 = oracle.conjugator_mode_table(bench, 2, 4)
     assert_allclose(t2[4 + 2], 0.91200486349721078, atol=1e-12)
     assert_allclose(t2[4 + 4], 0.04366509671584169, atol=1e-12)
 
@@ -240,7 +242,7 @@ def series_u_kl(d, box, k, l, mode_bound=64):
     At 0.3 conjugator amplitude and |l| <= 8 the Bessel tail beyond
     mode 64 is far below double precision.
     """
-    table = gns.conjugator_mode_table(d, l, mode_bound)
+    table = oracle.conjugator_mode_table(d, l, mode_bound)
     g_l = weyl.WeylElement(d.alpha, {(m, 0): c for m, c in
                                      zip(range(-mode_bound, mode_bound + 1),
                                          table)})
@@ -307,7 +309,9 @@ def test_represent_matches_the_per_coefficient_loop(bench, small_box):
             assert np.max(np.abs(got[s] - want[s])) < 1e-13
 
 
-def test_state_series_solves_the_chart_once(bench, monkeypatch):
+def test_state_series_makes_no_inverse_solve(bench, monkeypatch):
+    """The moments are closed forms: the series route never solves
+    ``H(u) = x``, on any call."""
     calls = []
     inverse = dynamics.ConjugatorLift.inverse
 
@@ -316,11 +320,23 @@ def test_state_series_solves_the_chart_once(bench, monkeypatch):
         return inverse(self, y)
 
     monkeypatch.setattr(dynamics.ConjugatorLift, "inverse", counting)
-    gns._state_chart.cache_clear()
     f = weyl.random_element(np.random.default_rng(3), bench.alpha, 2)
     first = gns.state_eval(f, bench, route="series")
     assert gns.state_eval(f, bench, route="series") == first
-    assert len(calls) == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("sin, cos", [((0.3 / (2 * np.pi),), ()),
+                                      ((0.02, -0.01), (0.015, 0.005))])
+def test_state_moments_match_the_quadrature(sin, cos):
+    """Closed-form moments against ``mean exp(2 pi i m H^{-1}(x_j))`` on
+    8192 points, a lift with sin and cos harmonics included."""
+    d = dynamics.DiffeoSpec(0.3, dynamics.ConjugatorLift(sin, cos))
+    for bound in (0, 1, 2, 6):
+        got = gns.state_coefficients(d, bound)
+        want = oracle.state_moments_by_quadrature(d, bound)
+        assert got.shape == (2 * bound + 1,)
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_vector_norm_does_not_depend_on_memory_layout(small_box):

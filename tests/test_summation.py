@@ -1,5 +1,7 @@
 """Summation kernels, transference twists, convergence profiles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +9,8 @@ from numpy.testing import assert_allclose
 from nctorus import dynamics, gns, summation, weyl
 from nctorus.errors import GridTooSmallError
 from nctorus.gns import TruncationBox
+
+import oracle
 
 # Lebesgue constants of the Dirichlet kernel, mpmath dps = 40
 LEBESGUE = {
@@ -202,3 +206,36 @@ def test_wts_gate_rejects_mutants(bench, small_box, monkeypatch, mutant):
         monkeypatch.setattr(summation, "rotate", lambda rows, angle: rows)
     f = weyl.WeylElement.generator(bench.alpha, 1, 2)
     assert summation.wts_deviation(f, w, bench, small_box, 8) > 1e-12
+
+
+SPECIAL_ANGLES = [0.0, 1e-9, -1e-9, np.pi, -np.pi, 2 * np.pi, -2 * np.pi,
+                  4 * np.pi]
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "fejer"])
+@pytest.mark.parametrize("order", [0, 1, 7, 100])
+def test_closed_form_kernels_match_the_mode_sum(kind, order):
+    """Closed forms against the direct mode sum, at the pole t = 0, near
+    it, at +-pi, at +-2 pi and 4 pi (unreduced, roundoff over roundoff)
+    and on a uniform grid."""
+    kernel = summation.SummationKernel(kind, order=order)
+    angles = np.concatenate([SPECIAL_ANGLES,
+                             2 * np.pi * np.arange(1024) / 1024])
+    got = kernel.values(angles)
+    want = oracle.kernel_mode_sum(kernel, angles)
+    assert np.max(np.abs(got - want)) <= 1e-12 * (2 * order + 1)
+    peak = 2 * order + 1 if kind == "dirichlet" else order + 1
+    assert got[0] == peak
+
+
+def test_l1_norm_memory_does_not_grow_with_the_order():
+    """At order 1000 a table of mode waves would be 2001 x 8192 complex,
+    about 262 MB; the closed form needs a few grid-sized arrays."""
+    kernel = summation.SummationKernel("dirichlet", order=1000)
+    tracemalloc.start()
+    try:
+        kernel.l1_norm(size=8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
