@@ -49,7 +49,8 @@ def test_deformed_corner_reduces_at_rotation():
     b = TruncationBox(4, 3)
     for n, a_n in ((2, 1.3), (-1, -0.4)):
         corner = dirac.deformed_corner(n, 0.5, rot, b, a_n)
-        assert np.max(np.abs(corner - oracle.undeformed_corner(b, a_n))) < 1e-12
+        want = oracle.undeformed_corner(b, a_n)
+        assert np.max(np.abs(corner - want)) < 1e-12
 
 
 def test_deformed_block_is_self_adjoint(bench, growth):

@@ -40,7 +40,8 @@ def test_derivative_multiplies_by_il():
     poly = poly_of(4, {1: 2.0, -4: 1.0 + 1j})
     theta = grids.grid_angles(32)
     want = 2j * np.exp(1j * theta) - 4j * (1.0 + 1j) * np.exp(-4j * theta)
-    assert_allclose(oracle.evaluate(oracle.derivative(poly), theta), want, atol=1e-13)
+    assert_allclose(oracle.evaluate(oracle.derivative(poly), theta), want,
+                    atol=1e-13)
     # the spectral derivative on a stack acts row by row, along any axis
     stack = np.stack([poly.on_grid(32).values, np.exp(3j * theta)])
     rows = np.stack([want, 3j * np.exp(3j * theta)])
@@ -131,7 +132,8 @@ def test_on_grid_rejects_undersized_grid():
 def test_quadrature_mean_kills_nonzero_modes():
     theta = grids.grid_angles(32)
     for m in (1, 5, -7, 15):
-        val = oracle.quadrature_mean(grids.GridFunction(np.exp(1j * m * theta)))
+        wave = grids.GridFunction(np.exp(1j * m * theta))
+        val = oracle.quadrature_mean(wave)
         assert abs(val) < 1e-15
     const = oracle.quadrature_mean(grids.GridFunction(np.full(32, 2.5 + 1j)))
     assert_allclose(const, 2.5 + 1j, atol=1e-15)
