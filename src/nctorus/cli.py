@@ -72,7 +72,17 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
+_CONFIG_KEYS = {"alpha", "diffeo", "classical_mode", "truncation", "seed",
+                "tolerances", "quick", "element", "second_element", "fourier",
+                "fejer", "abel", "dirac", "growth"}
+
+
 def _setup(config: dict, args) -> dict:
+    box_cfg = config.get("truncation", {})
+    for section, known in ((config, _CONFIG_KEYS), (box_cfg, {"K", "M", "G"})):
+        unknown = sorted(set(section) - known)
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
     if "diffeo" in config:
         d = DiffeoSpec.from_dict(config["diffeo"])
     elif "alpha" in config:
@@ -82,10 +92,8 @@ def _setup(config: dict, args) -> dict:
                                                         False)))
     else:
         d = benchmark()
-    box_cfg = config.get("truncation", config.get("box", {}))
-    box = TruncationBox(int(box_cfg.get("K", box_cfg.get("block_bound", 16))),
-                        int(box_cfg.get("M", box_cfg.get("mode_bound", 16))),
-                        int(box_cfg.get("G", box_cfg.get("grid_size", 0))))
+    box = TruncationBox(int(box_cfg.get("K", 16)), int(box_cfg.get("M", 16)),
+                        int(box_cfg.get("G", 0)))
     seed = int(config.get("seed", 7))
     tols = resolve(config.get("tolerances"), scale=args.tol_scale)
     return {"d": d, "box": box, "seed": seed, "tols": tols, "config": config}
@@ -249,6 +257,8 @@ def _cmd_dirac(env: dict, out: Path) -> int:
     cfg, d, box, tols = env["config"], env["d"], env["box"], env["tols"]
     section = cfg.get("dirac", {})
     radius = int(section.get("block_radius", 8))
+    if radius < 1:
+        raise ValueError("dirac block_radius < 1 leaves no block n != 0")
     etas = [float(e) for e in section.get("etas", [0.0, 0.25, 0.5, 0.75, 1.0])]
     master_radius = min(int(section.get("master_radius", 4)),
                         box.block_bound, box.mode_bound)

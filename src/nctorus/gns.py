@@ -84,7 +84,8 @@ class _Context:
     densities ``delta_n = H'(u + 2 alpha n) / H'(u)`` follow in closed
     form, and transport along ``f^n``, ``y -> y o F_n`` on the grid,
     becomes resample, phase, resample: ``from_chart(to_chart(y), phase)``.
-    Memory is O(G^2 + (2K + 1) G); nothing per (k, l) is kept anywhere.
+    Memory is O(G^2 + (2K + 1) G); nothing per (k, l) is kept, nor any
+    density spectrum (the Dirac closed forms take one block on request).
     """
 
     def __init__(self, d: DiffeoSpec, box: TruncationBox):
@@ -99,8 +100,6 @@ class _Context:
         self.delta = (d.lift.derivative(u[None, :] + shift[:, None])
                       / d.lift.derivative(u)[None, :])
         self.sqrt_delta = np.sqrt(self.delta)
-        self.delta_hat = spectrum(self.delta)
-        self.inv_delta_hat = spectrum(1.0 / self.delta)
         freqs = frequencies(g)
         # E[j, xi] = exp(2 pi i xi H(x_j)) samples y o H on the uniform u
         # grid from the x-spectrum of y; the outer FFTs make the map act
@@ -195,7 +194,7 @@ class GnsVector:
 
     def on_grid(self) -> np.ndarray:
         """All blocks evaluated on the quadrature grid, shape (2K+1, G)."""
-        return FourierPoly(self.coeffs).on_grid(self.box.grid_size).values
+        return FourierPoly(self.coeffs).on_grid(self.box.grid_size)
 
 
 def vacuum(box: TruncationBox) -> GnsVector:

@@ -36,10 +36,6 @@ def grid_angles(size: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(size) / size
 
 
-def _values_of(g) -> np.ndarray:
-    return np.asarray(getattr(g, "values", g), dtype=complex)
-
-
 def _slots(modes, size: int) -> np.ndarray:
     """Spectrum index ``l % size`` of each integer mode l."""
     return np.asarray(modes) % size
@@ -52,7 +48,7 @@ def frequencies(size: int) -> np.ndarray:
 
 def spectrum(g, axis: int = -1) -> np.ndarray:
     """Sampled Fourier coefficients ``c(l)`` along ``axis``, in FFT order."""
-    values = _values_of(g)
+    values = np.asarray(g, dtype=complex)
     return np.fft.fft(values, axis=axis) / values.shape[axis]
 
 
@@ -82,7 +78,7 @@ def toeplitz(spec: np.ndarray, mode_bound: int) -> np.ndarray:
 def spectral_derivative(g, drift: float = 0.0, sign: float = 1.0,
                         order: int = 1, axis: int = -1) -> np.ndarray:
     """Samples of ``(sign d/dtheta - drift)^order g``, mode by mode."""
-    values = _values_of(g)
+    values = np.asarray(g, dtype=complex)
     shape = [1] * values.ndim
     shape[axis] = -1
     symbol = (sign * 1j * frequencies(values.shape[axis]) - drift) ** order
@@ -92,7 +88,7 @@ def spectral_derivative(g, drift: float = 0.0, sign: float = 1.0,
 
 def rotate(g, angle: float) -> np.ndarray:
     """Samples of ``g(theta + angle)``, i.e. ``m(z) -> m(exp(i angle) z)``."""
-    values = _values_of(g)
+    values = np.asarray(g, dtype=complex)
     twist = np.exp(1j * frequencies(values.shape[-1]) * angle)
     return np.fft.ifft(np.fft.fft(values) * twist)
 
@@ -128,20 +124,6 @@ def fejer_kernel(order: int, angles) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GridFunction:
-    """Complex samples of a circle function on the equispaced grid."""
-
-    values: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[-1]
-
-    def __len__(self) -> int:
-        return self.size
-
-
-@dataclass(frozen=True)
 class FourierPoly:
     """Trigonometric polynomial with coefficients for modes ``-M .. M``.
 
@@ -162,15 +144,15 @@ class FourierPoly:
         m = self.mode_bound
         return np.arange(-m, m + 1)
 
-    def on_grid(self, size: int) -> GridFunction:
-        """Exact evaluation on the grid via zero-padded FFT, row by row."""
+    def on_grid(self, size: int) -> np.ndarray:
+        """Exact samples on the grid via zero-padded FFT, row by row."""
         m = self.mode_bound
         if size < 2 * m + 1:
             raise GridTooSmallError(
                 f"grid {size} cannot carry modes up to {m}")
         buf = np.zeros(self.coeffs.shape[:-1] + (size,), dtype=complex)
         buf[..., _slots(self.modes(), size)] = self.coeffs
-        return GridFunction(np.fft.ifft(buf) * size)
+        return np.fft.ifft(buf) * size
 
 
 def project_to_modes(g, mode_bound: int) -> FourierPoly:
@@ -179,7 +161,7 @@ def project_to_modes(g, mode_bound: int) -> FourierPoly:
     Exact for polynomials sampled alias free; for general samples this
     is the discrete Fourier truncation.
     """
-    values = _values_of(g)
+    values = np.asarray(g, dtype=complex)
     size = values.shape[-1]
     if size < 2 * mode_bound + 1:
         raise GridTooSmallError(

@@ -8,7 +8,7 @@ calls or exports.
 
 import numpy as np
 
-from nctorus import grids
+from nctorus import dirac, dynamics, grids
 from nctorus.errors import GridMismatchError
 
 
@@ -36,13 +36,13 @@ def projection_tail(g, mode_bound: int) -> float:
 
 def quadrature_mean(g) -> complex:
     """Quadrature of ``g`` against normalized Lebesgue measure."""
-    return complex(np.mean(grids._values_of(g), axis=-1))
+    return complex(np.mean(np.asarray(g, dtype=complex), axis=-1))
 
 
 def quadrature_inner(f, g) -> complex:
     """L2 inner product ``(1/G) sum f conj(g)``, linear in the first slot."""
-    fv = grids._values_of(f)
-    gv = grids._values_of(g)
+    fv = np.asarray(f, dtype=complex)
+    gv = np.asarray(g, dtype=complex)
     if fv.shape[-1] != gv.shape[-1]:
         raise GridMismatchError(
             f"grid sizes {fv.shape[-1]} and {gv.shape[-1]} differ")
@@ -60,6 +60,28 @@ def conjugator_mode_table(d, l: int, mode_bound: int) -> np.ndarray:
 def undeformed_corner(box, a_n: float) -> np.ndarray:
     """Diagonal corner with entries ``i l - a_n``."""
     return np.diag(1j * box.modes() - a_n)
+
+
+def deformed_block(n: int, eta: float, d, box, a_n: float) -> np.ndarray:
+    """Two-corner block D_n: the package's upper corner above, below it
+    the lower corner ``P delta^{-eta} (-d/dtheta - a_n) delta^{eta-1} P``
+    built here from the adjoint factors and a separately solved density.
+
+    At finite truncation the mode projections sandwich both products, so
+    the block is self-adjoint exactly when the two routes agree.
+    """
+    delta = dynamics.radon_nikodym(d, n, size=box.grid_size)[:, None]
+    modes = box.modes()
+    waves = np.exp(1j * np.multiply.outer(grids.grid_angles(box.grid_size),
+                                          modes))
+    stage = grids.spectral_derivative(delta ** (eta - 1.0) * waves, a_n, -1.0,
+                                      axis=0)
+    stage *= delta ** (-eta)
+    m = box.n_modes
+    out = np.zeros((2 * m, 2 * m), dtype=complex)
+    out[:m, m:] = dirac.deformed_corner(n, eta, d, box, a_n)
+    out[m:, :m] = grids.at_modes(grids.spectrum(stage, axis=0), modes, axis=0)
+    return out
 
 
 def kernel_mode_sum(kernel, angles) -> np.ndarray:

@@ -138,9 +138,9 @@ def test_criterion_10_dirichlet(bench):
     report(10, "dirichlet log growth",
            abs((l1[100] - l1[10]) - target), 0.2)
     wide = TruncationBox(6, 8, grid_size=256)
-    sup_dev = max(
+    sup_dev = np.max([
         abs(fourier.dirichlet_coefficient_table(n, bench, wide).sup() - 1.0)
-        for n in (10, 100))
+        for n in (10, 100)])
     report(10, "truncation sup pinned at 1", sup_dev, 1e-8)
 
 
@@ -156,18 +156,31 @@ def test_criterion_12_bounds(bench, box):
     etas = (0.0, 0.25, 0.5, 0.75, 1.0)
     rows = dirac.resolvent_profile(bench, box, range(-8, 9), etas,
                                    growth=growth, slack=1e-6)
-    res_excess = max(row["resolvent"] - row["bound"] for row in rows)
-    report(12, "resolvent bound", max(res_excess, 0.0), 0.0)
+    res_excess = np.max([row["resolvent"] - row["bound"] for row in rows])
+    report(12, "resolvent bound", np.maximum(res_excess, 0.0), 0.0)
     comm_excess = 0.0
     for n in range(-8, 9):
         for eta in etas:
             _, norm, bound = dirac.commutator_block(n, eta, bench, box,
                                                     growth)
-            comm_excess = max(comm_excess, norm - bound * (1.0 + 1e-6))
-    report(12, "commutator bound", max(comm_excess, 0.0), 0.0)
+            comm_excess = np.maximum(comm_excess, norm - bound * (1.0 + 1e-6))
+    report(12, "commutator bound", np.maximum(comm_excess, 0.0), 0.0)
     a = dirac.a_sequence(growth, 9)
     report(12, "normalized telescoping",
            dirac.telescoping_deviation(a, growth), 1e-12)
+
+
+def test_criterion_12_fails_on_a_nan_commutator_norm(bench, box, monkeypatch):
+    # the folds keep NaN: the builtin max(0.0, nan) would read 0.0 and pass
+    real = dirac.commutator_block
+
+    def nan_norm(*args, **kwargs):
+        matrix, _, bound = real(*args, **kwargs)
+        return matrix, float("nan"), bound
+
+    monkeypatch.setattr(dirac, "commutator_block", nan_norm)
+    with pytest.raises(AssertionError, match="commutator bound"):
+        test_criterion_12_bounds(bench, box)
 
 
 def test_criterion_13_determinism(tmp_path):

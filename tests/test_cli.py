@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nctorus import cli, dirac, fourier, gns, summation, weyl
@@ -206,16 +207,31 @@ def test_non_finite_or_non_positive_tolerance_exits_one(tmp_path, tolerances,
     ("fejer", {"fejer": {"orders": [4]}}),
     ("dirac", {"dirac": {"etas": [0.25]}}),
     ("dirac", {"dirac": {"master_radius": -1}}),
+    ("dirac", {"dirac": {"block_radius": 0}}),
 ], ids=["abel-one-radius", "fejer-one-order", "dirac-no-closed-form-eta",
-        "dirac-negative-master-radius"])
+        "dirac-negative-master-radius", "dirac-no-nontrivial-block"])
 def test_config_with_nothing_to_compare_exits_one(tmp_path, command, section):
-    # one radius or order has no drop or ratio to hold, and the master
-    # check has no element off eta in {0, 1/2, 1} or at a negative radius:
-    # a gate over nothing must not pass
+    # one radius or order has no drop or ratio to hold, the master check
+    # has no element off eta in {0, 1/2, 1} or at a negative radius, and
+    # the resolvent margin has no block n != 0 below block radius 1: a
+    # gate over nothing must not pass
     code, out, report = run_cli(tmp_path, command, dict(BENCH, **section))
     assert code == 1
     assert report is None
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("config", [
+    {"box": {"K": 4, "M": 4, "G": 64}},
+    {"truncation": {"block_bound": 4}},
+], ids=["box-alias", "block-bound-alias"])
+def test_unknown_config_key_exits_one(tmp_path, config):
+    # a key the CLI does not read fails loudly instead of running the
+    # default box; nothing is written
+    code, out, report = run_cli(tmp_path, "star", config)
+    assert code == 1
+    assert report is None
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("name", ["corner_adjoint", "reprojection_tail",
@@ -255,7 +271,8 @@ NAN_SOURCES = [
     ("fejer", summation, "convergence_profile",
      _first_error_nan(summation.convergence_profile), "fejer_ratio_band"),
     ("dirac", dirac, "matrix_element_closed_form",
-     lambda *args: complex("nan"), "dirac_master"),
+     lambda *args: np.full((2 * args[-1] + 1,) * 2, complex("nan")),
+     "dirac_master"),
     ("dirac", dirac, "telescoping_deviation", _nan, "telescoping"),
     ("growth", summation.SummationKernel, "l1_norm", _nan,
      "dirichlet_growth"),

@@ -56,25 +56,28 @@ def test_deformed_corner_reduces_at_rotation():
 def test_deformed_block_is_self_adjoint(bench, growth):
     b = TruncationBox(4, 4)
     a = dirac.a_sequence(growth, 5)
-    block = dirac.deformed_block(2, 0.5, bench, b, float(a[5 + 2]))
+    block = oracle.deformed_block(2, 0.5, bench, b, float(a[5 + 2]))
     assert np.max(np.abs(block - block.conj().T)) < 1e-9
 
 
 def test_closed_form_rotation_values():
-    """At the rotation the matrix elements are exactly diagonal."""
+    """At the rotation the matrix element tables are exactly diagonal."""
     rot = dynamics.rotation(0.30901699437494745)
     b = TruncationBox(8, 8)
     growth = dynamics.growth_sequence(rot, 8)
     a = dirac.a_sequence(growth, 8)
-    # eta = 1/2, (k,l,r,s) = (1,2,1,2): -(i l + a_{-k}) = 1 - 2i
-    got = dirac.matrix_element_closed_form(0.5, 1, 2, 1, 2, rot, b, a)
-    assert_allclose(got, 1.0 - 2.0j, atol=1e-13)
-    # eta = 0: (i l - a_k) delta_{kr} delta_{ls}
-    got = dirac.matrix_element_closed_form(0.0, 2, -3, 2, -3, rot, b, a)
-    assert_allclose(got, -3.0j - 2.0, atol=1e-13)
+    r = 4
+    tables = {(eta, k): dirac.matrix_element_closed_form(eta, k, rot, b, a, r)
+              for eta in (0.0, 0.5, 1.0) for k in (1, 2)}
+    # eta = 1/2, (k, l) = (1, 2): -(i l + a_{-k}) = 1 - 2i
+    assert_allclose(tables[0.5, 1][2 + r, 2 + r], 1.0 - 2.0j, atol=1e-13)
+    # eta = 0, (k, l) = (2, -3): i l - a_k
+    assert_allclose(tables[0.0, 2][-3 + r, -3 + r], -2.0 - 3.0j, atol=1e-13)
     # off the diagonal everything vanishes
-    assert abs(dirac.matrix_element_closed_form(0.0, 2, -3, 2, 1, rot, b, a)) < 1e-13
-    assert abs(dirac.matrix_element_closed_form(1.0, 2, -3, 1, -3, rot, b, a)) < 1e-13
+    off = ~np.eye(2 * r + 1, dtype=bool)
+    for table in tables.values():
+        assert table.shape == (2 * r + 1, 2 * r + 1)
+        assert np.max(np.abs(table[off])) < 1e-13
 
 
 def test_master_deviation_benchmark(bench, box):
@@ -119,6 +122,17 @@ def test_commutator_rotation_is_exactly_one():
     assert_allclose(bound, 1.0, atol=1e-12)
 
 
+def test_commutator_block_refuses_a_short_growth_sequence(bench, box):
+    growth = dynamics.growth_sequence(bench, 4)
+    for n in (len(growth), -len(growth)):
+        with pytest.raises(OutOfBoxError):
+            dirac.commutator_block(n, 0.5, bench, box, growth)
+    # the neighbour counts too: block 4 and its inverse-shift neighbour 5
+    with pytest.raises(OutOfBoxError):
+        dirac.commutator_block(4, 0.5, bench, box, growth,
+                               generator="shift_inverse")
+
+
 def test_normalized_step_identity(bench, growth):
     """Every step of a is exactly one reciprocal growth value."""
     a = dirac.a_sequence(growth, 8)
@@ -148,3 +162,14 @@ def test_corner_beyond_the_box_solves_no_chart(bench, monkeypatch):
     ctx = gns._context(bench, box)
     assert np.array_equal(dirac._delta_grid(bench, box, n),
                           dynamics.radon_nikodym(bench, n, x=ctx.x))
+
+
+@pytest.mark.parametrize("lift", ["bench", "rot"])
+def test_density_helper_matches_the_context_table(lift, request):
+    d = request.getfixturevalue(lift)
+    box = TruncationBox(5, 6)
+    ctx = gns._context(d, box)
+    assert np.array_equal(dirac._delta_grid(d, box, box.blocks()), ctx.delta)
+    for n in (-5, 0, 3):
+        assert np.array_equal(dirac._delta_grid(d, box, n),
+                              ctx.delta[n + box.block_bound])

@@ -9,10 +9,6 @@ import nctorus
 
 PACKAGE = Path(nctorus.__file__).parent
 
-# The self-adjoint two-corner block D_n itself, kept next to its corners
-# for library use although the checks read the corners directly.
-KEPT = {"dirac.deformed_block"}
-
 
 def test_every_src_function_has_a_caller_or_an_export():
     trees = {path.stem: ast.parse(path.read_text())
@@ -30,6 +26,5 @@ def test_every_src_function_has_a_caller_or_an_export():
     unused = [f"{module}.{node.name}"
               for module, tree in trees.items() for node in tree.body
               if isinstance(node, ast.FunctionDef)
-              and node.name not in referenced | exported
-              and f"{module}.{node.name}" not in KEPT]
+              and node.name not in referenced | exported]
     assert unused == []

@@ -43,11 +43,15 @@ def test_one_nan_matrix_element_fails_dirac_master(rot, small_box,
     real = dirac.matrix_element_closed_form
     calls = []
 
-    def third_is_nan(*args):
+    def one_entry_of_third_is_nan(*args):
         calls.append(args)
-        return complex("nan") if len(calls) == 3 else real(*args)
+        table = real(*args)
+        if len(calls) == 3:
+            table[0, 1] = np.nan
+        return table
 
-    monkeypatch.setattr(dirac, "matrix_element_closed_form", third_is_nan)
+    monkeypatch.setattr(dirac, "matrix_element_closed_form",
+                        one_entry_of_third_is_nan)
     row = _row(verify.dirac_master_suite(rot, small_box, tolerances.resolve(),
                                          radius=2), "dirac_master")
     assert len(calls) > 3
