@@ -252,14 +252,26 @@ def commutator_block(n: int, eta: float, d: DiffeoSpec, box: TruncationBox,
 
 def commutator_excess(d: DiffeoSpec, box: TruncationBox,
                       growth: GrowthSequence, ns, etas=_ETA_SPECIAL,
-                      generators=("shift",), slack: float = 1e-6) -> float:
-    """Largest ``norm - bound (1 + slack)`` over the blocks: negative
-    when every bound holds, NaN when any norm or bound is NaN."""
-    excess = []
+                      generators=("shift",),
+                      slack: float = 1e-6) -> tuple[float, float]:
+    """Largest ``norm - bound (1 + slack)`` over the nontrivial pairs and
+    over all pairs: negative when every bound holds, NaN when any norm
+    or bound is NaN.
+
+    A pair is trivial when its multiplier is the constant step, where
+    the bound holds with equality: eta = 0 at n = 0, or eta = 1 with the
+    neighbour block at 0 (the shift at n = 1, the inverse shift at
+    n = -1), since ``delta_0 = 1``.
+    """
+    excess, trivial = [], []
     for generator in generators:
         for n in ns:
+            other = n - 1 if generator == "shift" else n + 1
             for eta in etas:
                 _, norm, bound = commutator_block(n, eta, d, box, growth,
                                                   generator=generator)
                 excess.append(norm - bound * (1.0 + slack))
-    return float(np.max(excess))
+                trivial.append((eta == 0.0 and n == 0)
+                               or (eta == 1.0 and other == 0))
+    excess = np.array(excess)
+    return float(np.max(excess[~np.array(trivial)])), float(np.max(excess))

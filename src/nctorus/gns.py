@@ -35,6 +35,18 @@ from .grids import (FourierPoly, default_grid_size, frequencies, grid_angles,
 from .weyl import WeylElement
 
 
+# The seed of the Lanczos start, the Lanczos steps on the Gram, the cap
+# on shift-invert steps, the relative width of the certificate, the
+# factor a failed Cholesky raises the gap by, and the cap on Cholesky
+# rounds before the norm fails closed.
+_NORM_SEED = 0
+_GRAM_STEPS = 30
+_SHIFT_STEPS = 150
+_CERTIFY = 1e-12
+_RAISE = 10.0
+_NORM_ROUNDS = 12
+
+
 @dataclass(frozen=True)
 class TruncationBox:
     """Block bound K, mode bound M and quadrature grid size G.
@@ -317,27 +329,176 @@ class GnsOperator:
                 out[i, :, j, :] = block
         return out.reshape(box.dim, box.dim)
 
-    def norm_estimate(self) -> float:
-        """Spectral norm of the dense truncation, ``sqrt(lambda_max(A^H A))``.
+    def _band_gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Gram matrix ``A^H A`` as a block tridiagonal matrix.
 
-        The Gram matrix is summed block row by block row without forming
-        A: row i, its blocks ``B_i`` side by side, adds ``B_i^H B_i`` to
-        the blocks (j, j') of its columns.  Memory is one Gram matrix
-        plus one block row; the Hermitian eigensolve of the Gram replaces
-        the SVD of A at the same relative accuracy.
+        Block row i couples the columns ``j = i - s``, so the Gram couples
+        blocks j and j' only when ``|j - j'|`` is at most the spread q of
+        the shifts.  Runs of q consecutive blocks (the last one padded
+        with zero blocks) then couple only to their neighbour runs.
+        Returns the diagonal run blocks and the superdiagonal ones (run R
+        against run R + 1), each (runs, q n_m, q n_m); a spread as wide
+        as the box gives one run, the dense Gram.
         """
-        box = self.box
-        nb, nm = box.n_blocks, box.n_modes
-        gram = np.zeros((nb, nm, nb, nm), dtype=complex)
+        nb, nm = self.box.n_blocks, self.box.n_modes
+        q = min(max(1, max(self.terms, default=0)
+                    - min(self.terms, default=0)), nb)
+        runs = -(-nb // q)
+        band = np.zeros((runs, 2, q, nm, q, nm), dtype=complex)
         for _, cols, blocks in self._block_rows():
             if not cols:
                 continue
             row = np.hstack(blocks)
-            p, j = len(cols), np.array(cols)
+            p = len(cols)
             pairs = (row.conj().T @ row).reshape(p, nm, p, nm)
-            gram[j[:, None], :, j[None, :], :] += pairs.transpose(0, 2, 1, 3)
-        top = np.linalg.eigvalsh(gram.reshape(box.dim, box.dim))[-1]
-        return float(np.sqrt(max(top, 0.0)))
+            left, right = np.meshgrid(cols, cols, indexing="ij")
+            # the run offset is -1, 0 or 1; -1 is the adjoint of a +1 pair
+            offset = right // q - left // q
+            keep = offset >= 0
+            left, right = left[keep], right[keep]
+            band[left // q, offset[keep], left % q, :, right % q, :] += (
+                pairs.transpose(0, 2, 1, 3)[keep])
+        size = q * nm
+        return (band[:, 0].reshape(runs, size, size),
+                band[:, 1].reshape(runs, size, size))
+
+    def norm_estimate(self) -> float:
+        """Spectral norm of the dense truncation, ``sqrt(lambda_max(A^H A))``.
+
+        No dim x dim array is formed: the Gram is kept as its block
+        tridiagonal band (:meth:`_band_gram`).  A short Lanczos run on
+        the Gram from a fixed-seed random vector gives a lower bound and
+        its residual a first shift sigma.  A block Cholesky of
+        ``sigma I - G`` exists only when ``sigma > lambda_max``, and
+        Lanczos on its inverse (block substitution) separates the
+        clustered top of the spectrum: ``sigma - 1 / mu`` is a lower
+        bound on ``lambda_max`` that converges fast.  The value is
+        returned once a Cholesky at ``lambda (1 + 1e-12)`` certifies it
+        from above; a failed Cholesky raises the shift.  NaN when the
+        Gram is not finite or no certificate is found in a fixed number
+        of rounds, 0.0 when the Gram is zero.
+        """
+        diag, upper = self._band_gram()
+        # the largest diagonal entry, a squared column norm of A, is a
+        # lower bound on lambda_max; any non-finite entry of A makes it
+        # non-finite
+        peak = diag.diagonal(0, 1, 2).real.max()
+        if not np.isfinite(peak):
+            return float("nan")
+        if peak == 0.0:
+            return 0.0
+        rng = np.random.default_rng(_NORM_SEED)
+        start = (rng.standard_normal(diag.shape[:2])
+                 + 1j * rng.standard_normal(diag.shape[:2])).ravel()
+        theta, vector, residual = _top_ritz(
+            lambda x: _band_apply(diag, upper, x), start, _GRAM_STEPS)
+        lower = max(theta, peak)
+        gap = max(residual / lower, _CERTIFY)
+        for _ in range(_NORM_ROUNDS):
+            sigma = lower * (1.0 + gap)
+            factor = _band_cholesky(diag, upper, sigma)
+            if factor is None:
+                gap *= _RAISE
+                continue
+            if gap <= _CERTIFY:
+                return float(np.sqrt(lower))
+            mu, vector, _ = _top_ritz(lambda x: _band_solve(*factor, x),
+                                      vector, _SHIFT_STEPS)
+            del factor  # one factor at a time
+            lower = max(lower, sigma - 1.0 / mu)
+            gap = _CERTIFY
+        return float("nan")
+
+
+def _band_apply(diag: np.ndarray, upper: np.ndarray,
+                x: np.ndarray) -> np.ndarray:
+    """Block tridiagonal Hermitian matrix times a flat vector."""
+    x = x.reshape(len(diag), -1)
+    y = (diag @ x[..., None])[..., 0]
+    y[:-1] += (upper[:-1] @ x[1:, :, None])[..., 0]
+    # U^H v as conj(v^H U): no conjugated copy of U
+    y[1:] += (x[:-1, None, :].conj() @ upper[:-1])[:, 0].conj()
+    return y.ravel()
+
+
+def _band_cholesky(diag: np.ndarray, upper: np.ndarray, sigma: float):
+    """Block Cholesky ``sigma I - G = L L^H`` of a block tridiagonal G.
+
+    Returns the inverse diagonal factors ``L_RR^{-1}`` and the
+    subdiagonal factors ``L_{R+1,R}``, or None when a pivot block is not
+    positive definite, which happens exactly when ``sigma`` is not above
+    the largest eigenvalue of G (up to roundoff).
+    """
+    runs, size, _ = diag.shape
+    inverse = np.empty_like(diag)
+    below = np.empty_like(upper[:-1])
+    shift = sigma * np.eye(size)
+    for r in range(runs):
+        pivot = shift - diag[r]
+        if r:
+            pivot -= below[r - 1] @ below[r - 1].conj().T
+        try:
+            factor = np.linalg.cholesky(pivot)
+        except np.linalg.LinAlgError:
+            return None
+        inverse[r] = np.linalg.inv(factor)
+        if r < runs - 1:
+            below[r] = -(inverse[r] @ upper[r]).conj().T
+    return inverse, below
+
+
+def _band_solve(inverse: np.ndarray, below: np.ndarray,
+                rhs: np.ndarray) -> np.ndarray:
+    """``(L L^H)^{-1} rhs`` by block forward and back substitution."""
+    rhs = rhs.reshape(len(inverse), -1)
+    y = np.empty_like(rhs)
+    for r in range(len(inverse)):
+        v = rhs[r] - below[r - 1] @ y[r - 1] if r else rhs[r]
+        y[r] = inverse[r] @ v
+    x = np.empty_like(rhs)
+    for r in reversed(range(len(inverse))):
+        if r < len(inverse) - 1:
+            y[r] -= (x[r + 1].conj() @ below[r]).conj()
+        x[r] = (y[r].conj() @ inverse[r]).conj()
+    return x.ravel()
+
+
+def _top_ritz(apply, start: np.ndarray, steps: int):
+    """Largest Ritz pair of at most ``steps`` Lanczos steps, and its
+    residual norm ``||A y - theta y||``.
+
+    The basis is reorthogonalized in full (twice per step).  The run
+    stops early once the top Ritz value no longer grows, or the Krylov
+    space is invariant.
+    """
+    basis = np.empty((steps, start.size), dtype=complex)
+    q = start / np.linalg.norm(start)
+    alpha: list[float] = []
+    beta: list[float] = []
+    top = -np.inf
+    for k in range(steps):
+        basis[k] = q
+        w = apply(q)
+        alpha.append(float(np.vdot(q, w).real))
+        for _ in range(2):
+            # basis^H w as conj(basis conj(w)): no conjugated basis copy
+            w -= (basis[:k + 1] @ w.conj()).conj() @ basis[:k + 1]
+        norm = float(np.linalg.norm(w))
+        ritz = np.linalg.eigvalsh(_tridiagonal(alpha, beta))[-1]
+        if ritz <= top * (1.0 + 4.0 * np.finfo(float).eps) or (
+                norm <= 1e-14 * abs(ritz)):
+            break
+        top = ritz
+        beta.append(norm)
+        q = w / norm
+    values, vectors = np.linalg.eigh(
+        _tridiagonal(alpha, beta[:len(alpha) - 1]))
+    return (float(values[-1]), vectors[:, -1] @ basis[:len(alpha)],
+            norm * abs(vectors[-1, -1]))
+
+
+def _tridiagonal(alpha: list[float], beta: list[float]) -> np.ndarray:
+    return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
 
 
 def represent(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> GnsOperator:

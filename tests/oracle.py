@@ -2,8 +2,8 @@
 
 Each is the plain, slow way to get a quantity the package computes
 another way (mode sums for closed forms, quadrature for moments, dense
-diagonals), kept out of ``src`` so that the package holds only what it
-calls or exports.
+diagonals, a dense Gram eigensolve for the operator norm), kept out of
+``src`` so that the package holds only what it calls or exports.
 """
 
 import numpy as np
@@ -82,6 +82,28 @@ def deformed_block(n: int, eta: float, d, box, a_n: float) -> np.ndarray:
     out[:m, m:] = dirac.deformed_corner(n, eta, d, box, a_n)
     out[m:, :m] = grids.at_modes(grids.spectrum(stage, axis=0), modes, axis=0)
     return out
+
+
+def gram_norm(op) -> float:
+    """``sqrt(lambda_max(A^H A))`` by a dense Hermitian eigensolve.
+
+    The Gram matrix is summed block row by block row without forming A:
+    row i, its blocks ``B_i`` side by side, adds ``B_i^H B_i`` to the
+    blocks (j, j') of its columns.  Memory is one dim x dim Gram plus the
+    copy the eigensolve makes.
+    """
+    box = op.box
+    nb, nm = box.n_blocks, box.n_modes
+    gram = np.zeros((nb, nm, nb, nm), dtype=complex)
+    for _, cols, blocks in op._block_rows():
+        if not cols:
+            continue
+        row = np.hstack(blocks)
+        p, j = len(cols), np.array(cols)
+        pairs = (row.conj().T @ row).reshape(p, nm, p, nm)
+        gram[j[:, None], :, j[None, :], :] += pairs.transpose(0, 2, 1, 3)
+    top = np.linalg.eigvalsh(gram.reshape(box.dim, box.dim))[-1]
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def kernel_mode_sum(kernel, angles) -> np.ndarray:

@@ -123,13 +123,11 @@ def test_verify_is_deterministic(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_verify_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
-    """Quick verify at K = M = 16, seed 101, writes the same bytes under
-    one and two OpenBLAS threads; a sampled classical-limit oracle (a
-    threaded matrix product) used to move ``classical_limit``."""
+def _artifacts_per_thread_count(tmp_path, command, config, names):
+    """Run ``command`` in a subprocess under one and two OpenBLAS threads;
+    the bytes of each named artifact, per run."""
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"truncation": {"K": 16, "M": 16},
-                               "seed": 101, "quick": True}))
+    cfg.write_text(json.dumps(config))
     src = Path(cli.__file__).resolve().parents[1]
     written = []
     for threads in ("1", "2"):
@@ -137,11 +135,32 @@ def test_verify_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
         env = dict(os.environ, PYTHONPATH=str(src),
                    OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         run = subprocess.run(
-            [sys.executable, "-m", "nctorus.cli", "verify",
+            [sys.executable, "-m", "nctorus.cli", command,
              "--config", str(cfg), "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
-        written.append((out / "verify.csv").read_bytes())
+        written.append({name: (out / name).read_bytes() for name in names})
+    return written
+
+
+def test_verify_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """Quick verify at K = M = 16, seed 101, writes the same bytes under
+    one and two OpenBLAS threads; a sampled classical-limit oracle (a
+    threaded matrix product) used to move ``classical_limit``."""
+    config = {"truncation": {"K": 16, "M": 16}, "seed": 101, "quick": True}
+    written = _artifacts_per_thread_count(tmp_path, "verify", config,
+                                          ["verify.csv"])
+    assert written[0] == written[1]
+
+
+def test_represent_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """``represent`` at K = M = 24, seed 101: the banded Gram norm writes
+    the same ``operator_norm`` under one and two OpenBLAS threads, where
+    the dense Gram eigensolve it replaced moved in the last bits."""
+    config = {"truncation": {"K": 24, "M": 24, "G": 256}, "seed": 101}
+    written = _artifacts_per_thread_count(
+        tmp_path, "represent", config,
+        ["represent_report.json", "vacuum_image.csv", "represent_terms.csv"])
     assert written[0] == written[1]
 
 
@@ -288,6 +307,32 @@ def test_nan_deviation_exits_two(tmp_path, monkeypatch, command, owner, attr,
     code, _, report = run_cli(tmp_path, command, BENCH)
     assert code == 2
     assert check in report["failures"]
+
+
+def _nan_sample(real):
+    def represent(*args):
+        op = real(*args)
+        op.terms[min(op.terms)][0, 0] = np.nan
+        return op
+    return represent
+
+
+def _raise_not_definite(*args, **kwargs):
+    raise np.linalg.LinAlgError("not positive definite")
+
+
+@pytest.mark.parametrize("owner, attr, replacement", [
+    (gns, "represent", _nan_sample(gns.represent)),
+    (np.linalg, "cholesky", _raise_not_definite),
+], ids=["nan-multiplier-sample", "no-cholesky"])
+def test_represent_without_a_certified_norm_exits_two(
+        tmp_path, monkeypatch, owner, attr, replacement):
+    """The norm fails closed: NaN, never an exception or a stale value."""
+    monkeypatch.setattr(owner, attr, replacement)
+    code, _, report = run_cli(tmp_path, "represent", BENCH)
+    assert code == 2
+    assert "operator_norm_bound" in report["failures"]
+    assert np.isnan(report["operator_norm"])
 
 
 def test_unknown_command_exits_nonzero(capsys):

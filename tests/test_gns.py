@@ -152,7 +152,8 @@ def _edge_element(alpha, radius, k, seed):
 @pytest.mark.parametrize("k, m", [(2, 3), (6, 8), (12, 12)])
 @pytest.mark.parametrize("radius", [2, 3])
 def test_norm_estimate_matches_the_svd(name, k, m, radius, request):
-    """The block-row Gram eigensolve against the SVD of the dense matrix."""
+    """The banded Gram route against the SVD of the dense matrix; the
+    edge shifts make one run of the whole box, the dense case."""
     d = request.getfixturevalue(name)
     b = TruncationBox(k, m)
     a = gns.represent(_edge_element(d.alpha, radius, k, 10 * k + radius),
@@ -162,8 +163,55 @@ def test_norm_estimate_matches_the_svd(name, k, m, radius, request):
     assert abs(a.norm_estimate() - svd) <= 1e-13 * svd
 
 
+@pytest.mark.parametrize("name", ["bench", "rot"])
+@pytest.mark.parametrize("k", [24, 32])
+def test_norm_estimate_matches_the_dense_gram(name, k, request):
+    """Radius 2 at K = M = 24 and 32, where the top of the Gram spectrum
+    is clustered, against the dense Gram eigensolve of the oracle."""
+    d = request.getfixturevalue(name)
+    b = TruncationBox(k, k)
+    f = weyl.random_element(np.random.default_rng(k), d.alpha, 2, decay=1.0)
+    a = gns.represent(f, d, b)
+    want = oracle.gram_norm(a)
+    assert abs(a.norm_estimate() - want) <= 1e-13 * want
+
+
 def test_norm_estimate_of_no_terms_is_zero():
     assert gns.GnsOperator(TruncationBox(2, 3), {}).norm_estimate() == 0.0
+
+
+def test_norm_estimate_of_zero_terms_is_zero(monkeypatch):
+    """Zero multipliers give 0.0 at once: no Lanczos run, no Cholesky."""
+    b = TruncationBox(4, 5)
+    zero = np.zeros((b.n_blocks, b.grid_size), dtype=complex)
+
+    def refuse(*args):
+        raise AssertionError("iterated on a zero Gram")
+
+    monkeypatch.setattr(gns, "_top_ritz", refuse)
+    monkeypatch.setattr(gns, "_band_cholesky", refuse)
+    op = gns.GnsOperator(b, {s: zero for s in (-2, 0, 1)})
+    assert op.norm_estimate() == 0.0
+
+
+def _raise_not_definite(*args, **kwargs):
+    raise np.linalg.LinAlgError("not positive definite")
+
+
+def test_norm_estimate_without_a_certificate_is_nan(bench, monkeypatch):
+    """No Cholesky ever succeeds: the rounds run out and the norm is NaN."""
+    f = weyl.random_element(np.random.default_rng(3), bench.alpha, 2)
+    a = gns.represent(f, bench, TruncationBox(4, 5))
+    assert np.isfinite(a.norm_estimate())
+    monkeypatch.setattr(np.linalg, "cholesky", _raise_not_definite)
+    assert np.isnan(a.norm_estimate())
+
+
+def test_norm_estimate_of_a_nan_sample_is_nan(bench):
+    f = weyl.random_element(np.random.default_rng(3), bench.alpha, 2)
+    a = gns.represent(f, bench, TruncationBox(4, 5))
+    a.terms[1][2, 7] = np.nan
+    assert np.isnan(a.norm_estimate())
 
 
 def test_norm_estimate_never_builds_the_dense_matrix(bench, monkeypatch):
@@ -193,6 +241,22 @@ def test_norm_estimate_memory_is_one_gram(bench):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 16 * b.dim ** 2
+
+
+def test_norm_estimate_memory_is_half_a_gram_at_32(bench):
+    """At K = M = 32 the band, one block Cholesky factor and the Lanczos
+    basis stay under half of one dense Gram matrix (16 dim^2 bytes)."""
+    b = TruncationBox(32, 32)
+    f = weyl.random_element(np.random.default_rng(5), bench.alpha, 2,
+                            decay=1.0)
+    a = gns.represent(f, bench, b)
+    tracemalloc.start()
+    try:
+        a.norm_estimate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 16 * b.dim ** 2
 
 
 def test_state_weights_frozen(bench):

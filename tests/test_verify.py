@@ -126,3 +126,50 @@ def test_wts_suite_retains_no_multipliers(bench):
         tracemalloc.stop()
     assert all(row.passed for row in rows)
     assert retained < 2 ** 20
+
+
+def _inflate_one_commutator(monkeypatch, n_hit, eta_hit, generator_hit):
+    """Raise one pair's norm to twice its growth bound."""
+    real = dirac.commutator_block
+
+    def inflated(n, eta, d, box, growth, generator="shift"):
+        matrix, norm, bound = real(n, eta, d, box, growth,
+                                   generator=generator)
+        if (n, eta, generator) == (n_hit, eta_hit, generator_hit):
+            norm = 2.0 * bound
+        return matrix, norm, bound
+
+    monkeypatch.setattr(dirac, "commutator_block", inflated)
+
+
+def test_commutator_bound_reads_the_nontrivial_pairs(bench, small_box):
+    """The reported excess is not the -slack |a_1 - a_0| of a trivial
+    pair (a constant-step multiplier, where the bound is an equality)."""
+    tols = tolerances.resolve()
+    row = _row(verify.dirac_bounds_suite(bench, small_box, tols,
+                                         n_radius=4), "commutator_bound")
+    growth = dynamics.growth_sequence(bench, small_box.block_bound + 1)
+    a = dirac.a_sequence(growth, 1)
+    trivial = -tols["dirac_bound_slack"] * abs(a[2] - a[1])
+    assert row.passed
+    assert row.observed < 0.0
+    assert abs(row.observed - trivial) > 1e3 * abs(trivial)
+
+
+@pytest.mark.parametrize("pair, reported", [
+    ((3, 0.5, "shift"), True),
+    ((-2, 0.0, "shift_inverse"), True),
+    ((1, 1.0, "shift"), False),
+    ((0, 0.0, "shift_inverse"), False),
+], ids=["nontrivial-shift", "nontrivial-inverse", "trivial-shift",
+        "trivial-inverse"])
+def test_one_inflated_commutator_norm_fails(bench, small_box, monkeypatch,
+                                            pair, reported):
+    """Any pair above its bound fails the check; only the nontrivial ones
+    set the reported excess."""
+    _inflate_one_commutator(monkeypatch, *pair)
+    row = _row(verify.dirac_bounds_suite(bench, small_box,
+                                         tolerances.resolve(), n_radius=4),
+               "commutator_bound")
+    assert not row.passed
+    assert (row.observed > 0.0) == reported
