@@ -21,8 +21,7 @@ import numpy as np
 from .dynamics import DiffeoSpec, GrowthSequence, growth_sequence
 from .errors import OutOfBoxError
 from .gns import TruncationBox, _context
-from .grids import (at_modes, grid_angles, spectral_derivative, spectrum,
-                    toeplitz)
+from .grids import at_modes, spectral_derivative, spectrum, toeplitz
 from .modular import _conjugated_rows
 
 _ETA_SPECIAL = (0.0, 0.5, 1.0)
@@ -52,21 +51,25 @@ def telescoping_deviation(a: np.ndarray, growth: GrowthSequence) -> float:
 
 def _delta_grid(d: DiffeoSpec, box: TruncationBox, n) -> np.ndarray:
     """Density ``H'(u + 2 alpha n) / H'(u)`` on the context chart, one
-    grid row for a scalar n and a stack of rows for an array of n."""
-    u = _context(d, box).u
-    shift = 2.0 * d.alpha * np.asarray(n)
-    return d.lift.derivative(u + shift[..., None]) / d.lift.derivative(u)
+    grid row for a scalar n and a stack of rows for an array of n: the
+    context's rows (the same expression) for blocks inside the box."""
+    ctx = _context(d, box)
+    n = np.asarray(n)
+    if np.all(np.abs(n) <= box.block_bound):
+        return ctx.delta[n + box.block_bound]
+    shift = 2.0 * d.alpha * n
+    return (d.lift.derivative(ctx.u + shift[..., None])
+            / d.lift.derivative(ctx.u))
 
 
 def deformed_corner(n: int, eta: float, d: DiffeoSpec, box: TruncationBox,
                     a_n: float) -> np.ndarray:
     """Upper corner ``P delta^{eta-1} L delta^{-eta} P`` at block n."""
     delta = _delta_grid(d, box, n)[:, None]
-    modes = box.modes()
-    waves = np.exp(1j * np.multiply.outer(grid_angles(box.grid_size), modes))
+    waves = _context(d, box).waves.T
     stage = spectral_derivative(delta ** (-eta) * waves, a_n, axis=0)
     stage *= delta ** (eta - 1.0)
-    return at_modes(spectrum(stage, axis=0), modes, axis=0)
+    return at_modes(spectrum(stage, axis=0), box.modes(), axis=0)
 
 
 def diagonal_inverse_norm(box: TruncationBox, a_n: float) -> float:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .dynamics import DiffeoSpec
 from .errors import GridTooSmallError
-from .gns import (GnsVector, TruncationBox, _context, _u_kl_rows, represent,
-                  vacuum)
+from .gns import (GnsOperator, GnsVector, TruncationBox, _context, _u_kl_rows,
+                  represent, vacuum)
 from .grids import at_modes, dirichlet_kernel, project_to_modes, spectrum
 from .modular import (_conjugated_rows, _epsilon_pairings, _j_on_grid,
                       _root_rows)
@@ -108,12 +108,17 @@ def paren_functional(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
         return FourierCoeffs("paren", table, box)
     if route != "vacuum":
         raise ValueError(f"unknown route {route!r}")
-    a = represent(f, d, box)
-    row0 = box.block_bound
+    return _vacuum_paren(represent(f, d, box))
+
+
+def _vacuum_paren(a: GnsOperator) -> FourierCoeffs:
+    """Paren table read off the block-0 row of each shift multiplier."""
+    box = a.box
     table = np.zeros((box.n_blocks, box.n_modes), dtype=complex)
     for i, k in enumerate(box.blocks()):
         if -int(k) in a.terms:
-            table[i] = at_modes(spectrum(a.terms[-int(k)][row0]), -box.modes())
+            table[i] = at_modes(spectrum(a.terms[-int(k)][box.block_bound]),
+                                -box.modes())
     return FourierCoeffs("paren", table, box)
 
 
@@ -148,8 +153,10 @@ def classical_limit_compare(f: WeylElement, box: TruncationBox,
         d = rotation(0.0, classical=True)
     if not (d.classical and d.alpha == 0.0 and d.is_rotation):
         raise ValueError("classical comparison needs alpha = 0, identity h")
-    hat = hat_functional(f, d, box).table
-    paren = paren_functional(f, d, box, route="vacuum").table
+    # one operator serves hat_functional's and the vacuum route's tables
+    a = represent(f, d, box)
+    hat = hat_vector(a.apply(vacuum(box))).table
+    paren = _vacuum_paren(a).table
     dev_hat = np.abs(hat - _swapped_table(f, box, 1))
     dev_paren = np.abs(paren - _swapped_table(f, box, -1))
     return {"hat": float(np.max(dev_hat)), "paren": float(np.max(dev_paren))}

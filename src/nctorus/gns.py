@@ -9,8 +9,9 @@ diagonally up to shifts,
 
 with multiplier functions ``m_{n, s}(z) = sum_m f(m, s)
 exp(i m (psi(z) + 2 pi alpha (2 n - s)))`` where ``psi`` is the angle of
-``h^{-1}(z)``; each shift row is one matrix product of a twist table
-and a wave table.  Everything downstream (modular operators, transforms,
+``h^{-1}(z)``; one wave table over the element's modes and one twist
+table over its cycle counts serve all shifts, one matrix product per
+shift.  Everything downstream (modular operators, transforms,
 Dirac blocks) reuses the cached per-box context built here: one inverse
 solve into the chart ``u = h^{-1}``, the closed-form densities
 ``delta_n`` and the chart transport ``y -> y o F_n`` (resample, phase,
@@ -96,8 +97,9 @@ class _Context:
     densities ``delta_n = H'(u + 2 alpha n) / H'(u)`` follow in closed
     form, and transport along ``f^n``, ``y -> y o F_n`` on the grid,
     becomes resample, phase, resample: ``from_chart(to_chart(y), phase)``.
-    Memory is O(G^2 + (2K + 1) G); nothing per (k, l) is kept, nor any
-    density spectrum (the Dirac closed forms take one block on request).
+    Memory is O(G^2 + (2K + 1) G), the grid waves ``e_l`` included;
+    nothing per (k, l) is kept, nor any density spectrum (the Dirac
+    closed forms take one block on request).
     """
 
     def __init__(self, d: DiffeoSpec, box: TruncationBox):
@@ -121,8 +123,8 @@ class _Context:
         self._to_chart = spectrum(spectra).T
         self.phase = _waves(shift, freqs)
         self._from_chart = _waves(u, freqs).T
-        waves = np.exp(1j * np.multiply.outer(box.modes(), self.theta))
-        self.wave_spectra = self.to_chart(waves)
+        self.waves = np.exp(1j * np.multiply.outer(box.modes(), self.theta))
+        self.wave_spectra = self.to_chart(self.waves)
 
     def to_chart(self, rows: np.ndarray) -> np.ndarray:
         """u-spectra of ``y o H`` for grid rows y."""
@@ -348,16 +350,16 @@ class GnsOperator:
         for _, cols, blocks in self._block_rows():
             if not cols:
                 continue
-            row = np.hstack(blocks)
-            p = len(cols)
-            pairs = (row.conj().T @ row).reshape(p, nm, p, nm)
-            left, right = np.meshgrid(cols, cols, indexing="ij")
-            # the run offset is -1, 0 or 1; -1 is the adjoint of a +1 pair
-            offset = right // q - left // q
-            keep = offset >= 0
-            left, right = left[keep], right[keep]
-            band[left // q, offset[keep], left % q, :, right % q, :] += (
-                pairs.transpose(0, 2, 1, 3)[keep])
+            row, cols = np.hstack(blocks), np.array(cols)
+            # a row's columns span at most two runs; only the pairs at run
+            # offset 0 or 1 are formed, -1 being the adjoint of a +1 pair
+            for run in range(cols.min() // q, cols.max() // q + 1):
+                left, right = cols // q == run, cols // q >= run
+                pairs = (row[:, np.repeat(left, nm)].conj().T
+                         @ row[:, np.repeat(right, nm)]).reshape(
+                             left.sum(), nm, right.sum(), nm)
+                band[run, cols[right] // q - run, cols[left, None] % q, :,
+                     cols[right] % q, :] += pairs.transpose(0, 2, 1, 3)
         size = q * nm
         return (band[:, 0].reshape(runs, size, size),
                 band[:, 1].reshape(runs, size, size))
@@ -504,25 +506,31 @@ def _tridiagonal(alpha: list[float], beta: list[float]) -> np.ndarray:
 def represent(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> GnsOperator:
     """Image of a coefficient table in the block representation.
 
-    Each shift row is one product ``(twist * coeffs) @ waves`` of the
-    (2K + 1, n_m) table ``exp(2 pi i alpha m (2 n - s))`` and the
-    (n_m, G) table ``exp(i m psi)`` over the row's modes m.
+    One table ``exp(i m psi)`` over the distinct modes m and one of
+    twists ``exp(2 pi i alpha p)`` over the distinct cycle counts
+    ``p = m (2 n - s)`` (both keyed by ``np.unique``, so far-apart keys
+    cost nothing) serve every shift s: its term is one product
+    ``(twist * coeffs) @ waves`` over its keys, in ascending m.
     """
     if f.alpha != d.alpha:
         raise AlphaMismatchError(
             f"element alpha {f.alpha!r} does not match dynamics {d.alpha!r}")
     ctx = _context(d, box)
-    terms: dict[int, np.ndarray] = {}
-    blocks = box.blocks()
-    for s, ms, coeffs in f.rows():
-        if abs(s) > 2 * box.block_bound:
-            warnings.warn(
-                f"shift {s} exceeds the block range; term dropped",
-                stacklevel=2)
-            continue
-        twist = _waves(d.alpha, np.multiply.outer(2 * blocks - s, ms))
-        waves = np.exp(1j * np.multiply.outer(ms, ctx.psi))
-        terms[s] = (twist * coeffs) @ waves
+    ms, ss = f.keys[:, 0], f.keys[:, 1]
+    inside = np.abs(ss) <= 2 * box.block_bound
+    for s in sorted(set(ss[~inside].tolist())):
+        warnings.warn(f"shift {s} exceeds the block range; term dropped",
+                      stacklevel=2)
+    ms, ss, coeffs = ms[inside], ss[inside], f.values[inside]
+    modes, mode_at = np.unique(ms, return_inverse=True)
+    waves = np.exp(1j * np.multiply.outer(modes, ctx.psi))
+    cycles = (2 * box.blocks()[:, None] - ss) * ms
+    counts, count_at = np.unique(cycles.ravel(), return_inverse=True)
+    twist = _waves(d.alpha, counts)[count_at].reshape(cycles.shape) * coeffs
+    terms = {}
+    for s in sorted(set(ss.tolist())):
+        cols = np.flatnonzero(ss == s)  # keys sort by (m, n): m ascends
+        terms[s] = twist[:, cols] @ waves[mode_at[cols]]
     return GnsOperator(box, terms)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from . import dirac, dynamics, fourier, gns, modular, summation, weyl
 from .dynamics import DiffeoSpec
 from .gns import TruncationBox
+from .grids import project_to_modes
 
 
 @dataclass
@@ -136,21 +137,19 @@ def dynamics_suite(d: DiffeoSpec, box: TruncationBox,
 def gns_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
               rng: np.random.Generator, u_radius: int = 8,
               hom_count: int = 10) -> list[CheckResult]:
-    ctx = gns._context(d, box)
-    modes = box.modes()
-    waves = np.exp(1j * np.multiply.outer(modes, ctx.theta))
+    waves = gns._context(d, box).waves
     gram = waves @ np.conj(waves.T) / box.grid_size
     gram_dev = float(np.max(np.abs(gram - np.eye(box.n_modes))))
 
-    xi = gns.vacuum(box)
-    u_dev = 0.0
+    # u_kl xi = e_kl: the vacuum sits in block 0, so only row n = k of
+    # each shift-k multiplier is read, all projected as one stack
     kr = min(u_radius, box.block_bound)
     lr = min(u_radius, box.mode_bound)
-    for k in range(-kr, kr + 1):
-        for l in range(-lr, lr + 1):
-            image = gns.build_u_kl(d, box, k, l).apply(xi)
-            u_dev = np.maximum(u_dev,
-                               (image - gns.basis_vector(box, k, l)).norm())
+    ks, ls = np.arange(-kr, kr + 1), np.arange(-lr, lr + 1)
+    rows = gns._u_kl_rows(d, box, ks[:, None], ls[None, :], ks[:, None])
+    images = project_to_modes(rows, box.mode_bound).coeffs
+    images[:, np.arange(len(ls)), ls + box.mode_bound] -= 1.0
+    u_dev = float(np.max(np.linalg.norm(images, axis=-1)))
 
     # The sequential product is compared on grid rows: the interior
     # block margin covers both shifts, and keeping the intermediate at

@@ -33,19 +33,22 @@ def _reduce(keys: np.ndarray,
             values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (N, 2) keys sorted by (m, n) and their nonzero values.
 
-    Coinciding keys are summed by a scatter-add on a linear index of the
-    keys' ranks (which cannot overflow, however far apart the keys lie),
-    in input order; exact zeros are dropped and NaN is kept.
+    One stable sort by (m, n) marks where each run of coinciding keys
+    starts (no arithmetic on the keys, so none can overflow, however far
+    apart they lie); each run is summed by a scatter-add in input order.
+    Exact zeros are dropped and NaN is kept.
     """
-    ms, m_rank = np.unique(keys[:, 0], return_inverse=True)
-    ns, n_rank = np.unique(keys[:, 1], return_inverse=True)
-    linear, slot = np.unique(m_rank * len(ns) + n_rank, return_inverse=True)
-    sums = np.empty(len(linear), dtype=complex)
-    sums.real = np.bincount(slot, values.real, len(linear))
-    sums.imag = np.bincount(slot, values.imag, len(linear))
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    ranked = keys[order]
+    start = np.ones(len(order), dtype=bool)
+    start[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    slot = np.empty(len(order), dtype=np.intp)
+    slot[order] = np.cumsum(start) - 1
+    sums = np.empty(int(start.sum()), dtype=complex)
+    sums.real = np.bincount(slot, values.real, len(sums))
+    sums.imag = np.bincount(slot, values.imag, len(sums))
     keep = sums != 0
-    keys = np.stack([ms[linear[keep] // len(ns)],
-                     ns[linear[keep] % len(ns)]], axis=1)
+    keys = ranked[start][keep]
     values = sums[keep]
     keys.flags.writeable = values.flags.writeable = False
     return keys, values

@@ -167,9 +167,34 @@ def test_corner_beyond_the_box_solves_no_chart(bench, monkeypatch):
 @pytest.mark.parametrize("lift", ["bench", "rot"])
 def test_density_helper_matches_the_context_table(lift, request):
     d = request.getfixturevalue(lift)
-    box = TruncationBox(5, 6)
+    box = TruncationBox(20, 20)
     ctx = gns._context(d, box)
     assert np.array_equal(dirac._delta_grid(d, box, box.blocks()), ctx.delta)
-    for n in (-5, 0, 3):
-        assert np.array_equal(dirac._delta_grid(d, box, n),
-                              ctx.delta[n + box.block_bound])
+    for n in box.blocks():
+        # the context rows are bit-equal to the closed form on the chart
+        recomputed = (d.lift.derivative(ctx.u + 2.0 * d.alpha * n)
+                      / d.lift.derivative(ctx.u))
+        assert np.array_equal(dirac._delta_grid(d, box, n), recomputed)
+
+
+def test_corner_inside_the_box_evaluates_no_lift(bench, monkeypatch):
+    box = TruncationBox(3, 4)
+    growth = dynamics.growth_sequence(bench, box.block_bound)
+    a = dirac.a_sequence(growth, box.block_bound)
+    cases = [(n, eta) for n in box.blocks() for eta in (0.0, 0.5, 1.0)]
+    k = box.block_bound
+    warm = [dirac.deformed_corner(n, eta, bench, box, float(a[n + k]))
+            for n, eta in cases]
+    calls = []
+    for name in ("derivative", "inverse"):
+        method = getattr(dynamics.ConjugatorLift, name)
+
+        def counting(self, y, name=name, method=method):
+            calls.append(name)
+            return method(self, y)
+
+        monkeypatch.setattr(dynamics.ConjugatorLift, name, counting)
+    again = [dirac.deformed_corner(n, eta, bench, box, float(a[n + k]))
+             for n, eta in cases]
+    assert calls == []
+    assert all(np.array_equal(x, y) for x, y in zip(again, warm))

@@ -8,6 +8,7 @@ independent oracle for that identity.
 
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -282,19 +283,33 @@ def test_represent_rejects_foreign_alpha(bench, small_box):
 
 
 def test_oversized_shift_warns_and_drops(bench, small_box):
-    f = weyl.WeylElement(bench.alpha, {(0, 13): 1.0})
-    with pytest.warns(UserWarning):
+    f = weyl.WeylElement(bench.alpha, {(0, 13): 1.0, (2, 13): 1.0,
+                                       (1, -20): 1.0})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         a = gns.represent(f, bench, small_box)
+    # one warning per dropped shift, however many keys it holds
+    assert sorted(str(w.message) for w in caught) == [
+        f"shift {s} exceeds the block range; term dropped" for s in (-20, 13)]
+    assert all(w.category is UserWarning for w in caught)
+    assert a.terms == {}
     assert a.apply(gns.vacuum(small_box)).norm() < 1e-15
 
 
 def reference_represent(f, d, box):
-    """Per-coefficient represent: one twisted wave per table entry."""
+    """Per-coefficient represent: one twisted wave per table entry.
+
+    The twist cycles ``alpha m (2 n - s)`` are reduced modulo 1 in exact
+    integer arithmetic (alpha is a dyadic rational), so far-apart keys
+    keep full accuracy.
+    """
     psi = gns._context(d, box).psi
     blocks = box.blocks()
+    num, den = d.alpha.as_integer_ratio()
     terms = {}
     for p, v in f.items():
-        twist = np.exp(2j * np.pi * d.alpha * p.m * (2 * blocks - p.n))
+        cycles = [num * p.m * int(c) % den / den for c in 2 * blocks - p.n]
+        twist = np.exp(2j * np.pi * np.array(cycles))
         wave = np.exp(1j * p.m * psi)
         terms[p.n] = terms.get(p.n, 0) + v * twist[:, None] * wave[None, :]
     return terms
@@ -364,13 +379,34 @@ def test_every_cache_is_bounded():
 
 def test_represent_matches_the_per_coefficient_loop(bench, small_box):
     rng = np.random.default_rng(5)
-    for _ in range(5):
-        f = weyl.random_element(rng, bench.alpha, 3, decay=0.5)
+    alpha = bench.alpha
+    elements = [weyl.random_element(rng, alpha, 3, decay=0.5)
+                for _ in range(5)]
+    elements += [
+        # a row whose modes have gaps, next to a one-key row
+        weyl.WeylElement(alpha, {(-3, 1): 0.5, (0, 1): -1j, (4, 1): 2.0,
+                                 (2, -1): 1.0 + 1j}),
+        weyl.WeylElement(alpha, {(3, -2): 1.5 - 0.5j}),
+        weyl.WeylElement(alpha, {}),
+        weyl.WeylElement(alpha, {(10 ** 6, 1): 1.0, (-10 ** 6, 1): 2j,
+                                 (10 ** 6, -3): 0.5, (0, 0): 1.0}),
+    ]
+    for f in elements:
         got = gns.represent(f, bench, small_box).terms
         want = reference_represent(f, bench, small_box)
-        assert set(got) == set(want)
+        assert list(got) == sorted(want)
         for s in want:
             assert np.max(np.abs(got[s] - want[s])) < 1e-13
+    # one NaN coefficient reaches its own shift's term and no other
+    f = weyl.WeylElement(alpha, {(1, 2): np.nan, (-1, 2): 1.0, (0, 0): 1.0,
+                                 (2, -1): 1j})
+    got = gns.represent(f, bench, small_box).terms
+    want = reference_represent(f, bench, small_box)
+    assert list(got) == [-1, 0, 2]
+    assert np.isnan(got[2]).all()
+    for s in (-1, 0):
+        assert np.isfinite(got[s]).all()
+        assert np.max(np.abs(got[s] - want[s])) < 1e-13
 
 
 def test_state_series_makes_no_inverse_solve(bench, monkeypatch):

@@ -173,3 +173,27 @@ def test_one_inflated_commutator_norm_fails(bench, small_box, monkeypatch,
                "commutator_bound")
     assert not row.passed
     assert (row.observed > 0.0) == reported
+
+
+def _shifted_l(rows):
+    return lambda d, box, k, l, n: rows(d, box, k, np.asarray(l) + 1, n)
+
+
+def _one_nan_row(rows):
+    def mutant(d, box, k, l, n):
+        out = rows(d, box, k, l, n).copy()
+        out[(0,) * (out.ndim - 1)] = np.nan
+        return out
+    return mutant
+
+
+@pytest.mark.parametrize("mutate", [_shifted_l, _one_nan_row],
+                         ids=["l-plus-one", "nan-row"])
+def test_u_kl_vacuum_catches_a_faulty_row(rot, small_box, monkeypatch,
+                                          mutate):
+    """A wrong character row fails ``u_kl_vacuum`` in the quick battery."""
+    tols = tolerances.resolve()
+    assert _row(verify.run_all(rot, small_box, tols), "u_kl_vacuum").passed
+    monkeypatch.setattr(gns, "_u_kl_rows", mutate(gns._u_kl_rows))
+    row = _row(verify.run_all(rot, small_box, tols), "u_kl_vacuum")
+    assert not row.passed
