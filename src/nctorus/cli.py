@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -24,21 +25,53 @@ from .errors import NcTorusError
 from .gns import TruncationBox
 from .tolerances import resolve
 
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+# Rows per write of a CSV table.
+_CSV_CHUNK = 4096
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _cell(kind: type) -> str:
+    """The %-format of one CSV cell by its type: bools (numpy's too) as
+    1/0, integers as themselves, floats (np.float64 too) to 17
+    significant digits, anything else by ``str``."""
+    if issubclass(kind, (bool, np.bool_)):
+        return "%d"
+    if issubclass(kind, float):
+        return "%.17g"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    return "%s"
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Header and rows, comma separated with ``\\n`` line ends.
+
+    Each row is formatted by one %-template per row type signature, and
+    the text is written ``_CSV_CHUNK`` rows at a time, which bounds the
+    strings held at once.  Only a text cell can hold what the csv module
+    quotes (a comma, a quote, a line break) or be a lone empty field;
+    when a chunk's text shows one, that chunk goes through
+    ``csv.writer`` instead, cell by cell in the same formats, so the
+    bytes are the csv module's either way.
+    """
+    rows = chain([header], rows)
+    templates: dict[tuple, str] = {}
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        while chunk := list(islice(rows, _CSV_CHUNK)):
+            lines = []
+            for row in chunk:
+                kinds = tuple(map(type, row))
+                template = templates.get(kinds)
+                if template is None:
+                    template = templates[kinds] = ",".join(map(_cell, kinds))
+                lines.append(template % tuple(row))
+            text = "\n".join(lines) + "\n"
+            if ('"' in text or "\r" in text or "" in lines
+                    or text.count("\n") != len(lines)
+                    or text.count(",") != sum(map(len, chunk)) - len(chunk)):
+                csv.writer(handle, lineterminator="\n").writerows(
+                    [_cell(type(v)) % (v,) for v in row] for row in chunk)
+            else:
+                handle.write(text)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -47,13 +80,29 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
-def _coeff_rows(table: fourier.FourierCoeffs) -> list[list]:
-    rows = []
-    for k in table.box.blocks():
-        for l in table.box.modes():
-            v = table.entry(int(k), int(l))
-            rows.append([table.kind, int(k), int(l), v.real, v.imag, abs(v)])
-    return rows
+def _box_index(box: TruncationBox) -> tuple[list[int], list[int]]:
+    """Block and mode of each entry of a (blocks, modes) table, row major."""
+    return (np.repeat(box.blocks(), box.n_modes).tolist(),
+            np.tile(box.modes(), box.n_blocks).tolist())
+
+
+def _coeff_rows(table: fourier.FourierCoeffs):
+    values = table.table.ravel()
+    # abs of a Python complex, not np.abs: the two differ in last bits
+    return zip(repeat(table.kind), *_box_index(table.box),
+               values.real.tolist(), values.imag.tolist(),
+               map(abs, values.tolist()))
+
+
+def _term_rows(operator: gns.GnsOperator):
+    """``(shift, n, mode, re, im)`` per in-box mode of every multiplier."""
+    box = operator.box
+    blocks, modes = _box_index(box)
+    for s in sorted(operator.terms):
+        hats = grids.project_to_modes(operator.terms[s],
+                                      box.mode_bound).coeffs.ravel()
+        yield from zip(repeat(s), blocks, modes, hats.real.tolist(),
+                       hats.imag.tolist())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,14 +205,8 @@ def _cmd_represent(env: dict, out: Path) -> int:
     _write_csv(out / "vacuum_image.csv",
                ["kind", "k", "l", "re", "im", "abs"], _coeff_rows(table))
     operator = gns.represent(f, d, box)
-    term_rows = []
-    for s in sorted(operator.terms):
-        hats = grids.project_to_modes(operator.terms[s], box.mode_bound).coeffs
-        for n, row in zip(box.blocks(), hats):
-            for l, v in zip(box.modes(), row):
-                term_rows.append([s, int(n), int(l), v.real, v.imag])
     _write_csv(out / "represent_terms.csv",
-               ["shift", "n", "mode", "re", "im"], term_rows)
+               ["shift", "n", "mode", "re", "im"], _term_rows(operator))
     norm = operator.apply(gns.vacuum(box)).norm()
     sup = table.sup()
     endpoint = verify.check("hausdorff_young_endpoint",

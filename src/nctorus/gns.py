@@ -38,14 +38,16 @@ from .weyl import WeylElement
 
 # The seed of the Lanczos start, the Lanczos steps on the Gram, the cap
 # on shift-invert steps, the relative width of the certificate, the
-# factor a failed Cholesky raises the gap by, and the cap on Cholesky
-# rounds before the norm fails closed.
+# factor a failed Cholesky raises the gap by, the cap on Cholesky rounds
+# before the norm fails closed, and the largest triangular block that is
+# inverted by LU rather than by halves.
 _NORM_SEED = 0
 _GRAM_STEPS = 30
 _SHIFT_STEPS = 150
 _CERTIFY = 1e-12
 _RAISE = 10.0
 _NORM_ROUNDS = 12
+_TRIANGULAR_CUTOFF = 32
 
 
 @dataclass(frozen=True)
@@ -443,10 +445,31 @@ def _band_cholesky(diag: np.ndarray, upper: np.ndarray, sigma: float):
             factor = np.linalg.cholesky(pivot)
         except np.linalg.LinAlgError:
             return None
-        inverse[r] = np.linalg.inv(factor)
+        inverse[r] = _triangular_inverse(factor)
         if r < runs - 1:
             below[r] = -(inverse[r] @ upper[r]).conj().T
     return inverse, below
+
+
+def _triangular_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower triangular matrix, by halves.
+
+    ``[[A, 0], [C, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} C A^{-1}, D^{-1}]]``;
+    up to ``_TRIANGULAR_CUTOFF`` rows the LU inverse does it.  About a
+    third of the flops of an LU inverse of the whole.  A NaN entry gives
+    NaN, or LinAlgError from the LU inverse of a small block, as the LU
+    inverse of the whole does.
+    """
+    size = len(lower)
+    if size <= _TRIANGULAR_CUTOFF:
+        return np.linalg.inv(lower)
+    half = size // 2
+    out = np.zeros_like(lower)
+    out[:half, :half] = _triangular_inverse(lower[:half, :half])
+    out[half:, half:] = _triangular_inverse(lower[half:, half:])
+    out[half:, :half] = -(out[half:, half:] @ lower[half:, :half]
+                          @ out[:half, :half])
+    return out
 
 
 def _band_solve(inverse: np.ndarray, below: np.ndarray,

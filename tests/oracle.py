@@ -2,9 +2,12 @@
 
 Each is the plain, slow way to get a quantity the package computes
 another way (mode sums for closed forms, quadrature for moments, dense
-diagonals, a dense Gram eigensolve for the operator norm), kept out of
-``src`` so that the package holds only what it calls or exports.
+diagonals, a dense Gram eigensolve for the operator norm, the csv
+module cell by cell for the CLI tables), kept out of ``src`` so that
+the package holds only what it calls or exports.
 """
+
+import csv
 
 import numpy as np
 
@@ -119,3 +122,22 @@ def state_moments_by_quadrature(d, mode_bound: int,
     u = d.lift.inverse(np.arange(size) / size)
     ms = np.arange(-mode_bound, mode_bound + 1)
     return np.exp(2j * np.pi * np.multiply.outer(ms, u)).mean(axis=1)
+
+
+def csv_cell(value) -> str:
+    """One CSV cell: bools (numpy's too) as 1/0, floats to 17 significant
+    digits, anything else by ``str``."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """The CLI table format through ``csv.writer``, one cell at a time."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([csv_cell(v) for v in row])

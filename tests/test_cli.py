@@ -12,6 +12,8 @@ import pytest
 
 from nctorus import cli, dirac, fourier, gns, summation, weyl
 
+import oracle
+
 
 def run_cli(tmp_path, name, config, *extra):
     cfg = tmp_path / "config.json"
@@ -161,6 +163,63 @@ def test_represent_does_not_depend_on_the_blas_thread_count(tmp_path):
     written = _artifacts_per_thread_count(
         tmp_path, "represent", config,
         ["represent_report.json", "vacuum_image.csv", "represent_terms.csv"])
+    assert written[0] == written[1]
+
+
+# every cell type the commands write, the float edge cases among them,
+# and text cells the csv module quotes (or, for "\r", may quote)
+CSV_ROWS = [
+    ["hat", True, False, 3, np.int64(-4), 0.1, np.float64(-2.5)],
+    ["paren", False, True, -7, np.int64(0), 0.0, -0.0],
+    ["x", True, 0, 1, 2, float("nan"), np.float64("nan")],
+    ["y", False, 0, 1, 2, float("inf"), -float("inf")],
+    ["z", True, 0, 1, 2, 5e-324, 1.7976931348623157e308],
+    ["z", True, 0, 1, 2, np.float64(-5e-324), np.float64(1 / 3)],
+    [np.True_, np.False_, np.bool_(1), np.float32(0.1), "", "a b", 1e16],
+]
+CSV_QUOTED = [["a,b"], ['say "hi"'], ["two\nlines"], ["cr\rhere"], [""],
+              ["", ""], ["", 1, 2.5]]
+
+
+@pytest.mark.parametrize("chunk", [2, cli._CSV_CHUNK])
+@pytest.mark.parametrize("rows", [CSV_ROWS, CSV_ROWS + CSV_QUOTED],
+                         ids=["plain", "quoted"])
+def test_csv_writer_matches_the_csv_module(tmp_path, monkeypatch, rows,
+                                           chunk):
+    """Chunks of two rows mix quoted and plain chunks in one file."""
+    monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+    header = ["kind", "a", "b", "c", "d", "e", "f"]
+    cli._write_csv(tmp_path / "fast.csv", header, rows)
+    oracle.write_csv(tmp_path / "reference.csv", header, rows)
+    assert ((tmp_path / "fast.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+
+
+def test_csv_writes_numpy_bools_as_one_and_zero(tmp_path):
+    """``str(np.True_)`` is ``True``; every bool cell is 1 or 0."""
+    cli._write_csv(tmp_path / "b.csv", ["p", "q", "r", "s"],
+                   [[np.True_, np.False_, True, False],
+                    [np.all([1.0]), np.any([0.0]), 1 > 0, 1 < 0]])
+    assert (tmp_path / "b.csv").read_text() == "p,q,r,s\n1,0,1,0\n1,0,1,0\n"
+
+
+def test_artifacts_match_the_reference_writer(tmp_path, monkeypatch):
+    """Every file of every artifact command, written once by the CLI and
+    once with its CSV writer swapped for the csv module cell by cell."""
+    commands = ["star", "represent", "fourier", "fejer", "abel", "dirac",
+                "growth"]
+    written = []
+    for tag in ("fast", "reference"):
+        if tag == "reference":
+            monkeypatch.setattr(cli, "_write_csv", oracle.write_csv)
+        (tmp_path / tag).mkdir()
+        files = {}
+        for command in commands:
+            code, out, _ = run_cli(tmp_path / tag, command, BENCH)
+            assert code == 0
+            files.update((p.name, p.read_bytes()) for p in out.iterdir())
+        written.append(files)
+    assert sum(name.endswith(".csv") for name in written[0]) == 10
     assert written[0] == written[1]
 
 

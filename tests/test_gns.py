@@ -177,6 +177,49 @@ def test_norm_estimate_matches_the_dense_gram(name, k, request):
     assert abs(a.norm_estimate() - want) <= 1e-13 * want
 
 
+def _cholesky_factor(size, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((size, size)) + 1j * rng.standard_normal(
+        (size, size))
+    return np.linalg.cholesky(a @ a.conj().T / size + np.eye(size))
+
+
+CUTOFF = gns._TRIANGULAR_CUTOFF
+
+
+@pytest.mark.parametrize("size", [1, 2, CUTOFF - 1, CUTOFF, CUTOFF + 1,
+                                  196, 500])
+def test_triangular_inverse_matches_the_lu_inverse(size):
+    lower = _cholesky_factor(size, size)
+    x = gns._triangular_inverse(lower)
+    lu = np.linalg.inv(lower)
+    eye = np.eye(size)
+    assert np.linalg.norm(x @ lower - eye, 2) <= 1e-13
+    assert np.linalg.norm(x - lu, 2) <= 1e-13 * np.linalg.norm(lu, 2)
+
+
+@pytest.mark.parametrize("where, products_only", [
+    ((60, 10), True), ((30, 5), True), ((70, 60), True),
+    ((0, 0), False), ((1, 0), False), ((99, 99), False)])
+def test_triangular_inverse_of_a_nan_entry_is_never_finite(where,
+                                                           products_only):
+    """A NaN in an off-diagonal half reaches only the products and gives
+    NaN; in a block small enough for the LU inverse it gives NaN or, as
+    with the LU inverse of the whole, LinAlgError (the pivot search may
+    call a NaN block singular).  Never a finite inverse."""
+    lower = _cholesky_factor(100, 3)
+    lower[where] = np.nan
+    try:
+        x = gns._triangular_inverse(lower)
+    except np.linalg.LinAlgError:
+        assert not products_only
+        return
+    if products_only:
+        # every entry that depends on the NaN, at least
+        assert np.isnan(x[where[0]:, :where[1] + 1]).all()
+    assert np.isnan(x).any()
+
+
 def test_norm_estimate_of_no_terms_is_zero():
     assert gns.GnsOperator(TruncationBox(2, 3), {}).norm_estimate() == 0.0
 
