@@ -21,7 +21,7 @@ from .fourier import (FourierCoeffs, anti_transform, classical_limit_compare,
                       riemann_lebesgue_profile)
 from .gns import (GnsOperator, GnsVector, TruncationBox, basis_vector,
                   build_u_kl, represent, state_coefficients, state_eval,
-                  vacuum)
+                  vacuum, vacuum_image)
 from .modular import (apply_J, apply_delta_power, borel_apply,
                       borel_identity_check, tomita_check)
 from .summation import (SummationKernel, TransferencePoint,

@@ -201,13 +201,14 @@ def _cmd_star(env: dict, out: Path) -> int:
 def _cmd_represent(env: dict, out: Path) -> int:
     cfg, d, box = env["config"], env["d"], env["box"]
     f = _element(cfg, "element", d.alpha, env["seed"])
-    table = fourier.hat_functional(f, d, box)
+    image = gns.vacuum_image(f, d, box)
+    table = fourier.hat_vector(image)
     _write_csv(out / "vacuum_image.csv",
                ["kind", "k", "l", "re", "im", "abs"], _coeff_rows(table))
     operator = gns.represent(f, d, box)
     _write_csv(out / "represent_terms.csv",
                ["shift", "n", "mode", "re", "im"], _term_rows(operator))
-    norm = operator.apply(gns.vacuum(box)).norm()
+    norm = image.norm()
     sup = table.sup()
     endpoint = verify.check("hausdorff_young_endpoint",
                             np.maximum(sup - norm, 0.0),

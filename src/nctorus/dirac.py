@@ -125,7 +125,8 @@ def matrix_element_oracle_table(eta: float, k: int, d: DiffeoSpec,
     a_k = float(a[kk])
     span = np.arange(-radius, radius + 1)
     if eta in (0.0, 1.0):
-        waves = np.exp(1j * np.multiply.outer(ctx.theta, span))
+        # the context's e_l, phases reduced exactly, not exp(i theta_j l)
+        waves = ctx.waves[span + box.mode_bound].T
         if eta == 0.0:
             stage = waves * (1j * span - a_k)[None, :]
             stage /= ctx.delta[kk][:, None]

@@ -25,6 +25,7 @@ from .errors import InverseSolveError, OutOfBoxError, PositivityError
 _CHECK_GRID = 8192
 _BISECT_WIDTH = 1e-8
 _NEWTON_RESIDUAL = 1e-13
+_ORBIT_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -245,22 +246,56 @@ def growth_sequence(d: DiffeoSpec, n_max: int, size: int = 4096) -> GrowthSequen
     return GrowthSequence(tuple(out))
 
 
+def _orbit_inverse(lift: ConjugatorLift, y: float, start: float) -> float:
+    """Solve ``H(u) = y`` by scalar Newton from ``start``.
+
+    The root lies in ``y`` minus the displacement range, the bracket
+    :meth:`ConjugatorLift.inverse` bisects; each residual narrows it, and
+    a Newton step that leaves it takes its midpoint instead, so every
+    strictly increasing lift converges.  The residual gate is the one of
+    :meth:`ConjugatorLift.inverse`: a residual above it after
+    ``_ORBIT_STEPS`` steps, NaN included, raises
+    :class:`InverseSolveError`.
+    """
+    lo, hi = y - lift._disp_hi, y - lift._disp_lo
+    u = start
+    for _ in range(_ORBIT_STEPS):
+        resid = float(lift.value(u)) - y
+        if abs(resid) <= _NEWTON_RESIDUAL:
+            return u
+        if resid > 0.0:
+            hi = min(hi, u)
+        else:
+            lo = max(lo, u)
+        u = u - resid / float(lift.derivative(u))
+        if not lo < u < hi:
+            u = 0.5 * (lo + hi)
+    raise InverseSolveError(
+        f"orbit inverse residual {resid:.3e} above {_NEWTON_RESIDUAL}")
+
+
 def rotation_number(d: DiffeoSpec, iterations: int = 256) -> float:
     """Rotation number estimate from the literal orbit of the lift.
 
     Uses a bump-weighted Birkhoff average of the displacement sequence,
     which converges superpolynomially for Diophantine angles; the plain
-    average would be stuck at O(1/m).
+    average would be stuck at O(1/m).  Each step is
+    ``x -> H(H^{-1}(x) + 2 alpha)``, its inverse solved by Newton
+    warm-started from the previous orbit point's root (never from that
+    root plus ``2 alpha``, the chart rotation, which would assume the
+    answer).
     """
     if iterations < 8:
         raise ValueError("need at least 8 iterations")
     x = 0.0
+    u = 0.0
     total = 0.0
     weight_sum = 0.0
     for j in range(iterations):
         t = (j + 0.5) / iterations
         w = math.exp(-1.0 / (t * (1.0 - t)))
-        x_next = float(iterate_lift(d, 1, x))
+        u = _orbit_inverse(d.lift, x, u)
+        x_next = float(d.lift.value(u + 2.0 * d.alpha))
         total += w * (x_next - x)
         weight_sum += w
         x = x_next

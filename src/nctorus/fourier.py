@@ -24,8 +24,8 @@ import numpy as np
 
 from .dynamics import DiffeoSpec
 from .errors import GridTooSmallError
-from .gns import (GnsOperator, GnsVector, TruncationBox, _context, _u_kl_rows,
-                  represent, vacuum)
+from .gns import (GnsVector, TruncationBox, _context, _shift_rows, _u_kl_rows,
+                  vacuum_image)
 from .grids import at_modes, dirichlet_kernel, project_to_modes, spectrum
 from .modular import (_conjugated_rows, _epsilon_pairings, _j_on_grid,
                       _root_rows)
@@ -70,7 +70,7 @@ def hat_vector(x: GnsVector) -> FourierCoeffs:
 
 def hat_functional(f: WeylElement, d: DiffeoSpec,
                    box: TruncationBox) -> FourierCoeffs:
-    return hat_vector(represent(f, d, box).apply(vacuum(box)))
+    return hat_vector(vacuum_image(f, d, box))
 
 
 def epsilon_basis(d: DiffeoSpec, box: TruncationBox) -> np.ndarray:
@@ -108,17 +108,16 @@ def paren_functional(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
         return FourierCoeffs("paren", table, box)
     if route != "vacuum":
         raise ValueError(f"unknown route {route!r}")
-    return _vacuum_paren(represent(f, d, box))
+    return _vacuum_paren(f, d, box)
 
 
-def _vacuum_paren(a: GnsOperator) -> FourierCoeffs:
-    """Paren table read off the block-0 row of each shift multiplier."""
-    box = a.box
+def _vacuum_paren(f: WeylElement, d: DiffeoSpec,
+                  box: TruncationBox) -> FourierCoeffs:
+    """Paren table read off row n = 0 of each shift multiplier: entry
+    ``(k, l)`` is the mode ``-l`` of the shift ``-k`` row."""
+    shifts, rows = _shift_rows(f, d, box, -1)
     table = np.zeros((box.n_blocks, box.n_modes), dtype=complex)
-    for i, k in enumerate(box.blocks()):
-        if -int(k) in a.terms:
-            table[i] = at_modes(spectrum(a.terms[-int(k)][box.block_bound]),
-                                -box.modes())
+    table[box.block_bound - shifts] = at_modes(spectrum(rows), -box.modes())
     return FourierCoeffs("paren", table, box)
 
 
@@ -153,10 +152,8 @@ def classical_limit_compare(f: WeylElement, box: TruncationBox,
         d = rotation(0.0, classical=True)
     if not (d.classical and d.alpha == 0.0 and d.is_rotation):
         raise ValueError("classical comparison needs alpha = 0, identity h")
-    # one operator serves hat_functional's and the vacuum route's tables
-    a = represent(f, d, box)
-    hat = hat_vector(a.apply(vacuum(box))).table
-    paren = _vacuum_paren(a).table
+    hat = hat_functional(f, d, box).table
+    paren = _vacuum_paren(f, d, box).table
     dev_hat = np.abs(hat - _swapped_table(f, box, 1))
     dev_paren = np.abs(paren - _swapped_table(f, box, -1))
     return {"hat": float(np.max(dev_hat)), "paren": float(np.max(dev_paren))}

@@ -11,14 +11,17 @@ with multiplier functions ``m_{n, s}(z) = sum_m f(m, s)
 exp(i m (psi(z) + 2 pi alpha (2 n - s)))`` where ``psi`` is the angle of
 ``h^{-1}(z)``; one wave table over the element's modes and one twist
 table over its cycle counts serve all shifts, one matrix product per
-shift.  Everything downstream (modular operators, transforms,
-Dirac blocks) reuses the cached per-box context built here: one inverse
-solve into the chart ``u = h^{-1}``, the closed-form densities
-``delta_n`` and the chart transport ``y -> y o F_n`` (resample, phase,
-resample) that every use of J goes through.  The generator products
-``u_kl`` are uncached closed forms in the same chart, read row by row,
-and the moments of the invariant state are closed forms in the lift
-coefficients.
+shift.  The vacuum sits in block 0, so block s of ``pi(f) xi`` is the
+single row ``m_{s, s}``: :func:`vacuum_image` evaluates one row per
+shift, as one product over the same tables, and builds no operator.
+Everything downstream (modular operators, transforms, Dirac blocks)
+reuses the cached per-box context built here: one inverse solve into
+the chart ``u = h^{-1}``, the closed-form densities ``delta_n``, the
+grid waves ``e_l`` with exactly reduced phases, and the chart transport
+``y -> y o F_n`` (resample, phase, resample) that every use of J goes
+through.  The generator products ``u_kl`` are uncached closed forms in
+the same chart, read row by row, and the moments of the invariant state
+are closed forms in the lift coefficients.
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ class _Context:
         self._to_chart = spectrum(spectra).T
         self.phase = _waves(shift, freqs)
         self._from_chart = _waves(u, freqs).T
-        self.waves = np.exp(1j * np.multiply.outer(box.modes(), self.theta))
+        self.waves = _grid_waves(box.modes(), g)
         self.wave_spectra = self.to_chart(self.waves)
 
     def to_chart(self, rows: np.ndarray) -> np.ndarray:
@@ -157,6 +160,15 @@ def _cycles(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 def _waves(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """``exp(2 pi i points[j] freqs[k])``, reduced by :func:`_cycles`."""
     return np.exp(2j * np.pi * _cycles(points, freqs))
+
+
+def _grid_waves(modes: np.ndarray, size: int) -> np.ndarray:
+    """``e_l(theta_j) = exp(2 pi i (l j mod G) / G)``: the integer product
+    is reduced exactly, where ``exp(i l theta_j)`` would round ``l theta_j``
+    (up to about 1600 rad at M = 256) first.  Bit-equal to
+    ``_waves(modes, j / G)``."""
+    return np.exp(2j * np.pi * (np.multiply.outer(modes, np.arange(size))
+                                % size / size))
 
 
 @lru_cache(maxsize=8)
@@ -526,6 +538,24 @@ def _tridiagonal(alpha: list[float], beta: list[float]) -> np.ndarray:
     return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
 
 
+def _table_keys(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
+                bound: int, stacklevel: int):
+    """Modes, shifts and values of the keys with ``|s| <= bound``.
+
+    Raises on an alpha mismatch, and warns once per shift beyond the
+    block range ``2K``, whichever bound the caller keeps.
+    """
+    if f.alpha != d.alpha:
+        raise AlphaMismatchError(
+            f"element alpha {f.alpha!r} does not match dynamics {d.alpha!r}")
+    ss = f.keys[:, 1]
+    for s in sorted(set(ss[np.abs(ss) > 2 * box.block_bound].tolist())):
+        warnings.warn(f"shift {s} exceeds the block range; term dropped",
+                      stacklevel=stacklevel + 1)
+    keep = np.abs(ss) <= bound
+    return f.keys[keep, 0], ss[keep], f.values[keep]
+
+
 def represent(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> GnsOperator:
     """Image of a coefficient table in the block representation.
 
@@ -535,16 +565,8 @@ def represent(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> GnsOperator:
     cost nothing) serve every shift s: its term is one product
     ``(twist * coeffs) @ waves`` over its keys, in ascending m.
     """
-    if f.alpha != d.alpha:
-        raise AlphaMismatchError(
-            f"element alpha {f.alpha!r} does not match dynamics {d.alpha!r}")
+    ms, ss, coeffs = _table_keys(f, d, box, 2 * box.block_bound, 2)
     ctx = _context(d, box)
-    ms, ss = f.keys[:, 0], f.keys[:, 1]
-    inside = np.abs(ss) <= 2 * box.block_bound
-    for s in sorted(set(ss[~inside].tolist())):
-        warnings.warn(f"shift {s} exceeds the block range; term dropped",
-                      stacklevel=2)
-    ms, ss, coeffs = ms[inside], ss[inside], f.values[inside]
     modes, mode_at = np.unique(ms, return_inverse=True)
     waves = np.exp(1j * np.multiply.outer(modes, ctx.psi))
     cycles = (2 * box.blocks()[:, None] - ss) * ms
@@ -555,6 +577,42 @@ def represent(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> GnsOperator:
         cols = np.flatnonzero(ss == s)  # keys sort by (m, n): m ascends
         terms[s] = twist[:, cols] @ waves[mode_at[cols]]
     return GnsOperator(box, terms)
+
+
+def _shift_rows(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
+                sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``sum_m f(m, s) exp(i m psi) exp(2 pi i alpha sign m s)``.
+
+    One grid row per distinct shift s of the table with ``|s| <= K``,
+    returned with the ascending shifts.  ``sign = +1`` gives block s of
+    ``pi(f) xi`` (row n = s of the shift-s multiplier, the only one that
+    meets the vacuum); ``sign = -1`` gives row n = 0 of the shift-s
+    multiplier, which the vacuum-route paren table reads.  The wave and
+    twist tables are those of :func:`represent`, and all rows are one
+    product over (shifts x distinct modes), so a NaN coefficient reaches
+    its own row only.  Shifts ``K < |s| <= 2K`` meet no vacuum row and
+    are skipped; farther ones warn as in :func:`represent`.
+    """
+    ms, ss, coeffs = _table_keys(f, d, box, box.block_bound, 3)
+    ctx = _context(d, box)
+    shifts, shift_at = np.unique(ss, return_inverse=True)
+    modes, mode_at = np.unique(ms, return_inverse=True)
+    table = np.zeros((len(shifts), len(modes)), dtype=complex)
+    table[shift_at, mode_at] = _waves(d.alpha, sign * ms * ss) * coeffs
+    return shifts, table @ np.exp(1j * np.multiply.outer(modes, ctx.psi))
+
+
+def vacuum_image(f: WeylElement, d: DiffeoSpec,
+                 box: TruncationBox) -> GnsVector:
+    """``pi(f) xi`` without the operator: the vacuum sits in block 0, so
+    block s is the single multiplier row of shift s, and only the
+    occupied blocks are projected.  Equal to
+    ``represent(f, d, box).apply(vacuum(box))`` up to roundoff."""
+    shifts, rows = _shift_rows(f, d, box, 1)
+    out = GnsVector.zeros(box)
+    out.coeffs[shifts + box.block_bound] = project_to_modes(
+        rows, box.mode_bound).coeffs
+    return out
 
 
 def _u_kl_rows(d: DiffeoSpec, box: TruncationBox, k, l, n) -> np.ndarray:
@@ -607,8 +665,8 @@ def state_eval(f: WeylElement, d: DiffeoSpec, route: str = "series",
     """Invariant state applied to a table, by series or by inner product.
 
     The series route contracts the ``n = 0`` row of the table against
-    the closed-form moments; the gns route represents the element
-    on a box and takes the vacuum expectation by grid quadrature.  The
+    the closed-form moments; the gns route takes the vacuum expectation
+    of the element's vacuum image on a box, by grid quadrature.  The
     two are compared in the verification suite.
     """
     if route == "series":
@@ -621,6 +679,5 @@ def state_eval(f: WeylElement, d: DiffeoSpec, route: str = "series",
             k = max(1, int(np.abs(f.keys[:, 1]).max(initial=0)))
             m = max(1, f.sup_radius)
             box = TruncationBox(k, m)
-        xi = vacuum(box)
-        return represent(f, d, box).apply(xi).inner(xi)
+        return vacuum_image(f, d, box).inner(vacuum(box))
     raise ValueError(f"unknown route {route!r}")

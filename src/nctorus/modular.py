@@ -24,7 +24,8 @@ import numpy as np
 
 from .dynamics import DiffeoSpec
 from .errors import AliasingError, SingularBlockError
-from .gns import GnsVector, TruncationBox, _context, represent, vacuum
+from .gns import (GnsVector, TruncationBox, _context, _shift_rows,
+                  vacuum_image)
 from .grids import at_modes, project_to_modes, spectrum, tail_mass
 from .weyl import WeylElement, involution
 
@@ -54,17 +55,37 @@ def apply_delta_power(x: GnsVector, a: float, d: DiffeoSpec) -> GnsVector:
     return _reproject(x, rows, f"Delta^{a}/2")
 
 
+def _live(rows: np.ndarray) -> np.ndarray:
+    """Indices of the rows with a nonzero (or NaN) entry, ascending.
+
+    A lone live row is batched with a zero row: numpy hands a one-row
+    product to gemv, whose sums run in another order than gemm's, and
+    with two rows or more every row of a transport is bit-equal to the
+    same row of the all-rows product.
+    """
+    live = np.flatnonzero(np.any(rows != 0, axis=-1))
+    if len(live) == 1 and len(rows) > 1:
+        live = np.union1d(live, [1 if live[0] == 0 else 0])
+    return live
+
+
 def _j_on_grid(ctx, rows: np.ndarray) -> np.ndarray:
     """One J step on raw grid rows, keeping all grid modes.
 
-    Row n becomes ``delta_n^{1/2} conj(y_{-n} o F_n)``, all blocks in one
-    transport batch.  The conjugated Borel calculus chains these steps:
-    projecting the intermediate vectors onto the retained band would
-    contaminate the composite with truncation error that neither route
-    owns.
+    Row n becomes ``delta_n^{1/2} conj(y_{-n} o F_n)``, every live row
+    in one transport batch; a zero row stays exactly zero, so a vacuum
+    image moves only its occupied blocks.  The conjugated Borel calculus
+    chains these steps: projecting the intermediate vectors onto the
+    retained band would contaminate the composite with truncation error
+    that neither route owns.
     """
-    spectra = ctx.to_chart(rows[::-1])
-    return ctx.sqrt_delta * np.conj(ctx.from_chart(spectra, ctx.phase))
+    flipped = rows[::-1]
+    live = _live(flipped)
+    out = np.zeros(rows.shape, dtype=complex)
+    spectra = ctx.to_chart(flipped[live])
+    out[live] = ctx.sqrt_delta[live] * np.conj(
+        ctx.from_chart(spectra, ctx.phase[live]))
+    return out
 
 
 def _epsilon_pairings(ctx, rows: np.ndarray) -> np.ndarray:
@@ -73,10 +94,17 @@ def _epsilon_pairings(ctx, rows: np.ndarray) -> np.ndarray:
     Entry ``[k + K, l + M]`` pairs block ``-k`` of y with the only
     nonzero block of ``eps_kl = J e_kl``.  The transport is a fixed
     linear map, so the whole table is its transpose applied to
-    ``delta^{1/2} y``: two matrix products, with no per-block basis.
+    ``delta^{1/2} y``: two matrix products over the live blocks, with no
+    per-block basis; the rows of the other blocks stay exactly zero.
     """
-    spectra = (ctx.sqrt_delta * rows)[::-1] @ ctx._from_chart.T
-    return (spectra * ctx.phase[::-1]) @ ctx.wave_spectra.T / ctx.box.grid_size
+    flipped = rows[::-1]
+    live = _live(flipped)
+    table = np.zeros((ctx.box.n_blocks, ctx.box.n_modes), dtype=complex)
+    spectra = ((ctx.sqrt_delta[::-1][live] * flipped[live])
+               @ ctx._from_chart.T)
+    table[live] = ((spectra * ctx.phase[::-1][live]) @ ctx.wave_spectra.T
+                   / ctx.box.grid_size)
+    return table
 
 
 def _conjugated_rows(ctx, i: int) -> np.ndarray:
@@ -99,9 +127,16 @@ def apply_J(x: GnsVector, d: DiffeoSpec) -> GnsVector:
 
 
 def _root_rows(f: WeylElement, d: DiffeoSpec, box: TruncationBox):
-    """Unprojected grid rows of ``Delta^{1/2} pi(f) xi``; built only here."""
-    rows = represent(f, d, box).apply_to_grid(vacuum(box).on_grid())
-    return rows * _context(d, box).sqrt_delta
+    """Unprojected grid rows of ``Delta^{1/2} pi(f) xi``; built only here.
+
+    Only the blocks of the shifts of f are filled; the others are zero.
+    """
+    ctx = _context(d, box)
+    shifts, rows = _shift_rows(f, d, box, 1)
+    out = np.zeros((box.n_blocks, box.grid_size), dtype=complex)
+    at = shifts + box.block_bound
+    out[at] = rows * ctx.sqrt_delta[at]
+    return out
 
 
 def tomita_check(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> float:
@@ -109,7 +144,7 @@ def tomita_check(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> float:
     left side composed on the grid and projected once."""
     rows = _j_on_grid(_context(d, box), _root_rows(f, d, box))
     left = GnsVector(box, project_to_modes(rows, box.mode_bound).coeffs)
-    right = represent(involution(f), d, box).apply(vacuum(box))
+    right = vacuum_image(involution(f), d, box)
     return (left - right).norm()
 
 

@@ -23,7 +23,7 @@ from .errors import GridTooSmallError
 from .fourier import (FourierCoeffs, anti_transform, hat_functional,
                       hat_vector, paren_functional)
 from .gns import (GnsOperator, GnsVector, TruncationBox, _u_kl_rows,
-                  represent, vacuum)
+                  vacuum_image)
 from .grids import (dirichlet_kernel, fejer_kernel, project_to_modes,
                     rotate)
 from .modular import _root_rows
@@ -132,7 +132,7 @@ def summation_reference(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
                         kind: str) -> GnsVector:
     """Limit object of the smoothed series for each kind."""
     if kind == "hat":
-        return represent(f, d, box).apply(vacuum(box))
+        return vacuum_image(f, d, box)
     if kind == "paren":
         rows = _root_rows(f, d, box)
         return GnsVector(box, project_to_modes(rows, box.mode_bound).coeffs)
@@ -220,7 +220,7 @@ def wts_deviation(f: WeylElement, w: TransferencePoint, d: DiffeoSpec,
     vacuum sits in block 0, so only row n = k of each shift-k multiplier
     is read; those rows are rotated, phased and projected as one stack.
     """
-    x = represent(f, d, box).apply(vacuum(box))
+    x = vacuum_image(f, d, box)
     kr, lr = min(radius, box.block_bound), min(radius, box.mode_bound)
     ks, ls = np.arange(-kr, kr + 1), np.arange(-lr, lr + 1)
     rows = _u_kl_rows(d, box, ks[:, None], ls[None, :], ks[:, None])

@@ -202,15 +202,14 @@ def modular_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
     # J is probed on algebra-orbit vectors pi(f) xi; raw coefficient
     # noise carries too much high-mode mass through the compositions
     # and would trip the aliasing gate instead of measuring anything.
-    xi = gns.vacuum(box)
     j_dev = 0.0
     anti_dev = 0.0
     borel_dev = 0.0
     for _ in range(max(3, count // 4)):
         f = weyl.random_element(rng, d.alpha, 2, decay=2.0)
         g = weyl.random_element(rng, d.alpha, 2, decay=2.0)
-        x = gns.represent(f, d, box).apply(xi)
-        y = gns.represent(g, d, box).apply(xi)
+        x = gns.vacuum_image(f, d, box)
+        y = gns.vacuum_image(g, d, box)
         j_dev = np.maximum(j_dev, (modular.conjugated_borel_apply(
             x, ("power", 0.0), d) - x).norm())
         anti_dev = np.maximum(
@@ -242,11 +241,11 @@ def parseval_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
         parseval_dev = np.maximum(parseval_dev,
                                   abs(lhs.real - table.l2() ** 2)
                                   + abs(lhs.imag))
-    xi = gns.vacuum(box)
     for _ in range(5):
         f = weyl.random_element(rng, d.alpha, 2, decay=1.0)
-        table = fourier.hat_functional(f, d, box)
-        norm = gns.represent(f, d, box).apply(xi).norm()
+        x = gns.vacuum_image(f, d, box)
+        table = fourier.hat_vector(x)
+        norm = x.norm()
         hy_dev = np.maximum(hy_dev, table.sup() - norm)
     return [
         check("parseval", parseval_dev, tols["parseval"],

@@ -3,11 +3,14 @@
 Each is the plain, slow way to get a quantity the package computes
 another way (mode sums for closed forms, quadrature for moments, dense
 diagonals, a dense Gram eigensolve for the operator norm, the csv
-module cell by cell for the CLI tables), kept out of ``src`` so that
-the package holds only what it calls or exports.
+module cell by cell for the CLI tables, the whole operator for a vacuum
+read, every block through the chart transport, the orbit by full
+inverse solves), kept out of ``src`` so that the package holds only
+what it calls or exports.
 """
 
 import csv
+import math
 
 import numpy as np
 
@@ -141,3 +144,45 @@ def write_csv(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([csv_cell(v) for v in row])
+
+
+def vacuum_paren(op) -> np.ndarray:
+    """Paren table read off the block-0 row of each shift multiplier of
+    a whole operator: entry (k, l) is the mode -l of shift -k, row 0."""
+    box = op.box
+    table = np.zeros((box.n_blocks, box.n_modes), dtype=complex)
+    for i, k in enumerate(box.blocks()):
+        if -int(k) in op.terms:
+            table[i] = grids.at_modes(
+                grids.spectrum(op.terms[-int(k)][box.block_bound]),
+                -box.modes())
+    return table
+
+
+def j_on_grid_all_rows(ctx, rows) -> np.ndarray:
+    """One J step with every block through the transport, zero or not."""
+    spectra = ctx.to_chart(rows[::-1])
+    return ctx.sqrt_delta * np.conj(ctx.from_chart(spectra, ctx.phase))
+
+
+def epsilon_pairings_all_rows(ctx, rows) -> np.ndarray:
+    """The epsilon pairings with every block through the transport."""
+    spectra = (ctx.sqrt_delta * rows)[::-1] @ ctx._from_chart.T
+    # contiguous like the package's gathered phases: numpy rounds a
+    # complex product over a strided operand differently
+    phase = np.ascontiguousarray(ctx.phase[::-1])
+    return (spectra * phase) @ ctx.wave_spectra.T / ctx.box.grid_size
+
+
+def rotation_number_by_iterates(d, iterations: int = 256) -> float:
+    """The bump-weighted orbit average, each step a full inverse solve
+    (bisection plus Newton) through ``iterate_lift``."""
+    x = total = weight_sum = 0.0
+    for j in range(iterations):
+        t = (j + 0.5) / iterations
+        w = math.exp(-1.0 / (t * (1.0 - t)))
+        x_next = float(dynamics.iterate_lift(d, 1, x))
+        total += w * (x_next - x)
+        weight_sum += w
+        x = x_next
+    return total / weight_sum

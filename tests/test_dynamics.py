@@ -13,6 +13,8 @@ from nctorus import dynamics
 from nctorus.errors import (InverseSolveError, OutOfBoxError,
                             PositivityError)
 
+import oracle
+
 GOLDEN_ALPHA = 0.30901699437494745  # (sqrt(5) - 1) / 4
 
 
@@ -134,3 +136,22 @@ def test_inverse_refuses_a_nan_target(name, request):
     lift = request.getfixturevalue(name).lift
     with pytest.raises(InverseSolveError):
         lift.inverse(np.array([0.1, np.nan]))
+
+
+@pytest.mark.parametrize("d", [
+    dynamics.benchmark(),
+    dynamics.DiffeoSpec(0.3, dynamics.ConjugatorLift((0.02, -0.01),
+                                                     (0.015, 0.005))),
+    dynamics.DiffeoSpec(0.1, dynamics.ConjugatorLift((0.159,))),
+], ids=["bench", "two-harmonic", "steep"])
+def test_rotation_number_orbit_matches_full_inverse_solves(d):
+    """Warm-started Newton steps against an inverse solve per step."""
+    want = oracle.rotation_number_by_iterates(d)
+    assert abs(dynamics.rotation_number(d) - want) <= 1e-13
+
+
+def test_rotation_number_solves_every_orbit_step(monkeypatch):
+    """No step skips its solve: an unmet residual gate raises."""
+    monkeypatch.setattr(dynamics, "_NEWTON_RESIDUAL", -1.0)
+    with pytest.raises(InverseSolveError):
+        dynamics.rotation_number(dynamics.benchmark())

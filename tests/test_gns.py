@@ -16,7 +16,7 @@ import pytest
 import scipy.special
 from numpy.testing import assert_allclose
 
-from nctorus import dynamics, gns, weyl
+from nctorus import dynamics, fourier, gns, weyl
 from nctorus.errors import AlphaMismatchError, OutOfBoxError
 from nctorus.gns import TruncationBox
 
@@ -491,3 +491,94 @@ def test_vector_norm_does_not_depend_on_memory_layout(small_box):
         y = gns.GnsVector(small_box, np.asfortranarray(c))
         assert x.norm() == y.norm()
         assert x.inner(x) == y.inner(y)
+
+
+def _vacuum_tables(alpha, k):
+    """A dense radius-2 table, one whose shifts mostly lie in
+    ``K < |s| <= 2K`` (no vacuum row), and the empty table."""
+    rng = np.random.default_rng(k)
+    return {
+        "dense": weyl.random_element(rng, alpha, 2, decay=1.0),
+        "beyond-k": weyl.WeylElement(alpha, {
+            (1, k + 1): 1.0, (-2, 2 * k): 0.5j, (0, -k - 2): 2.0,
+            (3, -2 * k): 1.0, (1, 1): 0.25, (-1, -k): 1j}),
+        "empty": weyl.WeylElement(alpha, {}),
+    }
+
+
+@pytest.mark.parametrize("name", ["bench", "rot"])
+@pytest.mark.parametrize("table", ["dense", "beyond-k", "empty"])
+def test_vacuum_routes_match_the_operator(name, table, request):
+    """The vacuum image against ``represent(f).apply(vacuum)`` and the
+    vacuum-route paren table against the operator's block-0 rows."""
+    d = request.getfixturevalue(name)
+    b = TruncationBox(6, 8)
+    f = _vacuum_tables(d.alpha, b.block_bound)[table]
+    a = gns.represent(f, d, b)
+    for got, want in (
+            (gns.vacuum_image(f, d, b).coeffs,
+             a.apply(gns.vacuum(b)).coeffs),
+            (fourier.paren_functional(f, d, b, route="vacuum").table,
+             oracle.vacuum_paren(a))):
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-15 * scale
+        assert (scale > 0.0) == (table != "empty")
+
+
+def test_vacuum_routes_warn_and_drop_as_represent_does(bench, small_box):
+    f = weyl.WeylElement(bench.alpha, {(0, 13): 1.0, (2, 13): 1.0,
+                                       (1, -20): 1.0, (1, 1): 0.5})
+    want = [f"shift {s} exceeds the block range; term dropped"
+            for s in (-20, 13)]
+    images = []
+    for route in (
+            lambda: gns.represent(f, bench, small_box).apply(
+                gns.vacuum(small_box)),
+            lambda: gns.vacuum_image(f, bench, small_box),
+            lambda: fourier.paren_functional(f, bench, small_box)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            images.append(route())
+        assert sorted(str(w.message) for w in caught) == want
+    assert np.array_equal(images[0].coeffs, images[1].coeffs)
+    near = weyl.WeylElement(bench.alpha, {(1, 1): 0.5})
+    assert np.array_equal(images[2].table, fourier.paren_functional(
+        near, bench, small_box).table)
+
+
+def test_vacuum_routes_reject_foreign_alpha(bench, small_box):
+    f = weyl.WeylElement.unit(0.25)
+    with pytest.raises(AlphaMismatchError):
+        gns.vacuum_image(f, bench, small_box)
+    with pytest.raises(AlphaMismatchError):
+        fourier.paren_functional(f, bench, small_box, route="vacuum")
+
+
+def test_a_nan_coefficient_reaches_its_own_block_only(bench, small_box):
+    """The whole operator spreads a NaN over every block its shift
+    reaches (``NaN * 0``); the vacuum routes keep it in its own row."""
+    f = weyl.WeylElement(bench.alpha, {(1, 2): np.nan, (-1, 2): 1.0,
+                                       (0, 0): 1.0, (2, -1): 1j})
+    k = small_box.block_bound
+    image = gns.vacuum_image(f, bench, small_box).coeffs
+    paren = fourier.paren_functional(f, bench, small_box).table
+    for table, nan_row in ((image, k + 2), (paren, k - 2)):
+        assert np.isnan(table[nan_row]).all()
+        others = np.delete(table, nan_row, axis=0)
+        assert np.isfinite(others).all()
+    assert np.abs(image[k]).max() > 0.0 and np.abs(image[k - 1]).max() > 0.0
+
+
+def test_context_waves_reduce_the_phase_exactly(bench):
+    """``e_l`` on the grid from ``l j mod G``: bit-equal to the transport's
+    reduction ``_waves`` and, at M = 256 (G = 4096), a quadrature Gram at
+    roundoff, where ``exp(i l theta_j)`` reads 1.3e-14.  The table is
+    built directly, without a G = 4096 context."""
+    b = TruncationBox(3, 4)
+    waves = gns._context(bench, b).waves
+    assert np.array_equal(waves, gns._grid_waves(b.modes(), 64))
+    assert np.array_equal(waves, gns._waves(b.modes(), np.arange(64) / 64))
+    modes = np.arange(-256, 257)
+    waves = gns._grid_waves(modes, 4096)
+    gram = waves @ np.conj(waves.T) / 4096
+    assert np.abs(gram - np.eye(len(modes))).max() <= 3.5e-16

@@ -12,6 +12,8 @@ from nctorus import dynamics, fourier, gns, modular, tolerances, weyl
 from nctorus.errors import AliasingError, SingularBlockError
 from nctorus.gns import TruncationBox
 
+import oracle
+
 
 def orbit_vector(d, box, rng, radius=2, decay=2.0):
     """Image of the vacuum under a random smooth algebra element.
@@ -249,3 +251,48 @@ def test_only_gns_and_modular_name_the_transport():
              if re.search(r"to_chart|from_chart|wave_spectra|\bsqrt_delta\b",
                           path.read_text())]
     assert users == ["gns.py", "modular.py"]
+
+
+def _occupied_rows(box, blocks, rng):
+    rows = np.zeros((box.n_blocks, box.grid_size), dtype=complex)
+    shape = (len(blocks), box.grid_size)
+    rows[blocks] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return rows
+
+
+@pytest.mark.parametrize("name", ["bench", "rot"])
+@pytest.mark.parametrize("bounds", [(6, 8), (20, 20)])
+def test_live_row_transport_equals_the_all_rows_product(name, bounds,
+                                                        request, rng):
+    """One, five and all blocks occupied: J moves the live rows only and
+    is bit-equal to the all-rows product; the pairings agree to roundoff
+    (a small product may take another BLAS kernel than the whole)."""
+    d = request.getfixturevalue(name)
+    box = TruncationBox(*bounds)
+    ctx = gns._context(d, box)
+    k = box.block_bound
+    for blocks in ([0], [k], [box.n_blocks - 1], list(range(k - 2, k + 3)),
+                   list(range(box.n_blocks))):
+        rows = _occupied_rows(box, blocks, rng)
+        j = modular._j_on_grid(ctx, rows)
+        assert np.array_equal(j, oracle.j_on_grid_all_rows(ctx, rows))
+        assert np.all(np.delete(j, box.n_blocks - 1 - np.array(blocks),
+                                axis=0) == 0)
+        got = modular._epsilon_pairings(ctx, rows)
+        want = oracle.epsilon_pairings_all_rows(ctx, rows)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("transport", ["_j_on_grid", "_epsilon_pairings"])
+def test_live_row_transport_keeps_nan_and_zero_rows(bench, small_box, rng,
+                                                    transport):
+    ctx = gns._context(bench, small_box)
+    move = getattr(modular, transport)
+    k = small_box.block_bound
+    rows = _occupied_rows(small_box, [k - 1, k, k + 3], rng)
+    rows[k, 5] = np.nan
+    out = move(ctx, rows)
+    assert np.isnan(out[k]).all()
+    assert np.isfinite(np.delete(out, k, axis=0)).all()
+    zero = np.zeros_like(rows)
+    assert np.all(move(ctx, zero) == 0)

@@ -1,13 +1,14 @@
 """Verification suites fail closed on non-finite deviations."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from nctorus import dirac, dynamics, fourier, gns, modular, summation
-from nctorus import tolerances, verify
+from nctorus import tolerances, verify, weyl
 from nctorus.gns import TruncationBox
 
 
@@ -197,3 +198,50 @@ def test_u_kl_vacuum_catches_a_faulty_row(rot, small_box, monkeypatch,
     monkeypatch.setattr(gns, "_u_kl_rows", mutate(gns._u_kl_rows))
     row = _row(verify.run_all(rot, small_box, tols), "u_kl_vacuum")
     assert not row.passed
+
+
+def test_quick_verify_represents_only_the_operator_probes(rot, small_box,
+                                                          monkeypatch):
+    """Whole operators are built only where one meets a non-vacuum
+    vector: four per homomorphism round of ``gns_suite`` (five rounds in
+    the quick battery).  Every vacuum image goes through
+    ``gns.vacuum_image``."""
+    real = gns.represent
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("nctorus")
+                and getattr(module, "represent", None) is real):
+            monkeypatch.setattr(module, "represent", counting)
+    rows = verify.run_all(rot, small_box, tolerances.resolve(), quick=True)
+    assert all(r.passed for r in rows)
+    assert len(calls) == 4 * 5
+
+
+def _with_nan_coefficient(real):
+    def element(rng, alpha, radius, decay=0.0):
+        f = real(rng, alpha, radius, decay=decay)
+        return f + weyl.WeylElement(alpha, {(1, 1): np.nan})
+    return element
+
+
+def test_a_nan_coefficient_fails_the_tomita_and_parseval_checks(
+        bench, small_box, monkeypatch):
+    """Its block alone is NaN, and that is enough to fail both gates."""
+    tols = tolerances.resolve()
+    f = _with_nan_coefficient(weyl.random_element)(
+        np.random.default_rng(2), bench.alpha, 2)
+    tomita = modular.tomita_check(f, bench, small_box)
+    assert not verify.check("tomita_conjugation", tomita,
+                            tols["tomita"]).passed
+    monkeypatch.setattr(weyl, "random_element",
+                        _with_nan_coefficient(weyl.random_element))
+    rows = verify.parseval_suite(bench, small_box, tols,
+                                 np.random.default_rng(2), count=3)
+    for name in ("parseval", "hausdorff_young_endpoint"):
+        assert math.isnan(_row(rows, name).observed)
+        assert not _row(rows, name).passed
