@@ -100,7 +100,7 @@ def _term_rows(operator: gns.GnsOperator):
     blocks, modes = _box_index(box)
     for s in sorted(operator.terms):
         hats = grids.project_to_modes(operator.terms[s],
-                                      box.mode_bound).coeffs.ravel()
+                                      box.mode_bound).ravel()
         yield from zip(repeat(s), blocks, modes, hats.real.tolist(),
                        hats.imag.tolist())
 

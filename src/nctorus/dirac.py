@@ -7,18 +7,19 @@ numbers; the eta-deformed corner is
     T_n^{(eta)} = P delta_n^{eta-1} L_n delta_n^{-eta} P
 
 with P the mode projection, assembled on the quadrature grid with a
-full resolution spectral derivative in the middle.  At eta in {0, 1/2,
-1} its matrix elements are closed-form ``[s, l]`` tables, Toeplitz in
-the spectrum of ``delta_k`` or ``1/delta_k``, held against grid oracle
-tables.  The lower corner of the self-adjoint block, built from the
-adjoint factors, lives in the test oracle.
+full resolution spectral derivative in the middle, by one pipeline
+over given wave columns.  At eta in {0, 1/2, 1} its matrix elements are
+closed-form ``[s, l]`` tables, Toeplitz in the spectrum of ``delta_k``
+or ``1/delta_k``, held against grid oracle tables (at eta in {0, 1},
+that same pipeline).  The lower corner of the self-adjoint block, built
+from the adjoint factors, lives in the test oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import DiffeoSpec, GrowthSequence, growth_sequence
+from .dynamics import DiffeoSpec, GrowthSequence, _density, growth_sequence
 from .errors import OutOfBoxError
 from .gns import TruncationBox, _context
 from .grids import at_modes, spectral_derivative, spectrum, toeplitz
@@ -50,26 +51,32 @@ def telescoping_deviation(a: np.ndarray, growth: GrowthSequence) -> float:
 
 
 def _delta_grid(d: DiffeoSpec, box: TruncationBox, n) -> np.ndarray:
-    """Density ``H'(u + 2 alpha n) / H'(u)`` on the context chart, one
-    grid row for a scalar n and a stack of rows for an array of n: the
-    context's rows (the same expression) for blocks inside the box."""
+    """Density ``delta_n`` on the context chart, one grid row for a scalar
+    n and a stack of rows for an array of n: the context's rows for
+    blocks inside the box, :func:`nctorus.dynamics._density` beyond."""
     ctx = _context(d, box)
     n = np.asarray(n)
     if np.all(np.abs(n) <= box.block_bound):
         return ctx.delta[n + box.block_bound]
-    shift = 2.0 * d.alpha * n
-    return (d.lift.derivative(ctx.u + shift[..., None])
-            / d.lift.derivative(ctx.u))
+    return _density(d, ctx.u, n[..., None])
+
+
+def _corner(delta: np.ndarray, eta: float, a_n: float, waves: np.ndarray,
+            modes: np.ndarray) -> np.ndarray:
+    """The corner pipeline: ``delta^{eta-1} L delta^{-eta}`` applied to the
+    grid columns ``waves`` (one per mode), with the full resolution
+    spectral derivative in the middle, read at ``modes``."""
+    delta = delta[:, None]
+    stage = spectral_derivative(delta ** (-eta) * waves, a_n, axis=0)
+    stage *= delta ** (eta - 1.0)
+    return at_modes(spectrum(stage, axis=0), modes, axis=0)
 
 
 def deformed_corner(n: int, eta: float, d: DiffeoSpec, box: TruncationBox,
                     a_n: float) -> np.ndarray:
     """Upper corner ``P delta^{eta-1} L delta^{-eta} P`` at block n."""
-    delta = _delta_grid(d, box, n)[:, None]
-    waves = _context(d, box).waves.T
-    stage = spectral_derivative(delta ** (-eta) * waves, a_n, axis=0)
-    stage *= delta ** (eta - 1.0)
-    return at_modes(spectrum(stage, axis=0), box.modes(), axis=0)
+    return _corner(_delta_grid(d, box, n), eta, a_n,
+                   _context(d, box).waves.T, box.modes())
 
 
 def diagonal_inverse_norm(box: TruncationBox, a_n: float) -> float:
@@ -113,33 +120,26 @@ def matrix_element_oracle_table(eta: float, k: int, d: DiffeoSpec,
                                 radius: int) -> np.ndarray:
     """Grid pipeline matrix elements ``[s, l]`` at block k.
 
-    eta = 0 applies the drift eigenvalue then divides by the density;
-    eta = 1 divides first and runs the full spectral derivative; eta =
-    1/2 works in the conjugated basis at block ``-k`` with quadrature
-    pairings.  Indices run over ``|l|, |s| <= radius``.
+    eta in {0, 1} runs the pipeline of :func:`deformed_corner` on the
+    columns ``|l| <= radius`` only, so the closed form is held against
+    the very corner the resolvent bounds read; eta = 1/2 works in the
+    conjugated basis at block ``-k`` with quadrature pairings.  Indices
+    run over ``|l|, |s| <= radius``.
     """
     if radius > min(box.block_bound, box.mode_bound) or abs(k) > box.block_bound:
         raise OutOfBoxError("oracle radius exceeds the box")
     ctx = _context(d, box)
     kk = k + box.block_bound
-    a_k = float(a[kk])
     span = np.arange(-radius, radius + 1)
+    sel = span + box.mode_bound
     if eta in (0.0, 1.0):
-        # the context's e_l, phases reduced exactly, not exp(i theta_j l)
-        waves = ctx.waves[span + box.mode_bound].T
-        if eta == 0.0:
-            stage = waves * (1j * span - a_k)[None, :]
-            stage /= ctx.delta[kk][:, None]
-        else:
-            stage = spectral_derivative(waves / ctx.delta[kk][:, None], a_k,
-                                        axis=0)
-        return at_modes(spectrum(stage, axis=0), span, axis=0)
+        return _corner(ctx.delta[kk], eta, float(a[kk]), ctx.waves[sel].T,
+                       span)
     if eta != 0.5:
         raise ValueError("oracle covers eta in {0, 1/2, 1}")
     flip = box.n_blocks - 1 - kk
     a_minus = float(a[flip])
     sqrt_delta_inv = ctx.delta[flip] ** (-0.5)
-    sel = span + box.mode_bound
     # grid rows, not the band-projected epsilon table: projecting would
     # clip the analytic tails that the quadrature pairing keeps
     eps_grid = _conjugated_rows(ctx, kk)[sel]

@@ -9,8 +9,10 @@ h^{-1}``; its n-th iterate has the closed-form lift
 
 so no orbit ever has to be composed step by step.  The Radon-Nikodym
 derivative of Lebesgue measure under ``f^n`` is ``F_n'`` read on the
-circle, and the growth numbers ``Gamma_n`` are its sup norms in both
-time directions.
+circle, in the chart ``u = H^{-1}(x)`` the density ``delta_n(u) =
+H'(u + 2 alpha n) / H'(u)``, which this module evaluates for the whole
+package; the growth numbers ``Gamma_n`` are its sup norms in both time
+directions.
 """
 
 from __future__ import annotations
@@ -169,14 +171,18 @@ def rotation(alpha: float, classical: bool = False) -> DiffeoSpec:
     return DiffeoSpec(alpha=alpha, classical=classical)
 
 
-def rotate_in_chart(d: DiffeoSpec, beta: float, x):
-    """Lift of ``h R_beta h^{-1}`` evaluated at ``x``."""
-    return d.lift.value(d.lift.inverse(np.asarray(x, dtype=float)) + beta)
-
-
 def iterate_lift(d: DiffeoSpec, n: int, x):
-    """Lift ``F_n`` of the n-th iterate, in closed form."""
-    return rotate_in_chart(d, 2.0 * d.alpha * n, x)
+    """Lift ``F_n(x) = H(H^{-1}(x) + 2 alpha n)`` of the n-th iterate."""
+    u = d.lift.inverse(np.asarray(x, dtype=float))
+    return d.lift.value(u + 2.0 * d.alpha * n)
+
+
+def _density(d: DiffeoSpec, u, n):
+    """``delta_n = H'(u + 2 alpha n) / H'(u)`` at chart points u: the one
+    evaluation of the densities.  n and u broadcast, so n as a column
+    gives one row per n."""
+    return (d.lift.derivative(u + 2.0 * d.alpha * np.asarray(n))
+            / d.lift.derivative(u))
 
 
 def radon_nikodym(d: DiffeoSpec, n: int, size: int | None = None, x=None):
@@ -189,10 +195,7 @@ def radon_nikodym(d: DiffeoSpec, n: int, size: int | None = None, x=None):
         if size is None:
             raise ValueError("need size or explicit positions")
         x = np.arange(size) / size
-    x = np.asarray(x, dtype=float)
-    u = d.lift.inverse(x)
-    return (d.lift.derivative(u + 2.0 * d.alpha * n)
-            / d.lift.derivative(u))
+    return _density(d, d.lift.inverse(np.asarray(x, dtype=float)), n)
 
 
 @dataclass(frozen=True)
@@ -235,14 +238,10 @@ def growth_sequence(d: DiffeoSpec, n_max: int, size: int = 4096) -> GrowthSequen
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     u = np.arange(size) / size
-    hp = d.lift.derivative(u)
     out = [1.0]
     for n in range(1, n_max + 1):
-        sups = []
-        for sign in (1, -1):
-            ratio = d.lift.derivative(u + 2.0 * d.alpha * sign * n) / hp
-            sups.append(_refined_sup(ratio))
-        out.append(max(sups))
+        out.append(max(_refined_sup(ratio)
+                       for ratio in _density(d, u, [[n], [-n]])))
     return GrowthSequence(tuple(out))
 
 

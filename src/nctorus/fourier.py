@@ -24,8 +24,8 @@ import numpy as np
 
 from .dynamics import DiffeoSpec
 from .errors import GridTooSmallError
-from .gns import (GnsVector, TruncationBox, _context, _shift_rows, _u_kl_rows,
-                  vacuum_image)
+from .gns import (GnsVector, TruncationBox, _context, _multiplier_rows,
+                  _u_kl_rows, vacuum_image)
 from .grids import at_modes, dirichlet_kernel, project_to_modes, spectrum
 from .modular import (_conjugated_rows, _epsilon_pairings, _j_on_grid,
                       _root_rows)
@@ -81,8 +81,7 @@ def epsilon_basis(d: DiffeoSpec, box: TruncationBox) -> np.ndarray:
     blocks vanish.  The transforms below never build this table.
     """
     ctx = _context(d, box)
-    return np.stack([project_to_modes(_conjugated_rows(ctx, i),
-                                      box.mode_bound).coeffs
+    return np.stack([project_to_modes(_conjugated_rows(ctx, i), box.mode_bound)
                      for i in range(box.n_blocks)])
 
 
@@ -115,9 +114,10 @@ def _vacuum_paren(f: WeylElement, d: DiffeoSpec,
                   box: TruncationBox) -> FourierCoeffs:
     """Paren table read off row n = 0 of each shift multiplier: entry
     ``(k, l)`` is the mode ``-l`` of the shift ``-k`` row."""
-    shifts, rows = _shift_rows(f, d, box, -1)
+    shifts, rows = _multiplier_rows(f, d, box, box.block_bound, lambda s: 0)
     table = np.zeros((box.n_blocks, box.n_modes), dtype=complex)
-    table[box.block_bound - shifts] = at_modes(spectrum(rows), -box.modes())
+    table[box.block_bound - shifts] = at_modes(spectrum(rows[:, 0]),
+                                               -box.modes())
     return FourierCoeffs("paren", table, box)
 
 
@@ -133,7 +133,7 @@ def anti_transform(c: FourierCoeffs, d: DiffeoSpec) -> GnsVector:
         return GnsVector(box, c.table.copy())
     rows = GnsVector(box, np.conj(c.table)).on_grid()
     rows = _j_on_grid(_context(d, box), rows)
-    return GnsVector(box, project_to_modes(rows, box.mode_bound).coeffs)
+    return GnsVector(box, project_to_modes(rows, box.mode_bound))
 
 
 def classical_limit_compare(f: WeylElement, box: TruncationBox,
@@ -171,18 +171,12 @@ def _swapped_table(f: WeylElement, box: TruncationBox,
 
 
 def riemann_lebesgue_profile(c: FourierCoeffs) -> np.ndarray:
-    """Sup of |table| on the square rings ``max(|k|, |l|) = L``."""
+    """Sup of |table| on the square rings ``max(|k|, |l|) = L``, one
+    scatter-max over the ring index (a NaN entry makes its ring NaN)."""
     box = c.box
-    rings = max(box.block_bound, box.mode_bound)
-    out = np.zeros(rings + 1)
-    ks = box.blocks()[:, None] * np.ones_like(box.modes())[None, :]
-    ls = np.ones_like(box.blocks())[:, None] * box.modes()[None, :]
-    ring_of = np.maximum(np.abs(ks), np.abs(ls))
-    mags = np.abs(c.table)
-    for ring in range(rings + 1):
-        mask = ring_of == ring
-        if mask.any():
-            out[ring] = float(mags[mask].max())
+    ring_of = np.maximum.outer(np.abs(box.blocks()), np.abs(box.modes()))
+    out = np.zeros(max(box.block_bound, box.mode_bound) + 1)
+    np.maximum.at(out, ring_of, np.abs(c.table))
     return out
 
 

@@ -9,19 +9,21 @@ diagonally up to shifts,
 
 with multiplier functions ``m_{n, s}(z) = sum_m f(m, s)
 exp(i m (psi(z) + 2 pi alpha (2 n - s)))`` where ``psi`` is the angle of
-``h^{-1}(z)``; one wave table over the element's modes and one twist
-table over its cycle counts serve all shifts, one matrix product per
-shift.  The vacuum sits in block 0, so block s of ``pi(f) xi`` is the
-single row ``m_{s, s}``: :func:`vacuum_image` evaluates one row per
-shift, as one product over the same tables, and builds no operator.
+``h^{-1}(z)``.  One builder evaluates that sum: a twist table over
+(rows x distinct modes) times one wave table, a single product.
+:func:`represent` reads it at every block.  The vacuum sits in block 0,
+so block s of ``pi(f) xi`` is the single row ``m_{s, s}``:
+:func:`vacuum_image` reads one row per shift and builds no operator,
+and the vacuum-route paren table reads the rows ``m_{0, s}``.
 Everything downstream (modular operators, transforms, Dirac blocks)
 reuses the cached per-box context built here: one inverse solve into
-the chart ``u = h^{-1}``, the closed-form densities ``delta_n``, the
-grid waves ``e_l`` with exactly reduced phases, and the chart transport
-``y -> y o F_n`` (resample, phase, resample) that every use of J goes
-through.  The generator products ``u_kl`` are uncached closed forms in
-the same chart, read row by row, and the moments of the invariant state
-are closed forms in the lift coefficients.
+the chart ``u = h^{-1}``, the densities ``delta_n`` from
+:mod:`nctorus.dynamics`, the grid waves ``e_l`` with exactly reduced
+phases, and the chart transport ``y -> y o F_n`` (resample, phase,
+resample) that every use of J goes through.  The generator products
+``u_kl`` are uncached closed forms in the same chart, read row by row,
+and the moments of the invariant state are closed forms in the lift
+coefficients.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import DiffeoSpec
+from .dynamics import DiffeoSpec, _density
 from .errors import AlphaMismatchError, OutOfBoxError
-from .grids import (FourierPoly, default_grid_size, frequencies, grid_angles,
+from .grids import (default_grid_size, frequencies, grid_angles, on_grid,
                     project_to_modes, spectrum, toeplitz)
 from .weyl import WeylElement
 
@@ -100,8 +102,9 @@ class _Context:
     One inverse solve puts the grid into the chart ``u = H^{-1}(x)``, in
     which the dynamics is the rigid rotation by ``2 alpha``.  From it the
     densities ``delta_n = H'(u + 2 alpha n) / H'(u)`` follow in closed
-    form, and transport along ``f^n``, ``y -> y o F_n`` on the grid,
-    becomes resample, phase, resample: ``from_chart(to_chart(y), phase)``.
+    form (:func:`nctorus.dynamics._density`), and transport along
+    ``f^n``, ``y -> y o F_n`` on the grid, becomes resample, phase,
+    resample: ``from_chart(to_chart(y), phase)``.
     Memory is O(G^2 + (2K + 1) G), the grid waves ``e_l`` included;
     nothing per (k, l) is kept, nor any density spectrum (the Dirac
     closed forms take one block on request).
@@ -115,9 +118,7 @@ class _Context:
         self.x = np.arange(g) / g
         self.u = u = d.lift.inverse(self.x)
         self.psi = 2.0 * np.pi * u
-        shift = 2.0 * d.alpha * box.blocks()
-        self.delta = (d.lift.derivative(u[None, :] + shift[:, None])
-                      / d.lift.derivative(u)[None, :])
+        self.delta = _density(d, u, box.blocks()[:, None])
         self.sqrt_delta = np.sqrt(self.delta)
         freqs = frequencies(g)
         # E[j, xi] = exp(2 pi i xi H(x_j)) samples y o H on the uniform u
@@ -126,7 +127,7 @@ class _Context:
         # decaying inside the grid band.
         spectra = spectrum(_waves(d.lift.value(self.x), freqs), axis=0)
         self._to_chart = spectrum(spectra).T
-        self.phase = _waves(shift, freqs)
+        self.phase = _waves(2.0 * d.alpha * box.blocks(), freqs)
         self._from_chart = _waves(u, freqs).T
         self.waves = _grid_waves(box.modes(), g)
         self.wave_spectra = self.to_chart(self.waves)
@@ -222,7 +223,7 @@ class GnsVector:
 
     def on_grid(self) -> np.ndarray:
         """All blocks evaluated on the quadrature grid, shape (2K+1, G)."""
-        return FourierPoly(self.coeffs).on_grid(self.box.grid_size)
+        return on_grid(self.coeffs, self.box.grid_size)
 
 
 def vacuum(box: TruncationBox) -> GnsVector:
@@ -289,8 +290,7 @@ class GnsOperator:
         if x.box != self.box:
             raise ValueError("vector box does not match operator box")
         out = self.apply_to_grid(x.on_grid())
-        return GnsVector(self.box,
-                         project_to_modes(out, self.box.mode_bound).coeffs)
+        return GnsVector(self.box, project_to_modes(out, self.box.mode_bound))
 
     def adjoint(self) -> "GnsOperator":
         """Adjoint via ``(A*)_{n, s} = conj(m_{n + s... })`` reindexing.
@@ -538,12 +538,22 @@ def _tridiagonal(alpha: list[float], beta: list[float]) -> np.ndarray:
     return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
 
 
-def _table_keys(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
-                bound: int, stacklevel: int):
-    """Modes, shifts and values of the keys with ``|s| <= bound``.
+def _multiplier_rows(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
+                     bound: int, block_of):
+    """Multiplier rows ``m_{n, s} = sum_m f(m, s) exp(i m psi)
+    exp(2 pi i alpha m (2 n - s))``, the one evaluation of that sum.
 
-    Raises on an alpha mismatch, and warns once per shift beyond the
-    block range ``2K``, whichever bound the caller keeps.
+    Rows are taken for the distinct shifts s of f with ``|s| <= bound``,
+    ascending, at the blocks ``n = block_of(s)`` (s a column, so n may
+    add a block axis): every block for :func:`represent`, ``n = s`` for
+    the vacuum image (the only row of shift s that meets the vacuum),
+    ``n = 0`` for the vacuum-route paren table.  Returns the shifts and
+    rows of shape (shifts, blocks, G).  One table of twists over (rows x
+    distinct modes), each cycle count reduced by :func:`_waves` once,
+    times one wave table ``exp(i m psi)``: a single product, so a NaN
+    coefficient reaches the rows of its own shift only.  An alpha
+    mismatch raises; each shift beyond the block range ``2K`` warns once
+    (pointing at the caller's caller), whichever bound is kept.
     """
     if f.alpha != d.alpha:
         raise AlphaMismatchError(
@@ -551,55 +561,30 @@ def _table_keys(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
     ss = f.keys[:, 1]
     for s in sorted(set(ss[np.abs(ss) > 2 * box.block_bound].tolist())):
         warnings.warn(f"shift {s} exceeds the block range; term dropped",
-                      stacklevel=stacklevel + 1)
+                      stacklevel=3)
     keep = np.abs(ss) <= bound
-    return f.keys[keep, 0], ss[keep], f.values[keep]
-
-
-def represent(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> GnsOperator:
-    """Image of a coefficient table in the block representation.
-
-    One table ``exp(i m psi)`` over the distinct modes m and one of
-    twists ``exp(2 pi i alpha p)`` over the distinct cycle counts
-    ``p = m (2 n - s)`` (both keyed by ``np.unique``, so far-apart keys
-    cost nothing) serve every shift s: its term is one product
-    ``(twist * coeffs) @ waves`` over its keys, in ascending m.
-    """
-    ms, ss, coeffs = _table_keys(f, d, box, 2 * box.block_bound, 2)
-    ctx = _context(d, box)
-    modes, mode_at = np.unique(ms, return_inverse=True)
-    waves = np.exp(1j * np.multiply.outer(modes, ctx.psi))
-    cycles = (2 * box.blocks()[:, None] - ss) * ms
-    counts, count_at = np.unique(cycles.ravel(), return_inverse=True)
-    twist = _waves(d.alpha, counts)[count_at].reshape(cycles.shape) * coeffs
-    terms = {}
-    for s in sorted(set(ss.tolist())):
-        cols = np.flatnonzero(ss == s)  # keys sort by (m, n): m ascends
-        terms[s] = twist[:, cols] @ waves[mode_at[cols]]
-    return GnsOperator(box, terms)
-
-
-def _shift_rows(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
-                sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``sum_m f(m, s) exp(i m psi) exp(2 pi i alpha sign m s)``.
-
-    One grid row per distinct shift s of the table with ``|s| <= K``,
-    returned with the ascending shifts.  ``sign = +1`` gives block s of
-    ``pi(f) xi`` (row n = s of the shift-s multiplier, the only one that
-    meets the vacuum); ``sign = -1`` gives row n = 0 of the shift-s
-    multiplier, which the vacuum-route paren table reads.  The wave and
-    twist tables are those of :func:`represent`, and all rows are one
-    product over (shifts x distinct modes), so a NaN coefficient reaches
-    its own row only.  Shifts ``K < |s| <= 2K`` meet no vacuum row and
-    are skipped; farther ones warn as in :func:`represent`.
-    """
-    ms, ss, coeffs = _table_keys(f, d, box, box.block_bound, 3)
+    ms, ss, coeffs = f.keys[keep, 0], ss[keep], f.values[keep]
     ctx = _context(d, box)
     shifts, shift_at = np.unique(ss, return_inverse=True)
     modes, mode_at = np.unique(ms, return_inverse=True)
-    table = np.zeros((len(shifts), len(modes)), dtype=complex)
-    table[shift_at, mode_at] = _waves(d.alpha, sign * ms * ss) * coeffs
-    return shifts, table @ np.exp(1j * np.multiply.outer(modes, ctx.psi))
+    column = shifts[:, None]
+    blocks = np.broadcast_arrays(block_of(column), column)[0]
+    cycles = (2 * blocks[shift_at] - ss[:, None]) * ms[:, None]
+    counts, count_at = np.unique(cycles, return_inverse=True)
+    table = np.zeros(blocks.shape + modes.shape, dtype=complex)
+    table[shift_at, :, mode_at] = (_waves(d.alpha, counts)[count_at].reshape(
+        cycles.shape) * coeffs[:, None])
+    waves = np.exp(1j * np.multiply.outer(modes, ctx.psi))
+    rows = table.reshape(blocks.size, len(modes)) @ waves
+    return shifts, rows.reshape(table.shape[:2] + (box.grid_size,))
+
+
+def represent(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> GnsOperator:
+    """Image of a coefficient table in the block representation: the
+    multiplier rows of every shift ``|s| <= 2K`` at every block."""
+    shifts, rows = _multiplier_rows(f, d, box, 2 * box.block_bound,
+                                    lambda s: box.blocks())
+    return GnsOperator(box, dict(zip(shifts.tolist(), rows)))
 
 
 def vacuum_image(f: WeylElement, d: DiffeoSpec,
@@ -608,10 +593,10 @@ def vacuum_image(f: WeylElement, d: DiffeoSpec,
     block s is the single multiplier row of shift s, and only the
     occupied blocks are projected.  Equal to
     ``represent(f, d, box).apply(vacuum(box))`` up to roundoff."""
-    shifts, rows = _shift_rows(f, d, box, 1)
+    shifts, rows = _multiplier_rows(f, d, box, box.block_bound, lambda s: s)
     out = GnsVector.zeros(box)
-    out.coeffs[shifts + box.block_bound] = project_to_modes(
-        rows, box.mode_bound).coeffs
+    out.coeffs[shifts + box.block_bound] = project_to_modes(rows[:, 0],
+                                                            box.mode_bound)
     return out
 
 

@@ -17,8 +17,6 @@ the grid along the last axis unless an ``axis`` is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GridTooSmallError
@@ -123,40 +121,24 @@ def fejer_kernel(order: int, angles) -> np.ndarray:
     return _sine_ratio(order + 1, angles) ** 2 / (order + 1)
 
 
-@dataclass(frozen=True)
-class FourierPoly:
-    """Trigonometric polynomial with coefficients for modes ``-M .. M``.
-
-    ``coeffs[i]`` belongs to the mode ``i - mode_bound``.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.coeffs.shape[-1] % 2 != 1:
-            raise ValueError("coefficient array must have odd length")
-
-    @property
-    def mode_bound(self) -> int:
-        return (self.coeffs.shape[-1] - 1) // 2
-
-    def modes(self) -> np.ndarray:
-        m = self.mode_bound
-        return np.arange(-m, m + 1)
-
-    def on_grid(self, size: int) -> np.ndarray:
-        """Exact samples on the grid via zero-padded FFT, row by row."""
-        m = self.mode_bound
-        if size < 2 * m + 1:
-            raise GridTooSmallError(
-                f"grid {size} cannot carry modes up to {m}")
-        buf = np.zeros(self.coeffs.shape[:-1] + (size,), dtype=complex)
-        buf[..., _slots(self.modes(), size)] = self.coeffs
-        return np.fft.ifft(buf) * size
+def on_grid(coeffs, size: int) -> np.ndarray:
+    """Samples on the grid of ``size`` points of the trigonometric
+    polynomials with ``coeffs[..., l + M]`` at mode l, row by row: exact,
+    by zero-padded FFT."""
+    coeffs = np.asarray(coeffs)
+    if coeffs.shape[-1] % 2 != 1:
+        raise ValueError("coefficient array must have odd length")
+    m = (coeffs.shape[-1] - 1) // 2
+    if size < 2 * m + 1:
+        raise GridTooSmallError(f"grid {size} cannot carry modes up to {m}")
+    buf = np.zeros(coeffs.shape[:-1] + (size,), dtype=complex)
+    buf[..., _slots(np.arange(-m, m + 1), size)] = coeffs
+    return np.fft.ifft(buf) * size
 
 
-def project_to_modes(g, mode_bound: int) -> FourierPoly:
-    """Project grid samples onto modes ``|l| <= mode_bound``, row by row.
+def project_to_modes(g, mode_bound: int) -> np.ndarray:
+    """Coefficients ``[..., l + mode_bound]`` of grid samples on the modes
+    ``|l| <= mode_bound``, row by row.
 
     Exact for polynomials sampled alias free; for general samples this
     is the discrete Fourier truncation.
@@ -167,4 +149,4 @@ def project_to_modes(g, mode_bound: int) -> FourierPoly:
         raise GridTooSmallError(
             f"grid {size} cannot resolve modes up to {mode_bound}")
     modes = np.arange(-mode_bound, mode_bound + 1)
-    return FourierPoly(at_modes(spectrum(values), modes))
+    return at_modes(spectrum(values), modes)

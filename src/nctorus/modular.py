@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import DiffeoSpec
 from .errors import AliasingError, SingularBlockError
-from .gns import (GnsVector, TruncationBox, _context, _shift_rows,
+from .gns import (GnsVector, TruncationBox, _context, _multiplier_rows,
                   vacuum_image)
 from .grids import at_modes, project_to_modes, spectrum, tail_mass
 from .weyl import WeylElement, involution
@@ -132,10 +132,10 @@ def _root_rows(f: WeylElement, d: DiffeoSpec, box: TruncationBox):
     Only the blocks of the shifts of f are filled; the others are zero.
     """
     ctx = _context(d, box)
-    shifts, rows = _shift_rows(f, d, box, 1)
+    shifts, rows = _multiplier_rows(f, d, box, box.block_bound, lambda s: s)
     out = np.zeros((box.n_blocks, box.grid_size), dtype=complex)
     at = shifts + box.block_bound
-    out[at] = rows * ctx.sqrt_delta[at]
+    out[at] = rows[:, 0] * ctx.sqrt_delta[at]
     return out
 
 
@@ -143,7 +143,7 @@ def tomita_check(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> float:
     """Deviation of ``J Delta^{1/2} pi(f) xi`` from ``pi(f*) xi``, the
     left side composed on the grid and projected once."""
     rows = _j_on_grid(_context(d, box), _root_rows(f, d, box))
-    left = GnsVector(box, project_to_modes(rows, box.mode_bound).coeffs)
+    left = GnsVector(box, project_to_modes(rows, box.mode_bound))
     right = vacuum_image(involution(f), d, box)
     return (left - right).norm()
 

@@ -135,7 +135,7 @@ def summation_reference(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
         return vacuum_image(f, d, box)
     if kind == "paren":
         rows = _root_rows(f, d, box)
-        return GnsVector(box, project_to_modes(rows, box.mode_bound).coeffs)
+        return GnsVector(box, project_to_modes(rows, box.mode_bound))
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -225,7 +225,7 @@ def wts_deviation(f: WeylElement, w: TransferencePoint, d: DiffeoSpec,
     ks, ls = np.arange(-kr, kr + 1), np.arange(-lr, lr + 1)
     rows = _u_kl_rows(d, box, ks[:, None], ls[None, :], ks[:, None])
     moved = (w.w2 ** ks)[:, None, None] * rotate(rows, np.angle(w.w1))
-    images = np.conj(project_to_modes(moved, box.mode_bound).coeffs)
+    images = np.conj(project_to_modes(moved, box.mode_bound))
     lhs = np.einsum("km,klm->kl", x.coeffs[ks + box.block_bound], images)
     table = hat_vector(x).table[ks + box.block_bound][:, ls + box.mode_bound]
     rhs = (w.w1 ** -ls) * (w.w2 ** -ks)[:, None] * table

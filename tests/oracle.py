@@ -18,16 +18,22 @@ from nctorus import dirac, dynamics, grids
 from nctorus.errors import GridMismatchError
 
 
-def evaluate(poly: grids.FourierPoly, angles) -> np.ndarray:
-    """Evaluate a trigonometric polynomial at arbitrary angles."""
+def _modes(coeffs) -> np.ndarray:
+    """Mode of each coefficient of ``coeffs[l + M]``."""
+    m = (len(coeffs) - 1) // 2
+    return np.arange(-m, m + 1)
+
+
+def evaluate(coeffs, angles) -> np.ndarray:
+    """Evaluate the trigonometric polynomial with ``coeffs[l + M]`` at
+    arbitrary angles."""
     angles = np.asarray(angles, dtype=float)
-    phases = np.exp(1j * np.multiply.outer(angles, poly.modes()))
-    return phases @ poly.coeffs
+    return np.exp(1j * np.multiply.outer(angles, _modes(coeffs))) @ coeffs
 
 
-def derivative(poly: grids.FourierPoly) -> grids.FourierPoly:
-    """Angular derivative d/dtheta."""
-    return grids.FourierPoly(poly.coeffs * (1j * poly.modes()))
+def derivative(coeffs) -> np.ndarray:
+    """Coefficients of the angular derivative d/dtheta."""
+    return coeffs * (1j * _modes(coeffs))
 
 
 def projection_tail(g, mode_bound: int) -> float:
@@ -60,7 +66,22 @@ def conjugator_mode_table(d, l: int, mode_bound: int) -> np.ndarray:
     g = grids.default_grid_size(mode_bound)
     x = np.arange(g) / g
     values = np.exp(2j * np.pi * l * d.lift.value(x))
-    return grids.project_to_modes(values, mode_bound).coeffs
+    return grids.project_to_modes(values, mode_bound)
+
+
+def riemann_lebesgue_by_rings(c) -> np.ndarray:
+    """Sup of |table| on each square ring ``max(|k|, |l|) = L``, one mask
+    per ring."""
+    box = c.box
+    ring_of = np.maximum(np.abs(box.blocks())[:, None],
+                         np.abs(box.modes())[None, :])
+    mags = np.abs(c.table)
+    out = np.zeros(max(box.block_bound, box.mode_bound) + 1)
+    for ring in range(len(out)):
+        mask = ring_of == ring
+        if mask.any():
+            out[ring] = float(mags[mask].max())
+    return out
 
 
 def undeformed_corner(box, a_n: float) -> np.ndarray:

@@ -112,6 +112,31 @@ def test_verify_rotation_passes(tmp_path):
     assert rows and all(int(r["passed"]) == 1 for r in rows)
 
 
+@pytest.mark.parametrize("dynamics, code", [({}, 2), ({"alpha": 0.3}, 0)],
+                         ids=["bench", "rot"])
+def test_small_box_verify_writes_its_report(tmp_path, capsys, dynamics,
+                                            code):
+    """At K = 6, M = 8 the J probes on the benchmark dynamics carry more
+    than the band holds: the aliasing gate's message becomes the note of
+    failing J rows with an infinite deviation, and the report is still
+    written.  The rotation passes there."""
+    config = dict(dynamics, truncation={"K": 6, "M": 8}, seed=7)
+    got, out, report = run_cli(tmp_path, "verify", config)
+    assert got == code
+    rows = {r["name"]: r for r in read_csv(out / "verify.csv")}
+    j_rows = ("j_involution", "j_antiunitary", "borel_identity")
+    if code == 0:
+        assert all(int(r["passed"]) == 1 for r in rows.values())
+        return
+    for name in j_rows:
+        assert rows[name]["observed"] == "inf"
+        assert int(rows[name]["passed"]) == 0
+        assert name in report["failures"]
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("[FAIL] j_involution")]
+    assert len(printed) == 1 and "J dropped" in printed[0]
+
+
 def test_verify_is_deterministic(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(ROTATION))

@@ -5,6 +5,8 @@ arithmetic (mpmath) from the defining series, independently of the
 grid code under test.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -155,3 +157,12 @@ def test_rotation_number_solves_every_orbit_step(monkeypatch):
     monkeypatch.setattr(dynamics, "_NEWTON_RESIDUAL", -1.0)
     with pytest.raises(InverseSolveError):
         dynamics.rotation_number(dynamics.benchmark())
+
+
+def test_only_dynamics_evaluates_the_lift_derivative():
+    """The densities ``delta_n = H'(u + 2 alpha n) / H'(u)`` have one
+    home: no other module of the package calls the lift's derivative."""
+    package = Path(dynamics.__file__).parent
+    users = [path.name for path in sorted(package.glob("*.py"))
+             if ".derivative(" in path.read_text()]
+    assert users == ["dynamics.py"]

@@ -10,6 +10,8 @@ from nctorus import dynamics, fourier, gns, grids, modular, weyl
 from nctorus.errors import GridTooSmallError
 from nctorus.gns import TruncationBox
 
+import oracle
+
 
 def test_hat_of_a_vector_reads_basis_coefficients(bench, small_box):
     x = (gns.basis_vector(small_box, 2, -1).scaled(0.5 + 1j)
@@ -151,6 +153,26 @@ def test_riemann_lebesgue_decay(bench, box, rng):
     assert prof[16] < prof[8] < prof[2]
     assert prof[8] < 1e-2
     assert prof[16] < 1e-5
+
+
+@pytest.mark.parametrize("k, m", [(3, 5), (5, 3), (4, 4), (0, 2)])
+def test_riemann_lebesgue_profile_matches_the_ring_loop(k, m):
+    """The scatter-max against one mask per ring, bit for bit, a NaN
+    entry (which poisons its ring only) and an all-zero ring included."""
+    box = TruncationBox(k, m)
+    rng = np.random.default_rng(k + 10 * m)
+    table = (rng.standard_normal((box.n_blocks, box.n_modes))
+             + 1j * rng.standard_normal((box.n_blocks, box.n_modes)))
+    table[np.maximum.outer(np.abs(box.blocks()), np.abs(box.modes())) == 1] = 0
+    for poison in (False, True):
+        if poison:
+            table[0, box.mode_bound] = np.nan
+        c = fourier.FourierCoeffs("hat", table, box)
+        got = fourier.riemann_lebesgue_profile(c)
+        want = oracle.riemann_lebesgue_by_rings(c)
+        assert got.tobytes() == want.tobytes()
+        assert got[1] == 0.0
+        assert np.isnan(got).sum() == poison
 
 
 def test_dirichlet_table_is_an_indicator(bench, small_box):

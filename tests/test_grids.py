@@ -11,11 +11,11 @@ import oracle
 
 
 def poly_of(mode_bound, entries):
-    """FourierPoly from a {mode: coefficient} mapping."""
+    """Coefficients ``[l + M]`` from a {mode: coefficient} mapping."""
     coeffs = np.zeros(2 * mode_bound + 1, dtype=complex)
     for m, c in entries.items():
         coeffs[m + mode_bound] = c
-    return grids.FourierPoly(coeffs)
+    return coeffs
 
 
 def test_default_grid_size_is_power_of_two():
@@ -33,7 +33,7 @@ def test_poly_evaluate_matches_grid_samples():
     direct = (1.0 + (0.5 - 0.25j) * np.exp(2j * theta)
               + 1j * np.exp(-3j * theta))
     assert_allclose(oracle.evaluate(poly, theta), direct, atol=1e-14)
-    assert_allclose(poly.on_grid(64), direct, atol=1e-13)
+    assert_allclose(grids.on_grid(poly, 64), direct, atol=1e-13)
 
 
 def test_derivative_multiplies_by_il():
@@ -43,7 +43,7 @@ def test_derivative_multiplies_by_il():
     assert_allclose(oracle.evaluate(oracle.derivative(poly), theta), want,
                     atol=1e-13)
     # the spectral derivative on a stack acts row by row, along any axis
-    stack = np.stack([poly.on_grid(32), np.exp(3j * theta)])
+    stack = np.stack([grids.on_grid(poly, 32), np.exp(3j * theta)])
     rows = np.stack([want, 3j * np.exp(3j * theta)])
     assert_allclose(grids.spectral_derivative(stack), rows, atol=1e-12)
     assert_allclose(grids.spectral_derivative(stack.T, axis=0), rows.T,
@@ -58,24 +58,24 @@ def test_projection_roundtrip_and_tail():
     """Band-limited samples project back to the exact coefficients."""
     rng = np.random.default_rng(3)
     entries = {m: complex(rng.normal(), rng.normal()) for m in range(-5, 6)}
-    f = poly_of(5, entries).on_grid(64)
+    f = grids.on_grid(poly_of(5, entries), 64)
     back = grids.project_to_modes(f, 5)
     for m, c in entries.items():
-        assert abs(back.coeffs[m + 5] - c) < 1e-13
+        assert abs(back[m + 5] - c) < 1e-13
     assert oracle.projection_tail(f, 5) < 1e-13
     # dropping the edge modes leaves exactly their mass in the tail
     mass = abs(entries[5]) ** 2 + abs(entries[-5]) ** 2
     assert_allclose(oracle.projection_tail(f, 4) ** 2, mass, rtol=1e-10)
     # a row stack projects row by row; its tail counts all rows together
     coeffs = rng.normal(size=(3, 11)) + 1j * rng.normal(size=(3, 11))
-    stack = grids.FourierPoly(coeffs).on_grid(64)
+    stack = grids.on_grid(coeffs, 64)
     assert stack.shape == (3, 64)
     for row, c in zip(stack, coeffs):
-        assert np.array_equal(row, grids.FourierPoly(c).on_grid(64))
-    band = grids.project_to_modes(stack, 4).coeffs
+        assert np.array_equal(row, grids.on_grid(c, 64))
+    band = grids.project_to_modes(stack, 4)
     assert band.shape == (3, 9)
     for row, got in zip(stack, band):
-        assert np.array_equal(got, grids.project_to_modes(row, 4).coeffs)
+        assert np.array_equal(got, grids.project_to_modes(row, 4))
     assert_allclose(band, coeffs[:, 1:-1], atol=1e-13)
     tails = [oracle.projection_tail(row, 4) for row in stack]
     assert_allclose(oracle.projection_tail(stack, 4),
@@ -101,7 +101,7 @@ def test_toeplitz_matches_the_mode_loop():
     mult = 2.0 + np.cos(theta)
     x = np.zeros(2 * m + 1, dtype=complex)
     x[m + 1] = 1.0
-    prod = grids.project_to_modes(mult * np.exp(1j * theta), m).coeffs
+    prod = grids.project_to_modes(mult * np.exp(1j * theta), m)
     assert_allclose(grids.toeplitz(grids.spectrum(mult), m) @ x, prod,
                     atol=1e-15)
 
@@ -126,7 +126,9 @@ def test_only_grids_calls_the_fft():
 
 def test_on_grid_rejects_undersized_grid():
     with pytest.raises(GridTooSmallError):
-        poly_of(8, {8: 1.0}).on_grid(16)
+        grids.on_grid(poly_of(8, {8: 1.0}), 16)
+    with pytest.raises(ValueError, match="odd length"):
+        grids.on_grid(np.ones(4), 16)
 
 
 def test_quadrature_mean_kills_nonzero_modes():

@@ -93,11 +93,12 @@ def test_one_nan_hat_coefficient_fails_wts_generators(rot, small_box,
     assert not row.passed
 
 
-def test_dynamics_suite_solves_each_density_once(bench, small_box,
-                                                 monkeypatch):
-    """17 distinct densities, 9 iterates and one solve at each iterate
-    for its 9 right-hand densities are the only grid inverse solves; the
-    orbit of the rotation number solves at single points."""
+def test_dynamics_suite_solves_only_at_the_iterates(bench, small_box,
+                                                   monkeypatch):
+    """The densities and iterates of the grid read the context's chart,
+    so the nine independent solves at the iterates ``f^n(x)`` (one for
+    all nine right-hand densities of each) are the only grid inverse
+    solves; the orbit of the rotation number solves at single points."""
     gns._context(bench, small_box)
     grid_calls = []
     inverse = dynamics.ConjugatorLift.inverse
@@ -110,7 +111,7 @@ def test_dynamics_suite_solves_each_density_once(bench, small_box,
     monkeypatch.setattr(dynamics.ConjugatorLift, "inverse", counting)
     rows = verify.dynamics_suite(bench, small_box, tolerances.resolve())
     assert all(r.passed for r in rows)
-    assert len(grid_calls) == 17 + 9 + 9
+    assert len(grid_calls) == 9
 
 
 def test_wts_suite_retains_no_multipliers(bench):
