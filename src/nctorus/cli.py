@@ -121,15 +121,24 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-_CONFIG_KEYS = {"alpha", "diffeo", "classical_mode", "truncation", "seed",
-                "tolerances", "quick", "element", "second_element", "fourier",
-                "fejer", "abel", "dirac", "growth"}
+# Each config key and the JSON type of its value (numbers are read
+# through int or float).
+_CONFIG_KEYS = {"alpha": object, "seed": object, "classical_mode": bool,
+                "quick": bool, **dict.fromkeys(
+                    ("diffeo", "truncation", "tolerances", "element",
+                     "second_element", "fourier", "fejer", "abel", "dirac",
+                     "growth"), dict)}
 
 
 def _setup(config: dict, args) -> dict:
+    for key, value in config.items():
+        kind = _CONFIG_KEYS.get(key, object)
+        if not isinstance(value, kind):
+            raise ValueError(f"config key {key!r} must be a JSON "
+                             f"{'object' if kind is dict else 'boolean'}")
     box_cfg = config.get("truncation", {})
     for section, known in ((config, _CONFIG_KEYS), (box_cfg, {"K", "M", "G"})):
-        unknown = sorted(set(section) - known)
+        unknown = sorted(set(section).difference(known))
         if unknown:
             raise ValueError(f"unknown config keys {unknown}")
     if "diffeo" in config:
@@ -137,8 +146,7 @@ def _setup(config: dict, args) -> dict:
     elif "alpha" in config:
         alpha = float(config["alpha"])
         d = dynamics.rotation(alpha,
-                              classical=bool(config.get("classical_mode",
-                                                        False)))
+                              classical=config.get("classical_mode", False))
     else:
         d = benchmark()
     box = TruncationBox(int(box_cfg.get("K", 16)), int(box_cfg.get("M", 16)),
@@ -234,6 +242,10 @@ def _cmd_fourier(env: dict, out: Path) -> int:
     cfg, d, box = env["config"], env["d"], env["box"]
     f = _element(cfg, "element", d.alpha, env["seed"])
     kinds = cfg.get("fourier", {}).get("kinds", ["hat", "paren"])
+    if not (isinstance(kinds, list)
+            and all(kind in ("hat", "paren") for kind in kinds)):
+        raise ValueError(f"fourier kinds must be a list of 'hat' and "
+                         f"'paren', got {kinds!r}")
     outputs = []
     profile_rows = []
     for kind in kinds:
@@ -360,7 +372,7 @@ def _cmd_growth(env: dict, out: Path) -> int:
 
 def _cmd_verify(env: dict, out: Path) -> int:
     cfg = env["config"]
-    quick = bool(cfg.get("quick", True))
+    quick = cfg.get("quick", True)
     results = verify.run_all(env["d"], env["box"], env["tols"],
                              seed=env["seed"], quick=quick)
     _write_csv(out / "verify.csv", ["name", "tolerance", "observed", "passed"],

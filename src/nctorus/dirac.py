@@ -236,12 +236,9 @@ def commutator_block(n: int, eta: float, d: DiffeoSpec, box: TruncationBox,
     ``|step| Gamma_{|n|}^{1-eta} Gamma_{|n'|}^{eta}``; :class:`OutOfBoxError`
     when ``growth`` stops short of block n or its neighbour.
     """
-    if generator == "shift":
-        other = n - 1
-    elif generator == "shift_inverse":
-        other = n + 1
-    else:
+    if generator not in ("shift", "shift_inverse"):
         raise ValueError(f"unknown generator {generator!r}")
+    other = n - 1 if generator == "shift" else n + 1
     reach = max(abs(n), abs(other))
     a = a_sequence(growth, reach)
     step = float(a[other + reach] - a[n + reach])

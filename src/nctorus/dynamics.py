@@ -224,8 +224,7 @@ def _refined_sup(v: np.ndarray) -> float:
     denom = a - 2.0 * b + c
     if denom >= -1e-300:
         return float(b)
-    peak = b - 0.125 * (a - c) ** 2 / denom
-    return float(peak)
+    return float(b - 0.125 * (a - c) ** 2 / denom)
 
 
 def growth_sequence(d: DiffeoSpec, n_max: int, size: int = 4096) -> GrowthSequence:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DiffeoSpec
+from .dynamics import DiffeoSpec, rotation
 from .errors import GridTooSmallError
 from .gns import (GnsVector, TruncationBox, _context, _multiplier_rows,
                   _u_kl_rows, vacuum_image)
@@ -146,8 +146,6 @@ def classical_limit_compare(f: WeylElement, box: TruncationBox,
     that table scattered into the block/mode layout: hat(k, l) reads
     f(l, k) and paren(k, l) reads f(-l, -k); keys outside the box drop.
     """
-    from .dynamics import rotation
-
     if d is None:
         d = rotation(0.0, classical=True)
     if not (d.classical and d.alpha == 0.0 and d.is_rotation):

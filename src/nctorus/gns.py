@@ -16,14 +16,13 @@ so block s of ``pi(f) xi`` is the single row ``m_{s, s}``:
 :func:`vacuum_image` reads one row per shift and builds no operator,
 and the vacuum-route paren table reads the rows ``m_{0, s}``.
 Everything downstream (modular operators, transforms, Dirac blocks)
-reuses the cached per-box context built here: one inverse solve into
-the chart ``u = h^{-1}``, the densities ``delta_n`` from
-:mod:`nctorus.dynamics`, the grid waves ``e_l`` with exactly reduced
-phases, and the chart transport ``y -> y o F_n`` (resample, phase,
-resample) that every use of J goes through.  The generator products
-``u_kl`` are uncached closed forms in the same chart, read row by row,
-and the moments of the invariant state are closed forms in the lift
-coefficients.
+reuses the cached per-box context built here, the chart: one inverse
+solve into ``u = h^{-1}``, the densities ``delta_n`` from
+:mod:`nctorus.dynamics` and the grid waves ``e_l`` with exactly reduced
+phases (the J transport is :mod:`nctorus.modular`'s).  The generator
+products ``u_kl`` are uncached closed forms in the same chart, read row
+by row, and the moments of the invariant state are closed forms in the
+lift coefficients.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ import numpy as np
 
 from .dynamics import DiffeoSpec, _density
 from .errors import AlphaMismatchError, OutOfBoxError
-from .grids import (default_grid_size, frequencies, grid_angles, on_grid,
-                    project_to_modes, spectrum, toeplitz)
+from .grids import (default_grid_size, grid_angles, on_grid, project_to_modes,
+                    spectrum, toeplitz)
 from .weyl import WeylElement
 
 
@@ -97,17 +96,14 @@ class TruncationBox:
 
 
 class _Context:
-    """Per (dynamics, box) chart data shared across modules.
+    """Per (dynamics, box) chart, shared across modules.
 
     One inverse solve puts the grid into the chart ``u = H^{-1}(x)``, in
-    which the dynamics is the rigid rotation by ``2 alpha``.  From it the
-    densities ``delta_n = H'(u + 2 alpha n) / H'(u)`` follow in closed
-    form (:func:`nctorus.dynamics._density`), and transport along
-    ``f^n``, ``y -> y o F_n`` on the grid, becomes resample, phase,
-    resample: ``from_chart(to_chart(y), phase)``.
-    Memory is O(G^2 + (2K + 1) G), the grid waves ``e_l`` included;
-    nothing per (k, l) is kept, nor any density spectrum (the Dirac
-    closed forms take one block on request).
+    which the dynamics is the rotation by ``2 alpha``; the densities
+    ``delta_n`` (:func:`nctorus.dynamics._density`) and the grid waves
+    ``e_l`` follow.  :attr:`transport` starts empty, and
+    :mod:`nctorus.modular` fills it on the first J of the context.
+    Memory is O((2K + 2M + 2) G), plus 2 * 16 * G^2 bytes once J has run.
     """
 
     def __init__(self, d: DiffeoSpec, box: TruncationBox):
@@ -120,30 +116,8 @@ class _Context:
         self.psi = 2.0 * np.pi * u
         self.delta = _density(d, u, box.blocks()[:, None])
         self.sqrt_delta = np.sqrt(self.delta)
-        freqs = frequencies(g)
-        # E[j, xi] = exp(2 pi i xi H(x_j)) samples y o H on the uniform u
-        # grid from the x-spectrum of y; the outer FFTs make the map act
-        # on samples.  Its accuracy rests on the u-spectrum of y o H
-        # decaying inside the grid band.
-        spectra = spectrum(_waves(d.lift.value(self.x), freqs), axis=0)
-        self._to_chart = spectrum(spectra).T
-        self.phase = _waves(2.0 * d.alpha * box.blocks(), freqs)
-        self._from_chart = _waves(u, freqs).T
         self.waves = _grid_waves(box.modes(), g)
-        self.wave_spectra = self.to_chart(self.waves)
-
-    def to_chart(self, rows: np.ndarray) -> np.ndarray:
-        """u-spectra of ``y o H`` for grid rows y."""
-        return rows @ self._to_chart
-
-    def from_chart(self, spectra: np.ndarray,
-                   phase: np.ndarray) -> np.ndarray:
-        """Rotate u-spectra by ``2 alpha n``; sample ``y o F_n`` on the grid.
-
-        ``phase`` is a row of :attr:`phase` (one n for every row) or the
-        whole table (row i moves along ``F_{n_i}``).
-        """
-        return (spectra * phase) @ self._from_chart
+        self.transport = None
 
 
 def _cycles(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:

@@ -5,10 +5,12 @@ multiplication by the density ``delta_n(z)``, and the conjugation J is
 
     (J x)_n(z) = delta_n(z)^{1/2} conj(x_{-n}(f^n(z))).
 
-J is evaluated with the transport of the per-box context: resample into
-the chart ``u = H^{-1}(x)``, rotate by ``2 alpha n`` as a phase, resample
-back.  This module is the one home of that transport: :func:`apply_J`,
-the conjugated Borel calculus, the paren synthesis and the Dirac oracle
+J is evaluated with a transport: resample into the chart
+``u = H^{-1}(x)``, rotate by ``2 alpha n`` as a phase, resample back.
+This module is the one home of that transport.  It is built on the
+first J of a per-box context and kept on it, so a context that never
+applies J never pays for its two G x G maps.  :func:`apply_J`, the
+conjugated Borel calculus, the paren synthesis and the Dirac oracle
 apply it, and the paren pairings against the conjugated basis
 ``eps_kl = J e_kl`` apply its transpose.
 
@@ -25,8 +27,9 @@ import numpy as np
 from .dynamics import DiffeoSpec
 from .errors import AliasingError, SingularBlockError
 from .gns import (GnsVector, TruncationBox, _context, _multiplier_rows,
-                  vacuum_image)
-from .grids import at_modes, project_to_modes, spectrum, tail_mass
+                  _waves, vacuum_image)
+from .grids import (at_modes, frequencies, project_to_modes, spectrum,
+                    tail_mass)
 from .weyl import WeylElement, involution
 
 _DEFAULT_TAIL = 1e-6
@@ -50,9 +53,25 @@ def apply_delta_power(x: GnsVector, a: float, d: DiffeoSpec) -> GnsVector:
     The half-power convention makes ``a = 1`` the modular square root
     used by the closure ``S = J Delta^{1/2}``.
     """
-    ctx = _context(d, x.box)
-    rows = x.on_grid() * ctx.delta ** (0.5 * a)
+    rows = x.on_grid() * _context(d, x.box).delta ** (0.5 * a)
     return _reproject(x, rows, f"Delta^{a}/2")
+
+
+def _transport(ctx):
+    """``(to_chart, phase, from_chart, wave_spectra)``, built on the first
+    call for a context and kept in ``ctx.transport``.  Grid rows y times
+    ``to_chart`` are the u-spectra of ``y o H`` (accurate while they decay
+    inside the grid band), times ``phase[n + K]`` rotated by ``2 alpha n``,
+    times ``from_chart`` the samples of ``y o F_n``; ``wave_spectra`` are
+    the u-spectra of the grid waves e_l."""
+    if ctx.transport is None:
+        d, freqs = ctx.d, frequencies(ctx.box.grid_size)
+        to_chart = spectrum(spectrum(_waves(d.lift.value(ctx.x), freqs),
+                                     axis=0)).T
+        ctx.transport = (to_chart,
+                         _waves(2.0 * d.alpha * ctx.box.blocks(), freqs),
+                         _waves(ctx.u, freqs).T, ctx.waves @ to_chart)
+    return ctx.transport
 
 
 def _live(rows: np.ndarray) -> np.ndarray:
@@ -79,12 +98,13 @@ def _j_on_grid(ctx, rows: np.ndarray) -> np.ndarray:
     retained band would contaminate the composite with truncation error
     that neither route owns.
     """
+    to_chart, phase, from_chart, _ = _transport(ctx)
     flipped = rows[::-1]
     live = _live(flipped)
     out = np.zeros(rows.shape, dtype=complex)
-    spectra = ctx.to_chart(flipped[live])
+    spectra = flipped[live] @ to_chart
     out[live] = ctx.sqrt_delta[live] * np.conj(
-        ctx.from_chart(spectra, ctx.phase[live]))
+        (spectra * phase[live]) @ from_chart)
     return out
 
 
@@ -97,12 +117,12 @@ def _epsilon_pairings(ctx, rows: np.ndarray) -> np.ndarray:
     ``delta^{1/2} y``: two matrix products over the live blocks, with no
     per-block basis; the rows of the other blocks stay exactly zero.
     """
+    _, phase, from_chart, wave_spectra = _transport(ctx)
     flipped = rows[::-1]
     live = _live(flipped)
     table = np.zeros((ctx.box.n_blocks, ctx.box.n_modes), dtype=complex)
-    spectra = ((ctx.sqrt_delta[::-1][live] * flipped[live])
-               @ ctx._from_chart.T)
-    table[live] = ((spectra * ctx.phase[::-1][live]) @ ctx.wave_spectra.T
+    spectra = (ctx.sqrt_delta[::-1][live] * flipped[live]) @ from_chart.T
+    table[live] = ((spectra * phase[::-1][live]) @ wave_spectra.T
                    / ctx.box.grid_size)
     return table
 
@@ -115,9 +135,10 @@ def _conjugated_rows(ctx, i: int) -> np.ndarray:
     This per-block form serves the reference basis
     :func:`nctorus.fourier.epsilon_basis` and the Dirac eta = 1/2 oracle.
     """
+    _, phase, from_chart, wave_spectra = _transport(ctx)
     flip = ctx.box.n_blocks - 1 - i
     return ctx.sqrt_delta[flip] * np.conj(
-        ctx.from_chart(ctx.wave_spectra, ctx.phase[flip]))
+        (wave_spectra * phase[flip]) @ from_chart)
 
 
 def apply_J(x: GnsVector, d: DiffeoSpec) -> GnsVector:
@@ -156,8 +177,8 @@ def _fn_values(fn, t: np.ndarray, inverse: bool = False,
     if kind == "power":
         return np.asarray(arg, dtype=complex) ** float(fn[1])
     if kind == "rational":
-        num = np.conj(fn[1]) if conjugate else np.asarray(fn[1], dtype=complex)
-        den = np.conj(fn[2]) if conjugate else np.asarray(fn[2], dtype=complex)
+        num, den = (np.conj(c) if conjugate else np.asarray(c, dtype=complex)
+                    for c in fn[1:3])
         den_vals = np.polyval(den, arg)
         if float(np.min(np.abs(den_vals))) < 1e-12:
             raise SingularBlockError(
@@ -172,8 +193,7 @@ def borel_apply(x: GnsVector, fn, d: DiffeoSpec) -> GnsVector:
     ``fn`` is ``("power", a)`` for ``t^a`` or ``("rational", num, den)``
     with polynomial coefficient sequences in numpy order.
     """
-    ctx = _context(d, x.box)
-    rows = x.on_grid() * _fn_values(fn, ctx.delta)
+    rows = x.on_grid() * _fn_values(fn, _context(d, x.box).delta)
     return _reproject(x, rows, "Borel calculus")
 
 

@@ -18,6 +18,10 @@ from .errors import AliasingError
 from .gns import TruncationBox
 from .grids import project_to_modes
 
+# Blocks and modes left empty at each edge by the interior probe vectors
+# of the homomorphism checks, so K and M must reach it.
+_PROBE_MARGIN = 6
+
 
 @dataclass
 class CheckResult:
@@ -71,10 +75,7 @@ def weyl_relation_suite(alpha: float, tols: dict,
 
 def star_algebra_suite(alpha: float, tols: dict, rng: np.random.Generator,
                        count: int = 100) -> list[CheckResult]:
-    assoc = 0.0
-    tracial = 0.0
-    invol = 0.0
-    recover = 0.0
+    assoc = tracial = invol = recover = 0.0
     for _ in range(count):
         f = weyl.random_element(rng, alpha, 2)
         g = weyl.random_element(rng, alpha, 2)
@@ -162,12 +163,12 @@ def gns_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
         af = gns.represent(f, d, box)
         ag = gns.represent(g, d, box)
         afg = gns.represent(weyl.star_product(f, g), d, box)
-        x = gns.random_vector(rng, box, block_margin=6, mode_margin=6)
+        x = gns.random_vector(rng, box, _PROBE_MARGIN, _PROBE_MARGIN)
         seq = af.apply_to_grid(ag.apply_to_grid(x.on_grid()))
         comp = afg.apply_to_grid(x.on_grid())
         hom_dev = np.maximum(hom_dev, float(np.sqrt(np.sum(
             np.mean(np.abs(seq - comp) ** 2, axis=1)))))
-        y = gns.random_vector(rng, box, block_margin=6, mode_margin=6)
+        y = gns.random_vector(rng, box, _PROBE_MARGIN, _PROBE_MARGIN)
         star_rep = gns.represent(weyl.involution(f), d, box)
         adj_dev = np.maximum(adj_dev, abs(af.apply(x).inner(y)
                                           - x.inner(star_rep.apply(y))))
@@ -203,9 +204,7 @@ def modular_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
     # and would trip the aliasing gate instead of measuring anything.
     # A box too small for the probes trips it all the same: the J rows
     # then fail with an infinite deviation and the gate's message.
-    j_dev = 0.0
-    anti_dev = 0.0
-    borel_dev = 0.0
+    j_dev = anti_dev = borel_dev = 0.0
     note = ""
     try:
         for _ in range(max(3, count // 4)):
@@ -237,8 +236,7 @@ def modular_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
 
 def parseval_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
                    rng: np.random.Generator, count: int = 50) -> list[CheckResult]:
-    parseval_dev = 0.0
-    hy_dev = 0.0
+    parseval_dev = hy_dev = 0.0
     for _ in range(count):
         f = weyl.random_element(rng, d.alpha, 2, decay=1.0)
         table = fourier.hat_functional(f, d, box)
@@ -334,9 +332,7 @@ def dirichlet_suite(d: DiffeoSpec, box: TruncationBox,
     small = TruncationBox(min(4, box.block_bound), min(6, box.mode_bound))
     table = fourier.dirichlet_coefficient_table(3, d, small)
     expected = np.zeros_like(table.table)
-    for j, l in enumerate(small.modes()):
-        if abs(l) <= 3:
-            expected[small.block_bound, j] = 1.0
+    expected[small.block_bound, np.abs(small.modes()) <= 3] = 1.0
     table_dev = float(np.max(np.abs(table.table - expected)))
 
     wide = TruncationBox(small.block_bound, small.mode_bound, grid_size=256)
@@ -401,6 +397,9 @@ def dirac_bound_checks(d: DiffeoSpec, box: TruncationBox, tols: dict,
 def run_all(d: DiffeoSpec, box: TruncationBox, tols: dict, seed: int = 7,
             quick: bool = True) -> list[CheckResult]:
     """Full battery; ``quick`` shrinks counts and sweep radii."""
+    if min(box.block_bound, box.mode_bound) < _PROBE_MARGIN:
+        raise ValueError(f"verify needs K, M >= {_PROBE_MARGIN} (the probe "
+                         f"margin), got {box.block_bound}, {box.mode_bound}")
     rng = np.random.default_rng(seed)
     count = 20 if quick else 100
     radius = 4 if quick else 8

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from nctorus import dirac, dynamics, grids
+from nctorus import dirac, dynamics, grids, modular
 from nctorus.errors import GridMismatchError
 
 
@@ -182,17 +182,19 @@ def vacuum_paren(op) -> np.ndarray:
 
 def j_on_grid_all_rows(ctx, rows) -> np.ndarray:
     """One J step with every block through the transport, zero or not."""
-    spectra = ctx.to_chart(rows[::-1])
-    return ctx.sqrt_delta * np.conj(ctx.from_chart(spectra, ctx.phase))
+    to_chart, phase, from_chart, _ = modular._transport(ctx)
+    spectra = rows[::-1] @ to_chart
+    return ctx.sqrt_delta * np.conj((spectra * phase) @ from_chart)
 
 
 def epsilon_pairings_all_rows(ctx, rows) -> np.ndarray:
     """The epsilon pairings with every block through the transport."""
-    spectra = (ctx.sqrt_delta * rows)[::-1] @ ctx._from_chart.T
+    _, phase, from_chart, wave_spectra = modular._transport(ctx)
+    spectra = (ctx.sqrt_delta * rows)[::-1] @ from_chart.T
     # contiguous like the package's gathered phases: numpy rounds a
     # complex product over a strided operand differently
-    phase = np.ascontiguousarray(ctx.phase[::-1])
-    return (spectra * phase) @ ctx.wave_spectra.T / ctx.box.grid_size
+    phase = np.ascontiguousarray(phase[::-1])
+    return (spectra * phase) @ wave_spectra.T / ctx.box.grid_size
 
 
 def rotation_number_by_iterates(d, iterations: int = 256) -> float:

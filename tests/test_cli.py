@@ -337,6 +337,45 @@ def test_unknown_config_key_exits_one(tmp_path, config):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, config", [
+    ("star", {"truncation": 5}),
+    ("star", {"tolerances": 5}),
+    ("fourier", {"fourier": 5}),
+    ("dirac", {"dirac": [1]}),
+    ("star", {"diffeo": 5}),
+    ("star", {"element": 5}),
+    ("verify", {"quick": "false"}),
+    ("star", {"alpha": 0.0, "classical_mode": "true"}),
+    ("fourier", {"fourier": {"kinds": ["hat", "foo"]}}),
+    ("verify", {"truncation": {"K": 5, "M": 8}}),
+    ("verify", {"truncation": {"K": 8, "M": 5}}),
+], ids=["truncation-number", "tolerances-number", "fourier-number",
+        "dirac-list", "diffeo-number", "element-number", "quick-string",
+        "classical-string", "fourier-unknown-kind", "verify-K-below-margin",
+        "verify-M-below-margin"])
+def test_malformed_config_exits_one_before_any_artifact(tmp_path, capsys,
+                                                        command, config):
+    # each used to stop with a traceback, to run the wrong battery
+    # ("false" is a true string), or to exit only after writing a table
+    code, out, _ = run_cli(tmp_path, command, config)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("nctorus:") and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+    if command == "verify" and "truncation" in config:
+        assert "K, M >= 6" in err
+
+
+@pytest.mark.parametrize("dynamics, code", [({}, 2), ({"alpha": 0.3}, 0)],
+                         ids=["bench", "rot"])
+def test_verify_at_the_probe_margin_writes_its_report(tmp_path, dynamics,
+                                                      code):
+    config = dict(dynamics, truncation={"K": 6, "M": 6}, seed=7)
+    got, out, report = run_cli(tmp_path, "verify", config)
+    assert got == code
+    assert (out / "verify.csv").exists() and report is not None
+
+
 @pytest.mark.parametrize("name", ["corner_adjoint", "reprojection_tail",
                                   "tomita_rotation", "dirac_master_rotation"])
 def test_removed_tolerance_names_exit_one(tmp_path, name):

@@ -72,8 +72,9 @@ def test_epsilon_basis_is_near_orthonormal(bench, box):
 def unflipped_pairings(ctx, rows):
     """Mutant of the eps pairings that pairs block k with eps_kl's block k,
     not its block -k."""
-    moved = (ctx.sqrt_delta * rows) @ ctx._from_chart.T
-    return moved * ctx.phase @ ctx.wave_spectra.T / ctx.box.grid_size
+    _, phase, from_chart, wave_spectra = modular._transport(ctx)
+    moved = (ctx.sqrt_delta * rows) @ from_chart.T
+    return moved * phase @ wave_spectra.T / ctx.box.grid_size
 
 
 def paren_deviations(d, box, rng):
@@ -119,9 +120,10 @@ def test_epsilon_comparison_rejects_an_unflipped_pairing(bench, small_box,
 
 
 def test_paren_transforms_retain_no_table(bench, rng):
-    """The pairing and the synthesis leave nothing on the context."""
+    """The pairing and the synthesis leave nothing on the context but
+    its J transport, which is built before the count starts."""
     box = TruncationBox(32, 32)
-    gns._context(bench, box)
+    modular._transport(gns._context(bench, box))
     x = gns.random_vector(rng, box)
     tracemalloc.start()
     try:

@@ -102,13 +102,13 @@ def _root_rows_power(power):
 
 
 def _j_without_conjugate(ctx, rows):
-    spectra = ctx.to_chart(rows[::-1])
-    return ctx.sqrt_delta * ctx.from_chart(spectra, ctx.phase)
+    to_chart, phase, from_chart, _ = modular._transport(ctx)
+    return ctx.sqrt_delta * ((rows[::-1] @ to_chart * phase) @ from_chart)
 
 
 def _j_without_flip(ctx, rows):
-    spectra = ctx.to_chart(rows)
-    return ctx.sqrt_delta * np.conj(ctx.from_chart(spectra, ctx.phase))
+    to_chart, phase, from_chart, _ = modular._transport(ctx)
+    return ctx.sqrt_delta * np.conj((rows @ to_chart * phase) @ from_chart)
 
 
 @pytest.mark.parametrize("attr, mutant", [
@@ -229,6 +229,40 @@ def test_context_build_solves_the_chart_once(bench, small_box, monkeypatch):
     assert len(calls) == 1
 
 
+def test_only_a_context_that_applies_j_builds_the_transport(
+        bench, small_box, rng, monkeypatch):
+    built = []
+
+    class Recorded(gns._Context):
+        def __init__(self, d, box):
+            super().__init__(d, box)
+            built.append(self)
+
+    monkeypatch.setattr(gns, "_Context", Recorded)
+    gns._context.cache_clear()
+    try:
+        f0 = weyl.random_element(rng, 0.0, 3, decay=0.5)
+        fourier.classical_limit_compare(f0, TruncationBox(8, 8))
+        fourier.dirichlet_coefficient_table(4, bench, small_box)
+        f = weyl.random_element(rng, bench.alpha, 2, decay=2.0)
+        gns.state_eval(f, bench, route="gns")
+        gns.vacuum_image(f, bench, small_box)
+        gns.represent(f, bench, small_box).norm_estimate()
+        assert len(built) == 3
+        assert all(ctx.transport is None for ctx in built)
+        xi = gns.vacuum(small_box)
+        modular.apply_J(xi, bench)
+        ctx = gns._context(bench, small_box)
+        first = ctx.transport
+        assert first is not None
+        modular.apply_J(xi, bench)
+        assert ctx.transport is first
+        assert len(built) == 3
+        assert [c for c in built if c.transport is not None] == [ctx]
+    finally:
+        gns._context.cache_clear()
+
+
 @pytest.mark.parametrize("op", [
     lambda x, d: modular.apply_J(x, d),
     lambda x, d: modular.apply_delta_power(x, 1.0, d),
@@ -244,13 +278,18 @@ def test_reprojection_fails_closed_on_nan(bench, small_box, rng, op):
 
 
 def test_only_gns_and_modular_name_the_transport():
-    """The J transport and ``delta^{1/2}`` are built in the context and
-    applied in modular, so ``Delta^{1/2} pi(f) xi`` has one composition."""
+    """The J transport is built and applied in modular alone, and
+    ``delta^{1/2}`` is a chart field of the context that only modular
+    reads, so ``Delta^{1/2} pi(f) xi`` has one composition."""
     package = Path(gns.__file__).parent
-    users = [path.name for path in sorted(package.glob("*.py"))
-             if re.search(r"to_chart|from_chart|wave_spectra|\bsqrt_delta\b",
-                          path.read_text())]
-    assert users == ["gns.py", "modular.py"]
+    files = sorted(package.glob("*.py"))
+    transport = [path.name for path in files
+                 if re.search(r"to_chart|from_chart|wave_spectra",
+                              path.read_text())]
+    root = [path.name for path in files
+            if re.search(r"\bsqrt_delta\b", path.read_text())]
+    assert transport == ["modular.py"]
+    assert root == ["gns.py", "modular.py"]
 
 
 def _occupied_rows(box, blocks, rng):
