@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dirac, dynamics, fourier, gns, grids, summation, verify, weyl
 from .dynamics import DiffeoSpec, benchmark
-from .errors import NcTorusError
+from .errors import NcTorusError, _json_number, _json_numbers
 from .gns import TruncationBox
 from .tolerances import resolve
 
@@ -144,14 +144,16 @@ def _setup(config: dict, args) -> dict:
     if "diffeo" in config:
         d = DiffeoSpec.from_dict(config["diffeo"])
     elif "alpha" in config:
-        alpha = float(config["alpha"])
+        alpha = _json_number(config["alpha"], "alpha")
         d = dynamics.rotation(alpha,
                               classical=config.get("classical_mode", False))
     else:
         d = benchmark()
-    box = TruncationBox(int(box_cfg.get("K", 16)), int(box_cfg.get("M", 16)),
-                        int(box_cfg.get("G", 0)))
-    seed = int(config.get("seed", 7))
+    box = TruncationBox(*(_json_number(box_cfg.get(key, default),
+                                       f"truncation {key}", int)
+                          for key, default in (("K", 16), ("M", 16),
+                                               ("G", 0))))
+    seed = _json_number(config.get("seed", 7), "seed", int)
     tols = resolve(config.get("tolerances"), scale=args.tol_scale)
     return {"d": d, "box": box, "seed": seed, "tols": tols, "config": config}
 
@@ -276,12 +278,14 @@ def _smoothing(env: dict, out: Path, name: str) -> int:
     section = cfg.get(name, {})
     kind = section.get("kind", "hat")
     if name == "fejer":
-        params = section.get("orders", [4, 8, 16])
-        kernels = [summation.SummationKernel("fejer", order=int(n))
+        params = _json_numbers(section.get("orders", [4, 8, 16]),
+                               "fejer orders", int)
+        kernels = [summation.SummationKernel("fejer", order=n)
                    for n in params]
     else:
-        params = section.get("radii", [0.9, 0.99, 0.999])
-        kernels = [summation.SummationKernel("abel", radius=float(r))
+        params = _json_numbers(section.get("radii", [0.9, 0.99, 0.999]),
+                               "abel radii")
+        kernels = [summation.SummationKernel("abel", radius=r)
                    for r in params]
     if len(kernels) < 2:
         raise ValueError(f"{name} needs at least two kernels to compare")
@@ -312,11 +316,14 @@ def _smoothing(env: dict, out: Path, name: str) -> int:
 def _cmd_dirac(env: dict, out: Path) -> int:
     cfg, d, box, tols = env["config"], env["d"], env["box"], env["tols"]
     section = cfg.get("dirac", {})
-    radius = int(section.get("block_radius", 8))
+    radius = _json_number(section.get("block_radius", 8),
+                          "dirac block_radius", int)
     if radius < 1:
         raise ValueError("dirac block_radius < 1 leaves no block n != 0")
-    etas = [float(e) for e in section.get("etas", [0.0, 0.25, 0.5, 0.75, 1.0])]
-    master_radius = min(int(section.get("master_radius", 4)),
+    etas = list(_json_numbers(
+        section.get("etas", [0.0, 0.25, 0.5, 0.75, 1.0]), "dirac etas"))
+    master_radius = min(_json_number(section.get("master_radius", 4),
+                                     "dirac master_radius", int),
                         box.block_bound, box.mode_bound)
     growth = dynamics.growth_sequence(d, max(radius, box.block_bound) + 1)
     # an empty element table raises here, before any artifact is written
@@ -351,7 +358,8 @@ def _cmd_dirac(env: dict, out: Path) -> int:
 
 def _cmd_growth(env: dict, out: Path) -> int:
     cfg, d = env["config"], env["d"]
-    n_max = int(cfg.get("growth", {}).get("n_max", 16))
+    n_max = _json_number(cfg.get("growth", {}).get("n_max", 16),
+                         "growth n_max", int)
     growth = dynamics.growth_sequence(d, n_max)
     a = dirac.a_sequence(growth, n_max)
     rows = []

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InverseSolveError, OutOfBoxError, PositivityError
+from .errors import (InverseSolveError, OutOfBoxError, PositivityError,
+                     _json_number, _json_numbers)
 
 _CHECK_GRID = 8192
 _BISECT_WIDTH = 1e-8
@@ -153,11 +154,22 @@ class DiffeoSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DiffeoSpec":
-        conj = data.get("conjugator") or {}
-        lift = ConjugatorLift(tuple(conj.get("sin", ())),
-                              tuple(conj.get("cos", ())))
-        return cls(alpha=float(data["alpha"]), lift=lift,
-                   classical=bool(data.get("classical", False)))
+        """Inverse of :meth:`to_dict`; a value of the wrong JSON type
+        (``classical`` not a boolean, a conjugator that is not an object
+        of coefficient lists) raises ``ValueError``."""
+        conj = data.get("conjugator")
+        conj = {} if conj is None else conj
+        if not isinstance(conj, dict):
+            raise ValueError(f"conjugator must be an object, got {conj!r}")
+        lift = ConjugatorLift(*(_json_numbers(conj.get(side, ()),
+                                              f"conjugator {side}")
+                                for side in ("sin", "cos")))
+        classical = data.get("classical", False)
+        if not isinstance(classical, bool):
+            raise ValueError(f"classical must be a boolean, got "
+                             f"{classical!r}")
+        return cls(alpha=_json_number(data["alpha"], "alpha"), lift=lift,
+                   classical=classical)
 
 
 def benchmark() -> DiffeoSpec:

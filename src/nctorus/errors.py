@@ -1,8 +1,12 @@
 """Exception types raised across the package.
 
 Everything derives from :class:`NcTorusError` so callers can catch one
-base class at CLI boundaries while tests pin the concrete types.
+base class at CLI boundaries while tests pin the concrete types.  The
+config readers share :func:`_json_number` and :func:`_json_numbers`,
+which turn a value of the wrong JSON type into ``ValueError``.
 """
+
+import numbers
 
 
 class NcTorusError(Exception):
@@ -43,3 +47,24 @@ class RouteMismatchError(NcTorusError):
 
 class SingularBlockError(NcTorusError):
     """A block expected to be invertible is numerically singular."""
+
+
+def _json_number(value, label: str, kind: type = float):
+    """``value`` through ``kind`` (int or float) when it is a JSON number,
+    an integral one for int; a bool, string, list, object or null raises
+    ``ValueError`` naming ``label``."""
+    integral = (isinstance(value, numbers.Integral)
+                or (isinstance(value, float) and value.is_integer()))
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or (kind is int and not integral)):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{label} must be {noun}, got {value!r}")
+    return kind(value)
+
+
+def _json_numbers(values, label: str, kind: type = float) -> tuple:
+    """A JSON list of numbers through ``kind``; any other type raises
+    ``ValueError`` naming ``label``."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{label} must be a list of numbers, got {values!r}")
+    return tuple(_json_number(v, label, kind) for v in values)

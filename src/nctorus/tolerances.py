@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import _json_number
+
 DEFAULTS: dict[str, float] = {
     "weyl_relation": 1e-14,
     "star_associativity": 1e-12,
@@ -44,9 +46,10 @@ def resolve(overrides: dict[str, float] | None = None, scale: float = 1.0) -> di
 
     Band edges (``fejer_ratio_*``) and the Dirichlet band are structural
     and are never scaled; everything else multiplies by ``scale``.  A
-    scale or override that is not a finite positive number raises
-    ``ValueError``, and so does a product that overflows: a NaN or
-    infinite tolerance would pass every check.
+    scale or override that is not a finite positive number (an override
+    that is not a number at all included) raises ``ValueError``, and so
+    does a product that overflows: a NaN or infinite tolerance would
+    pass every check.
     """
     _require_positive("tolerance scale", scale)
     table = dict(DEFAULTS)
@@ -54,7 +57,8 @@ def resolve(overrides: dict[str, float] | None = None, scale: float = 1.0) -> di
         unknown = sorted(set(overrides) - set(table))
         if unknown:
             raise KeyError(f"unknown tolerance names: {', '.join(unknown)}")
-        table.update({k: float(v) for k, v in overrides.items()})
+        table.update({k: _json_number(v, f"tolerance {k}")
+                      for k, v in overrides.items()})
     if scale != 1.0:
         unscaled = {"fejer_ratio_low", "fejer_ratio_high", "dirichlet_band"}
         for key in table:

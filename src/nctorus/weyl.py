@@ -5,18 +5,22 @@ multiply by ``W(a) W(b) = exp(2 pi i alpha sigma(a, b)) W(a + b)`` with
 ``sigma((m, n), (M, N)) = m N - M n``.  The table operations below (star
 product, involution, trace, coefficient extraction) are the abstract
 side of everything the representation modules compute concretely.
-A table is two arrays, sorted distinct keys and their nonzero values,
-and every element is built by one reducer, :func:`_reduce`.
+A table is two arrays, sorted distinct keys and their nonzero values.
+Arbitrary keys go through one reducer, :func:`_reduce`; tables whose
+keys are already sorted and distinct (random, scaled, adjoint) skip the
+sort, and the star product reads its sort from a bounded plan cache.
 """
 
 from __future__ import annotations
 
+import functools
+import struct
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .dynamics import DiffeoSpec
-from .errors import AlphaMismatchError
+from .errors import AlphaMismatchError, _json_number
 from .grids import default_grid_size, grid_angles, spectral_derivative
 
 
@@ -29,14 +33,13 @@ class SymplecticPair(NamedTuple):
         return self.m * other.n - other.m * self.n
 
 
-def _reduce(keys: np.ndarray,
-            values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (N, 2) keys sorted by (m, n) and their nonzero values.
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slot of each key among the distinct keys, and those keys sorted
+    by (m, n).
 
     One stable sort by (m, n) marks where each run of coinciding keys
-    starts (no arithmetic on the keys, so none can overflow, however far
-    apart they lie); each run is summed by a scatter-add in input order.
-    Exact zeros are dropped and NaN is kept.
+    starts; no arithmetic touches the keys, so none can overflow,
+    however far apart they lie.
     """
     order = np.lexsort((keys[:, 1], keys[:, 0]))
     ranked = keys[order]
@@ -44,21 +47,46 @@ def _reduce(keys: np.ndarray,
     start[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
     slot = np.empty(len(order), dtype=np.intp)
     slot[order] = np.cumsum(start) - 1
-    sums = np.empty(int(start.sum()), dtype=complex)
-    sums.real = np.bincount(slot, values.real, len(sums))
-    sums.imag = np.bincount(slot, values.imag, len(sums))
-    keep = sums != 0
-    keys = ranked[start][keep]
-    values = sums[keep]
+    return slot, ranked[start]
+
+
+def _sum_runs(slot: np.ndarray, size: int,
+              values: np.ndarray) -> np.ndarray:
+    """Scatter-add of ``values`` onto ``size`` slots, in input order."""
+    sums = np.empty(size, dtype=complex)
+    sums.real = np.bincount(slot, values.real, size)
+    sums.imag = np.bincount(slot, values.imag, size)
+    return sums
+
+
+def _nonzero(keys: np.ndarray,
+             values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only copies of the entries whose value is not exactly zero.
+
+    Adding 0.0 turns a -0.0 part into 0.0, as the scatter-add from zero
+    does, so a table built without the reducer has the reducer's bits;
+    NaN is kept.
+    """
+    values = values + 0.0
+    keep = values != 0
+    keys, values = keys[keep], values[keep]
     keys.flags.writeable = values.flags.writeable = False
     return keys, values
 
 
-def _element(alpha: float, keys: np.ndarray,
-             values: np.ndarray) -> "WeylElement":
+def _reduce(keys: np.ndarray,
+            values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Table of arbitrary (N, 2) keys: distinct keys sorted by (m, n)
+    and the nonzero sums of their values, read-only."""
+    slot, distinct = _runs(keys)
+    return _nonzero(distinct, _sum_runs(slot, len(distinct), values))
+
+
+def _element(alpha: float,
+             table: tuple[np.ndarray, np.ndarray]) -> "WeylElement":
     out = WeylElement.__new__(WeylElement)
     out.alpha = float(alpha)
-    out.keys, out.values = _reduce(keys, values)
+    out.keys, out.values = table
     return out
 
 
@@ -120,12 +148,13 @@ class WeylElement:
                 for n in self.shift_support()]
 
     def scaled(self, factor: complex) -> "WeylElement":
-        return _element(self.alpha, self.keys, factor * self.values)
+        return _element(self.alpha, _nonzero(self.keys, factor * self.values))
 
     def __add__(self, other: "WeylElement") -> "WeylElement":
         _check_alpha(self, other)
-        return _element(self.alpha, np.concatenate([self.keys, other.keys]),
-                        np.concatenate([self.values, other.values]))
+        return _element(self.alpha, _reduce(
+            np.concatenate([self.keys, other.keys]),
+            np.concatenate([self.values, other.values])))
 
     def __sub__(self, other: "WeylElement") -> "WeylElement":
         return self + other.scaled(-1.0)
@@ -137,9 +166,17 @@ class WeylElement:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WeylElement":
-        table = {(int(c["m"]), int(c["n"])): complex(c["re"], c.get("im", 0.0))
-                 for c in data["coeffs"]}
-        return cls(float(data["alpha"]), table)
+        coeffs = data["coeffs"]
+        if not (isinstance(coeffs, list)
+                and all(isinstance(c, dict) for c in coeffs)):
+            raise ValueError(f"element coeffs must be a list of objects, "
+                             f"got {coeffs!r}")
+        table = {(_json_number(c["m"], "coefficient m", int),
+                  _json_number(c["n"], "coefficient n", int)):
+                 complex(_json_number(c["re"], "coefficient re"),
+                         _json_number(c.get("im", 0.0), "coefficient im"))
+                 for c in coeffs}
+        return cls(_json_number(data["alpha"], "element alpha"), table)
 
     def __repr__(self) -> str:
         return f"WeylElement(alpha={self.alpha!r}, {len(self)} coefficients)"
@@ -151,28 +188,53 @@ def _check_alpha(f: WeylElement, g: WeylElement) -> None:
             f"alpha values {f.alpha!r} and {g.alpha!r} differ")
 
 
+@functools.lru_cache(maxsize=16)
+def _plan(alpha: bytes, left: bytes,
+          right: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(phase, slot, keys)`` of the products of two supports.
+
+    ``alpha`` is the float's 8 bytes and ``left``, ``right`` the bytes
+    of the (N, 2) int64 key arrays, so -0.0 and 0.0 are separate
+    entries.  ``phase`` (|f|, |g|) holds the pair twists, ``slot`` the
+    place of each pair sum ``a + b`` among the distinct sums ``keys``,
+    in the order of the double loop over ``f`` then ``g``.  An entry
+    holds at most 24 bytes per pair (phase and slot) plus 16 bytes per
+    key (its distinct sums and the two supports of its cache key), and
+    at most 16 entries are kept.
+    """
+    a, b = (np.frombuffer(side, dtype=np.int64).reshape(-1, 2)
+            for side in (left, right))
+    (twist,) = struct.unpack("d", alpha)
+    form = (np.multiply.outer(a[:, 1], b[:, 0])
+            - np.multiply.outer(a[:, 0], b[:, 1]))
+    phase = np.exp(-1j * (2.0 * np.pi * twist) * form)
+    slot, keys = _runs((a[:, None, :] + b[None, :, :]).reshape(-1, 2))
+    for array in (phase, slot, keys):
+        array.flags.writeable = False
+    return phase, slot, keys
+
+
 def star_product(f: WeylElement, g: WeylElement) -> WeylElement:
     """Twisted convolution realizing the symbol product.
 
-    All pair phases are one array over the two supports, and the pair
-    products are reduced like any table: products that land on the same
-    lattice point are summed in the order of the double loop over ``f``
-    then ``g``.  Cost and memory are O(|f| |g|), however far apart the
-    supports lie.
+    The pair phases and the places of the pair sums depend only on the
+    two supports and alpha, and come from the bounded plan cache
+    :func:`_plan`.  Products that land on the same lattice point are
+    summed in the order of the double loop over ``f`` then ``g``.  Cost
+    and memory are O(|f| |g|), however far apart the supports lie.
     """
     _check_alpha(f, g)
-    a, b = f.keys, g.keys
-    form = (np.multiply.outer(a[:, 1], b[:, 0])
-            - np.multiply.outer(a[:, 0], b[:, 1]))
-    phase = np.exp(-1j * (2.0 * np.pi * f.alpha) * form)
+    phase, slot, keys = _plan(struct.pack("d", f.alpha), f.keys.tobytes(),
+                              g.keys.tobytes())
     values = np.multiply.outer(f.values, g.values) * phase
-    keys = a[:, None, :] + b[None, :, :]
-    return _element(f.alpha, keys.reshape(-1, 2), values.ravel())
+    return _element(f.alpha, _nonzero(
+        keys, _sum_runs(slot, len(keys), values.ravel())))
 
 
 def involution(f: WeylElement) -> WeylElement:
-    """Adjoint table ``f*(a) = conj(f(-a))``."""
-    return _element(f.alpha, -f.keys, np.conj(f.values))
+    """Adjoint table ``f*(a) = conj(f(-a))``; negating the sorted keys
+    and reversing them keeps them sorted."""
+    return _element(f.alpha, _nonzero(-f.keys[::-1], np.conj(f.values[::-1])))
 
 
 def trace(f: WeylElement) -> complex:
@@ -202,10 +264,11 @@ def weyl_relation_check(alpha: float, pairs: Iterable[tuple]) -> float:
     """
     pairs = np.array(list(pairs), dtype=np.int64).reshape(-1, 2, 2)
     rng = np.random.default_rng(20190)
-    left, right = (_reduce(pairs[:, i], np.ones(len(pairs)))[0]
-                   for i in (0, 1))
-    f = _element(alpha, left, np.exp(2j * np.pi * rng.random(len(left))))
-    g = _element(alpha, right, np.exp(2j * np.pi * rng.random(len(right))))
+    left, right = (_runs(pairs[:, i])[1] for i in (0, 1))
+    f = _element(alpha, _nonzero(
+        left, np.exp(2j * np.pi * rng.random(len(left)))))
+    g = _element(alpha, _nonzero(
+        right, np.exp(2j * np.pi * rng.random(len(right)))))
     product = star_product(f, g)
     form = (np.multiply.outer(f.keys[:, 0], g.keys[:, 1])
             - np.multiply.outer(f.keys[:, 1], g.keys[:, 0]))
@@ -225,13 +288,21 @@ def random_element(rng: np.random.Generator, alpha: float, radius: int,
     """Dense random table on the box ``|m|, |n| <= radius``.
 
     ``decay`` damps coefficients by ``(1 + |m| + |n|)^-decay`` so smooth
-    test elements are easy to draw.
+    test elements are easy to draw.  The keys are built in (m, n) order,
+    and one draw of (real, imaginary) rows takes the normals in that
+    order; each part is divided by its damping on its own, as a complex
+    by a real number divides in Python.
     """
-    span = range(-radius, radius + 1)
-    return WeylElement(alpha, [
-        ((m, n), scale * complex(rng.standard_normal(), rng.standard_normal())
-         / (1.0 + abs(m) + abs(n)) ** decay)
-        for m in span for n in span])
+    span = np.arange(-radius, radius + 1)
+    keys = np.stack([np.repeat(span, len(span)), np.tile(span, len(span))],
+                    axis=1)
+    draws = scale * rng.standard_normal((len(keys), 2))
+    damping = np.array([(1.0 + s) ** decay for s in range(2 * radius + 1)])
+    weights = damping[np.abs(keys).sum(axis=1)]
+    values = np.empty(len(keys), dtype=complex)
+    values.real = draws[:, 0] / weights
+    values.imag = draws[:, 1] / weights
+    return _element(alpha, _nonzero(keys, values))
 
 
 def smooth_seminorm(f: WeylElement, d: DiffeoSpec, k_weight: int,

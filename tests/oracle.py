@@ -5,7 +5,8 @@ another way (mode sums for closed forms, quadrature for moments, dense
 diagonals, a dense Gram eigensolve for the operator norm, the csv
 module cell by cell for the CLI tables, the whole operator for a vacuum
 read, every block through the chart transport, the orbit by full
-inverse solves), kept out of ``src`` so that the package holds only
+inverse solves, the star product and random tables by the reducer for
+arbitrary keys), kept out of ``src`` so that the package holds only
 what it calls or exports.
 """
 
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from nctorus import dirac, dynamics, grids, modular
+from nctorus import dirac, dynamics, grids, modular, weyl
 from nctorus.errors import GridMismatchError
 
 
@@ -209,3 +210,28 @@ def rotation_number_by_iterates(d, iterations: int = 256) -> float:
         weight_sum += w
         x = x_next
     return total / weight_sum
+
+
+def star_product_by_pairs(f, g):
+    """The twisted convolution without a plan: the pair phases over the
+    two supports, the pair sums ``a + b`` and the reducer for arbitrary
+    keys, fed in the order of the double loop over ``f`` then ``g``."""
+    a, b = f.keys, g.keys
+    form = (np.multiply.outer(a[:, 1], b[:, 0])
+            - np.multiply.outer(a[:, 0], b[:, 1]))
+    phase = np.exp(-1j * (2.0 * np.pi * f.alpha) * form)
+    values = np.multiply.outer(f.values, g.values) * phase
+    keys = a[:, None, :] + b[None, :, :]
+    return weyl._element(f.alpha, weyl._reduce(keys.reshape(-1, 2),
+                                               values.ravel()))
+
+
+def random_element_by_coefficients(rng, alpha, radius, decay=0.0,
+                                   scale=1.0):
+    """The dense random table one Python complex per coefficient, two
+    scalar normal draws each, through the table constructor."""
+    span = range(-radius, radius + 1)
+    return weyl.WeylElement(alpha, [
+        ((m, n), scale * complex(rng.standard_normal(), rng.standard_normal())
+         / (1.0 + abs(m) + abs(n)) ** decay)
+        for m in span for n in span])

@@ -112,6 +112,21 @@ def test_spec_serialization_roundtrip():
     assert again.classical == d.classical
 
 
+@pytest.mark.parametrize("data", [
+    {"alpha": 0.3, "classical": "false"},
+    {"alpha": 0.3, "classical": 0},
+    {"alpha": 0.3, "conjugator": 5},
+    {"alpha": 0.3, "conjugator": {"sin": 0.01}},
+    {"alpha": 0.3, "conjugator": {"cos": ["0.01"]}},
+    {"alpha": "0.3"},
+], ids=["classical-string", "classical-number", "conjugator-number",
+        "sin-number", "cos-string", "alpha-string"])
+def test_spec_from_dict_rejects_the_wrong_json_type(data):
+    # "false" used to read as a true string, so the spec came out classical
+    with pytest.raises(ValueError):
+        dynamics.DiffeoSpec.from_dict(data)
+
+
 def test_alpha_domain_validation():
     with pytest.raises(ValueError):
         dynamics.DiffeoSpec(0.6)

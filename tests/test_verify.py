@@ -246,3 +246,39 @@ def test_a_nan_coefficient_fails_the_tomita_and_parseval_checks(
     for name in ("parseval", "hausdorff_young_endpoint"):
         assert math.isnan(_row(rows, name).observed)
         assert not _row(rows, name).passed
+
+
+def _battery(d, box):
+    tols = tolerances.resolve()
+    return (verify.star_algebra_suite(d.alpha, tols,
+                                      np.random.default_rng(3), count=10)
+            + verify.run_all(d, box, tols, quick=True))
+
+
+def test_star_product_plans_are_transparent(bench, small_box, monkeypatch):
+    """A plan built afresh for every product gives the same checks,
+    observed values to the bit, as the warm cache."""
+    weyl._plan.cache_clear()
+    warm = _battery(bench, small_box)
+    assert weyl._plan.cache_info().hits > 0
+    real = weyl._plan
+
+    def cold(*args):
+        real.cache_clear()
+        return real(*args)
+
+    monkeypatch.setattr(weyl, "_plan", cold)
+    assert _battery(bench, small_box) == warm
+    assert real.cache_info().hits == 0
+
+
+def test_quick_verify_builds_seven_star_product_plans(rot, small_box):
+    """The 198 star products of quick ``run_all`` meet seven distinct
+    pairs of supports, so the plan cache misses seven times.  A change
+    that defeats the cache (a key that differs between equal supports,
+    a bound below the pairs in use) raises the count."""
+    weyl._plan.cache_clear()
+    verify.run_all(rot, small_box, tolerances.resolve(), quick=True)
+    info = weyl._plan.cache_info()
+    assert info.misses == 7
+    assert info.hits + info.misses == 198

@@ -1,6 +1,7 @@
 """Star-product algebra on finitely supported coefficient tables."""
 
 import cmath
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from numpy.testing import assert_allclose
 
 from nctorus import dynamics, weyl
 from nctorus.errors import AlphaMismatchError
+
+import oracle
 
 ALPHA = 0.30901699437494745
 
@@ -325,3 +328,126 @@ def test_far_apart_keys_keep_their_places():
     unit = weyl.WeylElement.unit(ALPHA)
     assert weyl.star_product(f, unit).support() == sorted(far)
     assert weyl.table_distance(weyl.star_product(unit, f), f) == 0.0
+
+
+GOLDEN = (5 ** 0.5 - 1) / 4
+over_oracle_alphas = pytest.mark.parametrize(
+    "alpha", [0.0, -0.0, 0.25, GOLDEN],
+    ids=["zero", "negative-zero", "quarter", "golden"])
+
+
+def assert_same_table(got, want):
+    """The same alpha bits, keys and value bits (signed zeros and NaN
+    included)."""
+    assert struct.pack("d", got.alpha) == struct.pack("d", want.alpha)
+    assert got.keys.dtype == want.keys.dtype
+    assert got.keys.shape == want.keys.shape
+    assert (got.keys == want.keys).all()
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def assert_star_matches_the_pairs(f, g):
+    assert_same_table(weyl.star_product(f, g),
+                      oracle.star_product_by_pairs(f, g))
+
+
+def _box_pair(alpha, r1, r2, decay=0.0):
+    seed = 10 * r1 + r2
+    return tuple(weyl.random_element(np.random.default_rng(seed + i), alpha,
+                                     r, decay)
+                 for i, r in enumerate((r1, r2)))
+
+
+@over_oracle_alphas
+def test_star_product_is_bit_identical_to_the_pair_reduction(alpha):
+    for r1 in range(5):
+        for r2 in range(5):
+            f, g = _box_pair(alpha, r1, r2, decay=1.0)
+            assert_star_matches_the_pairs(f, g)
+            # the second call reads the cached plan
+            assert_star_matches_the_pairs(f, g)
+    far = weyl.WeylElement(alpha, {(0, -2 ** 40): 1.0 - 2j,
+                                   (2 ** 40, 2 ** 40): 2.0,
+                                   (-2 ** 40, 3): 0.5j})
+    near = weyl.random_element(np.random.default_rng(3), alpha, 2)
+    for f, g in ((far, far), (far, near), (near, far)):
+        assert_star_matches_the_pairs(f, g)
+    empty = weyl.WeylElement(alpha)
+    for f, g in ((empty, near), (near, empty), (empty, empty)):
+        assert_star_matches_the_pairs(f, g)
+    nan = near + weyl.WeylElement(alpha, {(1, -1): complex("nan"),
+                                          (0, 2): complex(1.0, float("nan"))})
+    assert_star_matches_the_pairs(nan, near)
+    assert_star_matches_the_pairs(near, nan)
+    # (1 + W(1,0)) (1 - W(-1,0)): the two origin terms cancel exactly
+    f = weyl.WeylElement(alpha, {(0, 0): 1.0, (1, 0): 1.0})
+    g = weyl.WeylElement(alpha, {(0, 0): 1.0, (-1, 0): -1.0})
+    assert_star_matches_the_pairs(f, g)
+    assert (0, 0) not in weyl.star_product(f, g).support()
+
+
+@over_oracle_alphas
+def test_random_element_is_bit_identical_to_the_coefficient_loop(alpha):
+    for decay in (0, 1, 1.5, 2):
+        for scale in (1.0, 0.37, -2.5):
+            for radius in range(5):
+                seed = 100 * radius + int(10 * decay)
+                assert_same_table(
+                    weyl.random_element(np.random.default_rng(seed), alpha,
+                                        radius, decay, scale),
+                    oracle.random_element_by_coefficients(
+                        np.random.default_rng(seed), alpha, radius, decay,
+                        scale))
+
+
+@over_oracle_alphas
+def test_involution_and_scaled_match_the_reducer(alpha):
+    tables = [weyl.random_element(np.random.default_rng(r), alpha, r)
+              for r in range(5)]
+    tables += [
+        weyl.WeylElement(alpha),
+        # real and imaginary coefficients: conj and -1 make -0.0 parts
+        weyl.WeylElement(alpha, {(0, 0): 2.0, (1, -2): -1j, (3, 1): 0.5}),
+        weyl.WeylElement(alpha, {(0, -2 ** 40): 1.0, (2 ** 40, 2 ** 40): 2j,
+                                 (1, 1): complex("nan")}),
+    ]
+    for f in tables:
+        assert_same_table(weyl.involution(f), weyl._element(
+            alpha, weyl._reduce(-f.keys, np.conj(f.values))))
+        for factor in (1.0, -1.0, 0.5 - 2j, 0.0, complex("nan")):
+            assert_same_table(f.scaled(factor), weyl._element(
+                alpha, weyl._reduce(f.keys, factor * f.values)))
+
+
+def _plan_of(f, g):
+    return weyl._plan(struct.pack("d", f.alpha), f.keys.tobytes(),
+                      g.keys.tobytes())
+
+
+def test_plan_cache_is_bounded_read_only_and_never_aliased():
+    assert weyl._plan.cache_info().maxsize <= 16
+    f, g = _box_pair(ALPHA, 2, 3)
+    product = weyl.star_product(f, g)
+    phase, slot, keys = _plan_of(f, g)
+    for array in (phase, slot, keys):
+        assert not array.flags.writeable
+    for mine in (product.keys, product.values):
+        for held in (phase, slot, keys):
+            assert not np.shares_memory(mine, held)
+    # the docstring's bound: 24 bytes per pair, 16 per key of the
+    # distinct sums and of the two supports in the cache key
+    held = sum(a.nbytes for a in (phase, slot, keys, f.keys, g.keys))
+    assert held <= 24 * len(f) * len(g) + 16 * (len(keys) + len(f) + len(g))
+    # a product that drops nothing still returns fresh arrays
+    unit = weyl.WeylElement.unit(ALPHA)
+    again = weyl.star_product(unit, f)
+    assert not np.shares_memory(again.keys, _plan_of(unit, f)[2])
+
+
+def test_plan_cache_keys_on_the_bits_of_alpha():
+    weyl._plan.cache_clear()
+    for alpha in (0.0, -0.0, 0.0):
+        unit = weyl.WeylElement.unit(alpha)
+        weyl.star_product(unit, unit)
+    info = weyl._plan.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
