@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dirac, dynamics, fourier, gns, grids, summation, verify, weyl
 from .dynamics import DiffeoSpec, benchmark
-from .errors import NcTorusError, _json_number, _json_numbers
+from .errors import NcTorusError, _json_keys, _json_number, _json_numbers
 from .gns import TruncationBox
 from .tolerances import resolve
 
@@ -129,6 +129,13 @@ _CONFIG_KEYS = {"alpha": object, "seed": object, "classical_mode": bool,
                      "second_element", "fourier", "fejer", "abel", "dirac",
                      "growth"), dict)}
 
+# The keys each section may hold (tolerances, diffeo and the elements
+# check their own when read).
+_SECTION_KEYS = {"truncation": {"K", "M", "G"}, "fourier": {"kinds"},
+                 "fejer": {"kind", "orders"}, "abel": {"kind", "radii"},
+                 "dirac": {"block_radius", "etas", "master_radius"},
+                 "growth": {"n_max"}}
+
 
 def _setup(config: dict, args) -> dict:
     for key, value in config.items():
@@ -136,11 +143,12 @@ def _setup(config: dict, args) -> dict:
         if not isinstance(value, kind):
             raise ValueError(f"config key {key!r} must be a JSON "
                              f"{'object' if kind is dict else 'boolean'}")
+    _json_keys(config, _CONFIG_KEYS, "config")
+    for name, known in _SECTION_KEYS.items():
+        _json_keys(config.get(name, {}), known, name)
+    elements = {key: weyl.WeylElement.from_dict(config[key])
+                for key in ("element", "second_element") if key in config}
     box_cfg = config.get("truncation", {})
-    for section, known in ((config, _CONFIG_KEYS), (box_cfg, {"K", "M", "G"})):
-        unknown = sorted(set(section).difference(known))
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}")
     if "diffeo" in config:
         d = DiffeoSpec.from_dict(config["diffeo"])
     elif "alpha" in config:
@@ -155,17 +163,18 @@ def _setup(config: dict, args) -> dict:
                                                ("G", 0))))
     seed = _json_number(config.get("seed", 7), "seed", int)
     tols = resolve(config.get("tolerances"), scale=args.tol_scale)
-    return {"d": d, "box": box, "seed": seed, "tols": tols, "config": config}
+    return {"d": d, "box": box, "seed": seed, "tols": tols, "config": config,
+            "elements": elements}
 
 
-def _element(config: dict, key: str, alpha: float, seed: int,
-             offset: int = 0) -> weyl.WeylElement:
-    if key in config:
-        f = weyl.WeylElement.from_dict(config[key])
+def _element(env: dict, key: str, offset: int = 0) -> weyl.WeylElement:
+    alpha = env["d"].alpha
+    if key in env["elements"]:
+        f = env["elements"][key]
         if f.alpha != alpha:
             raise ValueError(f"{key} alpha does not match the dynamics")
         return f
-    rng = np.random.default_rng(seed + offset)
+    rng = np.random.default_rng(env["seed"] + offset)
     return weyl.random_element(rng, alpha, 2, decay=1.0)
 
 
@@ -184,9 +193,9 @@ def _finish(env: dict, out: Path, name: str, report: dict,
 
 
 def _cmd_star(env: dict, out: Path) -> int:
-    cfg, d = env["config"], env["d"]
-    f = _element(cfg, "element", d.alpha, env["seed"])
-    g = _element(cfg, "second_element", d.alpha, env["seed"], offset=1)
+    d = env["d"]
+    f = _element(env, "element")
+    g = _element(env, "second_element", offset=1)
     product = weyl.star_product(f, g)
     _write_json(out / "star_product.json", product.to_dict())
     span = range(-2, 3)
@@ -209,8 +218,8 @@ def _cmd_star(env: dict, out: Path) -> int:
 
 
 def _cmd_represent(env: dict, out: Path) -> int:
-    cfg, d, box = env["config"], env["d"], env["box"]
-    f = _element(cfg, "element", d.alpha, env["seed"])
+    d, box = env["d"], env["box"]
+    f = _element(env, "element")
     image = gns.vacuum_image(f, d, box)
     table = fourier.hat_vector(image)
     _write_csv(out / "vacuum_image.csv",
@@ -242,7 +251,7 @@ def _cmd_represent(env: dict, out: Path) -> int:
 
 def _cmd_fourier(env: dict, out: Path) -> int:
     cfg, d, box = env["config"], env["d"], env["box"]
-    f = _element(cfg, "element", d.alpha, env["seed"])
+    f = _element(env, "element")
     kinds = cfg.get("fourier", {}).get("kinds", ["hat", "paren"])
     if not (isinstance(kinds, list)
             and all(kind in ("hat", "paren") for kind in kinds)):
@@ -274,7 +283,7 @@ def _cmd_fourier(env: dict, out: Path) -> int:
 
 def _smoothing(env: dict, out: Path, name: str) -> int:
     cfg, d, box = env["config"], env["d"], env["box"]
-    f = _element(cfg, "element", d.alpha, env["seed"])
+    f = _element(env, "element")
     section = cfg.get(name, {})
     kind = section.get("kind", "hat")
     if name == "fejer":

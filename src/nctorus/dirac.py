@@ -142,7 +142,7 @@ def matrix_element_oracle_table(eta: float, k: int, d: DiffeoSpec,
     sqrt_delta_inv = ctx.delta[flip] ** (-0.5)
     # grid rows, not the band-projected epsilon table: projecting would
     # clip the analytic tails that the quadrature pairing keeps
-    eps_grid = _conjugated_rows(ctx, kk)[sel]
+    eps_grid = _conjugated_rows(ctx, kk, sel)
     stage = spectral_derivative(eps_grid.T * sqrt_delta_inv[:, None], a_minus,
                                 axis=0)
     stage *= sqrt_delta_inv[:, None]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InverseSolveError, OutOfBoxError, PositivityError,
-                     _json_number, _json_numbers)
+                     _json_keys, _json_number, _json_numbers)
 
 _CHECK_GRID = 8192
 _BISECT_WIDTH = 1e-8
@@ -156,11 +156,14 @@ class DiffeoSpec:
     def from_dict(cls, data: dict) -> "DiffeoSpec":
         """Inverse of :meth:`to_dict`; a value of the wrong JSON type
         (``classical`` not a boolean, a conjugator that is not an object
-        of coefficient lists) raises ``ValueError``."""
+        of coefficient lists) or a key it does not read raises
+        ``ValueError``."""
+        _json_keys(data, ("alpha", "conjugator", "classical"), "diffeo")
         conj = data.get("conjugator")
         conj = {} if conj is None else conj
         if not isinstance(conj, dict):
             raise ValueError(f"conjugator must be an object, got {conj!r}")
+        _json_keys(conj, ("sin", "cos"), "conjugator")
         lift = ConjugatorLift(*(_json_numbers(conj.get(side, ()),
                                               f"conjugator {side}")
                                 for side in ("sin", "cos")))

@@ -68,3 +68,12 @@ def _json_numbers(values, label: str, kind: type = float) -> tuple:
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{label} must be a list of numbers, got {values!r}")
     return tuple(_json_number(v, label, kind) for v in values)
+
+
+def _json_keys(data: dict, known, label: str) -> None:
+    """Raise ``ValueError`` naming ``label`` when the JSON object ``data``
+    holds a key outside ``known``: a misspelt key must not run the
+    default silently."""
+    unknown = sorted(set(data).difference(known))
+    if unknown:
+        raise ValueError(f"unknown {label} keys {unknown}")

@@ -26,7 +26,7 @@ from .dynamics import DiffeoSpec, rotation
 from .errors import GridTooSmallError
 from .gns import (GnsVector, TruncationBox, _context, _multiplier_rows,
                   _u_kl_rows, vacuum_image)
-from .grids import at_modes, dirichlet_kernel, project_to_modes, spectrum
+from .grids import at_modes, dirichlet_kernel, l2, project_to_modes, spectrum
 from .modular import (_conjugated_rows, _epsilon_pairings, _j_on_grid,
                       _root_rows)
 from .weyl import WeylElement
@@ -54,7 +54,7 @@ class FourierCoeffs:
         return float(np.max(np.abs(self.table)))
 
     def l2(self) -> float:
-        return float(np.linalg.norm(self.table))
+        return float(l2(self.table))
 
     def damped(self, block_weights, mode_weights) -> "FourierCoeffs":
         """Entrywise multiply by separable summation weights."""
@@ -81,7 +81,9 @@ def epsilon_basis(d: DiffeoSpec, box: TruncationBox) -> np.ndarray:
     blocks vanish.  The transforms below never build this table.
     """
     ctx = _context(d, box)
-    return np.stack([project_to_modes(_conjugated_rows(ctx, i), box.mode_bound)
+    modes = np.arange(box.n_modes)
+    return np.stack([project_to_modes(_conjugated_rows(ctx, i, modes),
+                                      box.mode_bound)
                      for i in range(box.n_blocks)])
 
 

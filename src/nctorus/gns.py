@@ -35,8 +35,8 @@ import numpy as np
 
 from .dynamics import DiffeoSpec, _density
 from .errors import AlphaMismatchError, OutOfBoxError
-from .grids import (default_grid_size, grid_angles, on_grid, project_to_modes,
-                    spectrum, toeplitz)
+from .grids import (default_grid_size, grid_angles, inner, l2, on_grid,
+                    project_to_modes, spectrum, toeplitz)
 from .weyl import WeylElement
 
 
@@ -190,10 +190,10 @@ class GnsVector:
 
     def inner(self, other: "GnsVector") -> complex:
         """Hilbert inner product, linear in the first slot."""
-        return complex(np.sum(self.coeffs * np.conj(other.coeffs)))
+        return complex(inner(self.coeffs, other.coeffs))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return float(l2(self.coeffs))
 
     def on_grid(self) -> np.ndarray:
         """All blocks evaluated on the quadrature grid, shape (2K+1, G)."""
@@ -222,7 +222,7 @@ def random_vector(rng: np.random.Generator, box: TruncationBox,
     ms = slice(mode_margin, box.n_modes - mode_margin)
     shape = (box.n_blocks - 2 * block_margin, box.n_modes - 2 * mode_margin)
     coeffs[bs, ms] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeffs /= np.linalg.norm(coeffs)
+    coeffs /= l2(coeffs)
     return GnsVector(box, coeffs)
 
 
@@ -483,18 +483,18 @@ def _top_ritz(apply, start: np.ndarray, steps: int):
     space is invariant.
     """
     basis = np.empty((steps, start.size), dtype=complex)
-    q = start / np.linalg.norm(start)
+    q = start / l2(start)
     alpha: list[float] = []
     beta: list[float] = []
     top = -np.inf
     for k in range(steps):
         basis[k] = q
         w = apply(q)
-        alpha.append(float(np.vdot(q, w).real))
+        alpha.append(float(inner(w, q).real))
         for _ in range(2):
             # basis^H w as conj(basis conj(w)): no conjugated basis copy
             w -= (basis[:k + 1] @ w.conj()).conj() @ basis[:k + 1]
-        norm = float(np.linalg.norm(w))
+        norm = float(l2(w))
         ritz = np.linalg.eigvalsh(_tridiagonal(alpha, beta))[-1]
         if ritz <= top * (1.0 + 4.0 * np.finfo(float).eps) or (
                 norm <= 1e-14 * abs(ritz)):

@@ -60,10 +60,22 @@ def at_modes(spec: np.ndarray, modes, axis: int = -1) -> np.ndarray:
     return spec[tuple(index)]
 
 
+def l2(x, axis=None):
+    """Euclidean norm: the root of numpy's pairwise sum of ``|x|^2``, the
+    one reduction of every norm in the package (BLAS ``dot``, behind
+    ``np.linalg.norm`` and ``np.vdot``, rounds by its thread count)."""
+    return np.sqrt(np.sum(np.abs(x) ** 2, axis=axis))
+
+
+def inner(x, y):
+    """``sum x conj(y)``, linear in the first slot, summed as by l2."""
+    return np.sum(x * np.conj(y))
+
+
 def tail_mass(spec: np.ndarray, mode_bound: int) -> float:
     """L2 mass of FFT-ordered spectra, all rows, outside |l| <= mode_bound."""
     outside = np.abs(frequencies(spec.shape[-1])) > mode_bound
-    return float(np.sqrt(np.sum(np.abs(spec[..., outside]) ** 2)))
+    return float(l2(spec[..., outside]))
 
 
 def toeplitz(spec: np.ndarray, mode_bound: int) -> np.ndarray:

@@ -82,10 +82,15 @@ def _live(rows: np.ndarray) -> np.ndarray:
     with two rows or more every row of a transport is bit-equal to the
     same row of the all-rows product.
     """
-    live = np.flatnonzero(np.any(rows != 0, axis=-1))
-    if len(live) == 1 and len(rows) > 1:
-        live = np.union1d(live, [1 if live[0] == 0 else 0])
-    return live
+    return _batched(np.flatnonzero(np.any(rows != 0, axis=-1)), len(rows))
+
+
+def _batched(index: np.ndarray, size: int) -> np.ndarray:
+    """Ascending ``index`` into ``size`` rows, with a second row added
+    when it holds only one (see :func:`_live`)."""
+    if len(index) == 1 and size > 1:
+        index = np.union1d(index, [1 if index[0] == 0 else 0])
+    return index
 
 
 def _j_on_grid(ctx, rows: np.ndarray) -> np.ndarray:
@@ -127,18 +132,23 @@ def _epsilon_pairings(ctx, rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def _conjugated_rows(ctx, i: int) -> np.ndarray:
-    """Grid rows of ``eps_kl = J e_kl`` for the block ``k`` of row i.
+def _conjugated_rows(ctx, i: int, modes: np.ndarray) -> np.ndarray:
+    """Grid rows of ``eps_kl = J e_kl`` for the block ``k`` of row i and
+    the ascending mode indices ``l + M`` in ``modes``.
 
     Row l holds ``delta_{-k}^{1/2} conj(e_l o F_{-k})``, the block
     ``-k`` component (the only one that is nonzero), at grid resolution.
     This per-block form serves the reference basis
-    :func:`nctorus.fourier.epsilon_basis` and the Dirac eta = 1/2 oracle.
+    :func:`nctorus.fourier.epsilon_basis` (all modes) and the Dirac
+    eta = 1/2 oracle (its window); a lone mode is batched as in
+    :func:`_live`, so every row is bit-equal to the all-modes row.
     """
     _, phase, from_chart, wave_spectra = _transport(ctx)
     flip = ctx.box.n_blocks - 1 - i
-    return ctx.sqrt_delta[flip] * np.conj(
-        (wave_spectra * phase[flip]) @ from_chart)
+    batch = _batched(modes, len(wave_spectra))
+    rows = ctx.sqrt_delta[flip] * np.conj(
+        (wave_spectra[batch] * phase[flip]) @ from_chart)
+    return rows[np.isin(batch, modes)]
 
 
 def apply_J(x: GnsVector, d: DiffeoSpec) -> GnsVector:

@@ -24,7 +24,7 @@ from .fourier import (FourierCoeffs, anti_transform, hat_functional,
                       hat_vector, paren_functional)
 from .gns import (GnsOperator, GnsVector, TruncationBox, _u_kl_rows,
                   vacuum_image)
-from .grids import (dirichlet_kernel, fejer_kernel, project_to_modes,
+from .grids import (dirichlet_kernel, fejer_kernel, l2, project_to_modes,
                     rotate)
 from .modular import _root_rows
 from .weyl import WeylElement
@@ -208,7 +208,7 @@ def transference_integral_check(x: GnsVector, n_order: int, q_points: int,
     expected = x.coeffs * np.multiply.outer(
         kernel.coefficients(box.blocks()),
         kernel.coefficients(box.modes()))
-    return float(np.linalg.norm(acc - expected))
+    return float(l2(acc - expected))
 
 
 def wts_deviation(f: WeylElement, w: TransferencePoint, d: DiffeoSpec,

@@ -16,7 +16,7 @@ from . import dirac, dynamics, fourier, gns, modular, summation, weyl
 from .dynamics import DiffeoSpec
 from .errors import AliasingError
 from .gns import TruncationBox
-from .grids import project_to_modes
+from .grids import l2, project_to_modes
 
 # Blocks and modes left empty at each edge by the interior probe vectors
 # of the homomorphism checks, so K and M must reach it.
@@ -149,7 +149,7 @@ def gns_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
     rows = gns._u_kl_rows(d, box, ks[:, None], ls[None, :], ks[:, None])
     images = project_to_modes(rows, box.mode_bound)
     images[:, np.arange(len(ls)), ls + box.mode_bound] -= 1.0
-    u_dev = float(np.max(np.linalg.norm(images, axis=-1)))
+    u_dev = float(np.max(l2(images, axis=-1)))
 
     # The sequential product is compared on grid rows: the interior
     # block margin covers both shifts, and keeping the intermediate at
@@ -166,8 +166,8 @@ def gns_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
         x = gns.random_vector(rng, box, _PROBE_MARGIN, _PROBE_MARGIN)
         seq = af.apply_to_grid(ag.apply_to_grid(x.on_grid()))
         comp = afg.apply_to_grid(x.on_grid())
-        hom_dev = np.maximum(hom_dev, float(np.sqrt(np.sum(
-            np.mean(np.abs(seq - comp) ** 2, axis=1)))))
+        hom_dev = np.maximum(hom_dev, float(l2(seq - comp))
+                             / np.sqrt(box.grid_size))
         y = gns.random_vector(rng, box, _PROBE_MARGIN, _PROBE_MARGIN)
         star_rep = gns.represent(weyl.involution(f), d, box)
         adj_dev = np.maximum(adj_dev, abs(af.apply(x).inner(y)

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .dynamics import DiffeoSpec
-from .errors import AlphaMismatchError, _json_number
+from .errors import AlphaMismatchError, _json_keys, _json_number
 from .grids import default_grid_size, grid_angles, spectral_derivative
 
 
@@ -59,14 +59,28 @@ def _sum_runs(slot: np.ndarray, size: int,
     return sums
 
 
+# Keys lie within +-_KEY_BOUND, so negating one or summing two stays in
+# int64; a table with a key outside raises instead of wrapping.
+_KEY_BOUND = 2**62 - 1
+
+
+def _check_keys(low, high) -> None:
+    """Raise unless the least and the greatest key lie within the bound."""
+    for key in map(int, (low, high)):
+        if abs(key) > _KEY_BOUND:
+            raise ValueError(f"Weyl key {key} outside +-(2**62 - 1)")
+
+
 def _nonzero(keys: np.ndarray,
              values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Read-only copies of the entries whose value is not exactly zero.
 
     Adding 0.0 turns a -0.0 part into 0.0, as the scatter-add from zero
     does, so a table built without the reducer has the reducer's bits;
-    NaN is kept.
+    NaN is kept.  Every table is built here, so every key is checked
+    against the key bound here.
     """
+    _check_keys(keys.min(initial=0), keys.max(initial=0))
     values = values + 0.0
     keep = values != 0
     keys, values = keys[keep], values[keep]
@@ -104,6 +118,8 @@ class WeylElement:
                  coeffs: Mapping | Iterable[tuple] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         pairs = [((int(m), int(n)), complex(v)) for (m, n), v in items]
+        flat = [i for key, _ in pairs for i in key]
+        _check_keys(min(flat, default=0), max(flat, default=0))
         self.alpha = float(alpha)
         self.keys, self.values = _reduce(
             np.array([k for k, _ in pairs], dtype=np.int64).reshape(-1, 2),
@@ -166,11 +182,16 @@ class WeylElement:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WeylElement":
+        """Inverse of :meth:`to_dict`; a value of the wrong JSON type or a
+        key it does not read raises ``ValueError``."""
+        _json_keys(data, ("alpha", "coeffs"), "element")
         coeffs = data["coeffs"]
         if not (isinstance(coeffs, list)
                 and all(isinstance(c, dict) for c in coeffs)):
             raise ValueError(f"element coeffs must be a list of objects, "
                              f"got {coeffs!r}")
+        for c in coeffs:
+            _json_keys(c, ("m", "n", "re", "im"), "coefficient")
         table = {(_json_number(c["m"], "coefficient m", int),
                   _json_number(c["n"], "coefficient n", int)):
                  complex(_json_number(c["re"], "coefficient re"),

@@ -198,6 +198,14 @@ def epsilon_pairings_all_rows(ctx, rows) -> np.ndarray:
     return (spectra * phase) @ wave_spectra.T / ctx.box.grid_size
 
 
+def conjugated_rows_all_modes(ctx, i: int) -> np.ndarray:
+    """Grid rows of ``J e_kl`` for block row i, every mode in one product."""
+    _, phase, from_chart, wave_spectra = modular._transport(ctx)
+    flip = ctx.box.n_blocks - 1 - i
+    return ctx.sqrt_delta[flip] * np.conj(
+        (wave_spectra * phase[flip]) @ from_chart)
+
+
 def rotation_number_by_iterates(d, iterations: int = 256) -> float:
     """The bump-weighted orbit average, each step a full inverse solve
     (bisection plus Newton) through ``iterate_lift``."""

@@ -180,6 +180,33 @@ def test_verify_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert written[0] == written[1]
 
 
+# Rows read from a LAPACK SVD, which rounds by the thread count:
+# dirac.resolvent_profile's sigma_min and commutator_block's operator
+# norm.  ROADMAP item 4 replaces both with certified Cholesky bounds.
+_SVD_ROWS = ("resolvent_margin", "commutator_bound")
+
+
+def test_verify_csv_past_the_blas_dot_threshold_moves_only_svd_rows(
+        tmp_path):
+    """Quick verify at K = M = 56, seed 101, the smallest box whose
+    interior probe vectors exceed the 10,000 entries past which BLAS dot
+    threads: every norm and inner product is numpy's pairwise sum
+    (``grids.l2``, ``grids.inner``), so only the two SVD rows may move
+    between one and two OpenBLAS threads, and only by roundoff."""
+    config = {"truncation": {"K": 56, "M": 56}, "seed": 101, "quick": True}
+    written = _artifacts_per_thread_count(tmp_path, "verify", config,
+                                          ["verify.csv"])
+    one, two = ([row.split(",") for row in w["verify.csv"].decode().splitlines()]
+                for w in written)
+    assert set(_SVD_ROWS) <= {row[0] for row in one}
+    for a, b in zip(one, two, strict=True):
+        if a[0] in _SVD_ROWS:
+            assert a[:2] + a[3:] == b[:2] + b[3:]
+            assert abs(float(a[2]) - float(b[2])) <= 1e-14
+        else:
+            assert a == b
+
+
 def test_represent_does_not_depend_on_the_blas_thread_count(tmp_path):
     """``represent`` at K = M = 24, seed 101: the banded Gram norm writes
     the same ``operator_norm`` under one and two OpenBLAS threads, where
@@ -337,6 +364,11 @@ def test_unknown_config_key_exits_one(tmp_path, config):
     assert not out.exists() or not any(out.iterdir())
 
 
+def _element(coeffs):
+    """An element config at the benchmark's alpha."""
+    return {"alpha": 0.30901699437494745, "coeffs": coeffs}
+
+
 @pytest.mark.parametrize("command, config", [
     ("star", {"truncation": 5}),
     ("star", {"tolerances": 5}),
@@ -357,17 +389,39 @@ def test_unknown_config_key_exits_one(tmp_path, config):
     ("star", {"truncation": {"K": "8"}}),
     ("star", {"seed": [7]}),
     ("star", {"element": {"alpha": 0.3, "coeffs": 5}}),
+    ("star", {"diffeo": {"alpha": 0.3, "conjugatr": {"sin": [0.01]}}}),
+    ("star", {"diffeo": {"alpha": 0.3, "conjugator": {"sine": [0.01]}}}),
+    ("dirac", {"dirac": {"blok_radius": 2}}),
+    ("fejer", {"fejer": {"order": [4, 8]}}),
+    ("abel", {"abel": {"radius": [0.5, 0.9]}}),
+    ("fourier", {"fourier": {"kind": ["hat"]}}),
+    ("growth", {"growth": {"nmax": 3}}),
+    ("star", {"element": _element([{"m": 1, "n": 0, "re": 1.0,
+                                    "imag": 0.5}])}),
+    ("star", {"element": dict(_element([]), alfa=0.3)}),
+    ("star", {"second_element": _element([{"m": 1, "n": 0, "re": 1.0,
+                                           "img": 0.5}])}),
+    ("growth", {"dirac": {"blok_radius": 2}}),
+    ("verify", {"element": _element([{"m": 1, "n": 0, "re": 1.0,
+                                      "imag": 0.5}])}),
+    ("star", {"element": _element([{"m": 1e20, "n": 0, "re": 1.0}])}),
 ], ids=["truncation-number", "tolerances-number", "fourier-number",
         "dirac-list", "diffeo-number", "element-number", "quick-string",
         "classical-string", "fourier-unknown-kind", "verify-K-below-margin",
         "verify-M-below-margin", "fejer-orders-number", "tolerance-list",
         "growth-n-max-list", "conjugator-number", "diffeo-classical-string",
-        "truncation-K-string", "seed-list", "element-coeffs-number"])
+        "truncation-K-string", "seed-list", "element-coeffs-number",
+        "diffeo-conjugatr", "conjugator-sine", "dirac-blok-radius",
+        "fejer-order", "abel-radius", "fourier-kind", "growth-nmax",
+        "element-imag", "element-alfa", "second-element-img",
+        "dirac-typo-under-growth", "element-typo-under-verify",
+        "element-m-1e20"])
 def test_malformed_config_exits_one_before_any_artifact(tmp_path, capsys,
                                                         command, config):
     # each used to stop with a traceback, to run the wrong battery
-    # ("false" is a true string), or to exit only after writing a table;
-    # each now ends in one nctorus: line
+    # ("false" is a true string), to run the default in place of a
+    # misspelt key, or to exit only after writing a table; each now ends
+    # in one nctorus: line
     code, out, _ = run_cli(tmp_path, command, config)
     err = capsys.readouterr().err
     assert code == 1

@@ -127,6 +127,17 @@ def test_spec_from_dict_rejects_the_wrong_json_type(data):
         dynamics.DiffeoSpec.from_dict(data)
 
 
+@pytest.mark.parametrize("data", [
+    {"alpha": 0.3, "conjugatr": {"sin": [0.01]}},
+    {"alpha": 0.3, "conjugator": {"sine": [0.01]}},
+    {"alpha": 0.3, "clasical": True},
+], ids=["conjugatr", "sine", "clasical"])
+def test_spec_from_dict_rejects_a_key_it_does_not_read(data):
+    # a misspelt conjugator used to give the rigid rotation
+    with pytest.raises(ValueError, match="unknown"):
+        dynamics.DiffeoSpec.from_dict(data)
+
+
 def test_alpha_domain_validation():
     with pytest.raises(ValueError):
         dynamics.DiffeoSpec(0.6)

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,49 @@ def test_only_grids_calls_the_fft():
         if "np.fft" in text or "numpy.fft" in text:
             users.append(path.name)
     assert users == ["grids.py"]
+
+
+# BLAS dot, behind np.vdot, np.dot, np.inner and a vector np.linalg.norm,
+# rounds by its thread count past 10,000 entries.
+_BLAS_REDUCTION = re.compile(
+    r"\bvdot\b|\bdot\(|np\.inner\(|np\.linalg\.norm\([^)]*\)")
+
+
+def test_blas_reduction_scan_sees_every_spelling():
+    for call in ("np.vdot(q, w)", "q.dot(w)", "np.dot(a, b)",
+                 "np.inner(a, b)", "np.linalg.norm(w)",
+                 "np.linalg.norm(images, axis=-1)"):
+        assert _BLAS_REDUCTION.search(call), call
+    for call in ("l2(w)", "inner(w, q)", "grids.inner(a, b)", "x.norm()",
+                 "np.sum(x * np.conj(y))"):
+        assert not _BLAS_REDUCTION.search(call), call
+
+
+def test_only_grids_reduces_norms_and_inner_products():
+    """Every vector norm and inner product is ``grids.l2`` or
+    ``grids.inner``, numpy's pairwise sum, so no artifact depends on the
+    BLAS thread count.  The one exception is the Dirac commutator's
+    operator norm, a LAPACK SVD, until the Dirac gates are certified
+    without one (ROADMAP item 4)."""
+    package = Path(grids.__file__).parent
+    found = [(path.name, call) for path in sorted(package.glob("*.py"))
+             if path.name != "grids.py"
+             for call in _BLAS_REDUCTION.findall(path.read_text())]
+    assert found == [("dirac.py", "np.linalg.norm(matrix, ord=2)")]
+
+
+def test_l2_and_inner_are_the_euclidean_norm_and_inner_product():
+    rng = np.random.default_rng(5)
+    x, y = (rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
+            for _ in range(2))
+    assert_allclose(grids.l2(x), np.linalg.norm(x), rtol=1e-15)
+    assert_allclose(grids.l2(x, axis=-1), np.linalg.norm(x, axis=-1),
+                    rtol=1e-15)
+    assert_allclose(grids.inner(x, y), np.vdot(y, x), rtol=1e-14)
+    assert_allclose(grids.inner(2j * x, y), 2j * grids.inner(x, y),
+                    rtol=1e-15)
+    assert_allclose(grids.inner(x, x).real, grids.l2(x) ** 2, rtol=1e-14)
+    assert grids.l2(np.zeros(0)) == 0.0
 
 
 def test_on_grid_rejects_undersized_grid():

@@ -335,3 +335,23 @@ def test_live_row_transport_keeps_nan_and_zero_rows(bench, small_box, rng,
     assert np.isfinite(np.delete(out, k, axis=0)).all()
     zero = np.zeros_like(rows)
     assert np.all(move(ctx, zero) == 0)
+
+
+@pytest.mark.parametrize("name", ["bench", "rot"])
+@pytest.mark.parametrize("bounds", [(6, 8), (20, 20), (32, 32)])
+def test_conjugated_rows_of_a_window_equal_the_all_modes_rows(name, bounds,
+                                                              request):
+    """Windows of 1, 2 and 2r + 1 modes (r = 4, the default Dirac master
+    radius) are bit-equal to the same rows of the all-modes product: a
+    lone mode is batched, so it takes the same gemm kernel."""
+    d = request.getfixturevalue(name)
+    box = TruncationBox(*bounds)
+    ctx = gns._context(d, box)
+    m = box.mode_bound
+    windows = [[m], [0], [box.n_modes - 1], [m, m + 1],
+               list(range(m - 4, m + 5)), list(range(box.n_modes))]
+    for i in (0, box.block_bound + 1, box.n_blocks - 1):
+        full = oracle.conjugated_rows_all_modes(ctx, i)
+        for window in windows:
+            got = modular._conjugated_rows(ctx, i, np.array(window))
+            assert np.array_equal(got, full[window])

@@ -273,6 +273,12 @@ def test_malformed_keys_are_rejected():
     with pytest.raises(KeyError):
         weyl.WeylElement.from_dict({"alpha": ALPHA,
                                     "coeffs": [{"m": 1, "re": 1.0}]})
+    # a key it does not read, on the element or on a coefficient
+    for data in ({"alpha": ALPHA, "coeffs": [], "alfa": 0.3},
+                 {"alpha": ALPHA,
+                  "coeffs": [{"m": 1, "n": 0, "re": 1.0, "imag": 0.5}]}):
+        with pytest.raises(ValueError, match="unknown"):
+            weyl.WeylElement.from_dict(data)
 
 
 def test_random_element_keeps_its_draw_order():
@@ -328,6 +334,29 @@ def test_far_apart_keys_keep_their_places():
     unit = weyl.WeylElement.unit(ALPHA)
     assert weyl.star_product(f, unit).support() == sorted(far)
     assert weyl.table_distance(weyl.star_product(unit, f), f) == 0.0
+
+
+EDGE = 2 ** 62 - 1
+
+
+def test_keys_past_the_int64_edge_fail_closed():
+    # negating -2**63 wrapped to itself (the adjoint's keys came out
+    # unsorted), and two W(2**62, 0) multiplied onto (-2**63, 0)
+    with pytest.raises(ValueError, match="2\\*\\*62"):
+        weyl.WeylElement(ALPHA, {(-2 ** 63, 0): 1.0, (0, 0): 2.0, (5, 1): 1j})
+    with pytest.raises(ValueError):
+        weyl.WeylElement(ALPHA, {(2 ** 62, 0): 1.0})
+    with pytest.raises(ValueError):
+        weyl.WeylElement(ALPHA, {(0, 10 ** 20): 1.0})
+    edge = weyl.WeylElement(ALPHA, {(EDGE, 0): 1.0})
+    with pytest.raises(ValueError):
+        weyl.star_product(edge, edge)
+    with pytest.raises(ValueError):
+        weyl.weyl_relation_check(ALPHA, [((EDGE, 0), (1, 0))])
+    low = weyl.WeylElement(ALPHA, {(-EDGE, 0): 1.0, (0, 0): 2.0, (5, 1): 1j})
+    assert weyl.involution(low).support() == [(-5, -1), (0, 0), (EDGE, 0)]
+    assert weyl.star_product(edge, weyl.involution(edge)).support() == [
+        (0, 0)]
 
 
 GOLDEN = (5 ** 0.5 - 1) / 4
