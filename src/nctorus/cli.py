@@ -329,16 +329,13 @@ def _cmd_dirac(env: dict, out: Path) -> int:
                           "dirac block_radius", int)
     if radius < 1:
         raise ValueError("dirac block_radius < 1 leaves no block n != 0")
-    etas = list(_json_numbers(
-        section.get("etas", [0.0, 0.25, 0.5, 0.75, 1.0]), "dirac etas"))
+    etas = list(_json_numbers(section.get("etas", dirac.ETAS), "dirac etas"))
     master_radius = min(_json_number(section.get("master_radius", 4),
                                      "dirac master_radius", int),
                         box.block_bound, box.mode_bound)
     growth = dynamics.growth_sequence(d, max(radius, box.block_bound) + 1)
     # an empty element table raises here, before any artifact is written
-    elements = dirac.master_elements(
-        d, box, master_radius, [e for e in etas if e in (0.0, 0.5, 1.0)],
-        growth)
+    elements = dirac.master_elements(d, box, master_radius, etas, growth)
     master = verify.check("dirac_master", dirac.element_deviation(elements),
                           tols["dirac_master"])
     rows = dirac.resolvent_profile(d, box, range(-radius, radius + 1), etas,

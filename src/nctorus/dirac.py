@@ -2,17 +2,14 @@
 
 The longitudinal operator acts within block n as ``L_n = d/dtheta -
 a_n`` where the drift sequence ``a_n`` accumulates reciprocal growth
-numbers; the eta-deformed corner is
-
-    T_n^{(eta)} = P delta_n^{eta-1} L_n delta_n^{-eta} P
-
-with P the mode projection, assembled on the quadrature grid with a
-full resolution spectral derivative in the middle, by one pipeline
-over given wave columns.  At eta in {0, 1/2, 1} its matrix elements are
-closed-form ``[s, l]`` tables, Toeplitz in the spectrum of ``delta_k``
-or ``1/delta_k``, held against grid oracle tables (at eta in {0, 1},
-that same pipeline).  The lower corner of the self-adjoint block, built
-from the adjoint factors, lives in the test oracle.
+numbers.  With P the mode projection, the eta-deformed corner is affine
+in eta, ``P delta_n^{eta-1} L_n delta_n^{-eta} P = (1 - eta) B_n D + eta
+D B_n`` with ``B_n`` the Toeplitz table of ``1/delta_n`` and ``D =
+diag(i l - a_n)``: one closed form builds every corner.  Its matrix
+elements are held against the grid pipeline (spectral derivative in the
+middle), and at eta = 1/2 a second closed form against quadrature
+pairings in the conjugated basis.  The lower corner of the self-adjoint
+block lives in the test oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from .gns import TruncationBox, _context
 from .grids import at_modes, spectral_derivative, spectrum, toeplitz
 from .modular import _conjugated_rows
 
-_ETA_SPECIAL = (0.0, 0.5, 1.0)
+ETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def a_sequence(growth: GrowthSequence, block_bound: int) -> np.ndarray:
@@ -63,20 +60,30 @@ def _delta_grid(d: DiffeoSpec, box: TruncationBox, n) -> np.ndarray:
 
 def _corner(delta: np.ndarray, eta: float, a_n: float, waves: np.ndarray,
             modes: np.ndarray) -> np.ndarray:
-    """The corner pipeline: ``delta^{eta-1} L delta^{-eta}`` applied to the
-    grid columns ``waves`` (one per mode), with the full resolution
-    spectral derivative in the middle, read at ``modes``."""
+    """The grid oracle of the corner: ``delta^{eta-1} L delta^{-eta}``
+    applied to the grid columns ``waves`` (one per mode), with the full
+    resolution spectral derivative in the middle, read at ``modes``."""
     delta = delta[:, None]
     stage = spectral_derivative(delta ** (-eta) * waves, a_n, axis=0)
     stage *= delta ** (eta - 1.0)
     return at_modes(spectrum(stage, axis=0), modes, axis=0)
 
 
+def _affine_corner(delta: np.ndarray, eta: float, a_n: float,
+                   radius: int) -> np.ndarray:
+    """``(1 - eta) B D + eta D B`` at ``|l|, |s| <= radius``, ``B =
+    toeplitz(spectrum(1/delta))``, ``D = diag(i l - a_n)``: entry ``[s,
+    l]`` is ``c(s - l) (i ((1 - eta) l + eta s) - a_n)``, by ``delta^{eta-1}
+    L delta^{-eta} w = delta^{-1} L w + eta (1/delta)' w``."""
+    span = np.arange(-radius, radius + 1)
+    drift = 1j * ((1.0 - eta) * span[None, :] + eta * span[:, None]) - a_n
+    return toeplitz(spectrum(1.0 / delta), radius) * drift
+
+
 def deformed_corner(n: int, eta: float, d: DiffeoSpec, box: TruncationBox,
                     a_n: float) -> np.ndarray:
     """Upper corner ``P delta^{eta-1} L delta^{-eta} P`` at block n."""
-    return _corner(_delta_grid(d, box, n), eta, a_n,
-                   _context(d, box).waves.T, box.modes())
+    return _affine_corner(_delta_grid(d, box, n), eta, a_n, box.mode_bound)
 
 
 def diagonal_inverse_norm(box: TruncationBox, a_n: float) -> float:
@@ -97,22 +104,18 @@ def matrix_element_closed_form(eta: float, k: int, d: DiffeoSpec,
                                box: TruncationBox, a: np.ndarray,
                                radius: int) -> np.ndarray:
     """Analytic matrix elements ``[s, l]``, ``|l|, |s| <= radius``, of the
-    eta-corner at block k (blocks are diagonal): the drift eigenvalue of
-    l (eta 0) or s (eta 1) times coefficient ``s - l`` of ``1/delta_k``,
-    or (eta 1/2) minus the sum of the mode pairing and ``a_{-k}`` times
-    coefficient ``l - s`` of ``delta_k``.
+    eta-corner at block k (blocks are diagonal): the affine closed form
+    of :func:`deformed_corner`, or at eta = 1/2 minus the sum of the mode
+    pairing and ``a_{-k}`` times coefficient ``l - s`` of ``delta_k``.
     """
-    if eta not in _ETA_SPECIAL:
-        raise ValueError("closed forms cover eta in {0, 1/2, 1}")
     delta = _delta_grid(d, box, k)
+    if eta != 0.5:
+        return _affine_corner(delta, eta, float(a[k + box.block_bound]),
+                              radius)
     span = np.arange(-radius, radius + 1)
-    if eta == 0.5:
-        a_minus = float(a[box.block_bound - k])
-        return -(np.diag(1j * span)
-                 + a_minus * toeplitz(spectrum(delta), radius).T)
-    drift = 1j * span - float(a[k + box.block_bound])
-    table = toeplitz(spectrum(1.0 / delta), radius)
-    return table * (drift[None, :] if eta == 0.0 else drift[:, None])
+    a_minus = float(a[box.block_bound - k])
+    return -(np.diag(1j * span)
+             + a_minus * toeplitz(spectrum(delta), radius).T)
 
 
 def matrix_element_oracle_table(eta: float, k: int, d: DiffeoSpec,
@@ -120,11 +123,9 @@ def matrix_element_oracle_table(eta: float, k: int, d: DiffeoSpec,
                                 radius: int) -> np.ndarray:
     """Grid pipeline matrix elements ``[s, l]`` at block k.
 
-    eta in {0, 1} runs the pipeline of :func:`deformed_corner` on the
-    columns ``|l| <= radius`` only, so the closed form is held against
-    the very corner the resolvent bounds read; eta = 1/2 works in the
-    conjugated basis at block ``-k`` with quadrature pairings.  Indices
-    run over ``|l|, |s| <= radius``.
+    eta != 1/2 runs the corner pipeline on the grid columns ``|l| <=
+    radius``; eta = 1/2 works in the conjugated basis at block ``-k``
+    with quadrature pairings.  Indices run over ``|l|, |s| <= radius``.
     """
     if radius > min(box.block_bound, box.mode_bound) or abs(k) > box.block_bound:
         raise OutOfBoxError("oracle radius exceeds the box")
@@ -132,11 +133,9 @@ def matrix_element_oracle_table(eta: float, k: int, d: DiffeoSpec,
     kk = k + box.block_bound
     span = np.arange(-radius, radius + 1)
     sel = span + box.mode_bound
-    if eta in (0.0, 1.0):
+    if eta != 0.5:
         return _corner(ctx.delta[kk], eta, float(a[kk]), ctx.waves[sel].T,
                        span)
-    if eta != 0.5:
-        raise ValueError("oracle covers eta in {0, 1/2, 1}")
     flip = box.n_blocks - 1 - kk
     a_minus = float(a[flip])
     sqrt_delta_inv = ctx.delta[flip] ** (-0.5)
@@ -150,7 +149,7 @@ def matrix_element_oracle_table(eta: float, k: int, d: DiffeoSpec,
 
 
 def master_elements(d: DiffeoSpec, box: TruncationBox, radius: int,
-                    etas=_ETA_SPECIAL,
+                    etas=ETAS,
                     growth: GrowthSequence | None = None) -> list[tuple]:
     """Rows ``(eta, k, l, s, closed, |closed - oracle|)``, s before l, over
     ``|k|, |l|, |s| <= radius``: the closed form against the grid oracle."""
@@ -173,12 +172,12 @@ def master_elements(d: DiffeoSpec, box: TruncationBox, radius: int,
 def element_deviation(rows: list[tuple]) -> float:
     """Sup of the deviation column of :func:`master_elements` rows."""
     if not rows:
-        raise ValueError("no master elements (etas 0, 1/2, 1; radius >= 0)")
+        raise ValueError("no master elements (no eta, or radius < 0)")
     return float(np.max([row[-1] for row in rows]))
 
 
 def master_deviation(d: DiffeoSpec, box: TruncationBox, radius: int,
-                     etas=_ETA_SPECIAL,
+                     etas=ETAS,
                      growth: GrowthSequence | None = None) -> float:
     """Sup deviation of closed-form elements from the grid oracle."""
     return element_deviation(master_elements(d, box, radius, etas, growth))
@@ -252,7 +251,7 @@ def commutator_block(n: int, eta: float, d: DiffeoSpec, box: TruncationBox,
 
 
 def commutator_excess(d: DiffeoSpec, box: TruncationBox,
-                      growth: GrowthSequence, ns, etas=_ETA_SPECIAL,
+                      growth: GrowthSequence, ns, etas=(0.0, 0.5, 1.0),
                       generators=("shift",),
                       slack: float = 1e-6) -> tuple[float, float]:
     """Largest ``norm - bound (1 + slack)`` over the nontrivial pairs and

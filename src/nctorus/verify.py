@@ -353,15 +353,16 @@ def dirac_master_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
                        radius: int = 8) -> list[CheckResult]:
     return [check("dirac_master", dirac.master_deviation(d, box, radius),
                   tols["dirac_master"],
-                  f"eta in {{0, 1/2, 1}}, |k|, |l|, |s| <= {radius}")]
+                  f"eta in {{0, 1/4, 1/2, 3/4, 1}}, "
+                  f"|k|, |l|, |s| <= {radius}")]
 
 
 def dirac_bounds_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
                        n_radius: int = 8) -> list[CheckResult]:
     growth = dynamics.growth_sequence(d, max(n_radius, box.block_bound) + 1)
     rows = dirac.resolvent_profile(
-        d, box, range(-n_radius, n_radius + 1), (0.0, 0.25, 0.5, 0.75, 1.0),
-        growth=growth, slack=tols["dirac_bound_slack"])
+        d, box, range(-n_radius, n_radius + 1), dirac.ETAS, growth=growth,
+        slack=tols["dirac_bound_slack"])
     return dirac_bound_checks(d, box, tols, growth, rows, n_radius,
                               ("shift", "shift_inverse"))
 

@@ -96,6 +96,16 @@ def test_dirac_rotation_closed_forms_hold(tmp_path):
     assert max(float(r["deviation"]) for r in rows) <= 1e-12
 
 
+def test_dirac_quarter_eta_has_a_closed_form(tmp_path):
+    config = dict(BENCH, dirac={"etas": [0.25], "master_radius": 3})
+    code, out, report = run_cli(tmp_path, "dirac", config)
+    assert code == 0
+    rows = read_csv(out / "dirac_elements.csv")
+    assert len(rows) == 7 ** 3
+    assert {r["eta"] for r in rows} == {"0.25"}
+    assert max(float(r["deviation"]) for r in rows) <= 1e-12
+
+
 def test_growth_command(tmp_path):
     code, out, report = run_cli(tmp_path, "growth", BENCH)
     assert code == 0
@@ -335,14 +345,14 @@ def test_non_finite_or_non_positive_tolerance_exits_one(tmp_path, tolerances,
 @pytest.mark.parametrize("command, section", [
     ("abel", {"abel": {"radii": [0.9]}}),
     ("fejer", {"fejer": {"orders": [4]}}),
-    ("dirac", {"dirac": {"etas": [0.25]}}),
+    ("dirac", {"dirac": {"etas": []}}),
     ("dirac", {"dirac": {"master_radius": -1}}),
     ("dirac", {"dirac": {"block_radius": 0}}),
-], ids=["abel-one-radius", "fejer-one-order", "dirac-no-closed-form-eta",
+], ids=["abel-one-radius", "fejer-one-order", "dirac-no-eta",
         "dirac-negative-master-radius", "dirac-no-nontrivial-block"])
 def test_config_with_nothing_to_compare_exits_one(tmp_path, command, section):
     # one radius or order has no drop or ratio to hold, the master check
-    # has no element off eta in {0, 1/2, 1} or at a negative radius, and
+    # has no element without an eta or at a negative radius, and
     # the resolvent margin has no block n != 0 below block radius 1: a
     # gate over nothing must not pass
     code, out, report = run_cli(tmp_path, command, dict(BENCH, **section))

@@ -53,6 +53,35 @@ def test_deformed_corner_reduces_at_rotation():
         assert np.max(np.abs(corner - want)) < 1e-12
 
 
+@pytest.mark.parametrize("lift", ["bench", "rot"])
+def test_corner_at_block_zero_is_the_drift_diagonal(lift, request, box):
+    """delta_0 = 1, so B_0 = I and the corner at n = 0, a_0 = 0 is exactly
+    diag(i l) at every eta: no roundoff off the diagonal."""
+    d = request.getfixturevalue(lift)
+    for eta in dirac.ETAS:
+        assert np.array_equal(dirac.deformed_corner(0, eta, d, box, 0.0),
+                              np.diag(1j * box.modes()))
+
+
+@pytest.mark.parametrize("size", [16, 32])
+@pytest.mark.parametrize("lift", ["bench", "rot"])
+def test_closed_form_corner_matches_the_grid_pipeline(lift, size, request):
+    """The affine closed form equals the grid pipeline on every block and
+    every entry of the box, not only the master radius."""
+    d = request.getfixturevalue(lift)
+    box = TruncationBox(size, size)
+    ctx = gns._context(d, box)
+    a = dirac.a_sequence(dynamics.growth_sequence(d, size), size)
+    for n in box.blocks():
+        a_n = float(a[n + size])
+        for eta in dirac.ETAS:
+            closed = dirac.deformed_corner(n, eta, d, box, a_n)
+            grid = dirac._corner(ctx.delta[n + size], eta, a_n, ctx.waves.T,
+                                 box.modes())
+            scale = np.max(np.abs(grid))
+            assert np.max(np.abs(closed - grid)) <= 1e-13 * scale, (n, eta)
+
+
 def test_deformed_block_is_self_adjoint(bench, growth):
     b = TruncationBox(4, 4)
     a = dirac.a_sequence(growth, 5)
@@ -68,11 +97,13 @@ def test_closed_form_rotation_values():
     a = dirac.a_sequence(growth, 8)
     r = 4
     tables = {(eta, k): dirac.matrix_element_closed_form(eta, k, rot, b, a, r)
-              for eta in (0.0, 0.5, 1.0) for k in (1, 2)}
+              for eta in dirac.ETAS for k in (1, 2)}
     # eta = 1/2, (k, l) = (1, 2): -(i l + a_{-k}) = 1 - 2i
     assert_allclose(tables[0.5, 1][2 + r, 2 + r], 1.0 - 2.0j, atol=1e-13)
-    # eta = 0, (k, l) = (2, -3): i l - a_k
-    assert_allclose(tables[0.0, 2][-3 + r, -3 + r], -2.0 - 3.0j, atol=1e-13)
+    # eta != 1/2, (k, l) = (2, -3): i l - a_k
+    for eta in (0.0, 0.25, 0.75, 1.0):
+        assert_allclose(tables[eta, 2][-3 + r, -3 + r], -2.0 - 3.0j,
+                        atol=1e-13)
     # off the diagonal everything vanishes
     off = ~np.eye(2 * r + 1, dtype=bool)
     for table in tables.values():
@@ -181,7 +212,7 @@ def test_corner_inside_the_box_evaluates_no_lift(bench, monkeypatch):
     box = TruncationBox(3, 4)
     growth = dynamics.growth_sequence(bench, box.block_bound)
     a = dirac.a_sequence(growth, box.block_bound)
-    cases = [(n, eta) for n in box.blocks() for eta in (0.0, 0.5, 1.0)]
+    cases = [(n, eta) for n in box.blocks() for eta in dirac.ETAS]
     k = box.block_bound
     warm = [dirac.deformed_corner(n, eta, bench, box, float(a[n + k]))
             for n, eta in cases]

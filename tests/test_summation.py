@@ -139,6 +139,22 @@ def test_abel_profile_decreases(bench, box, rng):
     assert errs[0] > errs[1] > errs[2] > 0.0
 
 
+@pytest.mark.parametrize("kernel", [
+    summation.SummationKernel("fejer", order=8),
+    summation.SummationKernel("abel", radius=0.9),
+], ids=["fejer", "abel"])
+def test_smoothed_mean_is_the_profile_mean(bench, small_box, rng, kernel):
+    """The public smoothed mean is the mean the profile measures: its
+    error against the reference is the profile's ``l2_error``, bit for
+    bit."""
+    f = weyl.random_element(rng, bench.alpha, 2, decay=1.0)
+    table = summation.table_of(f, bench, small_box, "hat")
+    reference = summation.summation_reference(f, bench, small_box, "hat")
+    mean = summation.smoothed_mean(table, kernel, bench)
+    [row] = summation.convergence_profile(f, bench, small_box, "hat", [kernel])
+    assert (mean - reference).norm() == row["l2_error"]
+
+
 def test_transference_integral_route(bench, box, rng):
     """Fejer smoothing equals the kernel-weighted transference integral."""
     f = weyl.random_element(rng, bench.alpha, 2, decay=1.0)

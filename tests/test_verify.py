@@ -60,6 +60,39 @@ def test_one_nan_matrix_element_fails_dirac_master(rot, small_box,
     assert not row.passed
 
 
+def _rounded_eta(real):
+    return lambda delta, eta, a_n, radius: real(delta, round(eta), a_n,
+                                                radius)
+
+
+def _flipped_drift(real):
+    # the Dirac derivative-sign mutant, D = diag(-i l - a_n): c (-i x - a)
+    # is -(c (i x + a)), the corner at drift -a_n negated
+    return lambda delta, eta, a_n, radius: -real(delta, eta, -a_n, radius)
+
+
+@pytest.mark.parametrize("mutant, lifts", [
+    (_rounded_eta, ["bench"]),
+    (_flipped_drift, ["bench", "rot"]),
+], ids=["rounded-eta", "flipped-drift"])
+def test_corner_mutant_fails_dirac_master(small_box, monkeypatch, request,
+                                          mutant, lifts):
+    """At the rotation delta = 1 and the corner is the same at every eta,
+    so only the benchmark lift can see the rounded eta."""
+    monkeypatch.setattr(dirac, "_affine_corner", mutant(dirac._affine_corner))
+    for lift in lifts:
+        d = request.getfixturevalue(lift)
+        rows = verify.dirac_master_suite(d, small_box, tolerances.resolve(),
+                                         radius=2)
+        assert not _row(rows, "dirac_master").passed, lift
+    if mutant is _rounded_eta:
+        # round(eta) = eta on {0, 1}, and eta = 1/2 has its own closed
+        # form: a master over those three etas cannot see this mutant
+        bench = request.getfixturevalue("bench")
+        assert dirac.master_deviation(bench, small_box, 2,
+                                      etas=(0.0, 0.5, 1.0)) < 1e-12
+
+
 def test_nan_growth_number_fails_telescoping(rot, small_box, monkeypatch):
     real = dirac.telescoping_deviation
 
