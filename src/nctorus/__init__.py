@@ -30,7 +30,7 @@ from .summation import (SummationKernel, TransferencePoint,
                         wts_deviation)
 from .weyl import (SymplecticPair, WeylElement, abstract_fourier_coeff,
                    involution, random_element, smooth_seminorm, star_product,
-                   trace, weyl_relation_check)
+                   table_distance, trace, weyl_relation_check)
 
 __version__ = "0.1.0"
 

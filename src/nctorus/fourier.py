@@ -29,7 +29,7 @@ from .gns import (GnsVector, TruncationBox, _context, _multiplier_rows,
 from .grids import at_modes, dirichlet_kernel, l2, project_to_modes, spectrum
 from .modular import (_conjugated_rows, _epsilon_pairings, _j_on_grid,
                       _root_rows)
-from .weyl import WeylElement
+from .weyl import WeylElement, _stack_of
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,10 @@ def _vacuum_paren(f: WeylElement, d: DiffeoSpec,
                   box: TruncationBox) -> FourierCoeffs:
     """Paren table read off row n = 0 of each shift multiplier: entry
     ``(k, l)`` is the mode ``-l`` of the shift ``-k`` row."""
-    shifts, rows = _multiplier_rows(f, d, box, box.block_bound, lambda s: 0)
+    shifts, rows = _multiplier_rows(_stack_of(f), d, box, box.block_bound,
+                                    lambda s: 0)
     table = np.zeros((box.n_blocks, box.n_modes), dtype=complex)
-    table[box.block_bound - shifts] = at_modes(spectrum(rows[:, 0]),
+    table[box.block_bound - shifts] = at_modes(spectrum(rows[0, :, 0]),
                                                -box.modes())
     return FourierCoeffs("paren", table, box)
 

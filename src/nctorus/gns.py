@@ -14,15 +14,21 @@ exp(i m (psi(z) + 2 pi alpha (2 n - s)))`` where ``psi`` is the angle of
 :func:`represent` reads it at every block.  The vacuum sits in block 0,
 so block s of ``pi(f) xi`` is the single row ``m_{s, s}``:
 :func:`vacuum_image` reads one row per shift and builds no operator,
-and the vacuum-route paren table reads the rows ``m_{0, s}``.
-Everything downstream (modular operators, transforms, Dirac blocks)
-reuses the cached per-box context built here, the chart: one inverse
-solve into ``u = h^{-1}``, the densities ``delta_n`` from
-:mod:`nctorus.dynamics` and the grid waves ``e_l`` with exactly reduced
-phases (the J transport is :mod:`nctorus.modular`'s).  The generator
-products ``u_kl`` are uncached closed forms in the same chart, read row
-by row, and the moments of the invariant state are closed forms in the
-lift coefficients.
+and the vacuum-route paren table reads the rows ``m_{0, s}``.  The
+builder takes a stack of tables over one support (``weyl._Stack``) and
+shares its twists across the stack; :func:`_vacuum_rows` gives the live
+band rows of a stack of vacuum images and :func:`_series` the series
+state of a stack, and :func:`vacuum_image` and :func:`state_eval` are
+their stacks of one.  Stacks carry only live rows, a chunk of tables at
+a time (:func:`_chunked`), so their grid rows never outgrow one vector's
+(2K + 1, G) array.  Everything downstream (modular operators,
+transforms, Dirac blocks) reuses the cached per-box context built here,
+the chart: one inverse solve into ``u = h^{-1}``, the densities
+``delta_n`` from :mod:`nctorus.dynamics` and the grid waves ``e_l`` with
+exactly reduced phases (the J transport is :mod:`nctorus.modular`'s).
+The generator products ``u_kl`` are uncached closed forms in the same
+chart, read row by row, and the moments of the invariant state are
+closed forms in the lift coefficients.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .dynamics import DiffeoSpec, _density
 from .errors import AlphaMismatchError, OutOfBoxError
 from .grids import (default_grid_size, grid_angles, inner, l2, on_grid,
                     project_to_modes, spectrum, toeplitz)
-from .weyl import WeylElement
+from .weyl import WeylElement, _Stack, _stack_of
 
 
 # The seed of the Lanczos start, the Lanczos steps on the Gram, the cap
@@ -512,22 +518,25 @@ def _tridiagonal(alpha: list[float], beta: list[float]) -> np.ndarray:
     return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
 
 
-def _multiplier_rows(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
+def _multiplier_rows(f: _Stack, d: DiffeoSpec, box: TruncationBox,
                      bound: int, block_of):
     """Multiplier rows ``m_{n, s} = sum_m f(m, s) exp(i m psi)
     exp(2 pi i alpha m (2 n - s))``, the one evaluation of that sum.
 
-    Rows are taken for the distinct shifts s of f with ``|s| <= bound``,
-    ascending, at the blocks ``n = block_of(s)`` (s a column, so n may
-    add a block axis): every block for :func:`represent`, ``n = s`` for
-    the vacuum image (the only row of shift s that meets the vacuum),
-    ``n = 0`` for the vacuum-route paren table.  Returns the shifts and
-    rows of shape (shifts, blocks, G).  One table of twists over (rows x
-    distinct modes), each cycle count reduced by :func:`_waves` once,
-    times one wave table ``exp(i m psi)``: a single product, so a NaN
-    coefficient reaches the rows of its own shift only.  An alpha
-    mismatch raises; each shift beyond the block range ``2K`` warns once
-    (pointing at the caller's caller), whichever bound is kept.
+    ``f`` is a stack of tables over one support (a table is
+    ``weyl._stack_of(f)``).  Rows are taken for the distinct shifts s of
+    the support with ``|s| <= bound``, ascending, at the blocks
+    ``n = block_of(s)`` (s a column, so n may add a block axis): every
+    block for :func:`represent`, ``n = s`` for the vacuum image (the only
+    row of shift s that meets the vacuum), ``n = 0`` for the
+    vacuum-route paren table.  Returns the shifts and rows of shape
+    (tables, shifts, blocks, G).  One table of twists over (rows x
+    distinct modes), each cycle count reduced by :func:`_waves` once and
+    shared by the stack, times one wave table ``exp(i m psi)``: a single
+    product, so a NaN coefficient reaches the rows of its own table and
+    shift only.  An alpha mismatch raises; each shift beyond the block
+    range ``2K`` warns once (pointing at the caller's caller), whichever
+    bound is kept.
     """
     if f.alpha != d.alpha:
         raise AlphaMismatchError(
@@ -537,7 +546,7 @@ def _multiplier_rows(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
         warnings.warn(f"shift {s} exceeds the block range; term dropped",
                       stacklevel=3)
     keep = np.abs(ss) <= bound
-    ms, ss, coeffs = f.keys[keep, 0], ss[keep], f.values[keep]
+    ms, ss, coeffs = f.keys[keep, 0], ss[keep], f.values[:, keep]
     ctx = _context(d, box)
     shifts, shift_at = np.unique(ss, return_inverse=True)
     modes, mode_at = np.unique(ms, return_inverse=True)
@@ -545,20 +554,67 @@ def _multiplier_rows(f: WeylElement, d: DiffeoSpec, box: TruncationBox,
     blocks = np.broadcast_arrays(block_of(column), column)[0]
     cycles = (2 * blocks[shift_at] - ss[:, None]) * ms[:, None]
     counts, count_at = np.unique(cycles, return_inverse=True)
-    table = np.zeros(blocks.shape + modes.shape, dtype=complex)
-    table[shift_at, :, mode_at] = (_waves(d.alpha, counts)[count_at].reshape(
-        cycles.shape) * coeffs[:, None])
+    twists = _waves(d.alpha, counts)[count_at].reshape(cycles.shape)
+    table = np.zeros((len(coeffs),) + blocks.shape + modes.shape,
+                     dtype=complex)
+    table[:, shift_at, :, mode_at] = twists[:, None] * coeffs.T[:, :, None]
     waves = np.exp(1j * np.multiply.outer(modes, ctx.psi))
-    rows = table.reshape(blocks.size, len(modes)) @ waves
-    return shifts, rows.reshape(table.shape[:2] + (box.grid_size,))
+    rows = table.reshape(len(coeffs) * blocks.size, len(modes)) @ waves
+    return shifts, rows.reshape(table.shape[:3] + (box.grid_size,))
 
 
 def represent(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> GnsOperator:
     """Image of a coefficient table in the block representation: the
     multiplier rows of every shift ``|s| <= 2K`` at every block."""
-    shifts, rows = _multiplier_rows(f, d, box, 2 * box.block_bound,
+    shifts, rows = _multiplier_rows(_stack_of(f), d, box,
+                                    2 * box.block_bound,
                                     lambda s: box.blocks())
-    return GnsOperator(box, dict(zip(shifts.tolist(), rows)))
+    return GnsOperator(box, dict(zip(shifts.tolist(), rows[0])))
+
+
+def _spread(box: TruncationBox, blocks: np.ndarray,
+            rows: np.ndarray) -> np.ndarray:
+    """Arrays (..., 2K + 1, W) holding live rows (..., L, W), band or grid,
+    at the block indices ``blocks`` and zero elsewhere: the layout of a
+    vector, in which its norms and inner products are summed."""
+    out = np.zeros(rows.shape[:-2] + (box.n_blocks, rows.shape[-1]),
+                   dtype=complex)
+    out[..., blocks, :] = rows
+    return out
+
+
+def _shifts(f: _Stack, bound) -> np.ndarray:
+    """The distinct shifts s of a support with ``|s| <= bound``, ascending
+    (through a set: ``np.unique`` would import ``numpy.ma``)."""
+    ss = f.keys[:, 1]
+    return np.array(sorted(set(ss[np.abs(ss) <= bound].tolist())),
+                    dtype=np.int64)
+
+
+def _chunked(fn, f: _Stack, box: TruncationBox) -> np.ndarray:
+    """``fn`` of consecutive parts of a stack, concatenated.
+
+    Each part's grid rows, one per table and shift, fill at most one
+    (2K + 1, G) array, and nothing of a part outlives its call, so a
+    stack's transient grid memory is bounded by a single vector's.
+    """
+    step = max(1, box.n_blocks // max(len(_shifts(f, np.inf)), 1))
+    return np.concatenate([fn(f.take(slice(lo, lo + step)))
+                           for lo in range(0, max(len(f.values), 1), step)])
+
+
+def _vacuum_rows(f: _Stack, d: DiffeoSpec,
+                 box: TruncationBox) -> tuple[np.ndarray, np.ndarray]:
+    """``pi(f_i) xi`` for a stack: the block indices of the shifts and
+    the band rows (tables, shifts, 2M + 1), the multiplier row of shift
+    s being block s."""
+    def band(part):
+        rows = _multiplier_rows(part, d, box, box.block_bound,
+                                lambda s: s)[1]
+        return project_to_modes(rows[:, :, 0], box.mode_bound)
+
+    return (_shifts(f, box.block_bound) + box.block_bound,
+            _chunked(band, f, box))
 
 
 def vacuum_image(f: WeylElement, d: DiffeoSpec,
@@ -566,12 +622,10 @@ def vacuum_image(f: WeylElement, d: DiffeoSpec,
     """``pi(f) xi`` without the operator: the vacuum sits in block 0, so
     block s is the single multiplier row of shift s, and only the
     occupied blocks are projected.  Equal to
-    ``represent(f, d, box).apply(vacuum(box))`` up to roundoff."""
-    shifts, rows = _multiplier_rows(f, d, box, box.block_bound, lambda s: s)
-    out = GnsVector.zeros(box)
-    out.coeffs[shifts + box.block_bound] = project_to_modes(rows[:, 0],
-                                                            box.mode_bound)
-    return out
+    ``represent(f, d, box).apply(vacuum(box))`` up to roundoff; the
+    stack of one of :func:`_vacuum_rows`."""
+    return GnsVector(box, _spread(box, *_vacuum_rows(_stack_of(f), d,
+                                                     box))[0])
 
 
 def _u_kl_rows(d: DiffeoSpec, box: TruncationBox, k, l, n) -> np.ndarray:
@@ -619,6 +673,20 @@ def state_coefficients(d: DiffeoSpec, mode_bound: int) -> np.ndarray:
     return np.concatenate([np.conj(positive[::-1]), [1.0], positive])
 
 
+def _series(f: _Stack, d: DiffeoSpec) -> np.ndarray:
+    """The series route of :func:`state_eval` for each table of a stack:
+    the ``n = 0`` row against the closed-form moments, summed term by
+    term in key order from zero, as Python's ``sum`` adds."""
+    radius = int(np.abs(f.keys[:, 0]).max(initial=0))
+    mu = state_coefficients(d, radius)
+    row = f.keys[:, 1] == 0
+    terms = f.values[:, row] * mu[f.keys[row, 0] + radius]
+    total = np.zeros(len(terms), dtype=complex)
+    for term in terms.T:
+        total = total + term
+    return total
+
+
 def state_eval(f: WeylElement, d: DiffeoSpec, route: str = "series",
                box: TruncationBox | None = None) -> complex:
     """Invariant state applied to a table, by series or by inner product.
@@ -629,10 +697,7 @@ def state_eval(f: WeylElement, d: DiffeoSpec, route: str = "series",
     two are compared in the verification suite.
     """
     if route == "series":
-        radius = int(np.abs(f.keys[:, 0]).max(initial=0))
-        mu = state_coefficients(d, radius)
-        row = f.keys[:, 1] == 0
-        return complex(sum(f.values[row] * mu[f.keys[row, 0] + radius]))
+        return complex(_series(_stack_of(f), d)[0])
     if route == "gns":
         if box is None:
             k = max(1, int(np.abs(f.keys[:, 1]).max(initial=0)))

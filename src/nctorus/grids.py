@@ -47,7 +47,9 @@ def frequencies(size: int) -> np.ndarray:
 def spectrum(g, axis: int = -1) -> np.ndarray:
     """Sampled Fourier coefficients ``c(l)`` along ``axis``, in FFT order."""
     values = np.asarray(g, dtype=complex)
-    return np.fft.fft(values, axis=axis) / values.shape[axis]
+    out = np.fft.fft(values, axis=axis)
+    out /= values.shape[axis]
+    return out
 
 
 def at_modes(spec: np.ndarray, modes, axis: int = -1) -> np.ndarray:
@@ -145,7 +147,9 @@ def on_grid(coeffs, size: int) -> np.ndarray:
         raise GridTooSmallError(f"grid {size} cannot carry modes up to {m}")
     buf = np.zeros(coeffs.shape[:-1] + (size,), dtype=complex)
     buf[..., _slots(np.arange(-m, m + 1), size)] = coeffs
-    return np.fft.ifft(buf) * size
+    out = np.fft.ifft(buf)
+    out *= size
+    return out
 
 
 def project_to_modes(g, mode_bound: int) -> np.ndarray:

@@ -12,7 +12,11 @@ first J of a per-box context and kept on it, so a context that never
 applies J never pays for its two G x G maps.  :func:`apply_J`, the
 conjugated Borel calculus, the paren synthesis and the Dirac oracle
 apply it, and the paren pairings against the conjugated basis
-``eps_kl = J e_kl`` apply its transpose.
+``eps_kl = J e_kl`` apply its transpose.  :func:`_j_rows` moves the live
+rows of a whole stack of vectors in one batch, each row with the bits it
+has in any other batch; J on a single vector, :func:`tomita_check` and
+the verify probes (:func:`_tomita_deviations`, :func:`_probe_pair`) are
+its callers.
 
 Powers and more general Borel functions of Delta are blockwise grid
 multiplications followed by re-projection onto the retained modes; the
@@ -26,25 +30,32 @@ import numpy as np
 
 from .dynamics import DiffeoSpec
 from .errors import AliasingError, SingularBlockError
-from .gns import (GnsVector, TruncationBox, _context, _multiplier_rows,
-                  _waves, vacuum_image)
-from .grids import (at_modes, frequencies, project_to_modes, spectrum,
-                    tail_mass)
-from .weyl import WeylElement, involution
+from .gns import (GnsVector, TruncationBox, _chunked, _context,
+                  _multiplier_rows, _spread, _vacuum_rows, _waves)
+from .grids import (at_modes, frequencies, inner, l2, on_grid,
+                    project_to_modes, spectrum, tail_mass)
+from .weyl import WeylElement, _involution_stack, _Stack, _stack_of
 
 _DEFAULT_TAIL = 1e-6
 
 
-def _reproject(x: GnsVector, grid_rows: np.ndarray, label: str) -> GnsVector:
-    """Project grid rows computed from x to the band; raise unless the
-    dropped mass is finite and within ``_DEFAULT_TAIL`` of a finite |x|."""
-    c, ref_norm = spectrum(grid_rows), x.norm()
-    dropped = tail_mass(c, x.box.mode_bound)
-    if not (np.isfinite(ref_norm) and dropped <= _DEFAULT_TAIL * ref_norm):
+def _band(box: TruncationBox, grid_rows: np.ndarray, norm: float,
+          label: str) -> np.ndarray:
+    """Band coefficients of grid rows computed from a vector of norm
+    ``norm``; raise unless the dropped mass is finite and within
+    ``_DEFAULT_TAIL`` of a finite norm."""
+    c = spectrum(grid_rows)
+    dropped = tail_mass(c, box.mode_bound)
+    if not (np.isfinite(norm) and dropped <= _DEFAULT_TAIL * norm):
         raise AliasingError(
-            f"{label} dropped {dropped:.3e} of norm {ref_norm:.3e} "
+            f"{label} dropped {dropped:.3e} of norm {norm:.3e} "
             f"(relative tolerance {_DEFAULT_TAIL:.1e})")
-    return GnsVector(x.box, at_modes(c, x.box.modes()))
+    return at_modes(c, box.modes())
+
+
+def _reproject(x: GnsVector, grid_rows: np.ndarray, label: str) -> GnsVector:
+    """Project grid rows computed from x to the band, gated by |x|."""
+    return GnsVector(x.box, _band(x.box, grid_rows, x.norm(), label))
 
 
 def apply_delta_power(x: GnsVector, a: float, d: DiffeoSpec) -> GnsVector:
@@ -75,42 +86,58 @@ def _transport(ctx):
 
 
 def _live(rows: np.ndarray) -> np.ndarray:
-    """Indices of the rows with a nonzero (or NaN) entry, ascending.
+    """Indices of the rows with a nonzero (or NaN) entry, ascending."""
+    return np.flatnonzero(np.any(rows != 0, axis=-1))
 
-    A lone live row is batched with a zero row: numpy hands a one-row
-    product to gemv, whose sums run in another order than gemm's, and
-    with two rows or more every row of a transport is bit-equal to the
-    same row of the all-rows product.
+
+def _times(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Rows (..., G) times a transport matrix as one product.
+
+    A lone row is batched with a zero row: numpy hands a one-row product
+    to gemv, whose sums run in another order than gemm's, and with two
+    rows or more every row of a product is bit-equal to the same row of
+    the all-rows product.
     """
-    return _batched(np.flatnonzero(np.any(rows != 0, axis=-1)), len(rows))
+    flat = rows.reshape(-1, rows.shape[-1])
+    count = len(flat)
+    if count == 1:
+        flat = np.concatenate([flat, np.zeros_like(flat)])
+    return (flat @ matrix)[:count].reshape(rows.shape[:-1] + matrix.shape[1:])
 
 
-def _batched(index: np.ndarray, size: int) -> np.ndarray:
-    """Ascending ``index`` into ``size`` rows, with a second row added
-    when it holds only one (see :func:`_live`)."""
-    if len(index) == 1 and size > 1:
-        index = np.union1d(index, [1 if index[0] == 0 else 0])
-    return index
+def _j_rows(ctx, blocks: np.ndarray,
+            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One J step on the live grid rows of a stack of vectors.
+
+    ``rows[..., i, :]`` is block ``blocks[i]`` (ascending) of each vector,
+    every other block being zero.  Returns the blocks of the image,
+    ascending, and its rows: row n is ``delta_n^{1/2} conj(y_{-n} o F_n)``,
+    the rows of the whole stack in one transport batch, each bit-equal to
+    its row in a batch of any other size.  Only live rows are carried, so
+    a stack of vacuum images moves its occupied blocks and nothing else.
+    """
+    to_chart, phase, from_chart, _ = _transport(ctx)
+    image = ctx.box.n_blocks - 1 - blocks
+    spectra = _times(rows, to_chart)
+    np.multiply(spectra, phase[image], out=spectra)
+    moved = _times(spectra, from_chart)
+    del spectra
+    np.conj(moved, out=moved)
+    moved *= ctx.sqrt_delta[image]
+    return image[::-1], moved[..., ::-1, :]
 
 
 def _j_on_grid(ctx, rows: np.ndarray) -> np.ndarray:
-    """One J step on raw grid rows, keeping all grid modes.
+    """One J step on raw grid rows, keeping all grid modes: the vector
+    case of :func:`_j_rows`, with the live rows found here.
 
-    Row n becomes ``delta_n^{1/2} conj(y_{-n} o F_n)``, every live row
-    in one transport batch; a zero row stays exactly zero, so a vacuum
-    image moves only its occupied blocks.  The conjugated Borel calculus
-    chains these steps: projecting the intermediate vectors onto the
-    retained band would contaminate the composite with truncation error
-    that neither route owns.
+    A zero row stays exactly zero.  The conjugated Borel calculus chains
+    these steps: projecting the intermediate vectors onto the retained
+    band would contaminate the composite with truncation error that
+    neither route owns.
     """
-    to_chart, phase, from_chart, _ = _transport(ctx)
-    flipped = rows[::-1]
-    live = _live(flipped)
-    out = np.zeros(rows.shape, dtype=complex)
-    spectra = flipped[live] @ to_chart
-    out[live] = ctx.sqrt_delta[live] * np.conj(
-        (spectra * phase[live]) @ from_chart)
-    return out
+    blocks = _live(rows)
+    return _spread(ctx.box, *_j_rows(ctx, blocks, rows[blocks]))
 
 
 def _epsilon_pairings(ctx, rows: np.ndarray) -> np.ndarray:
@@ -126,8 +153,9 @@ def _epsilon_pairings(ctx, rows: np.ndarray) -> np.ndarray:
     flipped = rows[::-1]
     live = _live(flipped)
     table = np.zeros((ctx.box.n_blocks, ctx.box.n_modes), dtype=complex)
-    spectra = (ctx.sqrt_delta[::-1][live] * flipped[live]) @ from_chart.T
-    table[live] = ((spectra * phase[::-1][live]) @ wave_spectra.T
+    spectra = _times(ctx.sqrt_delta[::-1][live] * flipped[live],
+                     from_chart.T)
+    table[live] = (_times(spectra * phase[::-1][live], wave_spectra.T)
                    / ctx.box.grid_size)
     return table
 
@@ -140,15 +168,13 @@ def _conjugated_rows(ctx, i: int, modes: np.ndarray) -> np.ndarray:
     ``-k`` component (the only one that is nonzero), at grid resolution.
     This per-block form serves the reference basis
     :func:`nctorus.fourier.epsilon_basis` (all modes) and the Dirac
-    eta = 1/2 oracle (its window); a lone mode is batched as in
-    :func:`_live`, so every row is bit-equal to the all-modes row.
+    eta = 1/2 oracle (its window); every row is bit-equal to the
+    all-modes row (see :func:`_times`).
     """
     _, phase, from_chart, wave_spectra = _transport(ctx)
     flip = ctx.box.n_blocks - 1 - i
-    batch = _batched(modes, len(wave_spectra))
-    rows = ctx.sqrt_delta[flip] * np.conj(
-        (wave_spectra[batch] * phase[flip]) @ from_chart)
-    return rows[np.isin(batch, modes)]
+    return ctx.sqrt_delta[flip] * np.conj(
+        _times(wave_spectra[modes] * phase[flip], from_chart))
 
 
 def apply_J(x: GnsVector, d: DiffeoSpec) -> GnsVector:
@@ -157,26 +183,46 @@ def apply_J(x: GnsVector, d: DiffeoSpec) -> GnsVector:
     return _reproject(x, rows, "J")
 
 
-def _root_rows(f: WeylElement, d: DiffeoSpec, box: TruncationBox):
-    """Unprojected grid rows of ``Delta^{1/2} pi(f) xi``; built only here.
-
-    Only the blocks of the shifts of f are filled; the others are zero.
-    """
-    ctx = _context(d, box)
+def _root_stack(f: _Stack, d: DiffeoSpec,
+                box: TruncationBox) -> tuple[np.ndarray, np.ndarray]:
+    """Unprojected grid rows of ``Delta^{1/2} pi(f_i) xi`` for a stack of
+    tables, built only here: the blocks of the shifts and their rows
+    (tables, shifts, G)."""
     shifts, rows = _multiplier_rows(f, d, box, box.block_bound, lambda s: s)
-    out = np.zeros((box.n_blocks, box.grid_size), dtype=complex)
     at = shifts + box.block_bound
-    out[at] = rows[:, 0] * ctx.sqrt_delta[at]
-    return out
+    rows = rows[:, :, 0]
+    rows *= _context(d, box).sqrt_delta[at]
+    return at, rows
+
+
+def _root_rows(f: WeylElement, d: DiffeoSpec, box: TruncationBox):
+    """Unprojected grid rows of ``Delta^{1/2} pi(f) xi``, all blocks; only
+    the blocks of the shifts of f are filled."""
+    return _spread(box, *_root_stack(_stack_of(f), d, box))[0]
+
+
+def _tomita_deviations(f: _Stack, d: DiffeoSpec,
+                       box: TruncationBox) -> np.ndarray:
+    """``|J Delta^{1/2} pi(f_i) xi - pi(f_i*) xi|`` for each table of a
+    stack, the left side composed on the grid and projected once; one
+    transport per chunk of tables (:func:`nctorus.gns._chunked`)."""
+    ctx = _context(d, box)
+
+    def deviations(part):
+        blocks, right = _vacuum_rows(_involution_stack(part), d, box)
+        at, moved = _j_rows(ctx, *_root_stack(part, d, box))
+        gap = _spread(box, at, project_to_modes(moved, box.mode_bound))
+        gap[:, blocks] -= right
+        return l2(gap.reshape(len(gap), box.n_blocks * box.n_modes), axis=-1)
+
+    return _chunked(deviations, f, box)
 
 
 def tomita_check(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> float:
     """Deviation of ``J Delta^{1/2} pi(f) xi`` from ``pi(f*) xi``, the
-    left side composed on the grid and projected once."""
-    rows = _j_on_grid(_context(d, box), _root_rows(f, d, box))
-    left = GnsVector(box, project_to_modes(rows, box.mode_bound))
-    right = vacuum_image(involution(f), d, box)
-    return (left - right).norm()
+    left side composed on the grid and projected once; the stack of one
+    of :func:`_tomita_deviations`."""
+    return float(_tomita_deviations(_stack_of(f), d, box)[0])
 
 
 def _fn_values(fn, t: np.ndarray, inverse: bool = False,
@@ -228,3 +274,45 @@ def borel_identity_check(fn, x: GnsVector, d: DiffeoSpec) -> float:
                                     conjugate=True)
     right = _reproject(x, rows, "Borel calculus")
     return (left - right).norm()
+
+
+def _probe_pair(f: _Stack, d: DiffeoSpec, box: TruncationBox,
+                fns) -> tuple[float, float, float]:
+    """The J probes of a stack of two tables with vacuum images x and y:
+    ``|J J x - x|``, ``|<J x, J y> - <y, x>|`` and the largest
+    ``|J fn(Delta) J x - conj-fn(Delta^{-1}) x|`` over fns.
+
+    Each value has the bits of :func:`conjugated_borel_apply` at the
+    power 0, :func:`apply_J` and :func:`borel_identity_check`, and the
+    aliasing gates are met in their order, so the first to trip raises
+    the same error; the fns are evaluated on the occupied blocks only.
+    Two transports: J of the live rows of ``[x; y]``, then J of the rows
+    of ``J x`` times ``fn(Delta)`` for the power 0 and each fn.
+    """
+    ctx = _context(d, box)
+    blocks, coeffs = _vacuum_rows(f, d, box)
+    x, y = _spread(box, blocks, coeffs)
+    norms = [float(l2(x)), float(l2(y))]
+    rows = on_grid(coeffs, box.grid_size)
+    at, moved = _j_rows(ctx, blocks, rows)
+    forward = np.stack([_fn_values(fn, ctx.delta[at])
+                        for fn in (("power", 0.0),) + fns])
+    back = _j_rows(ctx, at, moved[0] * forward)[1]
+
+    def conjugated(k):
+        return _spread(box, blocks, _band(
+            box, back[k], norms[0], "conjugated Borel calculus"))
+
+    involution = float(l2(conjugated(0) - x))
+    jx, jy = (_spread(box, at, _band(box, moved[k], norms[k], "J"))
+              for k in (0, 1))
+    anti = abs(complex(inner(jx, jy)) - complex(inner(y, x)))
+    borel = []
+    for k, fn in enumerate(fns, start=1):
+        left = conjugated(k)
+        inverse = _fn_values(fn, ctx.delta[blocks], inverse=True,
+                             conjugate=True)
+        right = _spread(box, blocks, _band(box, rows[0] * inverse, norms[0],
+                                           "Borel calculus"))
+        borel.append(float(l2(left - right)))
+    return involution, anti, np.max(borel, initial=0.0)

@@ -73,27 +73,28 @@ def weyl_relation_suite(alpha: float, tols: dict,
                   f"{len(pairs)} generator pairs, {len(alphas)} twists")]
 
 
+def _gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest ``|a_i - b_i|`` of two complex arrays, each the absolute
+    value Python takes of a complex scalar (``np.abs`` rounds otherwise)."""
+    diff = a - b
+    return float(np.max(np.hypot(diff.real, diff.imag), initial=0.0))
+
+
 def star_algebra_suite(alpha: float, tols: dict, rng: np.random.Generator,
                        count: int = 100) -> list[CheckResult]:
-    assoc = tracial = invol = recover = 0.0
-    for _ in range(count):
-        f = weyl.random_element(rng, alpha, 2)
-        g = weyl.random_element(rng, alpha, 2)
-        h = weyl.random_element(rng, alpha, 2)
-        left = weyl.star_product(weyl.star_product(f, g), h)
-        right = weyl.star_product(f, weyl.star_product(g, h))
-        assoc = np.maximum(assoc, weyl.table_distance(left, right))
-        tracial = np.maximum(tracial,
-                             abs(weyl.trace(weyl.star_product(f, g))
-                                 - weyl.trace(weyl.star_product(g, f))))
-        invol = np.maximum(invol, weyl.table_distance(
-            weyl.involution(weyl.star_product(f, g)),
-            weyl.star_product(weyl.involution(g), weyl.involution(f))))
-        probe = weyl.star_product(
-            weyl.WeylElement.generator(alpha, -1, -2), f)
-        recover = np.maximum(recover,
-                             abs(probe[(0, 0)]
-                                 - weyl.abstract_fourier_coeff(f, 1, 2)))
+    # the triples f, g, h of each round, drawn in that order, as one stack
+    probes = weyl._random_stack(rng, alpha, 2, 3 * count)
+    f, g, h = (probes.take(slice(i, None, 3)) for i in range(3))
+    star, adjoint = weyl._star_stack, weyl._involution_stack
+    fg = star(f, g)
+    assoc = np.max(weyl._distances(star(fg, h), star(f, star(g, h))),
+                   initial=0.0)
+    tracial = _gap(fg.coefficient(0, 0), star(g, f).coefficient(0, 0))
+    invol = np.max(weyl._distances(adjoint(fg),
+                                   star(adjoint(g), adjoint(f))), initial=0.0)
+    probe = star(weyl._stack_of(weyl.WeylElement.generator(alpha, -1, -2)),
+                 f)
+    recover = _gap(probe.coefficient(0, 0), f.coefficient(1, 2))
     return [
         check("star_associativity", assoc, tols["star_associativity"],
               f"{count} random triples"),
@@ -194,33 +195,24 @@ def gns_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
 
 def modular_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
                   rng: np.random.Generator, count: int = 20) -> list[CheckResult]:
-    tomita_dev = 0.0
-    for _ in range(count):
-        f = weyl.random_element(rng, d.alpha, 2, decay=2.0)
-        tomita_dev = np.maximum(tomita_dev, modular.tomita_check(f, d, box))
+    tomita_dev = np.max(modular._tomita_deviations(
+        weyl._random_stack(rng, d.alpha, 2, count, decay=2.0), d, box),
+        initial=0.0)
 
     # J is probed on algebra-orbit vectors pi(f) xi; raw coefficient
     # noise carries too much high-mode mass through the compositions
     # and would trip the aliasing gate instead of measuring anything.
     # A box too small for the probes trips it all the same: the J rows
-    # then fail with an infinite deviation and the gate's message.
+    # then fail with an infinite deviation and the gate's message, and
+    # no pair is drawn after the one that tripped it.
+    fns = (("power", 0.5), ("power", -1.0),
+           ("rational", (1.0, 2.0), (1.0, 3.0)))
     j_dev = anti_dev = borel_dev = 0.0
     note = ""
     try:
-        for _ in range(max(3, count // 4)):
-            f = weyl.random_element(rng, d.alpha, 2, decay=2.0)
-            g = weyl.random_element(rng, d.alpha, 2, decay=2.0)
-            x = gns.vacuum_image(f, d, box)
-            y = gns.vacuum_image(g, d, box)
-            j_dev = np.maximum(j_dev, (modular.conjugated_borel_apply(
-                x, ("power", 0.0), d) - x).norm())
-            anti_dev = np.maximum(anti_dev, abs(
-                modular.apply_J(x, d).inner(modular.apply_J(y, d))
-                - y.inner(x)))
-            for fn in (("power", 0.5), ("power", -1.0),
-                       ("rational", (1.0, 2.0), (1.0, 3.0))):
-                borel_dev = np.maximum(
-                    borel_dev, modular.borel_identity_check(fn, x, d))
+        j_dev, anti_dev, borel_dev = np.max([modular._probe_pair(
+            weyl._random_stack(rng, d.alpha, 2, 2, decay=2.0), d, box, fns)
+            for _ in range(max(3, count // 4))], axis=0)
     except AliasingError as err:
         j_dev = anti_dev = borel_dev = np.inf
         note = str(err)
@@ -236,25 +228,22 @@ def modular_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
 
 def parseval_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
                    rng: np.random.Generator, count: int = 50) -> list[CheckResult]:
-    parseval_dev = hy_dev = 0.0
-    for _ in range(count):
-        f = weyl.random_element(rng, d.alpha, 2, decay=1.0)
-        table = fourier.hat_functional(f, d, box)
-        lhs = gns.state_eval(
-            weyl.star_product(weyl.involution(f), f), d, route="series")
-        parseval_dev = np.maximum(parseval_dev,
-                                  abs(lhs.real - table.l2() ** 2)
-                                  + abs(lhs.imag))
-    for _ in range(5):
-        f = weyl.random_element(rng, d.alpha, 2, decay=1.0)
-        x = gns.vacuum_image(f, d, box)
-        table = fourier.hat_vector(x)
-        norm = x.norm()
-        hy_dev = np.maximum(hy_dev, table.sup() - norm)
+    # the Parseval elements, then five Hausdorff-Young ones, one stack
+    probes = weyl._random_stack(rng, d.alpha, 2, count + 5, decay=1.0)
+    blocks, rows = gns._vacuum_rows(probes, d, box)
+    # each hat table's norm summed over its whole layout, as
+    # FourierCoeffs.l2 sums it, and squared as a Python float
+    norms = [float(l2(gns._spread(box, blocks, row))) for row in rows]
+    f = probes.take(slice(count))
+    lhs = gns._series(weyl._star_stack(weyl._involution_stack(f), f), d)
+    parseval_dev = np.max(np.abs(lhs.real - [n ** 2 for n in norms[:count]])
+                          + np.abs(lhs.imag), initial=0.0)
+    hy_dev = np.max(np.max(np.abs(rows[count:]), axis=(1, 2))
+                    - norms[count:], initial=0.0)
     return [
         check("parseval", parseval_dev, tols["parseval"],
               f"{count} random elements"),
-        check("hausdorff_young_endpoint", np.maximum(hy_dev, 0.0),
+        check("hausdorff_young_endpoint", hy_dev,
               tols["hausdorff_young_endpoint"],
               "sup coefficient vs vector norm"),
     ]

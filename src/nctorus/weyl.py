@@ -9,6 +9,14 @@ A table is two arrays, sorted distinct keys and their nonzero values.
 Arbitrary keys go through one reducer, :func:`_reduce`; tables whose
 keys are already sorted and distinct (random, scaled, adjoint) skip the
 sort, and the star product reads its sort from a bounded plan cache.
+
+The random draw, the star product, the adjoint and the table distance
+work on a :class:`_Stack`, many tables over one support with an exactly
+zero value for an absent key, with a leading table axis; the per-table
+functions are their stacks of one.  A verify suite that draws its
+probes as one stack thus takes the normals in the order of one draw per
+table, reads one plan per product, and gets each table with the bits
+of the per-table call.
 """
 
 from __future__ import annotations
@@ -102,6 +110,34 @@ def _element(alpha: float,
     out.alpha = float(alpha)
     out.keys, out.values = table
     return out
+
+
+class _Stack(NamedTuple):
+    """Tables over one support: ``values[i]`` are the values of table i
+    at the sorted distinct ``keys``, an exactly zero value standing for
+    an absent key, as a table holds none."""
+
+    alpha: float
+    keys: np.ndarray
+    values: np.ndarray
+
+    def take(self, index) -> "_Stack":
+        """The tables ``values[index]`` (a slice), over the same keys."""
+        return _Stack(self.alpha, self.keys, self.values[index])
+
+    def element(self, i: int) -> "WeylElement":
+        """Table i, its absent keys dropped."""
+        return _element(self.alpha, _nonzero(self.keys, self.values[i]))
+
+    def coefficient(self, m: int, n: int) -> np.ndarray:
+        """Each table's value at the key (m, n), zero when it is absent."""
+        hit = (self.keys[:, 0] == m) & (self.keys[:, 1] == n)
+        return self.values[:, hit].sum(axis=1)
+
+
+def _stack_of(f: "WeylElement") -> _Stack:
+    """A table as a stack of one."""
+    return _Stack(f.alpha, f.keys, f.values[None])
 
 
 class WeylElement:
@@ -235,6 +271,47 @@ def _plan(alpha: bytes, left: bytes,
     return phase, slot, keys
 
 
+# Pair terms per chunk of a stacked star product: a few MB of transient
+# arrays, however many tables the stack holds.
+_CHUNK_PAIRS = 1 << 14
+
+
+def _star_stack(f: _Stack, g: _Stack) -> _Stack:
+    """Star products ``f_i g_i`` of two stacks, a stack of one on either
+    side broadcast against the other, over the distinct pair sums.
+
+    The pair twists and sum slots come from one :func:`_plan`, and one
+    scatter-add over (table, slot) per chunk of tables sums every table
+    in the order of the double loop over ``f`` then ``g``, as the
+    product of two tables does.  A pair with an absent key adds nothing:
+    its term is set to zero, since zero times a NaN would not be.
+    """
+    _check_alpha(f, g)
+    phase, slot, keys = _plan(struct.pack("d", f.alpha), f.keys.tobytes(),
+                              g.keys.tobytes())
+    count = len(f.values) if len(g.values) == 1 else len(g.values)
+    step = max(1, _CHUNK_PAIRS // max(phase.size, 1))
+    sums = np.empty((count, len(keys)), dtype=complex)
+    for lo in range(0, count, step):
+        part = slice(lo, lo + step)
+        left = f.values[part if len(f.values) > 1 else slice(None), :, None]
+        right = g.values[part if len(g.values) > 1 else slice(None), None, :]
+        if len(f.values) == len(g.values) == 1:
+            # the two-table product in its own shapes: numpy rounds a
+            # lone 1 x 1 complex product without FMA, a stacked one with it
+            terms = (np.multiply.outer(left[0, :, 0], right[0, 0])
+                     * phase)[None]
+        else:
+            terms = left * right
+            np.multiply(terms, phase, out=terms)
+        if not (left.all() and right.all()):
+            terms[(left == 0) | (right == 0)] = 0.0
+        where = (np.arange(len(terms))[:, None] * len(keys) + slot).ravel()
+        sums[part] = _sum_runs(where, len(terms) * len(keys),
+                               terms.ravel()).reshape(len(terms), len(keys))
+    return _Stack(f.alpha, keys, sums)
+
+
 def star_product(f: WeylElement, g: WeylElement) -> WeylElement:
     """Twisted convolution realizing the symbol product.
 
@@ -242,20 +319,21 @@ def star_product(f: WeylElement, g: WeylElement) -> WeylElement:
     two supports and alpha, and come from the bounded plan cache
     :func:`_plan`.  Products that land on the same lattice point are
     summed in the order of the double loop over ``f`` then ``g``.  Cost
-    and memory are O(|f| |g|), however far apart the supports lie.
+    and memory are O(|f| |g|), however far apart the supports lie.  The
+    stack of one of :func:`_star_stack`.
     """
-    _check_alpha(f, g)
-    phase, slot, keys = _plan(struct.pack("d", f.alpha), f.keys.tobytes(),
-                              g.keys.tobytes())
-    values = np.multiply.outer(f.values, g.values) * phase
-    return _element(f.alpha, _nonzero(
-        keys, _sum_runs(slot, len(keys), values.ravel())))
+    return _star_stack(_stack_of(f), _stack_of(g)).element(0)
+
+
+def _involution_stack(f: _Stack) -> _Stack:
+    """Adjoint tables ``f_i*(a) = conj(f_i(-a))``; negating the sorted keys
+    and reversing them keeps them sorted."""
+    return _Stack(f.alpha, -f.keys[::-1], np.conj(f.values[:, ::-1]) + 0.0)
 
 
 def involution(f: WeylElement) -> WeylElement:
-    """Adjoint table ``f*(a) = conj(f(-a))``; negating the sorted keys
-    and reversing them keeps them sorted."""
-    return _element(f.alpha, _nonzero(-f.keys[::-1], np.conj(f.values[::-1])))
+    """Adjoint table, the stack of one of :func:`_involution_stack`."""
+    return _involution_stack(_stack_of(f)).element(0)
 
 
 def trace(f: WeylElement) -> complex:
@@ -268,9 +346,22 @@ def abstract_fourier_coeff(f: WeylElement, m: int, n: int) -> complex:
     return f[(m, n)]
 
 
+def _distances(f: _Stack, g: _Stack) -> np.ndarray:
+    """Sup of the coefficient differences ``f_i - g_i`` of two stacks over
+    the union of their supports (NaN when a coefficient is)."""
+    _check_alpha(f, g)
+    slot, keys = _runs(np.concatenate([f.keys, g.keys]))
+    diff = np.zeros((max(len(f.values), len(g.values)), len(keys)),
+                    dtype=complex)
+    diff[:, slot[:len(f.keys)]] = f.values
+    diff[:, slot[len(f.keys):]] -= g.values
+    return np.max(np.abs(diff), axis=1, initial=0.0)
+
+
 def table_distance(f: WeylElement, g: WeylElement) -> float:
-    """Sup of the coefficient difference (NaN when a coefficient is)."""
-    return float(np.max(np.abs((f - g).values), initial=0.0))
+    """Sup of the coefficient difference (NaN when a coefficient is); the
+    stack of one of :func:`_distances`."""
+    return float(_distances(_stack_of(f), _stack_of(g))[0])
 
 
 def weyl_relation_check(alpha: float, pairs: Iterable[tuple]) -> float:
@@ -304,26 +395,39 @@ def weyl_relation_check(alpha: float, pairs: Iterable[tuple]) -> float:
     return float(np.max(np.abs(deviation), initial=0.0))
 
 
+def _random_stack(rng: np.random.Generator, alpha: float, radius: int,
+                  count: int, decay: float = 0.0,
+                  scale: float = 1.0) -> _Stack:
+    """``count`` dense random tables on the box ``|m|, |n| <= radius``.
+
+    The keys are built in (m, n) order, and one draw of (table, key,
+    real/imaginary) normals takes them in the order ``count`` calls of
+    :func:`random_element` would; each part is divided by its damping on
+    its own, as a complex by a real number divides in Python.
+    """
+    span = np.arange(-radius, radius + 1)
+    keys = np.stack([np.repeat(span, len(span)), np.tile(span, len(span))],
+                    axis=1)
+    _check_keys(-radius, radius)
+    draws = scale * rng.standard_normal((count, len(keys), 2))
+    damping = np.array([(1.0 + s) ** decay for s in range(2 * radius + 1)])
+    weights = damping[np.abs(keys).sum(axis=1)]
+    values = np.empty((count, len(keys)), dtype=complex)
+    values.real = draws[..., 0] / weights + 0.0
+    values.imag = draws[..., 1] / weights + 0.0
+    keys.flags.writeable = False
+    return _Stack(float(alpha), keys, values)
+
+
 def random_element(rng: np.random.Generator, alpha: float, radius: int,
                    decay: float = 0.0, scale: float = 1.0) -> WeylElement:
     """Dense random table on the box ``|m|, |n| <= radius``.
 
     ``decay`` damps coefficients by ``(1 + |m| + |n|)^-decay`` so smooth
-    test elements are easy to draw.  The keys are built in (m, n) order,
-    and one draw of (real, imaginary) rows takes the normals in that
-    order; each part is divided by its damping on its own, as a complex
-    by a real number divides in Python.
+    test elements are easy to draw.  The stack of one of
+    :func:`_random_stack`.
     """
-    span = np.arange(-radius, radius + 1)
-    keys = np.stack([np.repeat(span, len(span)), np.tile(span, len(span))],
-                    axis=1)
-    draws = scale * rng.standard_normal((len(keys), 2))
-    damping = np.array([(1.0 + s) ** decay for s in range(2 * radius + 1)])
-    weights = damping[np.abs(keys).sum(axis=1)]
-    values = np.empty(len(keys), dtype=complex)
-    values.real = draws[:, 0] / weights
-    values.imag = draws[:, 1] / weights
-    return _element(alpha, _nonzero(keys, values))
+    return _random_stack(rng, alpha, radius, 1, decay, scale).element(0)
 
 
 def smooth_seminorm(f: WeylElement, d: DiffeoSpec, k_weight: int,

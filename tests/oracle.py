@@ -6,8 +6,8 @@ diagonals, a dense Gram eigensolve for the operator norm, the csv
 module cell by cell for the CLI tables, the whole operator for a vacuum
 read, every block through the chart transport, the orbit by full
 inverse solves, the star product and random tables by the reducer for
-arbitrary keys), kept out of ``src`` so that the package holds only
-what it calls or exports.
+arbitrary keys, the stacked verify suites one element at a time), kept
+out of ``src`` so that the package holds only what it calls or exports.
 """
 
 import csv
@@ -15,8 +15,9 @@ import math
 
 import numpy as np
 
-from nctorus import dirac, dynamics, grids, modular, weyl
-from nctorus.errors import GridMismatchError
+from nctorus import (dirac, dynamics, fourier, gns, grids, modular, verify,
+                     weyl)
+from nctorus.errors import AliasingError, GridMismatchError
 
 
 def _modes(coeffs) -> np.ndarray:
@@ -243,3 +244,102 @@ def random_element_by_coefficients(rng, alpha, radius, decay=0.0,
         ((m, n), scale * complex(rng.standard_normal(), rng.standard_normal())
          / (1.0 + abs(m) + abs(n)) ** decay)
         for m in span for n in span])
+
+
+def star_algebra_suite_by_element(alpha, tols, rng, count=100):
+    """``verify.star_algebra_suite`` one triple at a time through the
+    per-table functions."""
+    assoc = tracial = invol = recover = 0.0
+    for _ in range(count):
+        f = weyl.random_element(rng, alpha, 2)
+        g = weyl.random_element(rng, alpha, 2)
+        h = weyl.random_element(rng, alpha, 2)
+        left = weyl.star_product(weyl.star_product(f, g), h)
+        right = weyl.star_product(f, weyl.star_product(g, h))
+        assoc = np.maximum(assoc, weyl.table_distance(left, right))
+        tracial = np.maximum(tracial,
+                             abs(weyl.trace(weyl.star_product(f, g))
+                                 - weyl.trace(weyl.star_product(g, f))))
+        invol = np.maximum(invol, weyl.table_distance(
+            weyl.involution(weyl.star_product(f, g)),
+            weyl.star_product(weyl.involution(g), weyl.involution(f))))
+        probe = weyl.star_product(
+            weyl.WeylElement.generator(alpha, -1, -2), f)
+        recover = np.maximum(recover,
+                             abs(probe[(0, 0)]
+                                 - weyl.abstract_fourier_coeff(f, 1, 2)))
+    return [
+        verify.check("star_associativity", assoc, tols["star_associativity"],
+                     f"{count} random triples"),
+        verify.check("star_traciality", tracial, tols["star_traciality"],
+                     f"{count} random pairs"),
+        verify.check("star_involution", invol, tols["star_associativity"],
+                     "anti-homomorphism"),
+        verify.check("coefficient_recovery", recover,
+                     tols["star_associativity"], "generator pairing route"),
+    ]
+
+
+def modular_suite_by_element(d, box, tols, rng, count=20):
+    """``verify.modular_suite`` one element and one probe pair at a time
+    through ``tomita_check``, ``vacuum_image``, ``apply_J``,
+    ``conjugated_borel_apply`` and ``borel_identity_check``."""
+    tomita_dev = 0.0
+    for _ in range(count):
+        f = weyl.random_element(rng, d.alpha, 2, decay=2.0)
+        tomita_dev = np.maximum(tomita_dev, modular.tomita_check(f, d, box))
+    j_dev = anti_dev = borel_dev = 0.0
+    note = ""
+    try:
+        for _ in range(max(3, count // 4)):
+            f = weyl.random_element(rng, d.alpha, 2, decay=2.0)
+            g = weyl.random_element(rng, d.alpha, 2, decay=2.0)
+            x = gns.vacuum_image(f, d, box)
+            y = gns.vacuum_image(g, d, box)
+            j_dev = np.maximum(j_dev, (modular.conjugated_borel_apply(
+                x, ("power", 0.0), d) - x).norm())
+            anti_dev = np.maximum(anti_dev, abs(
+                modular.apply_J(x, d).inner(modular.apply_J(y, d))
+                - y.inner(x)))
+            for fn in (("power", 0.5), ("power", -1.0),
+                       ("rational", (1.0, 2.0), (1.0, 3.0))):
+                borel_dev = np.maximum(
+                    borel_dev, modular.borel_identity_check(fn, x, d))
+    except AliasingError as err:
+        j_dev = anti_dev = borel_dev = np.inf
+        note = str(err)
+    return [
+        verify.check("tomita_conjugation", tomita_dev, tols["tomita"],
+                     f"{count} random interior elements"),
+        verify.check("j_involution", j_dev, tols["borel"], note),
+        verify.check("j_antiunitary", anti_dev, tols["borel"], note),
+        verify.check("borel_identity", borel_dev, tols["borel"],
+                     note or "powers and a rational function"),
+    ]
+
+
+def parseval_suite_by_element(d, box, tols, rng, count=50):
+    """``verify.parseval_suite`` one element at a time through
+    ``hat_functional``, ``state_eval`` and ``vacuum_image``."""
+    parseval_dev = hy_dev = 0.0
+    for _ in range(count):
+        f = weyl.random_element(rng, d.alpha, 2, decay=1.0)
+        table = fourier.hat_functional(f, d, box)
+        lhs = gns.state_eval(
+            weyl.star_product(weyl.involution(f), f), d, route="series")
+        parseval_dev = np.maximum(parseval_dev,
+                                  abs(lhs.real - table.l2() ** 2)
+                                  + abs(lhs.imag))
+    for _ in range(5):
+        f = weyl.random_element(rng, d.alpha, 2, decay=1.0)
+        x = gns.vacuum_image(f, d, box)
+        table = fourier.hat_vector(x)
+        norm = x.norm()
+        hy_dev = np.maximum(hy_dev, table.sup() - norm)
+    return [
+        verify.check("parseval", parseval_dev, tols["parseval"],
+                     f"{count} random elements"),
+        verify.check("hausdorff_young_endpoint", np.maximum(hy_dev, 0.0),
+                     tols["hausdorff_young_endpoint"],
+                     "sup coefficient vs vector norm"),
+    ]

@@ -582,3 +582,31 @@ def test_context_waves_reduce_the_phase_exactly(bench):
     waves = gns._grid_waves(modes, 4096)
     gram = waves @ np.conj(waves.T) / 4096
     assert np.abs(gram - np.eye(len(modes))).max() <= 3.5e-16
+
+
+@pytest.mark.parametrize("name", ["bench", "rot"])
+@pytest.mark.parametrize("bounds", [(6, 8), (20, 20)])
+def test_stacked_vacuum_images_and_series_are_the_per_table_ones(
+        name, bounds, request):
+    """Eleven tables, a NaN in one: each table's vacuum image (built a
+    chunk at a time, two tables per chunk at K = 6) and its series state
+    are bit-equal to ``vacuum_image`` and ``state_eval``, and the NaN
+    stays in its own table's row of its own shift."""
+    d = request.getfixturevalue(name)
+    box = TruncationBox(*bounds)
+    stack = weyl._random_stack(np.random.default_rng(3), d.alpha, 2, 11,
+                               decay=1.0)
+    at = np.flatnonzero((stack.keys[:, 0] == 1) & (stack.keys[:, 1] == -1))
+    stack.values[4, at] = np.nan
+    images = gns._spread(box, *gns._vacuum_rows(stack, d, box))
+    series = gns._series(stack, d)
+    for i in range(11):
+        f = stack.element(i)
+        assert images[i].tobytes() == gns.vacuum_image(f, d, box
+                                                       ).coeffs.tobytes()
+        assert series[i].tobytes() == np.complex128(
+            gns.state_eval(f, d, route="series")).tobytes()
+    k = box.block_bound
+    assert np.isnan(images[4, k - 1]).all()
+    assert np.isfinite(np.delete(images[4], k - 1, axis=0)).all()
+    assert np.isfinite(np.delete(images, 4, axis=0)).all()

@@ -95,30 +95,40 @@ def test_tomita_is_exact_on_small_boxes(case, bounds, request, rng):
 
 def _root_rows_power(power):
     def rows(f, d, box):
-        root = gns.represent(f, d, box).apply_to_grid(
-            gns.vacuum(box).on_grid())
-        return root * gns._context(d, box).delta ** power
+        # every table through its whole operator, times delta^power,
+        # read at the blocks of the shifts
+        vacuum = gns.vacuum(box).on_grid()
+        delta = gns._context(d, box).delta ** power
+        full = np.stack([gns.represent(f.element(i), d, box).apply_to_grid(
+            vacuum) * delta for i in range(len(f.values))])
+        at = np.unique(f.keys[:, 1]) + box.block_bound
+        return at, full[:, at]
     return rows
 
 
-def _j_without_conjugate(ctx, rows):
+def _j_without_conjugate(ctx, blocks, rows):
     to_chart, phase, from_chart, _ = modular._transport(ctx)
-    return ctx.sqrt_delta * ((rows[::-1] @ to_chart * phase) @ from_chart)
+    at = ctx.box.n_blocks - 1 - blocks[::-1]
+    moved = (rows[..., ::-1, :] @ to_chart * phase[at]) @ from_chart
+    return at, ctx.sqrt_delta[at] * moved
 
 
-def _j_without_flip(ctx, rows):
+def _j_without_flip(ctx, blocks, rows):
     to_chart, phase, from_chart, _ = modular._transport(ctx)
-    return ctx.sqrt_delta * np.conj((rows @ to_chart * phase) @ from_chart)
+    moved = (rows @ to_chart * phase[blocks]) @ from_chart
+    return blocks, ctx.sqrt_delta[blocks] * np.conj(moved)
 
 
 @pytest.mark.parametrize("attr, mutant", [
-    ("_root_rows", _root_rows_power(0.5001)),
-    ("_root_rows", _root_rows_power(0.0)),
-    ("_j_on_grid", _j_without_conjugate),
-    ("_j_on_grid", _j_without_flip),
+    ("_root_stack", _root_rows_power(0.5001)),
+    ("_root_stack", _root_rows_power(0.0)),
+    ("_j_rows", _j_without_conjugate),
+    ("_j_rows", _j_without_flip),
 ], ids=["delta-power-0.5001", "no-sqrt-delta", "no-conjugate", "no-flip"])
 def test_tomita_gate_catches_mutants(bench, small_box, rng, monkeypatch,
                                      attr, mutant):
+    """The stacked kernels behind ``tomita_check`` (a stack of one),
+    mutated, fail the gate."""
     monkeypatch.setattr(modular, attr, mutant)
     assert tomita_worst(bench, small_box, rng) > tolerances.DEFAULTS["tomita"]
 
@@ -355,3 +365,34 @@ def test_conjugated_rows_of_a_window_equal_the_all_modes_rows(name, bounds,
         for window in windows:
             got = modular._conjugated_rows(ctx, i, np.array(window))
             assert np.array_equal(got, full[window])
+
+
+@pytest.mark.parametrize("name", ["bench", "rot"])
+@pytest.mark.parametrize("bounds", [(6, 8), (20, 20), (32, 32)])
+def test_stacked_j_rows_are_the_per_vector_rows(name, bounds, request):
+    """J of the live rows of a stack of nine ``Delta^{1/2} pi(f) xi``, in
+    one transport batch of 45 rows, is bit-equal row for row to J of each
+    vector through every block (``oracle.j_on_grid_all_rows``); a stack
+    of one vector with one live row is too.  ``_tomita_deviations`` of
+    the stack, run in chunks, is ``tomita_check`` table by table."""
+    d = request.getfixturevalue(name)
+    box = TruncationBox(*bounds)
+    ctx = gns._context(d, box)
+    stack = weyl._random_stack(np.random.default_rng(8), d.alpha, 2, 9,
+                               decay=2.0)
+    blocks, rows = modular._root_stack(stack, d, box)
+    at, moved = modular._j_rows(ctx, blocks, rows)
+    assert np.array_equal(at, box.n_blocks - 1 - blocks[::-1])
+    for i in range(9):
+        full = np.zeros((box.n_blocks, box.grid_size), dtype=complex)
+        full[blocks] = rows[i]
+        want = oracle.j_on_grid_all_rows(ctx, full)
+        assert np.array_equal(moved[i], want[at])
+    lone = rows[:1, 2:3]
+    full = np.zeros((box.n_blocks, box.grid_size), dtype=complex)
+    full[blocks[2]] = lone[0, 0]
+    assert np.array_equal(modular._j_rows(ctx, blocks[2:3], lone)[1][0],
+                          oracle.j_on_grid_all_rows(ctx, full)[at[-3:-2]])
+    deviations = modular._tomita_deviations(stack, d, box)
+    assert [float(v) for v in deviations] == [
+        modular.tomita_check(stack.element(i), d, box) for i in range(9)]

@@ -1,6 +1,7 @@
 """Verification suites fail closed on non-finite deviations."""
 
 import math
+import struct
 import sys
 import tracemalloc
 
@@ -11,10 +12,13 @@ from nctorus import dirac, dynamics, fourier, gns, modular, summation
 from nctorus import tolerances, verify, weyl
 from nctorus.gns import TruncationBox
 
+import oracle
+
 
 def test_nan_tomita_deviation_fails(rot, small_box, monkeypatch):
-    monkeypatch.setattr(modular, "tomita_check",
-                        lambda f, d, box: float("nan"))
+    """The suite reduces the stacked deviations; a NaN among them fails."""
+    monkeypatch.setattr(modular, "_tomita_deviations",
+                        lambda f, d, box: np.full(len(f.values), np.nan))
     rows = verify.modular_suite(rot, small_box, tolerances.resolve(),
                                 np.random.default_rng(1), count=3)
     row = next(r for r in rows if r.name == "tomita_conjugation")
@@ -263,6 +267,17 @@ def _with_nan_coefficient(real):
     return element
 
 
+def _with_nan_coefficients(real):
+    """Every table of the stack with a NaN added at (1, 1), as the
+    tables of ``_with_nan_coefficient`` have it."""
+    def stack(rng, alpha, radius, count, decay=0.0):
+        tables = real(rng, alpha, radius, count, decay=decay)
+        at = (tables.keys[:, 0] == 1) & (tables.keys[:, 1] == 1)
+        tables.values[:, at] += np.nan
+        return tables
+    return stack
+
+
 def test_a_nan_coefficient_fails_the_tomita_and_parseval_checks(
         bench, small_box, monkeypatch):
     """Its block alone is NaN, and that is enough to fail both gates."""
@@ -272,8 +287,8 @@ def test_a_nan_coefficient_fails_the_tomita_and_parseval_checks(
     tomita = modular.tomita_check(f, bench, small_box)
     assert not verify.check("tomita_conjugation", tomita,
                             tols["tomita"]).passed
-    monkeypatch.setattr(weyl, "random_element",
-                        _with_nan_coefficient(weyl.random_element))
+    monkeypatch.setattr(weyl, "_random_stack",
+                        _with_nan_coefficients(weyl._random_stack))
     rows = verify.parseval_suite(bench, small_box, tols,
                                  np.random.default_rng(2), count=3)
     for name in ("parseval", "hausdorff_young_endpoint"):
@@ -306,12 +321,166 @@ def test_star_product_plans_are_transparent(bench, small_box, monkeypatch):
 
 
 def test_quick_verify_builds_seven_star_product_plans(rot, small_box):
-    """The 198 star products of quick ``run_all`` meet seven distinct
-    pairs of supports, so the plan cache misses seven times.  A change
-    that defeats the cache (a key that differs between equal supports,
-    a bound below the pairs in use) raises the count."""
+    """The star products of quick ``run_all`` meet seven distinct pairs of
+    supports, so the plan cache misses seven times.  A change that
+    defeats the cache (a key that differs between equal supports, a
+    bound below the pairs in use) raises the count.  The products of
+    the star algebra and Parseval probes run as stacks, one plan lookup
+    per stacked product: 16 lookups, where one product per table took
+    198."""
     weyl._plan.cache_clear()
     verify.run_all(rot, small_box, tolerances.resolve(), quick=True)
     info = weyl._plan.cache_info()
     assert info.misses == 7
-    assert info.hits + info.misses == 198
+    assert info.hits + info.misses == 16
+
+
+@pytest.mark.parametrize("name", ["bench", "rot"])
+@pytest.mark.parametrize("bounds", [(6, 8), (8, 10)])
+def test_stacked_suites_give_the_per_element_values(name, bounds, request,
+                                                    monkeypatch):
+    """Quick ``run_all`` with the star algebra, modular and Parseval
+    suites run one element at a time (``tests/oracle.py``) gives the
+    stacked suites' rows: every observed value to the bit but
+    ``tomita_conjugation``, which is held within 1e-16.  On the benchmark
+    at K = 6, M = 8 the J probes trip the aliasing gate, and both routes
+    report the same first tripped gate."""
+    d = request.getfixturevalue(name)
+    box, tols = TruncationBox(*bounds), tolerances.resolve()
+    stacked = verify.run_all(d, box, tols, quick=True)
+    for suite in ("star_algebra_suite", "modular_suite", "parseval_suite"):
+        monkeypatch.setattr(verify, suite,
+                            getattr(oracle, f"{suite}_by_element"))
+    reference = verify.run_all(d, box, tols, quick=True)
+    assert [r.name for r in stacked] == [r.name for r in reference]
+    for got, want in zip(stacked, reference):
+        assert (got.tolerance, got.passed, got.note) == (
+            want.tolerance, want.passed, want.note), got.name
+        if got.name == "tomita_conjugation":
+            assert abs(got.observed - want.observed) <= 1e-16
+        else:
+            assert struct.pack("d", got.observed) == struct.pack(
+                "d", want.observed), got.name
+
+
+def _one_wrong_phase_in_the_last_table(real):
+    """The stacked product with one pair twist of its last table
+    conjugated: the fault is in that table only."""
+    def star(f, g):
+        out = real(f, g)
+        if len(out.values) < 2:
+            return out
+        phase, slot, _ = weyl._plan(struct.pack("d", f.alpha),
+                                    f.keys.tobytes(), g.keys.tobytes())
+        pair = np.flatnonzero(np.abs(phase.imag) > 0.1)[0]
+        a, b = divmod(pair, phase.shape[1])
+        values = out.values.copy()
+        values[-1, slot[pair]] += (f.values[-1, a] * g.values[-1, b]
+                                   * (np.conj(phase[a, b]) - phase[a, b]))
+        return weyl._Stack(out.alpha, out.keys, values)
+    return star
+
+
+def _nan_in_the_last_table(real):
+    def mutant(f, *args):
+        values = f.values.copy()
+        values[-1, len(f.keys) // 2] = np.nan  # the origin of a box support
+        return real(weyl._Stack(f.alpha, f.keys, values), *args)
+    return mutant
+
+
+def _unconjugated_last_row(real, faulty):
+    """J with the conjugate left out of the last row of the transports
+    numbered in ``faulty`` (from 1, in call order)."""
+    calls = []
+
+    def j_rows(ctx, blocks, rows):
+        at, moved = real(ctx, blocks, rows)
+        calls.append(len(rows))
+        if len(calls) in faulty:
+            moved = moved.copy()
+            last = (-1,) * (moved.ndim - 1)
+            moved[last] = np.conj(moved[last])
+        return at, moved
+    return j_rows
+
+
+def test_a_wrong_phase_in_the_last_table_fails_associativity(bench,
+                                                             monkeypatch):
+    tols, rng = tolerances.resolve(), np.random.default_rng(5)
+    rows = verify.star_algebra_suite(bench.alpha, tols, rng, count=7)
+    assert _row(rows, "star_associativity").passed
+    monkeypatch.setattr(weyl, "_star_stack",
+                        _one_wrong_phase_in_the_last_table(weyl._star_stack))
+    rows = verify.star_algebra_suite(bench.alpha, tols,
+                                     np.random.default_rng(5), count=7)
+    assert not _row(rows, "star_associativity").passed
+
+
+def test_a_nan_in_the_last_table_fails_parseval_and_hausdorff_young(
+        rot, small_box, monkeypatch):
+    """The Parseval series and the vacuum images each reduce a stack; a
+    NaN coefficient in the last table of either fails its row.  Twelve
+    tables run in chunks of two at K = 6."""
+    tols = tolerances.resolve()
+    rows = verify.parseval_suite(rot, small_box, tols,
+                                 np.random.default_rng(5), count=7)
+    assert all(r.passed for r in rows)
+    monkeypatch.setattr(gns, "_series", _nan_in_the_last_table(gns._series))
+    monkeypatch.setattr(gns, "_vacuum_rows",
+                        _nan_in_the_last_table(gns._vacuum_rows))
+    rows = verify.parseval_suite(rot, small_box, tols,
+                                 np.random.default_rng(5), count=7)
+    for name in ("parseval", "hausdorff_young_endpoint"):
+        assert math.isnan(_row(rows, name).observed), name
+        assert not _row(rows, name).passed, name
+
+
+def test_an_unconjugated_last_j_row_fails_tomita_and_borel(rot, small_box,
+                                                          monkeypatch):
+    """At K = 6 the seven Tomita tables run in chunks of two, so the
+    fourth transport holds the last table alone; the tenth is the second
+    transport of the last of three probe pairs, whose last row is the
+    rational function's.  The fault sits in those two rows only."""
+    tols = tolerances.resolve()
+    rows = verify.modular_suite(rot, small_box, tols,
+                                np.random.default_rng(5), count=7)
+    assert all(r.passed for r in rows)
+    monkeypatch.setattr(modular, "_j_rows",
+                        _unconjugated_last_row(modular._j_rows, {4, 10}))
+    rows = verify.modular_suite(rot, small_box, tols,
+                                np.random.default_rng(5), count=7)
+    for name in ("tomita_conjugation", "borel_identity"):
+        assert not _row(rows, name).passed, name
+
+
+def test_modular_suite_memory_stays_within_the_per_element_peak(bench):
+    """With the transport built, ``modular_suite`` at K = M = 20, count
+    50, seed 1 peaks at or below 910177 traced bytes, the peak of the
+    per-element suite it replaces (measured on that code; these stacks
+    read about 647000).  Its stacks carry live rows only, a chunk at a
+    time, so no stack holds more grid rows than one vector."""
+    box, tols = TruncationBox(20, 20), tolerances.resolve()
+    verify.modular_suite(bench, box, tols, np.random.default_rng(0), count=5)
+    tracemalloc.start()
+    try:
+        rows = verify.modular_suite(bench, box, tols,
+                                    np.random.default_rng(1), count=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in rows)
+    assert peak <= 910177
+
+
+def test_stacked_suites_take_a_zero_count(bench):
+    """No Tomita, Parseval or star-algebra table: the rows read 0.0, as
+    the per-element loops that ran zero times did."""
+    box, tols = TruncationBox(16, 16), tolerances.resolve()
+    for suite, args in (("modular_suite", (bench, box, tols)),
+                        ("parseval_suite", (bench, box, tols)),
+                        ("star_algebra_suite", (bench.alpha, tols))):
+        got = getattr(verify, suite)(*args, np.random.default_rng(1), count=0)
+        want = getattr(oracle, f"{suite}_by_element")(
+            *args, np.random.default_rng(1), count=0)
+        assert got == want, suite

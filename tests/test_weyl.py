@@ -480,3 +480,84 @@ def test_plan_cache_keys_on_the_bits_of_alpha():
         weyl.star_product(unit, unit)
     info = weyl._plan.cache_info()
     assert (info.misses, info.hits) == (2, 1)
+
+
+@over_oracle_alphas
+def test_random_stack_is_the_sequential_draws(alpha):
+    """A stack of draws holds the tables of as many draws one after the
+    other, bit for bit, and leaves the generator where they leave it."""
+    for radius in range(4):
+        for decay in (0, 1, 2.5):
+            for scale in (1.0, -0.5):
+                seed = 10 * radius + int(2 * decay)
+                rng = np.random.default_rng(seed)
+                one_by_one = np.random.default_rng(seed)
+                stack = weyl._random_stack(rng, alpha, radius, 5, decay,
+                                           scale)
+                for i in range(5):
+                    assert_same_table(
+                        stack.element(i),
+                        oracle.random_element_by_coefficients(
+                            one_by_one, alpha, radius, decay, scale))
+                assert rng.random() == one_by_one.random()
+
+
+def _one_support(alpha, tables):
+    """The tables as one stack over the union of their supports, an
+    absent key held as an exact zero."""
+    slot, keys = weyl._runs(np.concatenate([t.keys for t in tables]))
+    values = np.zeros((len(tables), len(keys)), dtype=complex)
+    ends = np.cumsum([len(t) for t in tables])
+    for i, (t, end) in enumerate(zip(tables, ends)):
+        values[i, slot[end - len(t):end]] = t.values
+    return weyl._Stack(alpha, keys, values)
+
+
+def _assert_stacked_products(alpha, lefts, rights):
+    product = weyl._star_stack(_one_support(alpha, lefts),
+                               _one_support(alpha, rights))
+    pairs = zip(lefts * len(rights), rights) if len(lefts) == 1 else zip(
+        lefts, rights * len(lefts) if len(rights) == 1 else rights)
+    for i, (f, g) in enumerate(pairs):
+        assert_same_table(product.element(i),
+                          oracle.star_product_by_pairs(f, g))
+
+
+@over_oracle_alphas
+def test_star_stack_is_bit_identical_to_the_per_pair_products(alpha):
+    """Equal supports, different supports in one call (an absent key is
+    a zero of the stack), a stack of one against many, and a NaN
+    coefficient met by an absent key, which must add nothing.  No pair
+    holds two one-key tables: numpy rounds that lone 1 x 1 product
+    without FMA, a stacked one with it."""
+    rng = np.random.default_rng(17)
+    same = [weyl.random_element(rng, alpha, 2, 1.0) for _ in range(8)]
+    _assert_stacked_products(alpha, same[:4], same[4:])
+    mixed = [weyl.random_element(rng, alpha, r, 1.0) for r in (0, 1, 2, 3)]
+    mixed.append(weyl.WeylElement(alpha, {(0, 0): 1.0, (1, 0): 1.0}))
+    far = weyl.WeylElement(alpha, {(0, -2 ** 40): 1.0 - 2j, (3, 1): 0.5j})
+    _assert_stacked_products(alpha, mixed, mixed[::-1])
+    _assert_stacked_products(alpha, mixed + [far], [far] + mixed)
+    _assert_stacked_products(alpha, same[:1], mixed)
+    _assert_stacked_products(alpha, mixed, same[-1:])
+    nan = same[0] + weyl.WeylElement(alpha, {(1, -1): complex("nan"),
+                                             (0, 2): complex(1.0, np.nan)})
+    _assert_stacked_products(alpha, [mixed[1], nan, mixed[2]],
+                             [nan, mixed[1], nan])
+
+
+@over_oracle_alphas
+def test_stacked_adjoints_and_distances_are_the_per_table_ones(alpha):
+    rng = np.random.default_rng(23)
+    tables = [weyl.random_element(rng, alpha, r, 0.5) for r in (0, 1, 2, 3)]
+    tables.append(tables[1] + weyl.WeylElement(alpha, {(0, 1): np.nan}))
+    stack = _one_support(alpha, tables)
+    adjoints = weyl._involution_stack(stack)
+    for i, f in enumerate(tables):
+        assert_same_table(adjoints.element(i), weyl._element(
+            alpha, weyl._reduce(-f.keys, np.conj(f.values))))
+    others = tables[1:] + tables[:1]
+    got = weyl._distances(stack, _one_support(alpha, others))
+    want = [float(np.max(np.abs((f - g).values), initial=0.0))
+            for f, g in zip(tables, others)]
+    assert struct.pack("5d", *got) == struct.pack("5d", *want)
