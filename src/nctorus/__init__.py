@@ -23,14 +23,15 @@ from .gns import (GnsOperator, GnsVector, TruncationBox, basis_vector,
                   build_u_kl, represent, state_coefficients, state_eval,
                   vacuum, vacuum_image)
 from .modular import (apply_J, apply_delta_power, borel_apply,
-                      borel_identity_check, tomita_check)
+                      borel_identity_check, conjugated_borel_apply,
+                      tomita_check)
 from .summation import (SummationKernel, TransferencePoint,
                         convergence_profile, smoothed_mean, transfer_operator,
                         transfer_vector, transference_integral_check,
                         wts_deviation)
 from .weyl import (SymplecticPair, WeylElement, abstract_fourier_coeff,
                    involution, random_element, smooth_seminorm, star_product,
-                   table_distance, trace, weyl_relation_check)
+                   trace, weyl_relation_check)
 
 __version__ = "0.1.0"
 

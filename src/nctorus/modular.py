@@ -14,9 +14,16 @@ conjugated Borel calculus, the paren synthesis and the Dirac oracle
 apply it, and the paren pairings against the conjugated basis
 ``eps_kl = J e_kl`` apply its transpose.  :func:`_j_rows` moves the live
 rows of a whole stack of vectors in one batch, each row with the bits it
-has in any other batch; J on a single vector, :func:`tomita_check` and
-the verify probes (:func:`_tomita_deviations`, :func:`_probe_pair`) are
-its callers.
+has in any other batch.  :func:`_tomita_deviations` checks the Tomita
+relation on a stack of tables, :func:`tomita_check` being its stack of
+one.  :func:`_borel_stack` gives J and the conjugated Borel calculus
+``J fn(Delta) J`` on a stack of vectors, two transports for any number
+of fns: :func:`apply_J`, :func:`conjugated_borel_apply` and
+:func:`borel_identity_check` read it on one vector, and verify's J
+probes (:func:`_probe_pair`) on a pair.  Projecting the intermediate
+``J x`` onto the retained band would contaminate the composite with
+truncation error that neither route owns, so it stays at grid
+resolution.
 
 Powers and more general Borel functions of Delta are blockwise grid
 multiplications followed by re-projection onto the retained modes; the
@@ -129,13 +136,8 @@ def _j_rows(ctx, blocks: np.ndarray,
 
 def _j_on_grid(ctx, rows: np.ndarray) -> np.ndarray:
     """One J step on raw grid rows, keeping all grid modes: the vector
-    case of :func:`_j_rows`, with the live rows found here.
-
-    A zero row stays exactly zero.  The conjugated Borel calculus chains
-    these steps: projecting the intermediate vectors onto the retained
-    band would contaminate the composite with truncation error that
-    neither route owns.
-    """
+    case of :func:`_j_rows`, with the live rows found here.  A zero row
+    stays exactly zero."""
     blocks = _live(rows)
     return _spread(ctx.box, *_j_rows(ctx, blocks, rows[blocks]))
 
@@ -175,12 +177,6 @@ def _conjugated_rows(ctx, i: int, modes: np.ndarray) -> np.ndarray:
     flip = ctx.box.n_blocks - 1 - i
     return ctx.sqrt_delta[flip] * np.conj(
         _times(wave_spectra[modes] * phase[flip], from_chart))
-
-
-def apply_J(x: GnsVector, d: DiffeoSpec) -> GnsVector:
-    """Modular conjugation, an antiunitary involution."""
-    rows = _j_on_grid(_context(d, x.box), x.on_grid())
-    return _reproject(x, rows, "J")
 
 
 def _root_stack(f: _Stack, d: DiffeoSpec,
@@ -253,27 +249,70 @@ def borel_apply(x: GnsVector, fn, d: DiffeoSpec) -> GnsVector:
     return _reproject(x, rows, "Borel calculus")
 
 
+def _borel_stack(ctx, blocks: np.ndarray, rows: np.ndarray, norms, fns):
+    """J and the conjugated Borel calculus on a stack of vectors.
+
+    ``rows[i]`` holds the grid rows of vector ``x_i`` at the ascending
+    ``blocks`` (every other block zero) and ``norms[i]`` its norm.  One
+    transport moves the rows of the whole stack; one more moves the rows
+    of ``J x_0`` times ``fn(Delta)`` for every fn of ``fns``, so the
+    intermediates stay at grid resolution and only the results are
+    projected.  Returns three readers, each projecting onto the band
+    through its aliasing gate when called, so a caller meets the gates
+    in the order it reads: ``j(i)`` gives the coefficients of ``J x_i``,
+    ``left(k)`` those of ``J fn_k(Delta) J x_0`` and ``right(k)`` those
+    of ``conj-fn_k(Delta^{-1}) x_0``.  The fns are evaluated on the
+    occupied blocks only.
+    """
+    box = ctx.box
+    at, moved = _j_rows(ctx, blocks, rows)
+    forward = np.array([_fn_values(fn, ctx.delta[at]) for fn in fns],
+                       dtype=complex).reshape((len(fns),) + moved.shape[1:])
+    back_at, back = _j_rows(ctx, at, moved[0] * forward)
+
+    def gated(where, grid_rows, norm, label):
+        return _spread(box, where, _band(box, grid_rows, norm, label))
+
+    def j(i):
+        return gated(at, moved[i], norms[i], "J")
+
+    def left(k):
+        return gated(back_at, back[k], norms[0], "conjugated Borel calculus")
+
+    def right(k):
+        inverse = _fn_values(fns[k], ctx.delta[blocks], inverse=True,
+                             conjugate=True)
+        return gated(blocks, rows[0] * inverse, norms[0], "Borel calculus")
+
+    return j, left, right
+
+
+def _borel_vector(x: GnsVector, d: DiffeoSpec, fns):
+    """:func:`_borel_stack` on the live rows of one vector."""
+    rows = x.on_grid()
+    blocks = _live(rows)
+    return _borel_stack(_context(d, x.box), blocks, rows[None, blocks],
+                        [x.norm()], fns)
+
+
+def apply_J(x: GnsVector, d: DiffeoSpec) -> GnsVector:
+    """Modular conjugation, an antiunitary involution."""
+    return GnsVector(x.box, _borel_vector(x, d, ())[0](0))
+
+
 def conjugated_borel_apply(x: GnsVector, fn, d: DiffeoSpec) -> GnsVector:
     """Apply ``J fn(Delta) J`` with intermediates at grid resolution.
 
     Only the final result is projected back onto the retained band, so
     the composite is exact up to grid aliasing of analytic tails.
     """
-    ctx = _context(d, x.box)
-    rows = _j_on_grid(ctx, x.on_grid())
-    rows = rows * _fn_values(fn, ctx.delta)
-    rows = _j_on_grid(ctx, rows)
-    return _reproject(x, rows, "conjugated Borel calculus")
+    return GnsVector(x.box, _borel_vector(x, d, (fn,))[1](0))
 
 
 def borel_identity_check(fn, x: GnsVector, d: DiffeoSpec) -> float:
     """Deviation in ``J fn(Delta) J = conj-fn(Delta^{-1})`` applied to x."""
-    left = conjugated_borel_apply(x, fn, d)
-    ctx = _context(d, x.box)
-    rows = x.on_grid() * _fn_values(fn, ctx.delta, inverse=True,
-                                    conjugate=True)
-    right = _reproject(x, rows, "Borel calculus")
-    return (left - right).norm()
+    _, left, right = _borel_vector(x, d, (fn,))
+    return float(l2(left(0) - right(0)))
 
 
 def _probe_pair(f: _Stack, d: DiffeoSpec, box: TruncationBox,
@@ -282,37 +321,18 @@ def _probe_pair(f: _Stack, d: DiffeoSpec, box: TruncationBox,
     ``|J J x - x|``, ``|<J x, J y> - <y, x>|`` and the largest
     ``|J fn(Delta) J x - conj-fn(Delta^{-1}) x|`` over fns.
 
-    Each value has the bits of :func:`conjugated_borel_apply` at the
-    power 0, :func:`apply_J` and :func:`borel_identity_check`, and the
-    aliasing gates are met in their order, so the first to trip raises
-    the same error; the fns are evaluated on the occupied blocks only.
-    Two transports: J of the live rows of ``[x; y]``, then J of the rows
-    of ``J x`` times ``fn(Delta)`` for the power 0 and each fn.
+    One :func:`_borel_stack` of ``[x; y]`` with the power 0 ahead of the
+    fns, read in the order of :func:`conjugated_borel_apply` at the power
+    0, :func:`apply_J` on x and y, and :func:`borel_identity_check` for
+    each fn, so each value has their bits and the first aliasing gate to
+    trip raises their error.
     """
-    ctx = _context(d, box)
     blocks, coeffs = _vacuum_rows(f, d, box)
     x, y = _spread(box, blocks, coeffs)
-    norms = [float(l2(x)), float(l2(y))]
-    rows = on_grid(coeffs, box.grid_size)
-    at, moved = _j_rows(ctx, blocks, rows)
-    forward = np.stack([_fn_values(fn, ctx.delta[at])
-                        for fn in (("power", 0.0),) + fns])
-    back = _j_rows(ctx, at, moved[0] * forward)[1]
-
-    def conjugated(k):
-        return _spread(box, blocks, _band(
-            box, back[k], norms[0], "conjugated Borel calculus"))
-
-    involution = float(l2(conjugated(0) - x))
-    jx, jy = (_spread(box, at, _band(box, moved[k], norms[k], "J"))
-              for k in (0, 1))
-    anti = abs(complex(inner(jx, jy)) - complex(inner(y, x)))
-    borel = []
-    for k, fn in enumerate(fns, start=1):
-        left = conjugated(k)
-        inverse = _fn_values(fn, ctx.delta[blocks], inverse=True,
-                             conjugate=True)
-        right = _spread(box, blocks, _band(box, rows[0] * inverse, norms[0],
-                                           "Borel calculus"))
-        borel.append(float(l2(left - right)))
+    j, left, right = _borel_stack(
+        _context(d, box), blocks, on_grid(coeffs, box.grid_size),
+        [float(l2(x)), float(l2(y))], (("power", 0.0),) + fns)
+    involution = float(l2(left(0) - x))
+    anti = abs(complex(inner(j(0), j(1))) - complex(inner(y, x)))
+    borel = [float(l2(left(k) - right(k))) for k in range(1, len(fns) + 1)]
     return involution, anti, np.max(borel, initial=0.0)

@@ -173,6 +173,9 @@ def gns_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
         star_rep = gns.represent(weyl.involution(f), d, box)
         adj_dev = np.maximum(adj_dev, abs(af.apply(x).inner(y)
                                           - x.inner(star_rep.apply(y))))
+        # each operator holds every block of its shifts; freed here, the
+        # next pair's are not built while these are alive
+        del af, ag, afg, star_rep
 
     state_dev = 0.0
     for _ in range(hom_count):

@@ -358,12 +358,6 @@ def _distances(f: _Stack, g: _Stack) -> np.ndarray:
     return np.max(np.abs(diff), axis=1, initial=0.0)
 
 
-def table_distance(f: WeylElement, g: WeylElement) -> float:
-    """Sup of the coefficient difference (NaN when a coefficient is); the
-    stack of one of :func:`_distances`."""
-    return float(_distances(_stack_of(f), _stack_of(g))[0])
-
-
 def weyl_relation_check(alpha: float, pairs: Iterable[tuple]) -> float:
     """Deviation of generator products from the exponential relation.
 

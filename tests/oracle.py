@@ -221,6 +221,12 @@ def rotation_number_by_iterates(d, iterations: int = 256) -> float:
     return total / weight_sum
 
 
+def table_distance(f, g) -> float:
+    """Sup of the coefficient difference of two tables (NaN when a
+    coefficient is), through the table subtraction."""
+    return float(np.max(np.abs((f - g).values), initial=0.0))
+
+
 def star_product_by_pairs(f, g):
     """The twisted convolution without a plan: the pair phases over the
     two supports, the pair sums ``a + b`` and the reducer for arbitrary
@@ -256,11 +262,11 @@ def star_algebra_suite_by_element(alpha, tols, rng, count=100):
         h = weyl.random_element(rng, alpha, 2)
         left = weyl.star_product(weyl.star_product(f, g), h)
         right = weyl.star_product(f, weyl.star_product(g, h))
-        assoc = np.maximum(assoc, weyl.table_distance(left, right))
+        assoc = np.maximum(assoc, table_distance(left, right))
         tracial = np.maximum(tracial,
                              abs(weyl.trace(weyl.star_product(f, g))
                                  - weyl.trace(weyl.star_product(g, f))))
-        invol = np.maximum(invol, weyl.table_distance(
+        invol = np.maximum(invol, table_distance(
             weyl.involution(weyl.star_product(f, g)),
             weyl.star_product(weyl.involution(g), weyl.involution(f))))
         probe = weyl.star_product(
@@ -280,10 +286,35 @@ def star_algebra_suite_by_element(alpha, tols, rng, count=100):
     ]
 
 
+def apply_J_by_grid(x, d):
+    """``modular.apply_J`` on the whole (2K + 1, G) grid array of x, each
+    step finding its own live rows, and the band of every block."""
+    rows = modular._j_on_grid(gns._context(d, x.box), x.on_grid())
+    return modular._reproject(x, rows, "J")
+
+
+def conjugated_borel_by_grid(x, fn, d):
+    """``modular.conjugated_borel_apply`` as two J steps on whole grid
+    arrays."""
+    ctx = gns._context(d, x.box)
+    rows = modular._j_on_grid(ctx, x.on_grid())
+    rows = rows * modular._fn_values(fn, ctx.delta)
+    rows = modular._j_on_grid(ctx, rows)
+    return modular._reproject(x, rows, "conjugated Borel calculus")
+
+
+def borel_identity_by_grid(fn, x, d):
+    """``modular.borel_identity_check`` on whole grid arrays."""
+    left = conjugated_borel_by_grid(x, fn, d)
+    rows = x.on_grid() * modular._fn_values(
+        fn, gns._context(d, x.box).delta, inverse=True, conjugate=True)
+    return (left - modular._reproject(x, rows, "Borel calculus")).norm()
+
+
 def modular_suite_by_element(d, box, tols, rng, count=20):
     """``verify.modular_suite`` one element and one probe pair at a time
-    through ``tomita_check``, ``vacuum_image``, ``apply_J``,
-    ``conjugated_borel_apply`` and ``borel_identity_check``."""
+    through ``tomita_check``, ``vacuum_image`` and the whole-grid J and
+    Borel routes above."""
     tomita_dev = 0.0
     for _ in range(count):
         f = weyl.random_element(rng, d.alpha, 2, decay=2.0)
@@ -296,15 +327,15 @@ def modular_suite_by_element(d, box, tols, rng, count=20):
             g = weyl.random_element(rng, d.alpha, 2, decay=2.0)
             x = gns.vacuum_image(f, d, box)
             y = gns.vacuum_image(g, d, box)
-            j_dev = np.maximum(j_dev, (modular.conjugated_borel_apply(
+            j_dev = np.maximum(j_dev, (conjugated_borel_by_grid(
                 x, ("power", 0.0), d) - x).norm())
             anti_dev = np.maximum(anti_dev, abs(
-                modular.apply_J(x, d).inner(modular.apply_J(y, d))
+                apply_J_by_grid(x, d).inner(apply_J_by_grid(y, d))
                 - y.inner(x)))
             for fn in (("power", 0.5), ("power", -1.0),
                        ("rational", (1.0, 2.0), (1.0, 3.0))):
                 borel_dev = np.maximum(
-                    borel_dev, modular.borel_identity_check(fn, x, d))
+                    borel_dev, borel_identity_by_grid(fn, x, d))
     except AliasingError as err:
         j_dev = anti_dev = borel_dev = np.inf
         note = str(err)

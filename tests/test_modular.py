@@ -396,3 +396,41 @@ def test_stacked_j_rows_are_the_per_vector_rows(name, bounds, request):
     deviations = modular._tomita_deviations(stack, d, box)
     assert [float(v) for v in deviations] == [
         modular.tomita_check(stack.element(i), d, box) for i in range(9)]
+
+
+def _outcome(route, *args):
+    """The coefficient bytes (or the float) a route returns, or the
+    message of the aliasing gate it trips."""
+    try:
+        value = route(*args)
+    except AliasingError as err:
+        return str(err)
+    return np.asarray(getattr(value, "coeffs", value)).tobytes()
+
+
+@pytest.mark.parametrize("name", ["bench", "rot"])
+def test_borel_readers_keep_the_whole_grid_bits(name, request, box,
+                                                small_box, rng):
+    """``apply_J``, ``conjugated_borel_apply`` and
+    ``borel_identity_check``, read from one ``_borel_stack`` of live
+    rows, equal the whole-grid routes of ``oracle`` bit for bit (a
+    complex rational function included), and a rough vector trips the
+    same gate with the same message on the benchmark."""
+    d = request.getfixturevalue(name)
+    fns = (("power", 0.0), ("power", 0.5), ("power", -1.0),
+           ("rational", (1.0, 2.0), (1.0, 3.0)),
+           ("rational", (1j, 2.0), (1.0, 3.0 - 1j)))
+    vectors = [orbit_vector(d, box, rng), orbit_vector(d, box, rng, 4, 3.0),
+               gns.random_vector(rng, small_box)]
+    for x in vectors:
+        assert (_outcome(modular.apply_J, x, d)
+                == _outcome(oracle.apply_J_by_grid, x, d))
+        for fn in fns:
+            assert (_outcome(modular.conjugated_borel_apply, x, fn, d)
+                    == _outcome(oracle.conjugated_borel_by_grid, x, fn, d))
+            assert (_outcome(modular.borel_identity_check, fn, x, d)
+                    == _outcome(oracle.borel_identity_by_grid, fn, x, d))
+    # the rotation's J moves no mass out of the band
+    tripped = isinstance(_outcome(modular.apply_J, vectors[-1], d), str)
+    assert tripped == (name == "bench")
+    assert isinstance(_outcome(modular.apply_J, vectors[0], d), bytes)

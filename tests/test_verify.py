@@ -473,6 +473,23 @@ def test_modular_suite_memory_stays_within_the_per_element_peak(bench):
     assert peak <= 910177
 
 
+def test_gns_suite_frees_each_pairs_operators(bench):
+    """With the context built, ``gns_suite`` at K = M = 20, seed 1 peaks
+    below 6.9e6 traced bytes (about 6.35e6 here).  Built while the last
+    pair's four operators were still alive, the operators of a
+    homomorphism pair peaked at 7505944."""
+    box, tols = TruncationBox(20, 20), tolerances.resolve()
+    verify.gns_suite(bench, box, tols, np.random.default_rng(0), hom_count=2)
+    tracemalloc.start()
+    try:
+        rows = verify.gns_suite(bench, box, tols, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in rows)
+    assert peak < 6.9e6
+
+
 def test_stacked_suites_take_a_zero_count(bench):
     """No Tomita, Parseval or star-algebra table: the rows read 0.0, as
     the per-element loops that ran zero times did."""

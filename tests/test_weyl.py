@@ -40,7 +40,7 @@ def test_weyl_relation_quarter_alpha():
     lhs = weyl.star_product(u, v)
     assert_allclose(lhs[(1, 1)], 1j, atol=1e-15)
     rhs = weyl.star_product(v, u).scaled(-1.0)
-    assert weyl.table_distance(lhs, rhs) < 1e-15
+    assert oracle.table_distance(lhs, rhs) < 1e-15
 
 
 def test_relation_sweep_all_alphas():
@@ -81,7 +81,7 @@ def test_star_associativity_property(entries):
     h = weyl.WeylElement(ALPHA, {(-2, 0): 1.1 + 0.2j, (1, 1): 0.4})
     left = weyl.star_product(weyl.star_product(f, g), h)
     right = weyl.star_product(f, weyl.star_product(g, h))
-    assert weyl.table_distance(left, right) < 1e-12
+    assert oracle.table_distance(left, right) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -92,8 +92,9 @@ def test_star_algebra_axioms_property(m, n, re, im):
     g = weyl.WeylElement(ALPHA, {(1, 0): 1.0 - 0.5j})
     lhs = weyl.involution(weyl.star_product(f, g))
     rhs = weyl.star_product(weyl.involution(g), weyl.involution(f))
-    assert weyl.table_distance(lhs, rhs) < 1e-12
-    assert weyl.table_distance(weyl.involution(weyl.involution(f)), f) < 1e-15
+    assert oracle.table_distance(lhs, rhs) < 1e-12
+    twice = weyl.involution(weyl.involution(f))
+    assert oracle.table_distance(twice, f) < 1e-15
 
 
 def test_traciality_of_the_trace():
@@ -115,7 +116,7 @@ def test_serialization_roundtrip():
     f = weyl.WeylElement(ALPHA, {(2, -1): 1.5 - 0.5j, (0, 0): 1j})
     again = weyl.WeylElement.from_dict(f.to_dict())
     assert again.alpha == f.alpha
-    assert weyl.table_distance(again, f) == 0.0
+    assert oracle.table_distance(again, f) == 0.0
 
 
 def test_shift_support_lists_distinct_second_indices():
@@ -128,7 +129,7 @@ def test_shift_support_lists_distinct_second_indices():
 def test_random_element_is_deterministic():
     a = weyl.random_element(np.random.default_rng(99), ALPHA, 2, decay=1.0)
     b = weyl.random_element(np.random.default_rng(99), ALPHA, 2, decay=1.0)
-    assert weyl.table_distance(a, b) == 0.0
+    assert oracle.table_distance(a, b) == 0.0
     assert a.sup_radius <= 2
 
 
@@ -168,7 +169,7 @@ def assert_matches_loop(f, g, gate=1e-13, same_support=True):
     want = loop_star_product(f, g)
     if same_support:
         assert set(got.support()) == set(want.support())
-    assert weyl.table_distance(got, want) < gate
+    assert oracle.table_distance(got, want) < gate
 
 
 def test_star_product_matches_the_loop_on_random_elements():
@@ -228,8 +229,11 @@ def test_star_product_matches_the_loop_property(f_entries, g_entries):
 def test_table_distance_keeps_nan():
     f = weyl.WeylElement(ALPHA, {(0, 0): 1.0, (1, 2): complex("nan")})
     g = weyl.WeylElement(ALPHA, {(0, 0): 1.0, (1, 2): 1.0})
-    assert np.isnan(weyl.table_distance(f, g))
-    assert np.isnan(weyl.table_distance(g, f))
+    assert np.isnan(oracle.table_distance(f, g))
+    assert np.isnan(oracle.table_distance(g, f))
+    stacks = weyl._stack_of(f), weyl._stack_of(g)
+    assert np.isnan(weyl._distances(*stacks)[0])
+    assert np.isnan(weyl._distances(*stacks[::-1])[0])
 
 
 def test_duplicate_keys_are_summed_and_cancellations_dropped():
@@ -243,7 +247,7 @@ def test_duplicate_keys_are_summed_and_cancellations_dropped():
     g = weyl.WeylElement(ALPHA, {(0, 0): -1.0, (5, 5): 1j})
     assert (f + g).support() == [(1, 2), (5, 5)]
     assert len(f - f) == 0
-    assert weyl.table_distance(f, f) == 0.0
+    assert oracle.table_distance(f, f) == 0.0
 
 
 def test_items_are_sorted_pairs():
@@ -261,7 +265,7 @@ def test_nan_survives_every_table_operation():
                 weyl.star_product(f, g), weyl.star_product(g, f),
                 f.scaled(2.0)):
         assert np.isnan(out.values).any()
-        assert np.isnan(weyl.table_distance(out, g))
+        assert np.isnan(oracle.table_distance(out, g))
 
 
 def test_malformed_keys_are_rejected():
@@ -333,7 +337,7 @@ def test_far_apart_keys_keep_their_places():
     assert f.support() == sorted(far)
     unit = weyl.WeylElement.unit(ALPHA)
     assert weyl.star_product(f, unit).support() == sorted(far)
-    assert weyl.table_distance(weyl.star_product(unit, f), f) == 0.0
+    assert oracle.table_distance(weyl.star_product(unit, f), f) == 0.0
 
 
 EDGE = 2 ** 62 - 1
@@ -558,6 +562,5 @@ def test_stacked_adjoints_and_distances_are_the_per_table_ones(alpha):
             alpha, weyl._reduce(-f.keys, np.conj(f.values))))
     others = tables[1:] + tables[:1]
     got = weyl._distances(stack, _one_support(alpha, others))
-    want = [float(np.max(np.abs((f - g).values), initial=0.0))
-            for f, g in zip(tables, others)]
+    want = [oracle.table_distance(f, g) for f, g in zip(tables, others)]
     assert struct.pack("5d", *got) == struct.pack("5d", *want)
