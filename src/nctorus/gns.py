@@ -8,8 +8,8 @@ diagonally up to shifts,
     (A x)_n = sum_s m_{n, s} . x_{n - s},
 
 with multiplier functions ``m_{n, s}(z) = sum_m f(m, s)
-exp(i m (psi(z) + 2 pi alpha (2 n - s)))`` where ``psi`` is the angle of
-``h^{-1}(z)``.  One builder evaluates that sum: a twist table over
+exp(2 pi i m (u(z) + alpha (2 n - s)))`` where ``2 pi u`` is the angle
+of ``h^{-1}(z)``.  One builder evaluates that sum: a twist table over
 (rows x distinct modes) times one wave table, a single product.
 :func:`represent` reads it at every block.  The vacuum sits in block 0,
 so block s of ``pi(f) xi`` is the single row ``m_{s, s}``:
@@ -24,11 +24,13 @@ a time (:func:`_chunked`), so their grid rows never outgrow one vector's
 (2K + 1, G) array.  Everything downstream (modular operators,
 transforms, Dirac blocks) reuses the cached per-box context built here,
 the chart: one inverse solve into ``u = h^{-1}``, the densities
-``delta_n`` from :mod:`nctorus.dynamics` and the grid waves ``e_l`` with
-exactly reduced phases (the J transport is :mod:`nctorus.modular`'s).
-The generator products ``u_kl`` are uncached closed forms in the same
-chart, read row by row, and the moments of the invariant state are
-closed forms in the lift coefficients.
+``delta_n`` from :mod:`nctorus.dynamics` and the grid waves ``e_l`` (the
+J transport is :mod:`nctorus.modular`'s).  The generator products
+``u_kl`` are uncached closed forms in the same chart, read row by row,
+and the moments of the invariant state are closed forms in the lift
+coefficients.  Every phase here, twist, wave or ``u_kl`` row, is
+``grids.waves`` of a float times an integer, reduced modulo 1 exactly
+before it is rounded.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ import numpy as np
 
 from .dynamics import DiffeoSpec, _density
 from .errors import AlphaMismatchError, OutOfBoxError
-from .grids import (default_grid_size, grid_angles, inner, l2, on_grid,
-                    project_to_modes, spectrum, toeplitz)
+from .grids import (Turns, cycles, default_grid_size, grid_angles, inner,
+                    l2, on_grid, project_to_modes, spectrum, toeplitz,
+                    waves)
 from .weyl import WeylElement, _Stack, _stack_of
 
 
@@ -105,10 +108,12 @@ class _Context:
     """Per (dynamics, box) chart, shared across modules.
 
     One inverse solve puts the grid into the chart ``u = H^{-1}(x)``, in
-    which the dynamics is the rotation by ``2 alpha``; the densities
-    ``delta_n`` (:func:`nctorus.dynamics._density`) and the grid waves
-    ``e_l`` follow.  :attr:`transport` starts empty, and
-    :mod:`nctorus.modular` fills it on the first J of the context.
+    which the dynamics is the rotation by ``2 alpha``; the chart points
+    as exact turns (:attr:`chart`, split once for every chart wave
+    table), the densities ``delta_n``
+    (:func:`nctorus.dynamics._density`) and the grid waves ``e_l``
+    follow.  :attr:`transport` starts empty, and :mod:`nctorus.modular`
+    fills it on the first J of the context.
     Memory is O((2K + 2M + 2) G), plus 2 * 16 * G^2 bytes once J has run.
     """
 
@@ -119,37 +124,14 @@ class _Context:
         self.theta = grid_angles(g)
         self.x = np.arange(g) / g
         self.u = u = d.lift.inverse(self.x)
-        self.psi = 2.0 * np.pi * u
+        self.chart = Turns.of(u)
         self.delta = _density(d, u, box.blocks()[:, None])
         self.sqrt_delta = np.sqrt(self.delta)
-        self.waves = _grid_waves(box.modes(), g)
+        # e_l(theta_j) = exp(2 pi i (l j mod G) / G): the integer product
+        # is reduced exactly, where exp(i l theta_j) would round l theta_j
+        # (up to about 1600 rad at M = 256) first
+        self.waves = waves(self.x, box.modes()[:, None])
         self.transport = None
-
-
-def _cycles(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """``points[j] freqs[k]`` modulo 1, with the large product kept exact.
-
-    Cycle counts reach about K G / 2 in the rotation phases.  Splitting
-    the points on a 2^-30 lattice makes the large product exact (while
-    |points freqs| < 2^23), so only its fraction is rounded.
-    """
-    coarse = np.round(points * 2.0 ** 30) / 2.0 ** 30
-    return (np.multiply.outer(coarse, freqs) % 1.0
-            + np.multiply.outer(points - coarse, freqs))
-
-
-def _waves(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """``exp(2 pi i points[j] freqs[k])``, reduced by :func:`_cycles`."""
-    return np.exp(2j * np.pi * _cycles(points, freqs))
-
-
-def _grid_waves(modes: np.ndarray, size: int) -> np.ndarray:
-    """``e_l(theta_j) = exp(2 pi i (l j mod G) / G)``: the integer product
-    is reduced exactly, where ``exp(i l theta_j)`` would round ``l theta_j``
-    (up to about 1600 rad at M = 256) first.  Bit-equal to
-    ``_waves(modes, j / G)``."""
-    return np.exp(2j * np.pi * (np.multiply.outer(modes, np.arange(size))
-                                % size / size))
 
 
 @lru_cache(maxsize=8)
@@ -520,7 +502,7 @@ def _tridiagonal(alpha: list[float], beta: list[float]) -> np.ndarray:
 
 def _multiplier_rows(f: _Stack, d: DiffeoSpec, box: TruncationBox,
                      bound: int, block_of):
-    """Multiplier rows ``m_{n, s} = sum_m f(m, s) exp(i m psi)
+    """Multiplier rows ``m_{n, s} = sum_m f(m, s) exp(2 pi i m u)
     exp(2 pi i alpha m (2 n - s))``, the one evaluation of that sum.
 
     ``f`` is a stack of tables over one support (a table is
@@ -531,12 +513,13 @@ def _multiplier_rows(f: _Stack, d: DiffeoSpec, box: TruncationBox,
     row of shift s that meets the vacuum), ``n = 0`` for the
     vacuum-route paren table.  Returns the shifts and rows of shape
     (tables, shifts, blocks, G).  One table of twists over (rows x
-    distinct modes), each cycle count reduced by :func:`_waves` once and
-    shared by the stack, times one wave table ``exp(i m psi)``: a single
-    product, so a NaN coefficient reaches the rows of its own table and
-    shift only.  An alpha mismatch raises; each shift beyond the block
-    range ``2K`` warns once (pointing at the caller's caller), whichever
-    bound is kept.
+    distinct modes), each cycle count reduced by ``grids.waves`` once and
+    shared by the stack, times one chart wave table ``exp(2 pi i m u)``
+    (``m u`` reduced exactly too): a single product, so a NaN
+    coefficient reaches the rows of its own table and shift only.  An
+    alpha mismatch raises; each shift beyond the block range ``2K``
+    warns once (pointing at the caller's caller), whichever bound is
+    kept.
     """
     if f.alpha != d.alpha:
         raise AlphaMismatchError(
@@ -552,14 +535,14 @@ def _multiplier_rows(f: _Stack, d: DiffeoSpec, box: TruncationBox,
     modes, mode_at = np.unique(ms, return_inverse=True)
     column = shifts[:, None]
     blocks = np.broadcast_arrays(block_of(column), column)[0]
-    cycles = (2 * blocks[shift_at] - ss[:, None]) * ms[:, None]
-    counts, count_at = np.unique(cycles, return_inverse=True)
-    twists = _waves(d.alpha, counts)[count_at].reshape(cycles.shape)
+    powers = (2 * blocks[shift_at] - ss[:, None]) * ms[:, None]
+    counts, count_at = np.unique(powers, return_inverse=True)
+    twists = waves(d.alpha, counts)[count_at].reshape(powers.shape)
     table = np.zeros((len(coeffs),) + blocks.shape + modes.shape,
                      dtype=complex)
     table[:, shift_at, :, mode_at] = twists[:, None] * coeffs.T[:, :, None]
-    waves = np.exp(1j * np.multiply.outer(modes, ctx.psi))
-    rows = table.reshape(len(coeffs) * blocks.size, len(modes)) @ waves
+    chart = ctx.chart.waves(modes[:, None])
+    rows = table.reshape(len(coeffs) * blocks.size, len(modes)) @ chart
     return shifts, rows.reshape(table.shape[:3] + (box.grid_size,))
 
 
@@ -636,10 +619,10 @@ def _u_kl_rows(d: DiffeoSpec, box: TruncationBox, k, l, n) -> np.ndarray:
     """
     ctx = _context(d, box)
     # F_j = H(u + 2 alpha j) is H(u + frac(2 alpha j)) plus an integer,
-    # which l times drops out of the exponential.
-    shift = _cycles(2.0 * d.alpha, n - k)
+    # which l times drops out of the exponential; l F is reduced exactly.
+    shift = cycles(2.0 * d.alpha, n - k)
     lift = d.lift.value(ctx.u + shift[..., None])
-    return np.exp(2j * np.pi * np.asarray(l)[..., None] * lift)
+    return waves(lift, np.asarray(l)[..., None])
 
 
 def build_u_kl(d: DiffeoSpec, box: TruncationBox, k: int,

@@ -13,9 +13,18 @@ polynomial with mode bound below ``G - M``.  Powers of two at least
 with a wide safety margin.  Every grid <-> band transform of the
 package goes through this module; sample arrays may be row stacks, with
 the grid along the last axis unless an ``axis`` is given.
+
+This module is also the one home of phases.  :func:`cycles` reduces a
+float times an integer modulo 1 exactly, before anything is rounded,
+and :func:`waves` is the package's only complex exponential: the
+Weyl relation twists, the multiplier and chart wave tables, the grid
+waves ``e_l``, the J transport tables, rotations and transference
+points all go through it.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +79,13 @@ def l2(x, axis=None):
 
 
 def inner(x, y):
-    """``sum x conj(y)``, linear in the first slot, summed as by l2."""
-    return np.sum(x * np.conj(y))
+    """``sum x conj(y)``, linear in the first slot, summed as by l2.
+
+    The factors are passed in this order to the ufunc: written
+    ``x * np.conj(y)``, numpy's temporary elision turns the product into
+    ``conj(y) *= x`` above 256 KiB, and with FMA that rounds otherwise.
+    """
+    return np.sum(np.multiply(x, np.conj(y)))
 
 
 def tail_mass(spec: np.ndarray, mode_bound: int) -> float:
@@ -101,8 +115,73 @@ def spectral_derivative(g, drift: float = 0.0, sign: float = 1.0,
 def rotate(g, angle: float) -> np.ndarray:
     """Samples of ``g(theta + angle)``, i.e. ``m(z) -> m(exp(i angle) z)``."""
     values = np.asarray(g, dtype=complex)
-    twist = np.exp(1j * frequencies(values.shape[-1]) * angle)
+    twist = waves(angle / (2.0 * np.pi), frequencies(values.shape[-1]))
     return np.fft.ifft(np.fft.fft(values) * twist)
+
+
+# One unit in the last place of a 64-bit binary fraction.
+_UNIT = 2.0 ** -64
+
+
+class Turns(NamedTuple):
+    """Points x as ``fixed 2^-64 + low`` modulo 1, split once at the shape
+    of x, for exact products with integers.
+
+    ``fixed`` (uint64) holds ``x mod 1`` in units of 2^-64.  With
+    ``x = X 2^-e`` for the integer mantissa X, that is exact while
+    ``e <= 64``, i.e. for every ``|x| >= 2^-11``, and ``low`` is zero;
+    below 2^-11 it is rounded and ``|low| <= 2^-65``.  ``low`` is NaN
+    where x is not finite.
+    """
+
+    fixed: np.ndarray
+    low: np.ndarray
+
+    @classmethod
+    def of(cls, x) -> "Turns":
+        # x mod 1 (fmod is exact) split at 2^-11: a whole number of
+        # 2^-11 above, under 2^53 units of 2^-64 below
+        x = np.asarray(x, dtype=float)
+        with np.errstate(invalid="ignore"):
+            turn = np.fmod(x, 1.0)
+            below = np.fmod(turn, 2.0 ** -11)
+            head = np.rint(below * 2.0 ** 64)
+            fixed = ((((turn - below) * 2.0 ** 11).astype(np.int64) << 53)
+                     + head.astype(np.int64))
+            return cls(fixed.view(np.uint64), below - head * _UNIT)
+
+    def scaled(self, n, factor=1.0) -> np.ndarray:
+        """``factor (x n mod 1)`` for int64 n, broadcast: ``fixed n`` is
+        exact in uint64 wraparound (only n modulo 2^64 counts), and only
+        its product with ``factor 2^-64`` is rounded.  ``low n``, at most
+        1/4 in size, is rounded and added where x has a low part."""
+        n = np.asarray(n, dtype=np.int64)
+        out = np.asarray(np.multiply(
+            np.multiply(self.fixed, n.view(np.uint64)), factor * _UNIT))
+        if self.low.any():
+            low = np.broadcast_to(self.low, out.shape)
+            hit = low != 0
+            n = np.broadcast_to(n, out.shape)
+            out[hit] += factor * (low[hit] * n[hit])
+        return out
+
+    def waves(self, n) -> np.ndarray:
+        """``exp(2 pi i x n)`` from the reduced phase."""
+        phase = self.scaled(n, 2j * np.pi)
+        return np.exp(phase, out=phase)
+
+
+def cycles(x, n) -> np.ndarray:
+    """``x n`` modulo 1 for float x and int64 n, broadcast: exact but for
+    one rounding, to [0, 1], wherever ``|x| >= 2^-11`` (:class:`Turns`),
+    for any n; NaN where x is not finite."""
+    return Turns.of(x).scaled(n)
+
+
+def waves(x, n) -> np.ndarray:
+    """``exp(2 pi i x n)``, its phase reduced by :func:`cycles`: the
+    package's one complex exponential."""
+    return Turns.of(x).waves(n)
 
 
 def _sine_ratio(p: int, angles) -> np.ndarray:

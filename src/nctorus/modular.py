@@ -38,9 +38,9 @@ import numpy as np
 from .dynamics import DiffeoSpec
 from .errors import AliasingError, SingularBlockError
 from .gns import (GnsVector, TruncationBox, _chunked, _context,
-                  _multiplier_rows, _spread, _vacuum_rows, _waves)
+                  _multiplier_rows, _spread, _vacuum_rows)
 from .grids import (at_modes, frequencies, inner, l2, on_grid,
-                    project_to_modes, spectrum, tail_mass)
+                    project_to_modes, spectrum, tail_mass, waves)
 from .weyl import WeylElement, _involution_stack, _Stack, _stack_of
 
 _DEFAULT_TAIL = 1e-6
@@ -81,14 +81,19 @@ def _transport(ctx):
     ``to_chart`` are the u-spectra of ``y o H`` (accurate while they decay
     inside the grid band), times ``phase[n + K]`` rotated by ``2 alpha n``,
     times ``from_chart`` the samples of ``y o F_n``; ``wave_spectra`` are
-    the u-spectra of the grid waves e_l."""
+    the u-spectra of the grid waves e_l.  The three tables are
+    ``grids.waves``: ``exp(2 pi i l H(x_j))``, ``exp(2 pi i 2 alpha n l)``
+    from the integer ``n l`` and ``exp(2 pi i l u_j)``, each phase reduced
+    exactly."""
     if ctx.transport is None:
         d, freqs = ctx.d, frequencies(ctx.box.grid_size)
-        to_chart = spectrum(spectrum(_waves(d.lift.value(ctx.x), freqs),
-                                     axis=0)).T
+        to_chart = spectrum(spectrum(waves(d.lift.value(ctx.x)[:, None],
+                                           freqs), axis=0)).T
         ctx.transport = (to_chart,
-                         _waves(2.0 * d.alpha * ctx.box.blocks(), freqs),
-                         _waves(ctx.u, freqs).T, ctx.waves @ to_chart)
+                         waves(2.0 * d.alpha,
+                               np.multiply.outer(ctx.box.blocks(), freqs)),
+                         waves(ctx.u[:, None], freqs).T,
+                         ctx.waves @ to_chart)
     return ctx.transport
 
 
@@ -157,8 +162,9 @@ def _epsilon_pairings(ctx, rows: np.ndarray) -> np.ndarray:
     table = np.zeros((ctx.box.n_blocks, ctx.box.n_modes), dtype=complex)
     spectra = _times(ctx.sqrt_delta[::-1][live] * flipped[live],
                      from_chart.T)
-    table[live] = (_times(spectra * phase[::-1][live], wave_spectra.T)
-                   / ctx.box.grid_size)
+    # spectra times phase in this order at every size (see grids.inner)
+    np.multiply(spectra, phase[::-1][live], out=spectra)
+    table[live] = _times(spectra, wave_spectra.T) / ctx.box.grid_size
     return table
 
 

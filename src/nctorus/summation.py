@@ -25,7 +25,7 @@ from .fourier import (FourierCoeffs, anti_transform, hat_functional,
 from .gns import (GnsOperator, GnsVector, TruncationBox, _u_kl_rows,
                   vacuum_image)
 from .grids import (dirichlet_kernel, fejer_kernel, l2, project_to_modes,
-                    rotate)
+                    rotate, waves)
 from .modular import _root_rows
 from .weyl import WeylElement
 
@@ -46,7 +46,8 @@ class TransferencePoint:
 
     @classmethod
     def from_angles(cls, phi1: float, phi2: float) -> "TransferencePoint":
-        return cls(np.exp(1j * phi1), np.exp(1j * phi2))
+        w1, w2 = waves(np.array([phi1, phi2]) / (2.0 * np.pi), 1)
+        return cls(w1, w2)
 
 
 @dataclass(frozen=True)
@@ -197,12 +198,13 @@ def transference_integral_check(x: GnsVector, n_order: int, q_points: int,
         raise GridTooSmallError(
             f"need at least {4 * n_order + 4} quadrature points")
     kernel = SummationKernel("fejer", order=n_order)
-    phis = 2.0 * np.pi * np.arange(q_points) / q_points
-    weights = kernel.values(phis) / q_points
+    turns = np.arange(q_points) / q_points
+    weights = kernel.values(2.0 * np.pi * turns) / q_points
+    unit = waves(turns, 1)
     acc = np.zeros_like(x.coeffs)
     for i1 in range(q_points):
         for i2 in range(q_points):
-            w = TransferencePoint.from_angles(phis[i1], phis[i2])
+            w = TransferencePoint(unit[i1], unit[i2])
             acc += (weights[i1] * weights[i2]) * transfer_vector(x, w).coeffs
     box = x.box
     expected = x.coeffs * np.multiply.outer(

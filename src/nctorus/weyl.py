@@ -9,6 +9,10 @@ A table is two arrays, sorted distinct keys and their nonzero values.
 Arbitrary keys go through one reducer, :func:`_reduce`; tables whose
 keys are already sorted and distinct (random, scaled, adjoint) skip the
 sort, and the star product reads its sort from a bounded plan cache.
+The twist ``exp(2 pi i alpha sigma)`` is ``grids.waves(alpha, sigma)``:
+``alpha sigma`` is reduced modulo 1 exactly before it is rounded, so
+far keys keep their phase, and :func:`weyl_relation_check` holds it
+against phases of its own, reduced in exact integer arithmetic.
 
 The random draw, the star product, the adjoint and the table distance
 work on a :class:`_Stack`, many tables over one support with an exactly
@@ -29,7 +33,8 @@ import numpy as np
 
 from .dynamics import DiffeoSpec
 from .errors import AlphaMismatchError, _json_keys, _json_number
-from .grids import default_grid_size, grid_angles, spectral_derivative
+from .grids import (default_grid_size, grid_angles, spectral_derivative,
+                    waves)
 
 
 class SymplecticPair(NamedTuple):
@@ -252,19 +257,22 @@ def _plan(alpha: bytes, left: bytes,
 
     ``alpha`` is the float's 8 bytes and ``left``, ``right`` the bytes
     of the (N, 2) int64 key arrays, so -0.0 and 0.0 are separate
-    entries.  ``phase`` (|f|, |g|) holds the pair twists, ``slot`` the
-    place of each pair sum ``a + b`` among the distinct sums ``keys``,
-    in the order of the double loop over ``f`` then ``g``.  An entry
-    holds at most 24 bytes per pair (phase and slot) plus 16 bytes per
-    key (its distinct sums and the two supports of its cache key), and
-    at most 16 entries are kept.
+    entries.  ``phase`` (|f|, |g|) holds the pair twists
+    ``exp(2 pi i alpha sigma(a, b))``, ``slot`` the place of each pair
+    sum ``a + b`` among the distinct sums ``keys``, in the order of the
+    double loop over ``f`` then ``g``.  ``alpha sigma`` is reduced
+    modulo 1 exactly (``grids.cycles``) before it is rounded, so far
+    keys keep their phase; only sigma modulo 2^64 counts there, so the
+    int64 form may wrap.  An entry holds at most 24 bytes per pair
+    (phase and slot) plus 16 bytes per key (its distinct sums and the
+    two supports of its cache key), and at most 16 entries are kept.
     """
     a, b = (np.frombuffer(side, dtype=np.int64).reshape(-1, 2)
             for side in (left, right))
     (twist,) = struct.unpack("d", alpha)
-    form = (np.multiply.outer(a[:, 1], b[:, 0])
-            - np.multiply.outer(a[:, 0], b[:, 1]))
-    phase = np.exp(-1j * (2.0 * np.pi * twist) * form)
+    sigma = (np.multiply.outer(a[:, 0], b[:, 1])
+             - np.multiply.outer(a[:, 1], b[:, 0]))
+    phase = waves(twist, sigma)
     slot, keys = _runs((a[:, None, :] + b[None, :, :]).reshape(-1, 2))
     for array in (phase, slot, keys):
         array.flags.writeable = False
@@ -365,21 +373,25 @@ def weyl_relation_check(alpha: float, pairs: Iterable[tuple]) -> float:
     right points, the one star product of ``sum c_a W(a)`` and
     ``sum d_b W(b)`` must equal ``c_a d_b exp(2 pi i alpha sigma(a, b))``
     scattered onto ``a + b`` without the table reducer; the weights make
-    cancellation of a wrong term a measure-zero event.  A pair list that
+    cancellation of a wrong term a measure-zero event.  The phases are
+    independent of the star product's: sigma in Python integers and,
+    with ``alpha = p / q`` exactly, ``(p sigma mod q) / q`` in integer
+    arithmetic, rounded once, for each distinct sigma.  A pair list that
     is not a full product is checked over the superset of combinations.
     """
     pairs = np.array(list(pairs), dtype=np.int64).reshape(-1, 2, 2)
     rng = np.random.default_rng(20190)
     left, right = (_runs(pairs[:, i])[1] for i in (0, 1))
-    f = _element(alpha, _nonzero(
-        left, np.exp(2j * np.pi * rng.random(len(left)))))
-    g = _element(alpha, _nonzero(
-        right, np.exp(2j * np.pi * rng.random(len(right)))))
+    f = _element(alpha, _nonzero(left, waves(rng.random(len(left)), 1)))
+    g = _element(alpha, _nonzero(right, waves(rng.random(len(right)), 1)))
     product = star_product(f, g)
-    form = (np.multiply.outer(f.keys[:, 0], g.keys[:, 1])
-            - np.multiply.outer(f.keys[:, 1], g.keys[:, 0]))
-    terms = (np.multiply.outer(f.values, g.values)
-             * np.exp(2j * np.pi * alpha * form))
+    sigma = [[m * nn - mm * n for mm, nn in g.keys.tolist()]
+             for m, n in f.keys.tolist()]
+    p, q = float(alpha).as_integer_ratio()
+    turns = {s: p * s % q / q for s in set().union(*sigma)}
+    phase = waves(np.array([[turns[s] for s in row] for row in sigma],
+                           dtype=float).reshape(len(f), len(g)), 1)
+    terms = np.multiply.outer(f.values, g.values) * phase
     sums = (f.keys[:, None, :] + g.keys[None, :, :]).reshape(-1, 2)
     points, slot = np.unique(np.concatenate([sums, product.keys]), axis=0,
                              return_inverse=True)
@@ -440,12 +452,12 @@ def smooth_seminorm(f: WeylElement, d: DiffeoSpec, k_weight: int,
         return 0.0
     if size is None:
         size = max(2048, default_grid_size(f.sup_radius))
-    theta = grid_angles(size)
-    psi = 2.0 * np.pi * d.lift.inverse(theta / (2.0 * np.pi))
+    u = d.lift.inverse(grid_angles(size) / (2.0 * np.pi))
     worst = 0.0
     for n, ms, coeffs in f.rows():
-        base = psi - 2.0 * np.pi * d.alpha * n
-        values = coeffs @ np.exp(1j * np.multiply.outer(ms, base))
+        # exp(2 pi i m (u - alpha n)), both phases reduced exactly
+        values = ((coeffs * waves(d.alpha, -n * ms))
+                  @ waves(u, ms[:, None]))
         if l_deriv:
             values = spectral_derivative(values, order=l_deriv)
         worst = np.maximum(worst, (abs(n) + 1) ** k_weight

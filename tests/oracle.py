@@ -12,6 +12,7 @@ out of ``src`` so that the package holds only what it calls or exports.
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -227,14 +228,28 @@ def table_distance(f, g) -> float:
     return float(np.max(np.abs((f - g).values), initial=0.0))
 
 
+def exact_turns(alpha, sigma) -> float:
+    """``alpha sigma`` modulo 1 for a Python integer sigma: exact in
+    ``Fraction``, rounded once."""
+    return float(Fraction(alpha) * sigma % 1)
+
+
+def relation_phases(alpha, left, right) -> np.ndarray:
+    """``exp(2 pi i alpha sigma(a, b))`` over two key arrays, sigma in
+    Python integers and reduced by :func:`exact_turns`."""
+    turns = [[exact_turns(alpha, m * nn - mm * n) for mm, nn in right.tolist()]
+             for m, n in left.tolist()]
+    return np.exp(2j * np.pi * np.array(turns, dtype=float).reshape(
+        len(left), len(right)))
+
+
 def star_product_by_pairs(f, g):
     """The twisted convolution without a plan: the pair phases over the
-    two supports, the pair sums ``a + b`` and the reducer for arbitrary
-    keys, fed in the order of the double loop over ``f`` then ``g``."""
+    two supports (:func:`relation_phases`), the pair sums ``a + b`` and
+    the reducer for arbitrary keys, fed in the order of the double loop
+    over ``f`` then ``g``."""
     a, b = f.keys, g.keys
-    form = (np.multiply.outer(a[:, 1], b[:, 0])
-            - np.multiply.outer(a[:, 0], b[:, 1]))
-    phase = np.exp(-1j * (2.0 * np.pi * f.alpha) * form)
+    phase = relation_phases(f.alpha, a, b)
     values = np.multiply.outer(f.values, g.values) * phase
     keys = a[:, None, :] + b[None, :, :]
     return weyl._element(f.alpha, weyl._reduce(keys.reshape(-1, 2),

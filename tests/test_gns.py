@@ -16,7 +16,7 @@ import pytest
 import scipy.special
 from numpy.testing import assert_allclose
 
-from nctorus import dynamics, fourier, gns, weyl
+from nctorus import dynamics, fourier, gns, grids, weyl
 from nctorus.errors import AlphaMismatchError, OutOfBoxError
 from nctorus.gns import TruncationBox
 
@@ -342,18 +342,19 @@ def test_oversized_shift_warns_and_drops(bench, small_box):
 def reference_represent(f, d, box):
     """Per-coefficient represent: one twisted wave per table entry.
 
-    The twist cycles ``alpha m (2 n - s)`` are reduced modulo 1 in exact
-    integer arithmetic (alpha is a dyadic rational), so far-apart keys
-    keep full accuracy.
+    The twist cycles ``alpha m (2 n - s)`` and the wave cycles ``m u_j``
+    are reduced modulo 1 in exact integer arithmetic (alpha and u_j are
+    dyadic rationals), so far-apart keys keep full accuracy.
     """
-    psi = gns._context(d, box).psi
+    u = [x.as_integer_ratio() for x in gns._context(d, box).u.tolist()]
     blocks = box.blocks()
     num, den = d.alpha.as_integer_ratio()
     terms = {}
     for p, v in f.items():
         cycles = [num * p.m * int(c) % den / den for c in 2 * blocks - p.n]
         twist = np.exp(2j * np.pi * np.array(cycles))
-        wave = np.exp(1j * p.m * psi)
+        wave = np.exp(2j * np.pi * np.array(
+            [a * p.m % b / b for a, b in u]))
         terms[p.n] = terms.get(p.n, 0) + v * twist[:, None] * wave[None, :]
     return terms
 
@@ -389,9 +390,9 @@ def test_closed_form_u_kl_matches_the_series(name, request):
 def closed_form_u_kl(d, box, k, l):
     """Whole shift-k multiplier of ``u_kl``, every row in one expression."""
     ctx = gns._context(d, box)
-    shift = gns._cycles(2.0 * d.alpha, box.blocks() - k)
+    shift = grids.cycles(2.0 * d.alpha, box.blocks() - k)
     lift = d.lift.value(ctx.u[None, :] + shift[:, None])
-    return np.exp(2j * np.pi * l * lift)
+    return grids.waves(lift, l)
 
 
 @pytest.mark.parametrize("name", ["bench", "rot"])
@@ -570,18 +571,27 @@ def test_a_nan_coefficient_reaches_its_own_block_only(bench, small_box):
 
 
 def test_context_waves_reduce_the_phase_exactly(bench):
-    """``e_l`` on the grid from ``l j mod G``: bit-equal to the transport's
-    reduction ``_waves`` and, at M = 256 (G = 4096), a quadrature Gram at
-    roundoff, where ``exp(i l theta_j)`` reads 1.3e-14.  The table is
-    built directly, without a G = 4096 context."""
+    """``e_l`` on the grid is ``grids.waves(j / G, l)``, bit-equal to
+    ``exp(2 pi i (l j mod G) / G)`` from the integer product, and, at
+    M = 256 (G = 4096), a quadrature Gram at roundoff, where
+    ``exp(i l theta_j)`` reads 1.3e-14.  The table is built directly,
+    without a G = 4096 context."""
     b = TruncationBox(3, 4)
     waves = gns._context(bench, b).waves
-    assert np.array_equal(waves, gns._grid_waves(b.modes(), 64))
-    assert np.array_equal(waves, gns._waves(b.modes(), np.arange(64) / 64))
+    assert np.array_equal(waves, grid_waves_by_integers(b.modes(), 64))
+    assert np.array_equal(waves, grids.waves(np.arange(64) / 64,
+                                             b.modes()[:, None]))
     modes = np.arange(-256, 257)
-    waves = gns._grid_waves(modes, 4096)
+    waves = grids.waves(np.arange(4096) / 4096, modes[:, None])
+    assert np.array_equal(waves, grid_waves_by_integers(modes, 4096))
     gram = waves @ np.conj(waves.T) / 4096
     assert np.abs(gram - np.eye(len(modes))).max() <= 3.5e-16
+
+
+def grid_waves_by_integers(modes, size):
+    """``exp(2 pi i (l j mod G) / G)``, the integer product reduced first."""
+    return np.exp(2j * np.pi * (np.multiply.outer(modes, np.arange(size))
+                                % size / size))
 
 
 @pytest.mark.parametrize("name", ["bench", "rot"])

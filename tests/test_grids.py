@@ -1,12 +1,14 @@
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nctorus import grids
+from nctorus import dynamics, gns, grids
 from nctorus.errors import GridMismatchError, GridTooSmallError
+from nctorus.gns import TruncationBox
 
 import oracle
 
@@ -154,6 +156,20 @@ def test_only_grids_reduces_norms_and_inner_products():
     assert found == [("dirac.py", "np.linalg.norm(matrix, ord=2)")]
 
 
+def test_inner_rounds_the_same_below_and_above_the_elision_threshold():
+    """Above 256 KiB numpy would reuse the temporary ``conj(y)`` and swap
+    the factors of ``x * conj(y)``; with FMA that changes the bits of
+    the product.  The whole inner product over 2^15 entries (512 KiB)
+    equals the sum of products taken 1024 entries at a time."""
+    rng = np.random.default_rng(11)
+    x, y = (rng.standard_normal(2 ** 15) + 1j * rng.standard_normal(2 ** 15)
+            for _ in range(2))
+    pieces = np.concatenate([x[lo:lo + 1024] * np.conj(y[lo:lo + 1024])
+                             for lo in range(0, len(x), 1024)])
+    assert grids.inner(x, y) == np.sum(pieces)
+    assert grids.inner(x[:1024], y[:1024]) == np.sum(pieces[:1024])
+
+
 def test_l2_and_inner_are_the_euclidean_norm_and_inner_product():
     rng = np.random.default_rng(5)
     x, y = (rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
@@ -198,3 +214,121 @@ def test_inner_rejects_mismatched_grids():
     b = np.ones(32)
     with pytest.raises(GridMismatchError):
         oracle.quadrature_inner(a, b)
+
+
+def exact_cycles(x, n) -> float:
+    """``x n mod 1`` in ``Fraction``, rounded once."""
+    return float(Fraction(x) * n % 1)
+
+
+def circle_gap(a, b) -> float:
+    """Distance of two cycle counts on the circle R / Z."""
+    gap = abs(a - b) % 1.0
+    return min(gap, 1.0 - gap)
+
+
+def test_cycles_is_the_exact_fraction_rounded_once():
+    """From 2^-11 up, ``x n mod 1`` is reduced exactly and rounded once,
+    so it is the ``Fraction`` value (1.0 where that rounds up to 1);
+    below, the part of x under 2^-64 times n is rounded once more."""
+    rng = np.random.default_rng(25)
+    big = 2 ** 63 - 1
+    ns = np.concatenate([rng.integers(-big, big, 40, endpoint=True),
+                         [0, 1, -1, 7, big, -big, 2 ** 53 + 1, -(2 ** 62)]])
+    large = np.concatenate([
+        rng.uniform(-4.0, 4.0, 40), [0.0, -0.0, 0.25, -3.5, 2.0 ** -11,
+                                     -(2.0 ** -11), 0.30901699437494745,
+                                     2.0 ** 53, 2.0 ** 53 + 2,
+                                     2.0 ** 60 + 2 ** 8,
+                                     -(2.0 ** 70), 1e300, 4.0 - 2.0 ** -51]])
+    small = np.concatenate([
+        rng.uniform(-1.0, 1.0, 40) * 2.0 ** -rng.integers(12, 80, 40),
+        [2.0 ** -12, -(2.0 ** -64), 2.0 ** -65 * 3, 5e-324, -1e-300]])
+    got = grids.cycles(large[:, None], ns[None, :])
+    for i, x in enumerate(large.tolist()):
+        for j, n in enumerate(ns.tolist()):
+            assert got[i, j] == exact_cycles(x, n), (x, n)
+    got = grids.cycles(small[:, None], ns[None, :])
+    for i, x in enumerate(small.tolist()):
+        for j, n in enumerate(ns.tolist()):
+            assert circle_gap(got[i, j], exact_cycles(x, n)) <= 2.3e-16
+    # integers, large ones included, have no fraction
+    assert not grids.cycles(np.array([3.0, 2.0 ** 53, 1e300]), big).any()
+    # a scalar against a scalar
+    assert grids.cycles(0.25, 3) == 0.75
+
+
+def test_cycles_fails_closed_on_non_finite_points():
+    points = np.array([np.nan, np.inf, -np.inf, 0.5])
+    got = grids.cycles(points[:, None], np.array([0, 1, -3]))
+    assert np.isnan(got[:3]).all() and got[3].tolist() == [0.0, 0.5, 0.5]
+    assert np.isnan(grids.waves(points, 2)[:3]).all()
+
+
+def test_waves_keep_the_bits_of_the_exact_tables():
+    """``waves(r, 1)`` is ``exp(2 pi i r)`` for r in [0, 1) (the relation
+    weights); ``waves(j / G, l)`` is ``exp(2 pi i (l j mod G) / G)``
+    from the integer product, and so is the context's ``e_l`` table."""
+    rng = np.random.default_rng(3)
+    r = np.concatenate([rng.random(4096), [0.0, 2.0 ** -53, 2.0 ** -20,
+                                           1.0 - 2.0 ** -53]])
+    assert grids.waves(r, 1).tobytes() == np.exp(2j * np.pi * r).tobytes()
+    # the phase is 2 pi i cycles(x, n), in its bits from 2^-11 up
+    x = rng.uniform(-4.0, 4.0, 256)
+    n = rng.integers(-2 ** 63, 2 ** 63 - 1, (3, 256), endpoint=True)
+    want = np.exp(2j * np.pi * grids.cycles(x, n))
+    assert grids.waves(x, n).tobytes() == want.tobytes()
+    tiny = x * 2.0 ** -40
+    assert_allclose(grids.waves(tiny, n),
+                    np.exp(2j * np.pi * grids.cycles(tiny, n)), atol=1e-15)
+    for size in (64, 256, 1024, 4096):
+        modes = np.arange(-size // 2, size // 2 + 1, max(1, size // 512))
+        want = np.exp(2j * np.pi * (np.multiply.outer(modes, np.arange(size))
+                                    % size / size))
+        got = grids.waves(np.arange(size) / size, modes[:, None])
+        assert got.tobytes() == want.tobytes()
+        box = TruncationBox(1, 7, size)
+        ctx = gns._context(dynamics.benchmark(), box)
+        want = np.exp(2j * np.pi * (np.multiply.outer(box.modes(),
+                                                      np.arange(size))
+                                    % size / size))
+        assert ctx.waves.tobytes() == want.tobytes()
+
+
+# Every numpy or cmath exponential in the package is a phase.
+_COMPLEX_EXP = re.compile(
+    r"\b(?:np|numpy|cmath)\.exp\("
+    r"|\bfrom\s+(?:numpy|cmath)\s+import\b.*\bexp\b")
+
+
+def test_complex_exponential_scan_sees_every_spelling():
+    """Each phase spelling the package once had outside grids, and the
+    imports that would hide one."""
+    for call in (
+            "np.exp(2j * np.pi * _cycles(points, freqs))",
+            "np.exp(2j * np.pi * (np.multiply.outer(modes, np.arange(size))",
+            "np.exp(1j * np.multiply.outer(modes, ctx.psi))",
+            "np.exp(2j * np.pi * np.asarray(l)[..., None] * lift)",
+            "np.exp(-1j * (2.0 * np.pi * twist) * form)",
+            "np.exp(1j * frequencies(values.shape[-1]) * angle)",
+            "cls(np.exp(1j * phi1), np.exp(1j * phi2))",
+            "coeffs @ np.exp(1j * np.multiply.outer(ms, base))",
+            "* np.exp(2j * np.pi * alpha * form))",
+            "left, np.exp(2j * np.pi * rng.random(len(left)))))",
+            "cmath.exp(2j * cmath.pi * alpha)", "numpy.exp(1j * t)",
+            "from cmath import exp", "from numpy import pi, exp"):
+        assert _COMPLEX_EXP.search(call), call
+    for call in ("waves(ctx.u, modes[:, None])", "grids.waves(lift, l)",
+                 "cycles(2.0 * d.alpha, n - k)", "np.expm1(x)", "np.exp2(x)",
+                 "math.exp(-1.0 / (t * (1.0 - t)))", "import cmath"):
+        assert not _COMPLEX_EXP.search(call), call
+
+
+def test_only_grids_takes_a_complex_exponential():
+    """Phases have one home: ``grids.waves``, which reduces them exactly
+    before rounding (``grids.cycles``).  No exception."""
+    package = Path(grids.__file__).parent
+    found = [(path.name, call) for path in sorted(package.glob("*.py"))
+             if path.name != "grids.py"
+             for call in _COMPLEX_EXP.findall(path.read_text())]
+    assert found == []

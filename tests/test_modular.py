@@ -332,6 +332,23 @@ def test_live_row_transport_equals_the_all_rows_product(name, bounds,
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
+def test_epsilon_pairings_round_the_same_below_and_above_the_elision_threshold(
+        bench, rng):
+    """All 65 rows of K = M = 32 (G = 512) hold 520 KiB of spectra, past
+    the 256 KiB where numpy would swap the factors of ``spectra * phase``;
+    each row of their pairings is bit-equal to its row among 8 rows."""
+    box = TruncationBox(32, 32)
+    ctx = gns._context(bench, box)
+    rows = _occupied_rows(box, list(range(box.n_blocks)), rng)
+    whole = modular._epsilon_pairings(ctx, rows)
+    for lo in range(0, box.n_blocks, 8):
+        part = np.zeros_like(rows)
+        part[lo:lo + 8] = rows[lo:lo + 8]
+        table = box.n_blocks - 1 - np.arange(lo, min(lo + 8, box.n_blocks))
+        assert np.array_equal(modular._epsilon_pairings(ctx, part)[table],
+                              whole[table])
+
+
 @pytest.mark.parametrize("transport", ["_j_on_grid", "_epsilon_pairings"])
 def test_live_row_transport_keeps_nan_and_zero_rows(bench, small_box, rng,
                                                     transport):

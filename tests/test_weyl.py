@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from nctorus import dynamics, weyl
+from nctorus import dynamics, tolerances, verify, weyl
 from nctorus.errors import AlphaMismatchError
 
 import oracle
@@ -153,13 +153,14 @@ def test_smooth_seminorm_frozen_values():
 
 
 def loop_star_product(f, g):
-    """Reference twisted convolution: the plain double loop over pairs."""
+    """Reference twisted convolution: the plain double loop over pairs,
+    each phase reduced exactly (``oracle.exact_turns``)."""
     out = {}
-    two_pi_alpha = 2.0 * np.pi * f.alpha
     for a, fa in f.items():
         for b, gb in g.items():
             key = (a.m + b.m, a.n + b.n)
-            phase = np.exp(-1j * two_pi_alpha * b.form(a))
+            phase = cmath.exp(2j * cmath.pi
+                              * oracle.exact_turns(f.alpha, a.form(b)))
             out[key] = out.get(key, 0.0) + fa * gb * phase
     return weyl.WeylElement(f.alpha, out)
 
@@ -564,3 +565,49 @@ def test_stacked_adjoints_and_distances_are_the_per_table_ones(alpha):
     got = weyl._distances(stack, _one_support(alpha, others))
     want = [oracle.table_distance(f, g) for f, g in zip(tables, others)]
     assert struct.pack("5d", *got) == struct.pack("5d", *want)
+
+
+FAR_EXPONENTS = [10, 16, 20, 26, 31, 32, 40]
+
+
+@pytest.mark.parametrize("e", FAR_EXPONENTS)
+def test_far_key_products_keep_the_exact_phase(e):
+    """``W(0, 2^e + 3) W(2^e + 1, 0)`` carries ``exp(2 pi i alpha sigma)``
+    with ``alpha sigma`` reduced in ``Fraction``; from e = 32 on, sigma
+    overflows the int64 form, which only counts modulo 2^64."""
+    n, m = 2 ** e + 3, 2 ** e + 1
+    prod = weyl.star_product(weyl.WeylElement.generator(ALPHA, 0, n),
+                             weyl.WeylElement.generator(ALPHA, m, 0))
+    assert prod.support() == [(m, n)]
+    want = cmath.exp(2j * cmath.pi * oracle.exact_turns(ALPHA, -n * m))
+    assert abs(prod[(m, n)] - want) <= 1e-15
+    pairs = [((0, n), (m, 0)), ((m, 0), (0, n)), ((0, -n), (m, 1))]
+    assert weyl.weyl_relation_check(ALPHA, pairs) <= 1e-15
+
+
+def unreduced_plan(alpha, left, right):
+    """The star-product plan that rounds ``2 pi alpha sigma`` unreduced."""
+    a, b = (np.frombuffer(side, dtype=np.int64).reshape(-1, 2)
+            for side in (left, right))
+    (twist,) = struct.unpack("d", alpha)
+    form = (np.multiply.outer(a[:, 1], b[:, 0])
+            - np.multiply.outer(a[:, 0], b[:, 1]))
+    phase = np.exp(-1j * (2.0 * np.pi * twist) * form)
+    slot, keys = weyl._runs((a[:, None, :] + b[None, :, :]).reshape(-1, 2))
+    return phase, slot, keys
+
+
+def test_relation_check_catches_the_unreduced_plan(monkeypatch):
+    """The relation's own phases are exact, so a plan that rounds the
+    unreduced argument fails it at far keys (about 1e-6 at e = 16)."""
+    pairs = [((0, 2 ** 16 + 3), (2 ** 16 + 1, 0))]
+    tolerance = tolerances.resolve()["weyl_relation"]
+
+    def row():
+        return verify.check("weyl_relation",
+                            weyl.weyl_relation_check(ALPHA, pairs), tolerance)
+
+    assert row().passed
+    monkeypatch.setattr(weyl, "_plan", unreduced_plan)
+    failed = row()
+    assert not failed.passed and failed.observed > 1e-7
