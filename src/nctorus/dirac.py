@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import DiffeoSpec, GrowthSequence, _density, growth_sequence
+from .dynamics import DiffeoSpec, GrowthSequence, growth_sequence
 from .errors import OutOfBoxError
 from .gns import TruncationBox, _context
 from .grids import at_modes, spectral_derivative, spectrum, toeplitz
-from .modular import _conjugated_rows
+from .modular import _j_rows
 
 ETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -45,17 +45,6 @@ def telescoping_deviation(a: np.ndarray, growth: GrowthSequence) -> float:
         np.abs(np.arange(1 - block_bound, block_bound + 1))]
     return float(np.max(np.abs(np.abs(np.diff(a)) * gammas - 1.0),
                         initial=0.0))
-
-
-def _delta_grid(d: DiffeoSpec, box: TruncationBox, n) -> np.ndarray:
-    """Density ``delta_n`` on the context chart, one grid row for a scalar
-    n and a stack of rows for an array of n: the context's rows for
-    blocks inside the box, :func:`nctorus.dynamics._density` beyond."""
-    ctx = _context(d, box)
-    n = np.asarray(n)
-    if np.all(np.abs(n) <= box.block_bound):
-        return ctx.delta[n + box.block_bound]
-    return _density(d, ctx.u, n[..., None])
 
 
 def _corner(delta: np.ndarray, eta: float, a_n: float, waves: np.ndarray,
@@ -83,7 +72,8 @@ def _affine_corner(delta: np.ndarray, eta: float, a_n: float,
 def deformed_corner(n: int, eta: float, d: DiffeoSpec, box: TruncationBox,
                     a_n: float) -> np.ndarray:
     """Upper corner ``P delta^{eta-1} L delta^{-eta} P`` at block n."""
-    return _affine_corner(_delta_grid(d, box, n), eta, a_n, box.mode_bound)
+    return _affine_corner(_context(d, box).density(n), eta, a_n,
+                          box.mode_bound)
 
 
 def diagonal_inverse_norm(box: TruncationBox, a_n: float) -> float:
@@ -108,7 +98,7 @@ def matrix_element_closed_form(eta: float, k: int, d: DiffeoSpec,
     of :func:`deformed_corner`, or at eta = 1/2 minus the sum of the mode
     pairing and ``a_{-k}`` times coefficient ``l - s`` of ``delta_k``.
     """
-    delta = _delta_grid(d, box, k)
+    delta = _context(d, box).density(k)
     if eta != 0.5:
         return _affine_corner(delta, eta, float(a[k + box.block_bound]),
                               radius)
@@ -136,12 +126,12 @@ def matrix_element_oracle_table(eta: float, k: int, d: DiffeoSpec,
     if eta != 0.5:
         return _corner(ctx.delta[kk], eta, float(a[kk]), ctx.waves[sel].T,
                        span)
-    flip = box.n_blocks - 1 - kk
-    a_minus = float(a[flip])
-    sqrt_delta_inv = ctx.delta[flip] ** (-0.5)
-    # grid rows, not the band-projected epsilon table: projecting would
-    # clip the analytic tails that the quadrature pairing keeps
-    eps_grid = _conjugated_rows(ctx, kk, sel)
+    # grid rows of eps_kl = J e_kl, not the band-projected epsilon table:
+    # projecting would clip the analytic tails the quadrature pairing keeps
+    (image,), eps_grid = _j_rows(ctx, np.array([kk]), ctx.waves[sel][:, None])
+    eps_grid = eps_grid[:, 0]
+    a_minus = float(a[image])
+    sqrt_delta_inv = ctx.delta[image] ** (-0.5)
     stage = spectral_derivative(eps_grid.T * sqrt_delta_inv[:, None], a_minus,
                                 axis=0)
     stage *= sqrt_delta_inv[:, None]
@@ -241,7 +231,7 @@ def commutator_block(n: int, eta: float, d: DiffeoSpec, box: TruncationBox,
     reach = max(abs(n), abs(other))
     a = a_sequence(growth, reach)
     step = float(a[other + reach] - a[n + reach])
-    delta_n, delta_o = _delta_grid(d, box, [n, other])
+    delta_n, delta_o = _context(d, box).density([n, other])
     mult = step * delta_n ** (eta - 1.0) * delta_o ** (-eta)
     matrix = toeplitz(spectrum(mult), box.mode_bound)
     norm = float(np.linalg.norm(matrix, ord=2))

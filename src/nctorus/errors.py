@@ -1,7 +1,9 @@
 """Exception types raised across the package.
 
 Everything derives from :class:`NcTorusError` so callers can catch one
-base class at CLI boundaries while tests pin the concrete types.  The
+base class at CLI boundaries while tests pin the concrete types.
+:class:`GridMismatchError` and :class:`RouteMismatchError` are reserved
+public names: the package exports them but never raises them.  The
 config readers share :func:`_json_number` and :func:`_json_numbers`,
 which turn a value of the wrong JSON type into ``ValueError``.
 """

@@ -13,7 +13,8 @@ antilinear, so the pairings with every ``eps_kl`` are the transposed J
 transport applied to ``Delta^{1/2} x``, and the paren synthesis
 ``sum c_kl eps_kl`` is ``J`` of the vector with coefficients
 ``conj(c_kl)``.  :func:`epsilon_basis` builds the basis itself on
-request, as a reference.
+request, as a reference: J of the waves ``e_l`` of each block, one block
+of grid rows at a time through the J step every other route takes.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from .errors import GridTooSmallError
 from .gns import (GnsVector, TruncationBox, _context, _multiplier_rows,
                   _u_kl_rows, vacuum_image)
 from .grids import at_modes, dirichlet_kernel, l2, project_to_modes, spectrum
-from .modular import (_conjugated_rows, _epsilon_pairings, _j_on_grid,
-                      _root_rows)
+from .modular import _epsilon_pairings, _j_on_grid, _j_rows, _root_rows
 from .weyl import WeylElement, _stack_of
 
 
@@ -81,10 +81,9 @@ def epsilon_basis(d: DiffeoSpec, box: TruncationBox) -> np.ndarray:
     blocks vanish.  The transforms below never build this table.
     """
     ctx = _context(d, box)
-    modes = np.arange(box.n_modes)
-    return np.stack([project_to_modes(_conjugated_rows(ctx, i, modes),
-                                      box.mode_bound)
-                     for i in range(box.n_blocks)])
+    return np.stack([project_to_modes(
+        _j_rows(ctx, np.array([i]), ctx.waves[:, None])[1][:, 0],
+        box.mode_bound) for i in range(box.n_blocks)])
 
 
 def paren_vector(x: GnsVector, d: DiffeoSpec) -> FourierCoeffs:

@@ -17,10 +17,11 @@ so block s of ``pi(f) xi`` is the single row ``m_{s, s}``:
 and the vacuum-route paren table reads the rows ``m_{0, s}``.  The
 builder takes a stack of tables over one support (``weyl._Stack``) and
 shares its twists across the stack; :func:`_vacuum_rows` gives the live
-band rows of a stack of vacuum images and :func:`_series` the series
-state of a stack, and :func:`vacuum_image` and :func:`state_eval` are
-their stacks of one.  Stacks carry only live rows, a chunk of tables at
-a time (:func:`_chunked`), so their grid rows never outgrow one vector's
+band rows of a stack of vacuum images, :func:`_series` and
+:func:`_expectations` the two state routes of a stack, and
+:func:`vacuum_image` and :func:`state_eval` are their stacks of one.
+Stacks carry only live rows, a chunk of tables at a time
+(:func:`_chunked`), so their grid rows never outgrow one vector's
 (2K + 1, G) array.  Everything downstream (modular operators,
 transforms, Dirac blocks) reuses the cached per-box context built here,
 the chart: one inverse solve into ``u = h^{-1}``, the densities
@@ -111,9 +112,10 @@ class _Context:
     which the dynamics is the rotation by ``2 alpha``; the chart points
     as exact turns (:attr:`chart`, split once for every chart wave
     table), the densities ``delta_n``
-    (:func:`nctorus.dynamics._density`) and the grid waves ``e_l``
-    follow.  :attr:`transport` starts empty, and :mod:`nctorus.modular`
-    fills it on the first J of the context.
+    (:func:`nctorus.dynamics._density`; :meth:`density` reads them for
+    any n) and the grid waves ``e_l`` follow.  :attr:`transport` starts
+    empty, and :mod:`nctorus.modular` fills it on the first J of the
+    context.
     Memory is O((2K + 2M + 2) G), plus 2 * 16 * G^2 bytes once J has run.
     """
 
@@ -132,6 +134,18 @@ class _Context:
         # (up to about 1600 rad at M = 256) first
         self.waves = waves(self.x, box.modes()[:, None])
         self.transport = None
+
+    def density(self, n) -> np.ndarray:
+        """Grid rows ``delta_n`` for a scalar or an array of n: the
+        table's rows inside the box, and beyond it
+        :func:`nctorus.dynamics._density` on the same chart."""
+        n = np.asarray(n)
+        inside = np.abs(n) <= self.box.block_bound
+        if np.all(inside):
+            return self.delta[n + self.box.block_bound]
+        rows = _density(self.d, self.u, n[..., None])
+        rows[inside] = self.delta[n[inside] + self.box.block_bound]
+        return rows
 
 
 @lru_cache(maxsize=8)
@@ -670,6 +684,19 @@ def _series(f: _Stack, d: DiffeoSpec) -> np.ndarray:
     return total
 
 
+def _expectations(f: _Stack, d: DiffeoSpec,
+                  box: TruncationBox | None = None) -> np.ndarray:
+    """The gns route of :func:`state_eval` for each table of a stack: its
+    whole vacuum image paired with the vacuum, by default on the box of
+    the support's shift radius and radius, each at least 1."""
+    if box is None:
+        box = TruncationBox(max(1, int(np.abs(f.keys[:, 1]).max(initial=0))),
+                            max(1, int(np.abs(f.keys).max(initial=0))))
+    vac = vacuum(box).coeffs
+    return np.array([inner(x, vac) for x in
+                     _spread(box, *_vacuum_rows(f, d, box))], dtype=complex)
+
+
 def state_eval(f: WeylElement, d: DiffeoSpec, route: str = "series",
                box: TruncationBox | None = None) -> complex:
     """Invariant state applied to a table, by series or by inner product.
@@ -682,9 +709,5 @@ def state_eval(f: WeylElement, d: DiffeoSpec, route: str = "series",
     if route == "series":
         return complex(_series(_stack_of(f), d)[0])
     if route == "gns":
-        if box is None:
-            k = max(1, int(np.abs(f.keys[:, 1]).max(initial=0)))
-            m = max(1, f.sup_radius)
-            box = TruncationBox(k, m)
-        return vacuum_image(f, d, box).inner(vacuum(box))
+        return complex(_expectations(_stack_of(f), d, box)[0])
     raise ValueError(f"unknown route {route!r}")

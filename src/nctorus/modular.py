@@ -10,13 +10,15 @@ J is evaluated with a transport: resample into the chart
 This module is the one home of that transport.  It is built on the
 first J of a per-box context and kept on it, so a context that never
 applies J never pays for its two G x G maps.  :func:`apply_J`, the
-conjugated Borel calculus, the paren synthesis and the Dirac oracle
-apply it, and the paren pairings against the conjugated basis
-``eps_kl = J e_kl`` apply its transpose.  :func:`_j_rows` moves the live
-rows of a whole stack of vectors in one batch, each row with the bits it
-has in any other batch.  :func:`_tomita_deviations` checks the Tomita
-relation on a stack of tables, :func:`tomita_check` being its stack of
-one.  :func:`_borel_stack` gives J and the conjugated Borel calculus
+conjugated Borel calculus, the paren synthesis and the rows of the
+conjugated basis ``eps_kl = J e_kl`` (the reference basis and the Dirac
+oracle's window) apply it, and the paren pairings against that basis
+apply its transpose.  :func:`_j_rows` moves the live rows of a whole
+stack of vectors in one batch, each row with the bits it has in any
+other batch, and is the one place that maps a block to its image.
+:func:`_tomita_deviations` checks the Tomita relation on a stack of
+tables, :func:`tomita_check` being its stack of one.
+:func:`_borel_stack` gives J and the conjugated Borel calculus
 ``J fn(Delta) J`` on a stack of vectors, two transports for any number
 of fns: :func:`apply_J`, :func:`conjugated_borel_apply` and
 :func:`borel_identity_check` read it on one vector, and verify's J
@@ -166,23 +168,6 @@ def _epsilon_pairings(ctx, rows: np.ndarray) -> np.ndarray:
     np.multiply(spectra, phase[::-1][live], out=spectra)
     table[live] = _times(spectra, wave_spectra.T) / ctx.box.grid_size
     return table
-
-
-def _conjugated_rows(ctx, i: int, modes: np.ndarray) -> np.ndarray:
-    """Grid rows of ``eps_kl = J e_kl`` for the block ``k`` of row i and
-    the ascending mode indices ``l + M`` in ``modes``.
-
-    Row l holds ``delta_{-k}^{1/2} conj(e_l o F_{-k})``, the block
-    ``-k`` component (the only one that is nonzero), at grid resolution.
-    This per-block form serves the reference basis
-    :func:`nctorus.fourier.epsilon_basis` (all modes) and the Dirac
-    eta = 1/2 oracle (its window); every row is bit-equal to the
-    all-modes row (see :func:`_times`).
-    """
-    _, phase, from_chart, wave_spectra = _transport(ctx)
-    flip = ctx.box.n_blocks - 1 - i
-    return ctx.sqrt_delta[flip] * np.conj(
-        _times(wave_spectra[modes] * phase[flip], from_chart))
 
 
 def _root_stack(f: _Stack, d: DiffeoSpec,

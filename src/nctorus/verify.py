@@ -109,27 +109,25 @@ def star_algebra_suite(alpha: float, tols: dict, rng: np.random.Generator,
 
 def dynamics_suite(d: DiffeoSpec, box: TruncationBox,
                    tols: dict) -> list[CheckResult]:
-    # the grid is solved once, in the context's chart u; the only other
-    # solves are the independent ones at the iterates f^n(x)
-    u = gns._context(d, box).u
-    density = dynamics._density(d, u, np.arange(-8, 9)[:, None])
+    # every delta_n is the context's (beyond the box, on its chart); the
+    # only solves are the independent ones at the iterates f^n(x)
+    ctx = gns._context(d, box)
     ms = np.arange(-4, 5)
     worst_cocycle = 0.0
-    worst_mean = 0.0
     for n in range(-4, 5):
-        dn = density[n + 8]
-        worst_mean = np.maximum(worst_mean, abs(float(np.mean(dn)) - 1.0))
-        fn = d.lift.value(u + 2.0 * d.alpha * n) % 1.0
-        rhs = dynamics._density(d, d.lift.inverse(fn), ms[:, None]) * dn
+        fn = d.lift.value(ctx.u + 2.0 * d.alpha * n) % 1.0
+        rhs = (dynamics._density(d, d.lift.inverse(fn), ms[:, None])
+               * ctx.density(n))
         worst_cocycle = np.maximum(worst_cocycle, float(np.max(np.abs(
-            density[ms + n + 8] - rhs))))
+            ctx.density(ms + n) - rhs))))
+    worst_mean = np.max(np.abs(np.mean(ctx.delta, axis=-1) - 1.0))
     rho = dynamics.rotation_number(d, iterations=256)
     rho_dev = abs(rho - 2.0 * d.alpha)
     return [
         check("cocycle_identity", worst_cocycle, tols["cocycle"],
               "|m|, |n| <= 4 on the grid"),
         check("density_normalization", worst_mean,
-              tols["growth_normalization"]),
+              tols["growth_normalization"], f"|n| <= {box.block_bound}"),
         check("rotation_number", rho_dev, tols["rotation_number"],
               "256 orbit points"),
     ]
@@ -177,12 +175,7 @@ def gns_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
         # next pair's are not built while these are alive
         del af, ag, afg, star_rep
 
-    state_dev = 0.0
-    for _ in range(hom_count):
-        f = weyl.random_element(rng, d.alpha, 3)
-        state_dev = np.maximum(state_dev,
-                               abs(gns.state_eval(f, d, route="series")
-                                   - gns.state_eval(f, d, route="gns")))
+    state_dev = _state_routes(d, rng, hom_count)
     return [
         check("basis_gram", gram_dev, tols["gram"],
               "quadrature orthonormality"),
@@ -194,6 +187,14 @@ def gns_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
         check("state_routes", state_dev, tols["state_routes"],
               "series vs vacuum expectation"),
     ]
+
+
+def _state_routes(d: DiffeoSpec, rng: np.random.Generator,
+                  count: int) -> float:
+    """Largest gap between the two state routes over ``count`` random
+    radius-3 tables, drawn as one stack."""
+    f = weyl._random_stack(rng, d.alpha, 3, count)
+    return _gap(gns._series(f, d), gns._expectations(f, d))
 
 
 def modular_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,

@@ -33,8 +33,7 @@ import numpy as np
 
 from .dynamics import DiffeoSpec
 from .errors import AlphaMismatchError, _json_keys, _json_number
-from .grids import (default_grid_size, grid_angles, spectral_derivative,
-                    waves)
+from .grids import default_grid_size, spectral_derivative, waves
 
 
 class SymplecticPair(NamedTuple):
@@ -452,7 +451,7 @@ def smooth_seminorm(f: WeylElement, d: DiffeoSpec, k_weight: int,
         return 0.0
     if size is None:
         size = max(2048, default_grid_size(f.sup_radius))
-    u = d.lift.inverse(grid_angles(size) / (2.0 * np.pi))
+    u = d.lift.inverse(np.arange(size) / size)
     worst = 0.0
     for n, ms, coeffs in f.rows():
         # exp(2 pi i m (u - alpha n)), both phases reduced exactly

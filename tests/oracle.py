@@ -301,6 +301,18 @@ def star_algebra_suite_by_element(alpha, tols, rng, count=100):
     ]
 
 
+def state_routes_by_element(d, rng, count):
+    """``verify._state_routes`` one table at a time through both routes
+    of ``gns.state_eval``."""
+    state_dev = 0.0
+    for _ in range(count):
+        f = weyl.random_element(rng, d.alpha, 3)
+        state_dev = np.maximum(state_dev,
+                               abs(gns.state_eval(f, d, route="series")
+                                   - gns.state_eval(f, d, route="gns")))
+    return state_dev
+
+
 def apply_J_by_grid(x, d):
     """``modular.apply_J`` on the whole (2K + 1, G) grid array of x, each
     step finding its own live rows, and the band of every block."""

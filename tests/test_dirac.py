@@ -191,7 +191,7 @@ def test_corner_beyond_the_box_solves_no_chart(bench, monkeypatch):
     assert np.array_equal(again, warm)
     # the density beyond the box is the closed form on the same chart
     ctx = gns._context(bench, box)
-    assert np.array_equal(dirac._delta_grid(bench, box, n),
+    assert np.array_equal(ctx.density(n),
                           dynamics.radon_nikodym(bench, n, x=ctx.x))
 
 
@@ -200,12 +200,19 @@ def test_density_helper_matches_the_context_table(lift, request):
     d = request.getfixturevalue(lift)
     box = TruncationBox(20, 20)
     ctx = gns._context(d, box)
-    assert np.array_equal(dirac._delta_grid(d, box, box.blocks()), ctx.delta)
+    assert np.array_equal(ctx.density(box.blocks()), ctx.delta)
     for n in box.blocks():
         # the context rows are bit-equal to the closed form on the chart
         recomputed = (d.lift.derivative(ctx.u + 2.0 * d.alpha * n)
                       / d.lift.derivative(ctx.u))
-        assert np.array_equal(dirac._delta_grid(d, box, n), recomputed)
+        assert np.array_equal(ctx.density(n), recomputed)
+    # a stack reaching past the box: the table inside, the chart beyond
+    ns = np.arange(-box.block_bound - 2, box.block_bound + 3)
+    rows = ctx.density(ns)
+    assert rows.shape == (len(ns), box.grid_size)
+    assert np.array_equal(rows[2:-2], ctx.delta)
+    for n, row in zip(ns, rows):
+        assert np.array_equal(row, dynamics.radon_nikodym(d, n, x=ctx.x))
 
 
 def test_corner_inside_the_box_evaluates_no_lift(bench, monkeypatch):

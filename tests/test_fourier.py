@@ -92,8 +92,7 @@ def paren_deviations(d, box, rng):
     f = weyl.random_element(rng, d.alpha, 2, decay=1.0)
     rows = (gns.represent(f, d, box).apply_to_grid(gns.vacuum(box).on_grid())
             * ctx.sqrt_delta)
-    modes = np.arange(box.n_modes)
-    want = np.stack([np.conj(modular._conjugated_rows(ctx, i, modes))
+    want = np.stack([np.conj(oracle.conjugated_rows_all_modes(ctx, i))
                      @ rows[flips[i]] for i in range(nb)]) / box.grid_size
     got = fourier.paren_functional(f, d, box, route="modular").table
     functional = np.max(np.abs(got - want))

@@ -332,3 +332,26 @@ def test_only_grids_takes_a_complex_exponential():
              if path.name != "grids.py"
              for call in _COMPLEX_EXP.findall(path.read_text())]
     assert found == []
+
+
+# J's block flip, ``n_blocks - 1 - i``, however it is spaced.
+_BLOCK_FLIP = re.compile(r"n_blocks\s*-\s*1\s*-")
+
+
+def test_block_flip_scan_sees_every_spelling():
+    for code in ("ctx.box.n_blocks - 1 - blocks", "box.n_blocks-1-kk",
+                 "self.n_blocks - 1 -i"):
+        assert _BLOCK_FLIP.search(code), code
+    for code in ("box.n_blocks - 1", "range(box.n_blocks)",
+                 "2 * box.n_blocks - 2"):
+        assert not _BLOCK_FLIP.search(code), code
+
+
+def test_only_modular_flips_a_block():
+    """J maps block n to block -n in one place, ``modular._j_rows``; the
+    reference basis and the Dirac oracle read the image blocks it
+    returns."""
+    package = Path(grids.__file__).parent
+    found = [(path.name, call) for path in sorted(package.glob("*.py"))
+             for call in _BLOCK_FLIP.findall(path.read_text())]
+    assert found == [("modular.py", "n_blocks - 1 -")]

@@ -368,9 +368,11 @@ def test_live_row_transport_keeps_nan_and_zero_rows(bench, small_box, rng,
 @pytest.mark.parametrize("bounds", [(6, 8), (20, 20), (32, 32)])
 def test_conjugated_rows_of_a_window_equal_the_all_modes_rows(name, bounds,
                                                               request):
-    """Windows of 1, 2 and 2r + 1 modes (r = 4, the default Dirac master
-    radius) are bit-equal to the same rows of the all-modes product: a
-    lone mode is batched, so it takes the same gemm kernel."""
+    """J of the waves of a window of 1, 2 and 2r + 1 modes (r = 4, the
+    default Dirac master radius) in one block, as the Dirac oracle and
+    ``fourier.epsilon_basis`` take it, is bit-equal to the same rows of
+    the all-modes product: a lone mode is batched, so it takes the same
+    gemm kernel."""
     d = request.getfixturevalue(name)
     box = TruncationBox(*bounds)
     ctx = gns._context(d, box)
@@ -380,8 +382,10 @@ def test_conjugated_rows_of_a_window_equal_the_all_modes_rows(name, bounds,
     for i in (0, box.block_bound + 1, box.n_blocks - 1):
         full = oracle.conjugated_rows_all_modes(ctx, i)
         for window in windows:
-            got = modular._conjugated_rows(ctx, i, np.array(window))
-            assert np.array_equal(got, full[window])
+            at, got = modular._j_rows(ctx, np.array([i]),
+                                      ctx.waves[window][:, None])
+            assert at.tolist() == [box.n_blocks - 1 - i]
+            assert np.array_equal(got[:, 0], full[window])
 
 
 @pytest.mark.parametrize("name", ["bench", "rot"])

@@ -260,6 +260,48 @@ def test_quick_verify_represents_only_the_operator_probes(rot, small_box,
     assert len(calls) == 4 * 5
 
 
+def test_quick_verify_evaluates_no_state_one_table_at_a_time(
+        rot, small_box, monkeypatch):
+    """The state routes read the stacked series and vacuum images, so
+    quick ``run_all`` makes no ``gns.state_eval`` call."""
+    real = gns.state_eval
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("nctorus")
+                and getattr(module, "state_eval", None) is real):
+            monkeypatch.setattr(module, "state_eval", counting)
+    rows = verify.run_all(rot, small_box, tolerances.resolve(), quick=True)
+    assert all(r.passed for r in rows)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["bench", "rot"])
+def test_far_density_rows_fail_the_cocycle_and_normalization(name, request,
+                                                            monkeypatch):
+    """Densities scaled by 1.01 on |n| >= 5 only: the probes of every
+    other suite live in the first few blocks, and the dynamics suite
+    reads the context's table, so the cocycle law and the normalization
+    of every row catch it at quick K = M = 32."""
+    d = request.getfixturevalue(name)
+    box, tols = TruncationBox(32, 32), tolerances.resolve()
+    names = ("cocycle_identity", "density_normalization")
+    rows = verify.run_all(d, box, tols, quick=True)
+    assert all(_row(rows, n).passed for n in names)
+    ctx = gns._context(d, box)
+    scale = np.where(np.abs(box.blocks()) >= 5, 1.01, 1.0)[:, None]
+    monkeypatch.setattr(ctx, "delta", ctx.delta * scale)
+    monkeypatch.setattr(ctx, "sqrt_delta", ctx.sqrt_delta * np.sqrt(scale))
+    rows = verify.run_all(d, box, tols, quick=True)
+    for n in names:
+        assert _row(rows, n).observed > 1e-3, n
+        assert not _row(rows, n).passed, n
+
+
 def _with_nan_coefficient(real):
     def element(rng, alpha, radius, decay=0.0):
         f = real(rng, alpha, radius, decay=decay)
@@ -294,6 +336,10 @@ def test_a_nan_coefficient_fails_the_tomita_and_parseval_checks(
     for name in ("parseval", "hausdorff_young_endpoint"):
         assert math.isnan(_row(rows, name).observed)
         assert not _row(rows, name).passed
+    # the NaN sits in block 1 of each image, off the vacuum's block, and
+    # still reaches its vacuum expectation
+    assert math.isnan(verify._state_routes(bench, np.random.default_rng(2),
+                                           3))
 
 
 def _battery(d, box):
@@ -340,17 +386,19 @@ def test_quick_verify_builds_seven_star_product_plans(rot, small_box):
 def test_stacked_suites_give_the_per_element_values(name, bounds, request,
                                                     monkeypatch):
     """Quick ``run_all`` with the star algebra, modular and Parseval
-    suites run one element at a time (``tests/oracle.py``) gives the
-    stacked suites' rows: every observed value to the bit but
-    ``tomita_conjugation``, which is held within 1e-16.  On the benchmark
-    at K = 6, M = 8 the J probes trip the aliasing gate, and both routes
-    report the same first tripped gate."""
+    suites and the state routes run one element at a time
+    (``tests/oracle.py``) gives the stacked suites' rows: every observed
+    value to the bit but ``tomita_conjugation``, which is held within
+    1e-16.  On the benchmark at K = 6, M = 8 the J probes trip the
+    aliasing gate, and both routes report the same first tripped gate."""
     d = request.getfixturevalue(name)
     box, tols = TruncationBox(*bounds), tolerances.resolve()
     stacked = verify.run_all(d, box, tols, quick=True)
     for suite in ("star_algebra_suite", "modular_suite", "parseval_suite"):
         monkeypatch.setattr(verify, suite,
                             getattr(oracle, f"{suite}_by_element"))
+    monkeypatch.setattr(verify, "_state_routes",
+                        oracle.state_routes_by_element)
     reference = verify.run_all(d, box, tols, quick=True)
     assert [r.name for r in stacked] == [r.name for r in reference]
     for got, want in zip(stacked, reference):
@@ -501,3 +549,4 @@ def test_stacked_suites_take_a_zero_count(bench):
         want = getattr(oracle, f"{suite}_by_element")(
             *args, np.random.default_rng(1), count=0)
         assert got == want, suite
+    assert verify._state_routes(bench, np.random.default_rng(1), 0) == 0.0

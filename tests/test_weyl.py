@@ -152,6 +152,23 @@ def test_smooth_seminorm_frozen_values():
     assert_allclose(weyl.smooth_seminorm(e01, d, 2, 0), 4.0, atol=1e-12)
 
 
+def test_smooth_seminorm_solves_the_chart_at_the_grid_points(monkeypatch):
+    """The chart is solved at ``j / size``, the context's grid points;
+    at size 2048, 317 of the points ``theta_j / (2 pi)`` are an ulp off."""
+    d = dynamics.benchmark()
+    points = []
+    inverse = dynamics.ConjugatorLift.inverse
+
+    def recording(self, y):
+        points.append(np.array(y, dtype=float))
+        return inverse(self, y)
+
+    monkeypatch.setattr(dynamics.ConjugatorLift, "inverse", recording)
+    weyl.smooth_seminorm(weyl.WeylElement.generator(d.alpha, 1, 0), d, 0, 1)
+    assert len(points) == 1
+    assert points[0].tobytes() == (np.arange(2048) / 2048).tobytes()
+
+
 def loop_star_product(f, g):
     """Reference twisted convolution: the plain double loop over pairs,
     each phase reduced exactly (``oracle.exact_turns``)."""
