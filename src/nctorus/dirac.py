@@ -20,7 +20,7 @@ from .dynamics import DiffeoSpec, GrowthSequence, growth_sequence
 from .errors import OutOfBoxError
 from .gns import TruncationBox, _context
 from .grids import at_modes, spectral_derivative, spectrum, toeplitz
-from .modular import _j_rows
+from .modular import _j_waves
 
 ETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -128,8 +128,7 @@ def matrix_element_oracle_table(eta: float, k: int, d: DiffeoSpec,
                        span)
     # grid rows of eps_kl = J e_kl, not the band-projected epsilon table:
     # projecting would clip the analytic tails the quadrature pairing keeps
-    (image,), eps_grid = _j_rows(ctx, np.array([kk]), ctx.waves[sel][:, None])
-    eps_grid = eps_grid[:, 0]
+    image, eps_grid = _j_waves(ctx, kk, sel)
     a_minus = float(a[image])
     sqrt_delta_inv = ctx.delta[image] ** (-0.5)
     stage = spectral_derivative(eps_grid.T * sqrt_delta_inv[:, None], a_minus,

@@ -13,8 +13,8 @@ antilinear, so the pairings with every ``eps_kl`` are the transposed J
 transport applied to ``Delta^{1/2} x``, and the paren synthesis
 ``sum c_kl eps_kl`` is ``J`` of the vector with coefficients
 ``conj(c_kl)``.  :func:`epsilon_basis` builds the basis itself on
-request, as a reference: J of the waves ``e_l`` of each block, one block
-of grid rows at a time through the J step every other route takes.
+request, as a reference: J of the waves ``e_l`` of each block, from the
+u-spectra of the waves that the J transport keeps, one block at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import GridTooSmallError
 from .gns import (GnsVector, TruncationBox, _context, _multiplier_rows,
                   _u_kl_rows, vacuum_image)
 from .grids import at_modes, dirichlet_kernel, l2, project_to_modes, spectrum
-from .modular import _epsilon_pairings, _j_on_grid, _j_rows, _root_rows
+from .modular import _epsilon_pairings, _j_on_grid, _j_waves, _root_rows
 from .weyl import WeylElement, _stack_of
 
 
@@ -81,9 +81,9 @@ def epsilon_basis(d: DiffeoSpec, box: TruncationBox) -> np.ndarray:
     blocks vanish.  The transforms below never build this table.
     """
     ctx = _context(d, box)
-    return np.stack([project_to_modes(
-        _j_rows(ctx, np.array([i]), ctx.waves[:, None])[1][:, 0],
-        box.mode_bound) for i in range(box.n_blocks)])
+    return np.stack([project_to_modes(_j_waves(ctx, i, slice(None))[1],
+                                      box.mode_bound)
+                     for i in range(box.n_blocks)])
 
 
 def paren_vector(x: GnsVector, d: DiffeoSpec) -> FourierCoeffs:
@@ -115,11 +115,11 @@ def _vacuum_paren(f: WeylElement, d: DiffeoSpec,
                   box: TruncationBox) -> FourierCoeffs:
     """Paren table read off row n = 0 of each shift multiplier: entry
     ``(k, l)`` is the mode ``-l`` of the shift ``-k`` row."""
-    shifts, rows = _multiplier_rows(_stack_of(f), d, box, box.block_bound,
-                                    lambda s: 0)
+    shifts, twists, chart = _multiplier_rows(_stack_of(f), d, box,
+                                             box.block_bound, lambda s: 0)
     table = np.zeros((box.n_blocks, box.n_modes), dtype=complex)
-    table[box.block_bound - shifts] = at_modes(spectrum(rows[0, :, 0]),
-                                               -box.modes())
+    table[box.block_bound - shifts] = at_modes(
+        spectrum(twists[0, :, 0] @ chart), -box.modes())
     return FourierCoeffs("paren", table, box)
 
 

@@ -10,18 +10,19 @@ diagonally up to shifts,
 with multiplier functions ``m_{n, s}(z) = sum_m f(m, s)
 exp(2 pi i m (u(z) + alpha (2 n - s)))`` where ``2 pi u`` is the angle
 of ``h^{-1}(z)``.  One builder evaluates that sum: a twist table over
-(rows x distinct modes) times one wave table, a single product.
-:func:`represent` reads it at every block.  The vacuum sits in block 0,
-so block s of ``pi(f) xi`` is the single row ``m_{s, s}``:
-:func:`vacuum_image` reads one row per shift and builds no operator,
-and the vacuum-route paren table reads the rows ``m_{0, s}``.  The
-builder takes a stack of tables over one support (``weyl._Stack``) and
-shares its twists across the stack; :func:`_vacuum_rows` gives the live
-band rows of a stack of vacuum images, :func:`_series` and
-:func:`_expectations` the two state routes of a stack, and
-:func:`vacuum_image` and :func:`state_eval` are their stacks of one.
-Stacks carry only live rows, a chunk of tables at a time
-(:func:`_chunked`), so their grid rows never outgrow one vector's
+(rows x distinct modes) times one wave table.  :func:`represent` reads
+every block; :func:`_apply` sums a shift's rows at a time through
+:func:`_shift_sum`, the one shift sum, and forms no operator.  The
+vacuum sits in block 0, so block s of ``pi(f) xi`` is the single row
+``m_{s, s}``: :func:`vacuum_image` reads one row per shift and builds
+no operator, and the vacuum-route paren table reads the rows
+``m_{0, s}``.  The builder takes a stack of tables over one support
+(``weyl._Stack``) and shares its twists across the stack;
+:func:`_vacuum_rows` gives the live band rows of a stack of vacuum
+images, :func:`_series` and :func:`_expectations` the two state routes
+of a stack, and :func:`vacuum_image` and :func:`state_eval` are their
+stacks of one.  Stacks carry only live rows, a chunk of tables at a
+time (:func:`_chunked`), so their grid rows never outgrow one vector's
 (2K + 1, G) array.  Everything downstream (modular operators,
 transforms, Dirac blocks) reuses the cached per-box context built here,
 the chart: one inverse solve into ``u = h^{-1}``, the densities
@@ -244,23 +245,10 @@ class GnsOperator:
                       for s, t in terms.items()}
 
     def apply_to_grid(self, source: np.ndarray) -> np.ndarray:
-        """Act on raw grid rows and return grid rows.
-
-        Products of these operators are pointwise in the grid picture,
-        so chaining applications here keeps composites exact; the band
-        projection happens only in :meth:`apply`.
-        """
-        k = self.box.block_bound
-        out = np.zeros_like(source)
-        for s, mult in self.terms.items():
-            lo = max(-k, -k + s)
-            hi = min(k, k + s)
-            if lo > hi:
-                continue
-            rows = slice(lo + k, hi + k + 1)
-            src = slice(lo - s + k, hi - s + k + 1)
-            out[rows] += mult[rows] * source[src]
-        return out
+        """Act on raw grid rows, returning complex grid rows.  Products are
+        pointwise on the grid, so chaining applications keeps composites
+        exact; only :meth:`apply` projects onto the band."""
+        return _shift_sum(self.terms.items(), source, self.box.block_bound)
 
     def apply(self, x: GnsVector) -> GnsVector:
         if x.box != self.box:
@@ -514,6 +502,18 @@ def _tridiagonal(alpha: list[float], beta: list[float]) -> np.ndarray:
     return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
 
 
+def _shift_sum(terms, source: np.ndarray, k: int) -> np.ndarray:
+    """``out_n = sum_s m_{n, s} x_{n - s}`` over ``terms``' pairs ``(s, m)``
+    in order, on grid rows (..., 2K + 1, G), into a complex output."""
+    out = np.zeros(source.shape, dtype=complex)
+    for s, mult in terms:
+        lo, hi = max(0, s), min(2 * k, 2 * k + s) + 1
+        if lo < hi:
+            out[..., lo:hi, :] += (mult[..., lo:hi, :]
+                                   * source[..., lo - s:hi - s, :])
+    return out
+
+
 def _multiplier_rows(f: _Stack, d: DiffeoSpec, box: TruncationBox,
                      bound: int, block_of):
     """Multiplier rows ``m_{n, s} = sum_m f(m, s) exp(2 pi i m u)
@@ -523,17 +523,16 @@ def _multiplier_rows(f: _Stack, d: DiffeoSpec, box: TruncationBox,
     ``weyl._stack_of(f)``).  Rows are taken for the distinct shifts s of
     the support with ``|s| <= bound``, ascending, at the blocks
     ``n = block_of(s)`` (s a column, so n may add a block axis): every
-    block for :func:`represent`, ``n = s`` for the vacuum image (the only
-    row of shift s that meets the vacuum), ``n = 0`` for the
-    vacuum-route paren table.  Returns the shifts and rows of shape
-    (tables, shifts, blocks, G).  One table of twists over (rows x
-    distinct modes), each cycle count reduced by ``grids.waves`` once and
-    shared by the stack, times one chart wave table ``exp(2 pi i m u)``
-    (``m u`` reduced exactly too): a single product, so a NaN
+    block for :func:`represent` and :func:`_apply`, ``n = s`` for the
+    vacuum image (the only row of shift s that meets the vacuum),
+    ``n = 0`` for the vacuum-route paren table.  Returns the shifts, the
+    twist table (tables, shifts, blocks, distinct modes), each cycle
+    count reduced by ``grids.waves`` once and shared by the stack, and
+    the chart waves ``exp(2 pi i m u)`` (modes, G), ``m u`` exact too.
+    Each reader multiplies the slice it reads (:func:`_rows`), so a NaN
     coefficient reaches the rows of its own table and shift only.  An
-    alpha mismatch raises; each shift beyond the block range ``2K``
-    warns once (pointing at the caller's caller), whichever bound is
-    kept.
+    alpha mismatch raises; each shift beyond the block range ``2K`` warns
+    once (pointing at the caller's caller), whichever bound is kept.
     """
     if f.alpha != d.alpha:
         raise AlphaMismatchError(
@@ -544,7 +543,6 @@ def _multiplier_rows(f: _Stack, d: DiffeoSpec, box: TruncationBox,
                       stacklevel=3)
     keep = np.abs(ss) <= bound
     ms, ss, coeffs = f.keys[keep, 0], ss[keep], f.values[:, keep]
-    ctx = _context(d, box)
     shifts, shift_at = np.unique(ss, return_inverse=True)
     modes, mode_at = np.unique(ms, return_inverse=True)
     column = shifts[:, None]
@@ -555,18 +553,36 @@ def _multiplier_rows(f: _Stack, d: DiffeoSpec, box: TruncationBox,
     table = np.zeros((len(coeffs),) + blocks.shape + modes.shape,
                      dtype=complex)
     table[:, shift_at, :, mode_at] = twists[:, None] * coeffs.T[:, :, None]
-    chart = ctx.chart.waves(modes[:, None])
-    rows = table.reshape(len(coeffs) * blocks.size, len(modes)) @ chart
-    return shifts, rows.reshape(table.shape[:3] + (box.grid_size,))
+    return shifts, table, _context(d, box).chart.waves(modes[:, None])
+
+
+def _rows(table: np.ndarray, chart: np.ndarray) -> np.ndarray:
+    """A twist-table slice (..., modes) times the chart waves as one
+    product over all its rows (a stacked ``@`` is slower)."""
+    flat = table.reshape(int(np.prod(table.shape[:-1])), table.shape[-1])
+    return (flat @ chart).reshape(table.shape[:-1] + chart.shape[1:])
 
 
 def represent(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> GnsOperator:
     """Image of a coefficient table in the block representation: the
     multiplier rows of every shift ``|s| <= 2K`` at every block."""
-    shifts, rows = _multiplier_rows(_stack_of(f), d, box,
-                                    2 * box.block_bound,
-                                    lambda s: box.blocks())
-    return GnsOperator(box, dict(zip(shifts.tolist(), rows[0])))
+    shifts, table, chart = _multiplier_rows(_stack_of(f), d, box,
+                                            2 * box.block_bound,
+                                            lambda s: box.blocks())
+    return GnsOperator(box, dict(zip(shifts.tolist(),
+                                     _rows(table[0], chart))))
+
+
+def _apply(f: _Stack, d: DiffeoSpec, box: TruncationBox, rows):
+    """``represent(f_i).apply_to_grid`` of grid rows (2K + 1, G), or of
+    one such array per table, as (tables, 2K + 1, G) with no operator
+    formed: each shift's rows are built as they are summed, bit-equal."""
+    shifts, table, chart = _multiplier_rows(f, d, box, 2 * box.block_bound,
+                                            lambda s: box.blocks())
+    source = np.broadcast_to(rows, (len(table),) + rows.shape[-2:])
+    return _shift_sum(((s, _rows(table[:, i], chart))
+                       for i, s in enumerate(shifts.tolist())),
+                      source, box.block_bound)
 
 
 def _spread(box: TruncationBox, blocks: np.ndarray,
@@ -606,9 +622,9 @@ def _vacuum_rows(f: _Stack, d: DiffeoSpec,
     the band rows (tables, shifts, 2M + 1), the multiplier row of shift
     s being block s."""
     def band(part):
-        rows = _multiplier_rows(part, d, box, box.block_bound,
-                                lambda s: s)[1]
-        return project_to_modes(rows[:, :, 0], box.mode_bound)
+        _, table, chart = _multiplier_rows(part, d, box, box.block_bound,
+                                           lambda s: s)
+        return project_to_modes(_rows(table[:, :, 0], chart), box.mode_bound)
 
     return (_shifts(f, box.block_bound) + box.block_bound,
             _chunked(band, f, box))

@@ -11,11 +11,12 @@ This module is the one home of that transport.  It is built on the
 first J of a per-box context and kept on it, so a context that never
 applies J never pays for its two G x G maps.  :func:`apply_J`, the
 conjugated Borel calculus, the paren synthesis and the rows of the
-conjugated basis ``eps_kl = J e_kl`` (the reference basis and the Dirac
-oracle's window) apply it, and the paren pairings against that basis
-apply its transpose.  :func:`_j_rows` moves the live rows of a whole
-stack of vectors in one batch, each row with the bits it has in any
-other batch, and is the one place that maps a block to its image.
+conjugated basis ``eps_kl = J e_kl`` (:func:`_j_waves`, from the kept
+u-spectra of the waves) apply it, and the paren pairings against that
+basis apply its transpose.  :func:`_j_rows` moves the live rows of a
+whole stack of vectors in one batch, each row with the bits it has in
+any other batch; its second half, :func:`_j_spectra`, is the one place
+that maps a block to its image.
 :func:`_tomita_deviations` checks the Tomita relation on a stack of
 tables, :func:`tomita_check` being its stack of one.
 :func:`_borel_stack` gives J and the conjugated Borel calculus
@@ -40,7 +41,7 @@ import numpy as np
 from .dynamics import DiffeoSpec
 from .errors import AliasingError, SingularBlockError
 from .gns import (GnsVector, TruncationBox, _chunked, _context,
-                  _multiplier_rows, _spread, _vacuum_rows)
+                  _multiplier_rows, _rows, _spread, _vacuum_rows)
 from .grids import (at_modes, frequencies, inner, l2, on_grid,
                     project_to_modes, spectrum, tail_mass, waves)
 from .weyl import WeylElement, _involution_stack, _Stack, _stack_of
@@ -130,15 +131,27 @@ def _j_rows(ctx, blocks: np.ndarray,
     its row in a batch of any other size.  Only live rows are carried, so
     a stack of vacuum images moves its occupied blocks and nothing else.
     """
-    to_chart, phase, from_chart, _ = _transport(ctx)
+    spectra = _times(rows, _transport(ctx)[0])
+    return _j_spectra(ctx, blocks, spectra, out=spectra)
+
+
+def _j_spectra(ctx, blocks: np.ndarray, spectra: np.ndarray, out=None):
+    """:func:`_j_rows` from the u-spectra of its rows, phased into ``out``
+    (a new array by default: a kept table is read, never written)."""
+    _, phase, from_chart, _ = _transport(ctx)
     image = ctx.box.n_blocks - 1 - blocks
-    spectra = _times(rows, to_chart)
-    np.multiply(spectra, phase[image], out=spectra)
-    moved = _times(spectra, from_chart)
-    del spectra
+    moved = _times(np.multiply(spectra, phase[image], out=out), from_chart)
     np.conj(moved, out=moved)
     moved *= ctx.sqrt_delta[image]
     return image[::-1], moved[..., ::-1, :]
+
+
+def _j_waves(ctx, block: int, modes) -> tuple[int, np.ndarray]:
+    """J of the grid waves at mode indices ``modes`` in block index
+    ``block``, from their kept u-spectra: the image index, rows (modes, G)."""
+    (image,), rows = _j_spectra(ctx, np.array([block]),
+                                _transport(ctx)[3][modes][:, None])
+    return image, rows[:, 0]
 
 
 def _j_on_grid(ctx, rows: np.ndarray) -> np.ndarray:
@@ -175,9 +188,10 @@ def _root_stack(f: _Stack, d: DiffeoSpec,
     """Unprojected grid rows of ``Delta^{1/2} pi(f_i) xi`` for a stack of
     tables, built only here: the blocks of the shifts and their rows
     (tables, shifts, G)."""
-    shifts, rows = _multiplier_rows(f, d, box, box.block_bound, lambda s: s)
+    shifts, table, chart = _multiplier_rows(f, d, box, box.block_bound,
+                                            lambda s: s)
     at = shifts + box.block_bound
-    rows = rows[:, :, 0]
+    rows = _rows(table[:, :, 0], chart)
     rows *= _context(d, box).sqrt_delta[at]
     return at, rows
 

@@ -150,30 +150,29 @@ def gns_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
     images[:, np.arange(len(ls)), ls + box.mode_bound] -= 1.0
     u_dev = float(np.max(l2(images, axis=-1)))
 
+    def pi(f, rows):
+        return gns._apply(f, d, box, rows)[0]
+
+    def band(rows):
+        return gns.GnsVector(box, project_to_modes(rows, box.mode_bound))
+
     # The sequential product is compared on grid rows: the interior
     # block margin covers both shifts, and keeping the intermediate at
     # grid bandwidth avoids charging the product with band truncation
-    # that neither route owns.
-    hom_dev = 0.0
-    adj_dev = 0.0
+    # that neither route owns.  Each pi streams its shifts: no operator.
+    hom_dev = adj_dev = 0.0
     for _ in range(hom_count):
-        f = weyl.random_element(rng, d.alpha, 2)
-        g = weyl.random_element(rng, d.alpha, 2)
-        af = gns.represent(f, d, box)
-        ag = gns.represent(g, d, box)
-        afg = gns.represent(weyl.star_product(f, g), d, box)
+        pair = weyl._random_stack(rng, d.alpha, 2, 2)
+        f, g = pair.take(slice(0, 1)), pair.take(slice(1, 2))
         x = gns.random_vector(rng, box, _PROBE_MARGIN, _PROBE_MARGIN)
-        seq = af.apply_to_grid(ag.apply_to_grid(x.on_grid()))
-        comp = afg.apply_to_grid(x.on_grid())
+        seq = pi(f, pi(g, x.on_grid()))
+        comp = pi(weyl._star_stack(f, g), x.on_grid())
         hom_dev = np.maximum(hom_dev, float(l2(seq - comp))
                              / np.sqrt(box.grid_size))
         y = gns.random_vector(rng, box, _PROBE_MARGIN, _PROBE_MARGIN)
-        star_rep = gns.represent(weyl.involution(f), d, box)
-        adj_dev = np.maximum(adj_dev, abs(af.apply(x).inner(y)
-                                          - x.inner(star_rep.apply(y))))
-        # each operator holds every block of its shifts; freed here, the
-        # next pair's are not built while these are alive
-        del af, ag, afg, star_rep
+        adj_dev = np.maximum(adj_dev, abs(
+            band(pi(f, x.on_grid())).inner(y)
+            - x.inner(band(pi(weyl._involution_stack(f), y.on_grid())))))
 
     state_dev = _state_routes(d, rng, hom_count)
     return [
@@ -291,19 +290,16 @@ def summation_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
                     rng: np.random.Generator) -> list[CheckResult]:
     results = []
     f = weyl.random_element(rng, d.alpha, 2)
+    kernel = summation.SummationKernel
+    kernels = ([kernel("fejer", order=n) for n in (4, 8, 16)]
+               + [kernel("abel", radius=r) for r in (0.9, 0.99, 0.999)])
     for kind in ("hat", "paren"):
-        rows = summation.convergence_profile(
-            f, d, box, kind,
-            [summation.SummationKernel("fejer", order=n) for n in (4, 8, 16)])
+        rows = summation.convergence_profile(f, d, box, kind, kernels)
         results += ratio_band_checks(
             [f"fejer_ratio_{kind}_{label}"
              for label in ("8_over_4", "16_over_8")],
-            rows, tols["fejer_ratio_low"], tols["fejer_ratio_high"])
-        abel_rows = summation.convergence_profile(
-            f, d, box, kind,
-            [summation.SummationKernel("abel", radius=r)
-             for r in (0.9, 0.99, 0.999)])
-        results.append(decrease_check(f"abel_monotone_{kind}", abel_rows,
+            rows[:3], tols["fejer_ratio_low"], tols["fejer_ratio_high"])
+        results.append(decrease_check(f"abel_monotone_{kind}", rows[3:],
                                       "errors strictly decreasing in r"))
     results.append(transference_check(d, box, tols, rng))
     return results

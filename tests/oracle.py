@@ -6,8 +6,9 @@ diagonals, a dense Gram eigensolve for the operator norm, the csv
 module cell by cell for the CLI tables, the whole operator for a vacuum
 read, every block through the chart transport, the orbit by full
 inverse solves, the star product and random tables by the reducer for
-arbitrary keys, the stacked verify suites one element at a time), kept
-out of ``src`` so that the package holds only what it calls or exports.
+arbitrary keys, the stacked verify suites one element at a time, the
+GNS probes through whole operators), kept out of ``src`` so that the
+package holds only what it calls or exports.
 """
 
 import csv
@@ -373,6 +374,51 @@ def modular_suite_by_element(d, box, tols, rng, count=20):
         verify.check("j_antiunitary", anti_dev, tols["borel"], note),
         verify.check("borel_identity", borel_dev, tols["borel"],
                      note or "powers and a rational function"),
+    ]
+
+
+def gns_suite_by_element(d, box, tols, rng, u_radius=8, hom_count=10):
+    """``verify.gns_suite`` with each homomorphism pair's four operators
+    built whole by ``gns.represent`` and applied by ``apply_to_grid``."""
+    waves = gns._context(d, box).waves
+    gram = waves @ np.conj(waves.T) / box.grid_size
+    gram_dev = float(np.max(np.abs(gram - np.eye(box.n_modes))))
+    kr = min(u_radius, box.block_bound)
+    lr = min(u_radius, box.mode_bound)
+    ks, ls = np.arange(-kr, kr + 1), np.arange(-lr, lr + 1)
+    rows = gns._u_kl_rows(d, box, ks[:, None], ls[None, :], ks[:, None])
+    images = grids.project_to_modes(rows, box.mode_bound)
+    images[:, np.arange(len(ls)), ls + box.mode_bound] -= 1.0
+    u_dev = float(np.max(grids.l2(images, axis=-1)))
+    margin = verify._PROBE_MARGIN
+    hom_dev = 0.0
+    adj_dev = 0.0
+    for _ in range(hom_count):
+        f = weyl.random_element(rng, d.alpha, 2)
+        g = weyl.random_element(rng, d.alpha, 2)
+        af = gns.represent(f, d, box)
+        ag = gns.represent(g, d, box)
+        afg = gns.represent(weyl.star_product(f, g), d, box)
+        x = gns.random_vector(rng, box, margin, margin)
+        seq = af.apply_to_grid(ag.apply_to_grid(x.on_grid()))
+        comp = afg.apply_to_grid(x.on_grid())
+        hom_dev = np.maximum(hom_dev, float(grids.l2(seq - comp))
+                             / np.sqrt(box.grid_size))
+        y = gns.random_vector(rng, box, margin, margin)
+        star_rep = gns.represent(weyl.involution(f), d, box)
+        adj_dev = np.maximum(adj_dev, abs(af.apply(x).inner(y)
+                                          - x.inner(star_rep.apply(y))))
+    state_dev = verify._state_routes(d, rng, hom_count)
+    return [
+        verify.check("basis_gram", gram_dev, tols["gram"],
+                     "quadrature orthonormality"),
+        verify.check("u_kl_vacuum", u_dev, tols["u_kl_vacuum"],
+                     f"|k|, |l| <= {min(kr, lr)}"),
+        verify.check("homomorphism", hom_dev, tols["homomorphism"],
+                     "interior vectors"),
+        verify.check("adjoint_pairing", adj_dev, tols["homomorphism"]),
+        verify.check("state_routes", state_dev, tols["state_routes"],
+                     "series vs vacuum expectation"),
     ]
 
 

@@ -335,8 +335,60 @@ def test_oversized_shift_warns_and_drops(bench, small_box):
     assert sorted(str(w.message) for w in caught) == [
         f"shift {s} exceeds the block range; term dropped" for s in (-20, 13)]
     assert all(w.category is UserWarning for w in caught)
+    # each warning points at the caller of represent
+    assert all(w.filename == __file__ for w in caught)
     assert a.terms == {}
     assert a.apply(gns.vacuum(small_box)).norm() < 1e-15
+
+
+def test_apply_to_grid_takes_real_rows(bench, small_box, rng):
+    """Real grid rows, float64 or float32, act as their complex cast, bit
+    for bit: the sum is accumulated in a complex array."""
+    a = gns.represent(weyl.random_element(rng, bench.alpha, 2), bench,
+                      small_box)
+    for dtype in (np.float64, np.float32):
+        rows = rng.standard_normal(
+            (small_box.n_blocks, small_box.grid_size)).astype(dtype)
+        got = a.apply_to_grid(rows)
+        assert got.dtype == complex
+        assert np.array_equal(got, a.apply_to_grid(rows.astype(complex)))
+
+
+@pytest.mark.parametrize("name", ["bench", "rot"])
+def test_stacked_apply_is_represent_table_by_table(name, request):
+    """``gns._apply`` of a stack of three dense tables, on one array of
+    grid rows per table and on one array shared by the stack, is
+    ``represent(f_i).apply_to_grid`` table by table, bit for bit.  So it
+    is for the empty table (zero rows) and for a table with shifts at
+    and beyond 2K, those beyond dropped with one warning each that
+    points at the caller of ``_apply``."""
+    d = request.getfixturevalue(name)
+    box = TruncationBox(6, 8)
+    rng = np.random.default_rng(3)
+    stack = weyl._random_stack(rng, d.alpha, 2, 3, decay=1.0)
+    shape = (3, box.n_blocks, box.grid_size)
+    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for source in (rows, rows[0]):
+        got = gns._apply(stack, d, box, source)
+        assert got.shape == shape
+        for i in range(3):
+            want = gns.represent(stack.element(i), d, box).apply_to_grid(
+                np.broadcast_to(source, shape)[i])
+            assert np.array_equal(got[i], want)
+    far = weyl.WeylElement(d.alpha, {(0, 13): 1.0, (1, -20): 2.0,
+                                     (2, 3): 0.5j, (-1, -12): 1.0})
+    for f, dropped in ((far, [-20, 13]), (weyl.WeylElement(d.alpha, {}),
+                                          [])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = gns._apply(weyl._stack_of(f), d, box, rows[0])
+            want = gns.represent(f, d, box).apply_to_grid(rows[0])
+        assert sorted(str(w.message) for w in caught) == sorted(
+            2 * [f"shift {s} exceeds the block range; term dropped"
+                 for s in dropped])
+        assert all(w.filename == __file__ for w in caught)
+        assert np.array_equal(got[0], want)
+        assert got[0].any() == bool(dropped)
 
 
 def reference_represent(f, d, box):

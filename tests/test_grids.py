@@ -348,9 +348,9 @@ def test_block_flip_scan_sees_every_spelling():
 
 
 def test_only_modular_flips_a_block():
-    """J maps block n to block -n in one place, ``modular._j_rows``; the
-    reference basis and the Dirac oracle read the image blocks it
-    returns."""
+    """J maps block n to block -n in one place, ``modular._j_spectra``
+    (the second half of ``_j_rows``); the reference basis and the Dirac
+    oracle read the image blocks it returns."""
     package = Path(grids.__file__).parent
     found = [(path.name, call) for path in sorted(package.glob("*.py"))
              for call in _BLOCK_FLIP.findall(path.read_text())]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nctorus import dynamics, fourier, gns, modular, tolerances, weyl
+from nctorus import dirac, dynamics, fourier, gns, modular, tolerances, weyl
 from nctorus.errors import AliasingError, SingularBlockError
 from nctorus.gns import TruncationBox
 
@@ -386,6 +386,32 @@ def test_conjugated_rows_of_a_window_equal_the_all_modes_rows(name, bounds,
                                       ctx.waves[window][:, None])
             assert at.tolist() == [box.n_blocks - 1 - i]
             assert np.array_equal(got[:, 0], full[window])
+
+
+@pytest.mark.parametrize("name", ["bench", "rot"])
+@pytest.mark.parametrize("bounds", [(6, 8), (20, 20)])
+def test_j_of_the_waves_reads_the_kept_spectra(name, bounds, request):
+    """``_j_waves``, from the u-spectra of the waves the transport keeps,
+    is ``_j_rows`` of the waves bit for bit, over all modes, a window of
+    nine and a lone mode; it, ``epsilon_basis`` and the eta = 1/2 Dirac
+    oracle leave the kept table as it was."""
+    d = request.getfixturevalue(name)
+    box = TruncationBox(*bounds)
+    ctx = gns._context(d, box)
+    kept = modular._transport(ctx)[3]
+    before = kept.copy()
+    m = box.mode_bound
+    for i in (0, box.block_bound + 1, box.n_blocks - 1):
+        for window in (slice(None), np.arange(m - 4, m + 5), [m]):
+            at, want = modular._j_rows(ctx, np.array([i]),
+                                       ctx.waves[window][:, None])
+            image, got = modular._j_waves(ctx, i, window)
+            assert [image] == at.tolist()
+            assert np.array_equal(got, want[:, 0])
+    fourier.epsilon_basis(d, box)
+    dirac.master_elements(d, box, 4, etas=(0.5,))
+    assert modular._transport(ctx)[3] is kept
+    assert np.array_equal(kept, before)
 
 
 @pytest.mark.parametrize("name", ["bench", "rot"])

@@ -240,12 +240,14 @@ def test_u_kl_vacuum_catches_a_faulty_row(rot, small_box, monkeypatch,
 
 def test_quick_verify_represents_only_the_operator_probes(rot, small_box,
                                                           monkeypatch):
-    """Whole operators are built only where one meets a non-vacuum
-    vector: four per homomorphism round of ``gns_suite`` (five rounds in
-    the quick battery).  Every vacuum image goes through
-    ``gns.vacuum_image``."""
+    """Quick verify builds no whole operator: the homomorphism and
+    adjoint probes of ``gns_suite`` apply each table through
+    ``gns._apply``, a shift's rows at a time, so ``represent`` runs 0
+    times and no ``GnsOperator`` is constructed.  Every vacuum image goes
+    through ``gns.vacuum_image``."""
     real = gns.represent
     calls = []
+    built = []
 
     def counting(*args):
         calls.append(args)
@@ -255,9 +257,20 @@ def test_quick_verify_represents_only_the_operator_probes(rot, small_box,
         if (name.startswith("nctorus")
                 and getattr(module, "represent", None) is real):
             monkeypatch.setattr(module, "represent", counting)
+    init = gns.GnsOperator.__init__
+
+    def constructing(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(gns.GnsOperator, "__init__", constructing)
     rows = verify.run_all(rot, small_box, tolerances.resolve(), quick=True)
     assert all(r.passed for r in rows)
-    assert len(calls) == 4 * 5
+    assert len(calls) == 0
+    assert len(built) == 0
+    gns.represent(weyl.random_element(np.random.default_rng(1), rot.alpha,
+                                      2), rot, small_box)
+    assert len(calls) == len(built) == 1
 
 
 def test_quick_verify_evaluates_no_state_one_table_at_a_time(
@@ -385,16 +398,17 @@ def test_quick_verify_builds_seven_star_product_plans(rot, small_box):
 @pytest.mark.parametrize("bounds", [(6, 8), (8, 10)])
 def test_stacked_suites_give_the_per_element_values(name, bounds, request,
                                                     monkeypatch):
-    """Quick ``run_all`` with the star algebra, modular and Parseval
-    suites and the state routes run one element at a time
-    (``tests/oracle.py``) gives the stacked suites' rows: every observed
-    value to the bit but ``tomita_conjugation``, which is held within
-    1e-16.  On the benchmark at K = 6, M = 8 the J probes trip the
+    """Quick ``run_all`` with the star algebra, GNS, modular and Parseval
+    suites and the state routes run one element at a time, the GNS
+    probes through whole operators (``tests/oracle.py``), gives the
+    stacked suites' rows: every observed value to the bit but
+    ``tomita_conjugation``, which is held within 1e-16.  On the benchmark at K = 6, M = 8 the J probes trip the
     aliasing gate, and both routes report the same first tripped gate."""
     d = request.getfixturevalue(name)
     box, tols = TruncationBox(*bounds), tolerances.resolve()
     stacked = verify.run_all(d, box, tols, quick=True)
-    for suite in ("star_algebra_suite", "modular_suite", "parseval_suite"):
+    for suite in ("star_algebra_suite", "gns_suite", "modular_suite",
+                  "parseval_suite"):
         monkeypatch.setattr(verify, suite,
                             getattr(oracle, f"{suite}_by_element"))
     monkeypatch.setattr(verify, "_state_routes",
@@ -522,20 +536,27 @@ def test_modular_suite_memory_stays_within_the_per_element_peak(bench):
 
 
 def test_gns_suite_frees_each_pairs_operators(bench):
-    """With the context built, ``gns_suite`` at K = M = 20, seed 1 peaks
-    below 6.9e6 traced bytes (about 6.35e6 here).  Built while the last
-    pair's four operators were still alive, the operators of a
-    homomorphism pair peaked at 7505944."""
-    box, tols = TruncationBox(20, 20), tolerances.resolve()
-    verify.gns_suite(bench, box, tols, np.random.default_rng(0), hom_count=2)
-    tracemalloc.start()
-    try:
-        rows = verify.gns_suite(bench, box, tols, np.random.default_rng(1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert all(r.passed for r in rows)
-    assert peak < 6.9e6
+    """With the context built, ``gns_suite`` at seed 1 peaks at or below
+    3.2e6 traced bytes at K = M = 20 with the default counts (about
+    2.6e6 here) and 32e6 at K = M = 64, radius 4, five pairs (about
+    15.3e6): no operator is alive, each pi holding one shift's rows at a
+    time.  Four whole operators per pair peaked at 6.35e6 and 63.6e6."""
+    tols = tolerances.resolve()
+    for bounds, counts, limit in (
+            ((20, 20), {}, 3.2e6),
+            ((64, 64), {"u_radius": 4, "hom_count": 5}, 32e6)):
+        box = TruncationBox(*bounds)
+        verify.gns_suite(bench, box, tols, np.random.default_rng(0),
+                         u_radius=counts.get("u_radius", 8), hom_count=2)
+        tracemalloc.start()
+        try:
+            rows = verify.gns_suite(bench, box, tols,
+                                    np.random.default_rng(1), **counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in rows), bounds
+        assert peak <= limit, (bounds, peak)
 
 
 def test_stacked_suites_take_a_zero_count(bench):
