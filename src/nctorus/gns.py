@@ -54,14 +54,16 @@ from .weyl import WeylElement, _Stack, _stack_of
 # The seed of the Lanczos start, the Lanczos steps on the Gram, the cap
 # on shift-invert steps, the relative width of the certificate, the
 # factor a failed Cholesky raises the gap by, the cap on Cholesky rounds
-# before the norm fails closed, and the largest triangular block that is
-# inverted by LU rather than by halves.
+# before the norm fails closed, the rows a Lanczos basis grows by, and
+# the largest triangular block that is inverted by LU rather than by
+# halves.
 _NORM_SEED = 0
 _GRAM_STEPS = 30
 _SHIFT_STEPS = 150
 _CERTIFY = 1e-12
 _RAISE = 10.0
 _NORM_ROUNDS = 12
+_BASIS_ROWS = 16
 _TRIANGULAR_CUTOFF = 32
 
 
@@ -293,11 +295,14 @@ class GnsOperator:
         holds one such block per shift that stays in the box.
         """
         nb, m = self.box.n_blocks, self.box.mode_bound
-        hats = {s: spectrum(mult) for s, mult in self.terms.items()}
+        if not self.terms:
+            return
+        shifts = np.array(list(self.terms))
+        hats = np.stack([spectrum(mult) for mult in self.terms.values()])
         for i in range(nb):
-            shifts = [s for s in hats if 0 <= i - s < nb]
-            yield (i, [i - s for s in shifts],
-                   [toeplitz(hats[s][i], m) for s in shifts])
+            live = (0 <= i - shifts) & (i - shifts < nb)
+            yield (i, list(i - shifts[live]),
+                   list(toeplitz(hats[live, i], m)))
 
     def dense(self) -> np.ndarray:
         """Dense matrix in the ``basis_vector`` ordering (blocks outer)."""
@@ -336,8 +341,11 @@ class GnsOperator:
                 pairs = (row[:, np.repeat(left, nm)].conj().T
                          @ row[:, np.repeat(right, nm)]).reshape(
                              left.sum(), nm, right.sum(), nm)
-                band[run, cols[right] // q - run, cols[left, None] % q, :,
-                     cols[right] % q, :] += pairs.transpose(0, 2, 1, 3)
+                for rows, _, a, b in _col_runs(cols[left] - run * q, q):
+                    for pcols, offset, c, e in _col_runs(
+                            cols[right] - run * q, q):
+                        band[run, offset, a:b, :, c:e, :] += pairs[
+                            rows, :, pcols, :]
         size = q * nm
         return (band[:, 0].reshape(runs, size, size),
                 band[:, 1].reshape(runs, size, size))
@@ -357,8 +365,14 @@ class GnsOperator:
         from above; a failed Cholesky raises the shift.  NaN when the
         Gram is not finite or no certificate is found in a fixed number
         of rounds, 0.0 when the Gram is zero.
+
+        Memory is one band: the Cholesky overwrites the band it factors
+        (:func:`_band_cholesky`), whether it succeeds or not, so every
+        factorization after the first drops the old band and factors a
+        fresh one from :meth:`_band_gram`.
         """
-        diag, upper = self._band_gram()
+        band = self._band_gram()
+        diag = band[0]
         # the largest diagonal entry, a squared column norm of A, is a
         # lower bound on lambda_max; any non-finite entry of A makes it
         # non-finite
@@ -370,21 +384,24 @@ class GnsOperator:
         rng = np.random.default_rng(_NORM_SEED)
         start = (rng.standard_normal(diag.shape[:2])
                  + 1j * rng.standard_normal(diag.shape[:2])).ravel()
+        del diag
         theta, vector, residual = _top_ritz(
-            lambda x: _band_apply(diag, upper, x), start, _GRAM_STEPS)
+            lambda x: _band_apply(*band, x), start, _GRAM_STEPS)
         lower = max(theta, peak)
         gap = max(residual / lower, _CERTIFY)
         for _ in range(_NORM_ROUNDS):
             sigma = lower * (1.0 + gap)
-            factor = _band_cholesky(diag, upper, sigma)
-            if factor is None:
+            if band is None:
+                band = self._band_gram()
+            if not _band_cholesky(*band, sigma):
+                band = None  # half overwritten
                 gap *= _RAISE
                 continue
             if gap <= _CERTIFY:
                 return float(np.sqrt(lower))
-            mu, vector, _ = _top_ritz(lambda x: _band_solve(*factor, x),
+            mu, vector, _ = _top_ritz(lambda x: _band_solve(*band, x),
                                       vector, _SHIFT_STEPS)
-            del factor  # one factor at a time
+            band = None  # the factor goes before the next band is built
             lower = max(lower, sigma - 1.0 / mu)
             gap = _CERTIFY
         return float("nan")
@@ -401,30 +418,57 @@ def _band_apply(diag: np.ndarray, upper: np.ndarray,
     return y.ravel()
 
 
-def _band_cholesky(diag: np.ndarray, upper: np.ndarray, sigma: float):
-    """Block Cholesky ``sigma I - G = L L^H`` of a block tridiagonal G.
+def _band_cholesky(diag: np.ndarray, upper: np.ndarray,
+                   sigma: float) -> bool:
+    """Block Cholesky ``sigma I - G = L L^H`` of a block tridiagonal G,
+    in place.
 
-    Returns the inverse diagonal factors ``L_RR^{-1}`` and the
-    subdiagonal factors ``L_{R+1,R}``, or None when a pivot block is not
-    positive definite, which happens exactly when ``sigma`` is not above
-    the largest eigenvalue of G (up to roundoff).
+    Run by run, ``diag[R]`` is overwritten with the inverse diagonal
+    factor ``L_RR^{-1}`` and ``upper[R]`` with the subdiagonal factor
+    ``L_{R+1,R}``, so the factor costs no second band.  Returns False
+    when a pivot block is not positive definite, which happens exactly
+    when ``sigma`` is not above the largest eigenvalue of G (up to
+    roundoff); the runs before it are overwritten by then, so the band
+    holds neither G nor a factor.
     """
     runs, size, _ = diag.shape
-    inverse = np.empty_like(diag)
-    below = np.empty_like(upper[:-1])
     shift = sigma * np.eye(size)
     for r in range(runs):
         pivot = shift - diag[r]
         if r:
-            pivot -= below[r - 1] @ below[r - 1].conj().T
+            pivot -= upper[r - 1] @ upper[r - 1].conj().T
         try:
             factor = np.linalg.cholesky(pivot)
         except np.linalg.LinAlgError:
-            return None
-        inverse[r] = _triangular_inverse(factor)
+            return False
+        diag[r] = _triangular_inverse(factor)
         if r < runs - 1:
-            below[r] = -(inverse[r] @ upper[r]).conj().T
-    return inverse, below
+            upper[r] = -(diag[r] @ upper[r]).conj().T
+    return True
+
+
+def _col_runs(cols: np.ndarray, q: int):
+    """Maximal runs of consecutive columns in ``cols`` inside one run of q
+    columns; the columns are distinct, so a run steps by +1 or by -1.
+
+    Yields ``(source, run, start, stop)``: the positions of a run as a
+    slice that reads its columns in ascending order, and its columns
+    ``run q + (start .. stop - 1)``.  Each is one slice add of a block
+    row's pairs into the band.
+    """
+    cols = cols.tolist()
+    first = 0
+    for end in range(1, len(cols) + 1):
+        if end < len(cols) and abs(cols[end] - cols[end - 1]) == 1 and (
+                cols[end] // q == cols[first] // q):
+            continue
+        low = min(cols[first], cols[end - 1])
+        if cols[end - 1] >= cols[first]:
+            source = slice(first, end)
+        else:
+            source = slice(end - 1, first - 1 if first else None, -1)
+        yield source, low // q, low % q, low % q + end - first
+        first = end
 
 
 def _triangular_inverse(lower: np.ndarray) -> np.ndarray:
@@ -450,7 +494,9 @@ def _triangular_inverse(lower: np.ndarray) -> np.ndarray:
 
 def _band_solve(inverse: np.ndarray, below: np.ndarray,
                 rhs: np.ndarray) -> np.ndarray:
-    """``(L L^H)^{-1} rhs`` by block forward and back substitution."""
+    """``(L L^H)^{-1} rhs`` by block forward and back substitution, from
+    the factor :func:`_band_cholesky` leaves in a band (its last
+    ``below`` block is not read)."""
     rhs = rhs.reshape(len(inverse), -1)
     y = np.empty_like(rhs)
     for r in range(len(inverse)):
@@ -470,14 +516,20 @@ def _top_ritz(apply, start: np.ndarray, steps: int):
 
     The basis is reorthogonalized in full (twice per step).  The run
     stops early once the top Ritz value no longer grows, or the Krylov
-    space is invariant.
+    space is invariant.  The basis grows with the steps taken, by
+    ``_BASIS_ROWS`` rows at a time.
     """
-    basis = np.empty((steps, start.size), dtype=complex)
+    basis = np.empty((0, start.size), dtype=complex)
     q = start / l2(start)
     alpha: list[float] = []
     beta: list[float] = []
     top = -np.inf
     for k in range(steps):
+        if k == len(basis):
+            # in place (a realloc), which is safe: no view of the basis
+            # outlives a step
+            basis.resize((min(k + _BASIS_ROWS, steps), start.size),
+                         refcheck=False)
         basis[k] = q
         w = apply(q)
         alpha.append(float(inner(w, q).real))

@@ -222,13 +222,38 @@ def wts_deviation(f: WeylElement, w: TransferencePoint, d: DiffeoSpec,
     vacuum sits in block 0, so only row n = k of each shift-k multiplier
     is read; those rows are rotated, phased and projected as one stack.
     """
-    x = vacuum_image(f, d, box)
+    return _wts_deviations([(w, [f])], d, box, radius)[0][0]
+
+
+def _wts_deviations(cases: list[tuple[TransferencePoint, list[WeylElement]]],
+                    d: DiffeoSpec, box: TruncationBox,
+                    radius: int) -> list[list[float]]:
+    """:func:`wts_deviation` of each element of each ``(point, elements)``
+    case.  The generator rows are built once, one block k at a time, and
+    each block is rotated, phased and projected once per point."""
     kr, lr = min(radius, box.block_bound), min(radius, box.mode_bound)
     ks, ls = np.arange(-kr, kr + 1), np.arange(-lr, lr + 1)
-    rows = _u_kl_rows(d, box, ks[:, None], ls[None, :], ks[:, None])
-    moved = (w.w2 ** ks)[:, None, None] * rotate(rows, np.angle(w.w1))
-    images = np.conj(project_to_modes(moved, box.mode_bound))
-    lhs = np.einsum("km,klm->kl", x.coeffs[ks + box.block_bound], images)
-    table = hat_vector(x).table[ks + box.block_bound][:, ls + box.mode_bound]
-    rhs = (w.w1 ** -ls) * (w.w2 ** -ks)[:, None] * table
-    return float(np.max(np.abs(lhs - rhs)))
+    images = np.empty((len(cases), len(ks), len(ls), box.n_modes),
+                      dtype=complex)
+    # a block's rows at a time: each row is built, rotated and projected
+    # on its own, so a block of rows gives the bits of the whole stack
+    for i, k in enumerate(ks):
+        rows = _u_kl_rows(d, box, k, ls, k)
+        for (w, _), image in zip(cases, images):
+            # the block's phase from the array power, as the stack had it
+            image[i] = np.conj(project_to_modes(
+                (w.w2 ** ks)[i] * rotate(rows, np.angle(w.w1)),
+                box.mode_bound))
+    out = []
+    for (w, fs), image in zip(cases, images):
+        phases = (w.w1 ** -ls) * (w.w2 ** -ks)[:, None]
+        devs = []
+        for f in fs:
+            x = vacuum_image(f, d, box)
+            lhs = np.einsum("km,klm->kl", x.coeffs[ks + box.block_bound],
+                            image)
+            table = hat_vector(x).table[ks + box.block_bound][
+                :, ls + box.mode_bound]
+            devs.append(float(np.max(np.abs(lhs - phases * table))))
+        out.append(devs)
+    return out

@@ -268,17 +268,16 @@ def wts_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
               rng: np.random.Generator, radius: int = 8) -> list[CheckResult]:
     points = [summation.TransferencePoint.from_angles(1.1, 2.3),
               summation.TransferencePoint.from_angles(4.0, 0.7)]
-    gen_dev = 0.0
-    for w in points:
-        for (m, n) in ((0, 1), (1, 0), (1, 2)):
-            f = weyl.WeylElement.generator(d.alpha, m, n)
-            gen_dev = np.maximum(gen_dev,
-                                 summation.wts_deviation(f, w, d, box, radius))
-    rand_dev = 0.0
-    for w in points[:1]:
-        f = weyl.random_element(rng, d.alpha, 2, decay=1.0)
-        rand_dev = np.maximum(rand_dev,
-                              summation.wts_deviation(f, w, d, box, radius))
+    generators = [weyl.WeylElement.generator(d.alpha, m, n)
+                  for (m, n) in ((0, 1), (1, 0), (1, 2))]
+    f = weyl.random_element(rng, d.alpha, 2, decay=1.0)
+    # one stack of generator rows for the suite, one rotation per point
+    first, second = summation._wts_deviations(
+        [(points[0], generators + [f]), (points[1], generators)], d, box,
+        radius)
+    # np.max, not max: a NaN deviation must fail the check
+    gen_dev = np.max([0.0, *first[:3], *second])
+    rand_dev = np.max([0.0, first[3]])
     return [
         check("wts_generators", gen_dev, tols["wts_generators"],
               f"sweep |k|, |l| <= {radius}"),

@@ -177,6 +177,33 @@ def test_norm_estimate_matches_the_dense_gram(name, k, request):
     assert abs(a.norm_estimate() - want) <= 1e-13 * want
 
 
+@pytest.mark.parametrize("order", [[-3, -2, 0, 1, 3], [3, 1, 0, -2, -3],
+                                   [0, 3, -2, 1, -3]])
+def test_band_gram_is_the_dense_gram_in_any_term_order(order):
+    """The band's slice adds follow each block row's columns whether the
+    terms ascend, descend or are mixed, with gaps between the shifts and
+    runs of columns that cross from one run of q blocks to the next."""
+    rng = np.random.default_rng(7)
+    b = TruncationBox(5, 4)
+    shape = (b.n_blocks, b.grid_size)
+    op = gns.GnsOperator(b, {s: rng.standard_normal(shape)
+                             + 1j * rng.standard_normal(shape)
+                             for s in order})
+    diag, upper = op._band_gram()
+    runs, size, _ = diag.shape
+    band = np.zeros((runs, size, runs, size), dtype=complex)
+    for r in range(runs):
+        band[r, :, r] = diag[r]
+        if r < runs - 1:
+            band[r, :, r + 1] = upper[r]
+            band[r + 1, :, r] = upper[r].conj().T
+    dense = op.dense()
+    gram = dense.conj().T @ dense
+    band = band.reshape(runs * size, runs * size)
+    assert_allclose(band[:b.dim, :b.dim], gram, rtol=0, atol=1e-12)
+    assert not band[b.dim:].any()
+
+
 def _cholesky_factor(size, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((size, size)) + 1j * rng.standard_normal(
@@ -301,6 +328,66 @@ def test_norm_estimate_memory_is_half_a_gram_at_32(bench):
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * 16 * b.dim ** 2
+
+
+@pytest.mark.parametrize("k", [24, 32])
+def test_norm_estimate_memory_is_one_band(bench, k):
+    """The Cholesky factors the band in place and a later factorization
+    builds a fresh one after the old is freed, so the traced peak stays
+    under 1.5 times the two arrays of :meth:`_band_gram`; a second band
+    for the factor alone makes it over 2."""
+    b = TruncationBox(k, k)
+    f = weyl.random_element(np.random.default_rng(5), bench.alpha, 2,
+                            decay=1.0)
+    a = gns.represent(f, bench, b)
+    band = sum(x.nbytes for x in a._band_gram())
+    tracemalloc.start()
+    try:
+        a.norm_estimate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * band
+
+
+def test_norm_estimate_after_a_failed_factorization_builds_a_fresh_band(
+        bench, monkeypatch):
+    """A pivot fails in the middle of the first factorization, after two
+    runs are overwritten: the next round must factor a fresh band, and
+    the norm still matches the dense Gram eigensolve."""
+    f = weyl.random_element(np.random.default_rng(12), bench.alpha, 2,
+                            decay=1.0)
+    a = gns.represent(f, bench, TruncationBox(12, 12))
+    assert len(a._band_gram()[0]) > 3  # runs left after the failure
+    want = oracle.gram_norm(a)
+    events = []
+    cholesky, factor, gram = (np.linalg.cholesky, gns._band_cholesky,
+                              gns.GnsOperator._band_gram)
+
+    def failing_cholesky(pivot):
+        events.append("pivot")
+        if events.count("pivot") == 3:
+            raise np.linalg.LinAlgError("not positive definite")
+        return cholesky(pivot)
+
+    def logged_factor(*args):
+        events.append("factor")
+        return factor(*args)
+
+    def logged_gram(self):
+        events.append("band")
+        return gram(self)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+    monkeypatch.setattr(gns, "_band_cholesky", logged_factor)
+    monkeypatch.setattr(gns.GnsOperator, "_band_gram", logged_gram)
+    got = a.norm_estimate()
+    assert abs(got - want) <= 1e-13 * want
+    factors = [i for i, e in enumerate(events) if e == "factor"]
+    assert len(factors) >= 2
+    # every factorization reads a band no factorization has touched
+    for before, i in zip([-1] + factors, factors):
+        assert "band" in events[before + 1:i]
 
 
 def test_state_weights_frozen(bench):

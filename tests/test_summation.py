@@ -201,10 +201,10 @@ def _next_row(real):
 
 
 def _unphased(real, w):
-    def rotate(rows, angle):
-        ks = np.arange(rows.shape[0]) - rows.shape[0] // 2
-        return real(rows, angle) * (w.w2 ** -ks)[:, None, None]
-    return rotate
+    # rows that carry w2^{-k}, which the block phase w2^k then cancels
+    def rows(d, box, k, l, n):
+        return real(d, box, k, l, n) * (w.w2 ** -np.asarray(k))[..., None]
+    return rows
 
 
 @pytest.mark.parametrize("mutant", ["row n = k + 1", "no w2^k", "unrotated"])
@@ -216,8 +216,8 @@ def test_wts_gate_rejects_mutants(bench, small_box, monkeypatch, mutant):
         monkeypatch.setattr(summation, "_u_kl_rows",
                             _next_row(summation._u_kl_rows))
     elif mutant == "no w2^k":
-        monkeypatch.setattr(summation, "rotate",
-                            _unphased(summation.rotate, w))
+        monkeypatch.setattr(summation, "_u_kl_rows",
+                            _unphased(summation._u_kl_rows, w))
     else:
         monkeypatch.setattr(summation, "rotate", lambda rows, angle: rows)
     f = weyl.WeylElement.generator(bench.alpha, 1, 2)

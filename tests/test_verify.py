@@ -167,6 +167,36 @@ def test_wts_suite_retains_no_multipliers(bench):
     assert retained < 2 ** 20
 
 
+@pytest.mark.parametrize("name", ["bench", "rot"])
+def test_wts_suite_builds_its_rows_once_for_the_per_call_values(
+        name, request, monkeypatch):
+    """The suite's seven deviations share one build of the ``u_kl`` rows,
+    a block k at a time, and one rotation of each block per transference
+    point; each is the bits of its own ``summation.wts_deviation``
+    call."""
+    d = request.getfixturevalue(name)
+    box = TruncationBox(6, 8)
+    points = [summation.TransferencePoint.from_angles(1.1, 2.3),
+              summation.TransferencePoint.from_angles(4.0, 0.7)]
+    f = weyl.random_element(np.random.default_rng(3), d.alpha, 2, decay=1.0)
+    gen_want = max(summation.wts_deviation(
+        weyl.WeylElement.generator(d.alpha, m, n), w, d, box, 8)
+        for w in points for (m, n) in ((0, 1), (1, 0), (1, 2)))
+    rand_want = summation.wts_deviation(f, points[0], d, box, 8)
+    calls = []
+    for fn in ("_u_kl_rows", "rotate"):
+        def counted(*args, real=getattr(summation, fn), fn=fn):
+            calls.append(fn if fn == "rotate" else args[2])
+            return real(*args)
+        monkeypatch.setattr(summation, fn, counted)
+    rows = verify.wts_suite(d, box, tolerances.resolve(),
+                            np.random.default_rng(3))
+    blocks = list(range(-box.block_bound, box.block_bound + 1))
+    assert calls == [c for k in blocks for c in (k, "rotate", "rotate")]
+    assert _row(rows, "wts_generators").observed == gen_want
+    assert _row(rows, "wts_random").observed == rand_want
+
+
 def _inflate_one_commutator(monkeypatch, n_hit, eta_hit, generator_hit):
     """Raise one pair's norm to twice its growth bound."""
     real = dirac.commutator_block
