@@ -314,57 +314,52 @@ class GnsOperator:
                 out[i, :, j, :] = block
         return out.reshape(box.dim, box.dim)
 
-    def _band_gram(self) -> tuple[np.ndarray, np.ndarray]:
-        """The Gram matrix ``A^H A`` as a block tridiagonal matrix.
+    def _band_gram(self) -> np.ndarray:
+        """The Gram matrix ``A^H A`` as its lower block band.
 
         Block row i couples the columns ``j = i - s``, so the Gram couples
         blocks j and j' only when ``|j - j'|`` is at most the spread q of
-        the shifts.  Runs of q consecutive blocks (the last one padded
-        with zero blocks) then couple only to their neighbour runs.
-        Returns the diagonal run blocks and the superdiagonal ones (run R
-        against run R + 1), each (runs, q n_m, q n_m); a spread as wide
-        as the box gives one run, the dense Gram.
+        the shifts, capped at ``n_blocks - 1`` (the dense case, on the
+        same path).  Returns the q + 1 lower block diagonals,
+        (n_blocks, q + 1, n_m, n_m): ``[j, t]`` is the Gram block
+        ``(j + t, j)``, zero where ``j + t`` leaves the box, and ``[j, 0]``
+        is Hermitian.  A block row forms only the pairs the band holds:
+        one product per column b, against its columns a >= b.
         """
         nb, nm = self.box.n_blocks, self.box.n_modes
-        q = min(max(1, max(self.terms, default=0)
-                    - min(self.terms, default=0)), nb)
-        runs = -(-nb // q)
-        band = np.zeros((runs, 2, q, nm, q, nm), dtype=complex)
+        q = min(max(self.terms, default=0) - min(self.terms, default=0),
+                nb - 1)
+        band = np.zeros((nb, q + 1, nm, nm), dtype=complex)
         for _, cols, blocks in self._block_rows():
             if not cols:
                 continue
-            row, cols = np.hstack(blocks), np.array(cols)
-            # a row's columns span at most two runs; only the pairs at run
-            # offset 0 or 1 are formed, -1 being the adjoint of a +1 pair
-            for run in range(cols.min() // q, cols.max() // q + 1):
-                left, right = cols // q == run, cols // q >= run
-                pairs = (row[:, np.repeat(left, nm)].conj().T
-                         @ row[:, np.repeat(right, nm)]).reshape(
-                             left.sum(), nm, right.sum(), nm)
-                for rows, _, a, b in _col_runs(cols[left] - run * q, q):
-                    for pcols, offset, c, e in _col_runs(
-                            cols[right] - run * q, q):
-                        band[run, offset, a:b, :, c:e, :] += pairs[
-                            rows, :, pcols, :]
-        size = q * nm
-        return (band[:, 0].reshape(runs, size, size),
-                band[:, 1].reshape(runs, size, size))
+            order = np.argsort(cols)
+            cols = np.array(cols)[order]
+            row = np.hstack([blocks[i] for i in order])
+            # A_ia^H A_ib as conj(A_ia)^T A_ib: a transposed view, no
+            # conjugated transpose copied per product
+            conj = row.conj()
+            for p, b in enumerate(cols.tolist()):
+                band[b, cols[p:] - b] += (
+                    conj[:, p * nm:].T @ row[:, p * nm:(p + 1) * nm]
+                ).reshape(-1, nm, nm)
+        return band
 
     def norm_estimate(self) -> float:
         """Spectral norm of the dense truncation, ``sqrt(lambda_max(A^H A))``.
 
-        No dim x dim array is formed: the Gram is kept as its block
-        tridiagonal band (:meth:`_band_gram`).  A short Lanczos run on
-        the Gram from a fixed-seed random vector gives a lower bound and
-        its residual a first shift sigma.  A block Cholesky of
-        ``sigma I - G`` exists only when ``sigma > lambda_max``, and
-        Lanczos on its inverse (block substitution) separates the
-        clustered top of the spectrum: ``sigma - 1 / mu`` is a lower
-        bound on ``lambda_max`` that converges fast.  The value is
-        returned once a Cholesky at ``lambda (1 + 1e-12)`` certifies it
-        from above; a failed Cholesky raises the shift.  NaN when the
-        Gram is not finite or no certificate is found in a fixed number
-        of rounds, 0.0 when the Gram is zero.
+        No dim x dim array is formed: the Gram is kept as its lower block
+        band (:meth:`_band_gram`).  A short Lanczos run on the Gram from
+        a fixed-seed random vector gives a lower bound and its residual a
+        first shift sigma.  A block Cholesky of ``sigma I - G`` exists
+        only when ``sigma > lambda_max``, and Lanczos on its inverse
+        (block substitution) separates the clustered top of the spectrum:
+        ``sigma - 1 / mu`` is a lower bound on ``lambda_max`` that
+        converges fast.  The value is returned once a Cholesky at
+        ``lambda (1 + 1e-12)`` certifies it from above; a failed Cholesky
+        raises the shift.  NaN when the Gram is not finite or no
+        certificate is found in a fixed number of rounds, 0.0 when the
+        Gram is zero.
 
         Memory is one band: the Cholesky overwrites the band it factors
         (:func:`_band_cholesky`), whether it succeeds or not, so every
@@ -372,34 +367,33 @@ class GnsOperator:
         fresh one from :meth:`_band_gram`.
         """
         band = self._band_gram()
-        diag = band[0]
         # the largest diagonal entry, a squared column norm of A, is a
         # lower bound on lambda_max; any non-finite entry of A makes it
         # non-finite
-        peak = diag.diagonal(0, 1, 2).real.max()
+        peak = band[:, 0].diagonal(0, 1, 2).real.max()
         if not np.isfinite(peak):
             return float("nan")
         if peak == 0.0:
             return 0.0
         rng = np.random.default_rng(_NORM_SEED)
-        start = (rng.standard_normal(diag.shape[:2])
-                 + 1j * rng.standard_normal(diag.shape[:2])).ravel()
-        del diag
+        shape = (len(band), band.shape[-1])
+        start = (rng.standard_normal(shape)
+                 + 1j * rng.standard_normal(shape)).ravel()
         theta, vector, residual = _top_ritz(
-            lambda x: _band_apply(*band, x), start, _GRAM_STEPS)
+            lambda x: _band_apply(band, x), start, _GRAM_STEPS)
         lower = max(theta, peak)
         gap = max(residual / lower, _CERTIFY)
         for _ in range(_NORM_ROUNDS):
             sigma = lower * (1.0 + gap)
             if band is None:
                 band = self._band_gram()
-            if not _band_cholesky(*band, sigma):
-                band = None  # half overwritten
+            if not _band_cholesky(band, sigma):
+                band = None  # partly overwritten
                 gap *= _RAISE
                 continue
             if gap <= _CERTIFY:
                 return float(np.sqrt(lower))
-            mu, vector, _ = _top_ritz(lambda x: _band_solve(*band, x),
+            mu, vector, _ = _top_ritz(lambda x: _band_solve(band, x),
                                       vector, _SHIFT_STEPS)
             band = None  # the factor goes before the next band is built
             lower = max(lower, sigma - 1.0 / mu)
@@ -407,68 +401,69 @@ class GnsOperator:
         return float("nan")
 
 
-def _band_apply(diag: np.ndarray, upper: np.ndarray,
-                x: np.ndarray) -> np.ndarray:
-    """Block tridiagonal Hermitian matrix times a flat vector."""
-    x = x.reshape(len(diag), -1)
-    y = (diag @ x[..., None])[..., 0]
-    y[:-1] += (upper[:-1] @ x[1:, :, None])[..., 0]
-    # U^H v as conj(v^H U): no conjugated copy of U
-    y[1:] += (x[:-1, None, :].conj() @ upper[:-1])[:, 0].conj()
+def _band_apply(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A Hermitian matrix given by its lower block band
+    (:meth:`GnsOperator._band_gram`'s layout) times a flat vector.
+
+    One stacked product applies each block column's stored blocks to its
+    block of x, the lower half; the upper half is the conjugate transpose
+    of the same blocks, one stacked product with the blocks of x below.
+    """
+    nb, depth, nm, _ = band.shape
+    x = x.reshape(nb, nm)
+    lower = (band.reshape(nb, depth * nm, nm) @ x[..., None]).reshape(
+        nb, depth, nm)
+    y = lower[:, 0].copy()
+    for t in range(1, min(depth, nb)):
+        y[t:] += lower[:nb - t, t]
+    # B^H v as conj(v^H B): no conjugated copy of B; past the box the
+    # band and the padded blocks of x are zero
+    padded = np.zeros((nb + depth, nm), dtype=complex)
+    padded[:nb] = x
+    below = padded[np.arange(nb)[:, None] + np.arange(1, depth)]
+    y += (below.reshape(nb, 1, -1).conj()
+          @ band[:, 1:].reshape(nb, -1, nm))[:, 0].conj()
     return y.ravel()
 
 
-def _band_cholesky(diag: np.ndarray, upper: np.ndarray,
-                   sigma: float) -> bool:
-    """Block Cholesky ``sigma I - G = L L^H`` of a block tridiagonal G,
-    in place.
+def _band_cholesky(band: np.ndarray, sigma: float) -> bool:
+    """Block Cholesky ``sigma I - G = L L^H`` of a Hermitian G given by its
+    lower block band (:meth:`GnsOperator._band_gram`'s layout), in place.
 
-    Run by run, ``diag[R]`` is overwritten with the inverse diagonal
-    factor ``L_RR^{-1}`` and ``upper[R]`` with the subdiagonal factor
-    ``L_{R+1,R}``, so the factor costs no second band.  Returns False
-    when a pivot block is not positive definite, which happens exactly
-    when ``sigma`` is not above the largest eigenvalue of G (up to
-    roundoff); the runs before it are overwritten by then, so the band
-    holds neither G nor a factor.
+    The factor is kept as ``L = (I - N) D`` with D the diagonal blocks
+    ``L_jj`` and N strictly block lower, the layout :func:`_band_solve`
+    reads with one product per block column each way.  One block column
+    j at a time (right-looking): ``[j, 0]`` is overwritten with
+    ``L_jj^{-1}`` and ``[j, t]`` with ``N_{j+t, j} = -L_{j+t, j}
+    L_jj^{-1}``, and one product of the column's stacked ``L_{j+t, j}``
+    with their conjugate transpose updates the trailing blocks, so the
+    factor costs no second band.  The trailing blocks hold G plus those
+    updates, the negative of what is left of ``sigma I - G`` off the
+    diagonal.  Returns False when a pivot block is not positive definite,
+    which happens exactly when ``sigma`` is not above the largest
+    eigenvalue of G (up to roundoff); the columns before it are
+    overwritten by then, so the band holds neither G nor a factor.
     """
-    runs, size, _ = diag.shape
-    shift = sigma * np.eye(size)
-    for r in range(runs):
-        pivot = shift - diag[r]
-        if r:
-            pivot -= upper[r - 1] @ upper[r - 1].conj().T
+    nb, depth, nm, _ = band.shape
+    shift = sigma * np.eye(nm)
+    for j in range(nb):
         try:
-            factor = np.linalg.cholesky(pivot)
+            factor = np.linalg.cholesky(shift - band[j, 0])
         except np.linalg.LinAlgError:
             return False
-        diag[r] = _triangular_inverse(factor)
-        if r < runs - 1:
-            upper[r] = -(diag[r] @ upper[r]).conj().T
-    return True
-
-
-def _col_runs(cols: np.ndarray, q: int):
-    """Maximal runs of consecutive columns in ``cols`` inside one run of q
-    columns; the columns are distinct, so a run steps by +1 or by -1.
-
-    Yields ``(source, run, start, stop)``: the positions of a run as a
-    slice that reads its columns in ascending order, and its columns
-    ``run q + (start .. stop - 1)``.  Each is one slice add of a block
-    row's pairs into the band.
-    """
-    cols = cols.tolist()
-    first = 0
-    for end in range(1, len(cols) + 1):
-        if end < len(cols) and abs(cols[end] - cols[end - 1]) == 1 and (
-                cols[end] // q == cols[first] // q):
+        band[j, 0] = inverse = _triangular_inverse(factor)
+        k = min(depth - 1, nb - 1 - j)
+        if not k:
             continue
-        low = min(cols[first], cols[end - 1])
-        if cols[end - 1] >= cols[first]:
-            source = slice(first, end)
-        else:
-            source = slice(end - 1, first - 1 if first else None, -1)
-        yield source, low // q, low % q, low % q + end - first
-        first = end
+        column = band[j, 1:k + 1].reshape(k * nm, nm)
+        # -L_{j+t, j} = (G_{j+t, j} + updates) L_jj^{-H}, t = 1 .. k
+        negated = column @ inverse.conj().T
+        update = (negated @ negated.conj().T).reshape(k, nm, k, nm)
+        column[...] = negated @ inverse
+        for u in range(k):
+            # blocks (j + 1 + t, j + 1 + u), t >= u, at [j + 1 + u, t - u]
+            band[j + 1 + u, :k - u] += update[u:, :, u]
+    return True
 
 
 def _triangular_inverse(lower: np.ndarray) -> np.ndarray:
@@ -492,22 +487,26 @@ def _triangular_inverse(lower: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_solve(inverse: np.ndarray, below: np.ndarray,
-                rhs: np.ndarray) -> np.ndarray:
+def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``(L L^H)^{-1} rhs`` by block forward and back substitution, from
-    the factor :func:`_band_cholesky` leaves in a band (its last
-    ``below`` block is not read)."""
-    rhs = rhs.reshape(len(inverse), -1)
-    y = np.empty_like(rhs)
-    for r in range(len(inverse)):
-        v = rhs[r] - below[r - 1] @ y[r - 1] if r else rhs[r]
-        y[r] = inverse[r] @ v
-    x = np.empty_like(rhs)
-    for r in reversed(range(len(inverse))):
-        if r < len(inverse) - 1:
-            y[r] -= (x[r + 1].conj() @ below[r]).conj()
-        x[r] = (y[r].conj() @ inverse[r]).conj()
-    return x.ravel()
+    the factor ``L = (I - N) D`` that :func:`_band_cholesky` leaves in a
+    band: block column j stacks ``L_jj^{-1}`` over its blocks of N, so
+    each step is one product, ``[L_jj^{-1}; N] z_j`` forward and
+    ``[L_jj^{-1}; N]^H (y_j, x_{j+1}, ..)`` back, on the flat vector
+    entries ``lo:hi`` of blocks j to j + q."""
+    nb, depth, nm, _ = band.shape
+    columns = band.reshape(nb, -1, nm)
+    y = rhs.copy()
+    for j in range(nb):
+        lo, hi = j * nm, min(j + depth, nb) * nm
+        step = columns[j, :hi - lo] @ y[lo:lo + nm]
+        y[lo:lo + nm] = step[:nm]
+        y[lo + nm:hi] += step[nm:]
+    for j in reversed(range(nb)):
+        lo, hi = j * nm, min(j + depth, nb) * nm
+        # C^H v as conj(v^H C): no conjugated copy of C
+        y[lo:lo + nm] = (y[lo:hi].conj() @ columns[j, :hi - lo]).conj()
+    return y
 
 
 def _top_ritz(apply, start: np.ndarray, steps: int):

@@ -218,14 +218,19 @@ def test_verify_csv_past_the_blas_dot_threshold_moves_only_svd_rows(
 
 
 def test_represent_does_not_depend_on_the_blas_thread_count(tmp_path):
-    """``represent`` at K = M = 24, seed 101: the banded Gram norm writes
-    the same ``operator_norm`` under one and two OpenBLAS threads, where
-    the dense Gram eigensolve it replaced moved in the last bits."""
-    config = {"truncation": {"K": 24, "M": 24, "G": 256}, "seed": 101}
-    written = _artifacts_per_thread_count(
-        tmp_path, "represent", config,
-        ["represent_report.json", "vacuum_image.csv", "represent_terms.csv"])
-    assert written[0] == written[1]
+    """``represent`` at K = M = 24 and 32, seed 101: the banded Gram norm
+    writes the same ``operator_norm`` under one and two OpenBLAS threads,
+    where the dense Gram eigensolve it replaced moved in the last bits.
+    Its kernels make many block-sized products; one whose sum BLAS split
+    across threads would move the norm."""
+    for k in (24, 32):
+        config = {"truncation": {"K": k, "M": k}, "seed": 101}
+        (tmp_path / f"box-{k}").mkdir()
+        written = _artifacts_per_thread_count(
+            tmp_path / f"box-{k}", "represent", config,
+            ["represent_report.json", "vacuum_image.csv",
+             "represent_terms.csv"])
+        assert written[0] == written[1], k
 
 
 # every cell type the commands write, the float edge cases among them,

@@ -177,31 +177,101 @@ def test_norm_estimate_matches_the_dense_gram(name, k, request):
     assert abs(a.norm_estimate() - want) <= 1e-13 * want
 
 
+def _dense_of_band(band):
+    """The Hermitian matrix whose lower block band is ``band`` (blocks
+    past the box ignored), as a dense (n_blocks n_m)^2 array."""
+    nb, depth, nm, _ = band.shape
+    out = np.zeros((nb, nm, nb, nm), dtype=complex)
+    for j in range(nb):
+        for t in range(min(depth, nb - j)):
+            out[j + t, :, j] = band[j, t]
+            if t:
+                out[j, :, j + t] = band[j, t].conj().T
+    return out.reshape(nb * nm, nb * nm)
+
+
 @pytest.mark.parametrize("order", [[-3, -2, 0, 1, 3], [3, 1, 0, -2, -3],
                                    [0, 3, -2, 1, -3]])
 def test_band_gram_is_the_dense_gram_in_any_term_order(order):
-    """The band's slice adds follow each block row's columns whether the
-    terms ascend, descend or are mixed, with gaps between the shifts and
-    runs of columns that cross from one run of q blocks to the next."""
+    """The band holds the q + 1 lower block diagonals of the Gram, block
+    ``(j + t, j)`` at ``[j, t]``, whether the terms ascend, descend or
+    are mixed, with gaps between the shifts; the blocks past the box
+    are zero."""
     rng = np.random.default_rng(7)
     b = TruncationBox(5, 4)
     shape = (b.n_blocks, b.grid_size)
     op = gns.GnsOperator(b, {s: rng.standard_normal(shape)
                              + 1j * rng.standard_normal(shape)
                              for s in order})
-    diag, upper = op._band_gram()
-    runs, size, _ = diag.shape
-    band = np.zeros((runs, size, runs, size), dtype=complex)
-    for r in range(runs):
-        band[r, :, r] = diag[r]
-        if r < runs - 1:
-            band[r, :, r + 1] = upper[r]
-            band[r + 1, :, r] = upper[r].conj().T
+    band = op._band_gram()
+    nb, nm = b.n_blocks, b.n_modes
+    assert band.shape == (nb, 7, nm, nm)
     dense = op.dense()
-    gram = dense.conj().T @ dense
-    band = band.reshape(runs * size, runs * size)
-    assert_allclose(band[:b.dim, :b.dim], gram, rtol=0, atol=1e-12)
-    assert not band[b.dim:].any()
+    gram = (dense.conj().T @ dense).reshape(nb, nm, nb, nm)
+    for j in range(nb):
+        for t in range(7):
+            if j + t < nb:
+                assert_allclose(band[j, t], gram[j + t, :, j], rtol=0,
+                                atol=1e-12)
+            else:
+                assert not band[j, t].any()
+    # the stored diagonal blocks are Hermitian, up to roundoff
+    assert_allclose(band[:, 0], band[:, 0].conj().transpose(0, 2, 1),
+                    rtol=0, atol=1e-13)
+
+
+def _random_band(nb, q, nm, seed):
+    """A random Hermitian lower block band, (nb, q + 1, nm, nm), zero past
+    the box, and the dense matrix it stands for."""
+    rng = np.random.default_rng(seed)
+    shape = (nb, q + 1, nm, nm)
+    band = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    band[:, 0] += band[:, 0].conj().transpose(0, 2, 1)
+    for j in range(nb):
+        band[j, nb - j:] = 0.0
+    return band, _dense_of_band(band)
+
+
+def _complex_vector(size, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+# q = 0 is block diagonal; 7 and 9 are the dense case of 8 blocks, at and
+# past q = n_blocks - 1
+BAND_DEPTHS = [0, 1, 2, 4, 7, 9]
+
+
+@pytest.mark.parametrize("q", BAND_DEPTHS)
+def test_band_apply_matches_the_dense_product(q):
+    band, dense = _random_band(8, q, 5, q)
+    x = _complex_vector(len(dense), 1)
+    assert_allclose(gns._band_apply(band, x), dense @ x, rtol=0,
+                    atol=1e-12 * np.abs(dense @ x).max())
+
+
+@pytest.mark.parametrize("q", BAND_DEPTHS)
+def test_band_cholesky_and_solve_match_the_dense_solve(q):
+    """On a random Hermitian band G and a shift above its spectrum,
+    ``_band_cholesky`` then ``_band_solve`` solve ``(sigma I - G) x = b``
+    as ``np.linalg.solve`` does."""
+    band, dense = _random_band(8, q, 5, 10 + q)
+    sigma = np.linalg.eigvalsh(dense)[-1] + 1.0
+    system = sigma * np.eye(len(dense)) - dense
+    rhs = _complex_vector(len(dense), 2)
+    want = np.linalg.solve(system, rhs)
+    assert gns._band_cholesky(band, sigma)
+    got = gns._band_solve(band, rhs)
+    assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("q", BAND_DEPTHS)
+def test_band_cholesky_below_the_top_eigenvalue_fails(q):
+    """A shift under the largest eigenvalue leaves a pivot block that is
+    not positive definite: the factorization returns False."""
+    band, dense = _random_band(8, q, 5, 20 + q)
+    top = np.linalg.eigvalsh(dense)[-2:]
+    assert not gns._band_cholesky(band, top.mean())
 
 
 def _cholesky_factor(size, seed):
@@ -334,13 +404,13 @@ def test_norm_estimate_memory_is_half_a_gram_at_32(bench):
 def test_norm_estimate_memory_is_one_band(bench, k):
     """The Cholesky factors the band in place and a later factorization
     builds a fresh one after the old is freed, so the traced peak stays
-    under 1.5 times the two arrays of :meth:`_band_gram`; a second band
-    for the factor alone makes it over 2."""
+    under 1.5 times the band of :meth:`_band_gram`; a second band for
+    the factor alone makes it over 2."""
     b = TruncationBox(k, k)
     f = weyl.random_element(np.random.default_rng(5), bench.alpha, 2,
                             decay=1.0)
     a = gns.represent(f, bench, b)
-    band = sum(x.nbytes for x in a._band_gram())
+    band = a._band_gram().nbytes
     tracemalloc.start()
     try:
         a.norm_estimate()
@@ -350,15 +420,34 @@ def test_norm_estimate_memory_is_one_band(bench, k):
     assert peak <= 1.5 * band
 
 
+@pytest.mark.parametrize("k", [24, 32])
+def test_norm_estimate_memory_is_the_exact_band(bench, k):
+    """The traced peak stays under 1.5 times the q + 1 lower block
+    diagonals of the Gram, ``16 n_blocks (q + 1) n_m^2`` bytes: a band
+    that also stores the mirrored upper blocks takes about twice that."""
+    b = TruncationBox(k, k)
+    f = weyl.random_element(np.random.default_rng(5), bench.alpha, 2,
+                            decay=1.0)
+    a = gns.represent(f, bench, b)
+    q = max(a.terms) - min(a.terms)
+    tracemalloc.start()
+    try:
+        a.norm_estimate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 16 * b.n_blocks * (q + 1) * b.n_modes ** 2
+
+
 def test_norm_estimate_after_a_failed_factorization_builds_a_fresh_band(
         bench, monkeypatch):
     """A pivot fails in the middle of the first factorization, after two
-    runs are overwritten: the next round must factor a fresh band, and
+    block columns are overwritten: the next round must factor a fresh band, and
     the norm still matches the dense Gram eigensolve."""
     f = weyl.random_element(np.random.default_rng(12), bench.alpha, 2,
                             decay=1.0)
     a = gns.represent(f, bench, TruncationBox(12, 12))
-    assert len(a._band_gram()[0]) > 3  # runs left after the failure
+    assert len(a._band_gram()) > 3  # block columns left after the failure
     want = oracle.gram_norm(a)
     events = []
     cholesky, factor, gram = (np.linalg.cholesky, gns._band_cholesky,
