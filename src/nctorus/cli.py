@@ -329,6 +329,8 @@ def _cmd_dirac(env: dict, out: Path) -> int:
                           "dirac block_radius", int)
     if radius < 1:
         raise ValueError("dirac block_radius < 1 leaves no block n != 0")
+    if box.mode_bound < 1:
+        raise ValueError("dirac needs M >= 1: no deflated n = 0 corner")
     etas = list(_json_numbers(section.get("etas", dirac.ETAS), "dirac etas"))
     master_radius = min(_json_number(section.get("master_radius", 4),
                                      "dirac master_radius", int),
@@ -338,14 +340,12 @@ def _cmd_dirac(env: dict, out: Path) -> int:
     elements = dirac.master_elements(d, box, master_radius, etas, growth)
     master = verify.check("dirac_master", dirac.element_deviation(elements),
                           tols["dirac_master"])
-    rows = dirac.resolvent_profile(d, box, range(-radius, radius + 1), etas,
-                                   growth, tols["dirac_bound_slack"])
+    rows, (telescoping, margin, commutator) = verify.dirac_bound_checks(
+        d, box, tols, growth, radius, etas)
     _write_csv(out / "dirac_blocks.csv",
                ["n", "eta", "sigma_min", "bound", "margin"],
                [[row["n"], row["eta"], row["sigma_min"], row["bound"],
                  row["margin"]] for row in rows])
-    telescoping, margin, commutator = verify.dirac_bound_checks(
-        d, box, tols, growth, rows, radius, ("shift",))
     _write_csv(out / "dirac_elements.csv",
                ["eta", "k", "l", "s", "re", "im", "deviation"],
                [[eta, k, l, s, closed.real, closed.imag, dev]

@@ -348,37 +348,36 @@ def dirac_master_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
 def dirac_bounds_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
                        n_radius: int = 8) -> list[CheckResult]:
     growth = dynamics.growth_sequence(d, max(n_radius, box.block_bound) + 1)
-    rows = dirac.resolvent_profile(
-        d, box, range(-n_radius, n_radius + 1), dirac.ETAS, growth=growth,
-        slack=tols["dirac_bound_slack"])
-    return dirac_bound_checks(d, box, tols, growth, rows, n_radius,
-                              ("shift", "shift_inverse"))
+    return dirac_bound_checks(d, box, tols, growth, n_radius, dirac.ETAS)[1]
 
 
 def dirac_bound_checks(d: DiffeoSpec, box: TruncationBox, tols: dict,
-                       growth, rows: list[dict], n_radius: int,
-                       generators) -> list[CheckResult]:
-    """Telescoping, resolvent and commutator rows over ``|n| <= n_radius``
-    from resolvent profile ``rows``.  Reported: the least margin over
+                       growth, n_radius: int,
+                       etas) -> tuple[list[dict], list[CheckResult]]:
+    """Resolvent profile rows at ``etas`` and the telescoping, resolvent
+    and commutator rows over ``|n| <= n_radius``, from one pass over the
+    blocks (``dirac._bound_table``).  Reported: the least margin over
     n != 0 (at n = 0 it is the slack), passing when every margin is >= 0
     and the kernel is n = 0 only; the largest commutator excess over the
-    nontrivial pairs (on a trivial pair it is -slack times the step),
-    passing when every excess, trivial pairs included, is <= 0."""
+    nontrivial pairs (not the constant steps, the shift's (n, eta) =
+    (0, 0) and (1, 1)), passing when every excess is <= 0."""
+    slack = tols["dirac_bound_slack"]
+    rows, excess = dirac._bound_table(d, box, growth, n_radius, etas, slack)
     a = dirac.a_sequence(growth, n_radius + 1)
     margins = np.array([row["margin"] for row in rows])
     margin = float(np.min(margins[[row["n"] != 0 for row in rows]]))
     kernel_ok = all(row["kernel_dim"] == (1 if row["n"] == 0 else 0)
                     for row in rows)
-    excess, worst = dirac.commutator_excess(
-        d, box, growth, range(-n_radius, n_radius + 1),
-        generators=generators, slack=tols["dirac_bound_slack"])
-    return [
+    nontrivial = np.ones(excess.shape, dtype=bool)
+    nontrivial[[n_radius, n_radius + 1], [0, -1]] = False
+    return rows, [
         check("telescoping", dirac.telescoping_deviation(a, growth),
               tols["telescoping"], "|a_{n-1} - a_n| Gamma_|n| = 1"),
         CheckResult("resolvent_margin", margin, 0.0,
                     bool(np.all(margins >= 0.0)) and kernel_ok,
                     "bound minus resolvent, min over blocks n != 0 and eta"),
-        CheckResult("commutator_bound", excess, 0.0, bool(worst <= 0.0),
+        CheckResult("commutator_bound", float(np.max(excess[nontrivial])),
+                    0.0, bool(np.max(excess) <= 0.0),
                     "norm minus growth bound, max over nontrivial pairs"),
     ]
 

@@ -106,6 +106,27 @@ def test_dirac_quarter_eta_has_a_closed_form(tmp_path):
     assert max(float(r["deviation"]) for r in rows) <= 1e-12
 
 
+def test_dirac_fails_on_an_inflated_inverse_shift_pair(tmp_path,
+                                                      monkeypatch):
+    """The command reads the inverse shift too, as its shift twin: the
+    inverse-shift pair (n, eta) = (-3, 1/4) is the table's shift pair
+    (-2, 3/4).  Its norm at twice its bound fails ``commutator_bound``."""
+    real = dirac.commutator_block
+
+    def inflated(n, eta, d, box, growth, generator="shift"):
+        matrix, norm, bound = real(n, eta, d, box, growth,
+                                   generator=generator)
+        if (n, generator) == (-2, "shift"):
+            norm = np.where(np.equal(eta, 0.75), 2.0 * bound, norm)
+        return matrix, norm, bound
+
+    monkeypatch.setattr(dirac, "commutator_block", inflated)
+    code, _, report = run_cli(tmp_path, "dirac", BENCH)
+    assert code == 2
+    assert report["failures"] == ["commutator_bound"]
+    assert report["commutator_excess"] > 0.0
+
+
 def test_growth_command(tmp_path):
     code, out, report = run_cli(tmp_path, "growth", BENCH)
     assert code == 0
@@ -190,9 +211,10 @@ def test_verify_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert written[0] == written[1]
 
 
-# Rows read from a LAPACK SVD, which rounds by the thread count:
-# dirac.resolvent_profile's sigma_min and commutator_block's operator
-# norm.  ROADMAP item 4 replaces both with certified Cholesky bounds.
+# Rows read from a LAPACK SVD, which rounds by the thread count: the
+# Dirac table's corner sigma_min and commutator norms
+# (dirac._singular_values).  ROADMAP item 3 replaces both with certified
+# Cholesky bounds.
 _SVD_ROWS = ("resolvent_margin", "commutator_bound")
 
 
@@ -353,13 +375,16 @@ def test_non_finite_or_non_positive_tolerance_exits_one(tmp_path, tolerances,
     ("dirac", {"dirac": {"etas": []}}),
     ("dirac", {"dirac": {"master_radius": -1}}),
     ("dirac", {"dirac": {"block_radius": 0}}),
+    ("dirac", {"truncation": {"K": 4, "M": 0}}),
 ], ids=["abel-one-radius", "fejer-one-order", "dirac-no-eta",
-        "dirac-negative-master-radius", "dirac-no-nontrivial-block"])
+        "dirac-negative-master-radius", "dirac-no-nontrivial-block",
+        "dirac-no-deflated-mode"])
 def test_config_with_nothing_to_compare_exits_one(tmp_path, command, section):
     # one radius or order has no drop or ratio to hold, the master check
-    # has no element without an eta or at a negative radius, and
-    # the resolvent margin has no block n != 0 below block radius 1: a
-    # gate over nothing must not pass
+    # has no element without an eta or at a negative radius,
+    # the resolvent margin has no block n != 0 below block radius 1, and
+    # at M = 0 the n = 0 corner is its kernel, with no deflated singular
+    # value: a gate over nothing must not pass
     code, out, report = run_cli(tmp_path, command, dict(BENCH, **section))
     assert code == 1
     assert report is None
@@ -472,6 +497,13 @@ def _nan(*args, **kwargs):
     return float("nan")
 
 
+def _nan_norm(real):
+    def block(*args, **kwargs):
+        matrix, norm, bound = real(*args, **kwargs)
+        return matrix, norm * np.nan, bound
+    return block
+
+
 def _first_error_nan(real):
     def profile(*args, **kwargs):
         rows = real(*args, **kwargs)
@@ -496,6 +528,8 @@ NAN_SOURCES = [
      lambda *args: np.full((2 * args[-1] + 1,) * 2, complex("nan")),
      "dirac_master"),
     ("dirac", dirac, "telescoping_deviation", _nan, "telescoping"),
+    ("dirac", dirac, "commutator_block", _nan_norm(dirac.commutator_block),
+     "commutator_bound"),
     ("growth", summation.SummationKernel, "l1_norm", _nan,
      "dirichlet_growth"),
 ]

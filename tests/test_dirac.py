@@ -153,6 +153,49 @@ def test_commutator_rotation_is_exactly_one():
     assert_allclose(bound, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("size", [12, 20, 32])
+@pytest.mark.parametrize("lift", ["bench", "rot"])
+def test_inverse_shift_pair_is_the_shift_twin(lift, size, request):
+    """The inverse-shift block at (n, eta) is minus the shift block at
+    (n + 1, 1 - eta), with the same norm and bound: equal to <= 6e-16
+    relative on the benchmark (the products round in another order) and
+    bit for bit on the rotation, where every density is 1.  With ETAS
+    closed under eta -> 1 - eta, the shift pairs hold both generators."""
+    assert sorted(1.0 - eta for eta in dirac.ETAS) == list(dirac.ETAS)
+    d = request.getfixturevalue(lift)
+    box = TruncationBox(size, size)
+    growth = dynamics.growth_sequence(d, 10)
+    tol = 1e-15 if lift == "bench" else 0.0
+    for n in range(-8, 9):
+        for eta in dirac.ETAS:
+            inverse = dirac.commutator_block(n, eta, d, box, growth,
+                                             generator="shift_inverse")
+            twin = dirac.commutator_block(n + 1, 1.0 - eta, d, box, growth)
+            scale = np.max(np.abs(twin[0]))
+            assert np.max(np.abs(inverse[0] + twin[0])) <= tol * scale
+            for got, want in zip(inverse[1:], twin[1:]):
+                assert abs(got - want) <= tol * want, (n, eta)
+
+
+@pytest.mark.parametrize("lift", ["bench", "rot"])
+def test_bound_table_rows_are_the_per_block_readers(lift, request):
+    """One pass over the blocks, one stacked SVD per block and kind,
+    reads the bits of the public readers one block or pair at a time:
+    resolvent rows over |n| <= R, shift pairs over n in [-R, R + 1]."""
+    d = request.getfixturevalue(lift)
+    box, radius, slack = TruncationBox(12, 12), 5, 1e-6
+    growth = dynamics.growth_sequence(d, radius + 1)
+    etas = (0.5, 0.0, 0.75)
+    rows, excess = dirac._bound_table(d, box, growth, radius, etas, slack)
+    assert rows == dirac.resolvent_profile(
+        d, box, range(-radius, radius + 1), etas, growth, slack)
+    assert excess.shape == (2 * radius + 2, len(dirac.ETAS))
+    for n in range(-radius, radius + 2):
+        for j, eta in enumerate(dirac.ETAS):
+            _, norm, bound = dirac.commutator_block(n, eta, d, box, growth)
+            assert excess[n + radius, j] == norm - bound * (1.0 + slack)
+
+
 def test_commutator_block_refuses_a_short_growth_sequence(bench, box):
     growth = dynamics.growth_sequence(bench, 4)
     for n in (len(growth), -len(growth)):

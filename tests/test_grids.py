@@ -1,3 +1,4 @@
+import inspect
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nctorus import dynamics, gns, grids
+from nctorus import dirac, dynamics, gns, grids
 from nctorus.errors import GridMismatchError, GridTooSmallError
 from nctorus.gns import TruncationBox
 
@@ -146,14 +147,49 @@ def test_blas_reduction_scan_sees_every_spelling():
 def test_only_grids_reduces_norms_and_inner_products():
     """Every vector norm and inner product is ``grids.l2`` or
     ``grids.inner``, numpy's pairwise sum, so no artifact depends on the
-    BLAS thread count.  The one exception is the Dirac commutator's
-    operator norm, a LAPACK SVD, until the Dirac gates are certified
-    without one (ROADMAP item 4)."""
+    BLAS thread count.  No exception: the Dirac operator norms are read
+    off the one LAPACK SVD (see below) until the Dirac gates are
+    certified without it (ROADMAP item 3)."""
     package = Path(grids.__file__).parent
     found = [(path.name, call) for path in sorted(package.glob("*.py"))
              if path.name != "grids.py"
              for call in _BLAS_REDUCTION.findall(path.read_text())]
-    assert found == [("dirac.py", "np.linalg.norm(matrix, ord=2)")]
+    assert found == []
+
+
+# A LAPACK SVD, spelled out or behind a matrix norm, condition number,
+# rank, pseudo-inverse or least squares solve.
+_SVD = re.compile(
+    r"\bsvd(?:vals)?\b|\bord\s*=\s*-?2\b|['\"]nuc['\"]"
+    r"|\blinalg\.(?:cond|matrix_rank|pinv|lstsq)\b")
+
+
+def test_svd_scan_sees_every_spelling():
+    for call in ("np.linalg.svd(stack, compute_uv=False)",
+                 "numpy.linalg.svd(a)", "linalg.svd(x)",
+                 "from numpy.linalg import svd", "scipy.linalg.svdvals(a)",
+                 "np.linalg.norm(matrix, ord=2)",
+                 "np.linalg.norm(m, ord = -2)",
+                 "np.linalg.norm(m, 'nuc')", "np.linalg.cond(m)",
+                 "np.linalg.matrix_rank(m)", "np.linalg.pinv(m)",
+                 "np.linalg.lstsq(a, b)"):
+        assert _SVD.search(call), call
+    for call in ("_singular_values(corners)", "np.linalg.norm(w)",
+                 "np.linalg.norm(images, axis=-1)", "np.linalg.eigvalsh(t)",
+                 "np.linalg.cholesky(gram)", "norm(x, ord=20)",
+                 "a LAPACK SVD"):
+        assert not _SVD.search(call), call
+
+
+def test_only_the_dirac_table_takes_an_svd():
+    """Every Dirac corner and commutator norm is read off one LAPACK SVD,
+    ``dirac._singular_values``, the one call ROADMAP item 3 replaces with
+    certified Cholesky bounds."""
+    package = Path(grids.__file__).parent
+    found = [(path.name, call) for path in sorted(package.glob("*.py"))
+             for call in _SVD.findall(path.read_text())]
+    assert found == [("dirac.py", "svd")]
+    assert "np.linalg.svd(" in inspect.getsource(dirac._singular_values)
 
 
 def test_inner_rounds_the_same_below_and_above_the_elision_threshold():

@@ -198,14 +198,18 @@ def test_wts_suite_builds_its_rows_once_for_the_per_call_values(
 
 
 def _inflate_one_commutator(monkeypatch, n_hit, eta_hit, generator_hit):
-    """Raise one pair's norm to twice its growth bound."""
+    """Raise one pair's norm to twice its growth bound.  The Dirac table
+    reads the inverse-shift pair (n, eta) as its shift twin (n + 1,
+    1 - eta), so that is the pair raised."""
+    if generator_hit == "shift_inverse":
+        n_hit, eta_hit = n_hit + 1, 1.0 - eta_hit
     real = dirac.commutator_block
 
     def inflated(n, eta, d, box, growth, generator="shift"):
         matrix, norm, bound = real(n, eta, d, box, growth,
                                    generator=generator)
-        if (n, eta, generator) == (n_hit, eta_hit, generator_hit):
-            norm = 2.0 * bound
+        if (n, generator) == (n_hit, "shift"):
+            norm = np.where(np.equal(eta, eta_hit), 2.0 * bound, norm)
         return matrix, norm, bound
 
     monkeypatch.setattr(dirac, "commutator_block", inflated)
@@ -230,12 +234,19 @@ def test_commutator_bound_reads_the_nontrivial_pairs(bench, small_box):
     ((-2, 0.0, "shift_inverse"), True),
     ((1, 1.0, "shift"), False),
     ((0, 0.0, "shift_inverse"), False),
+    ((0, 0.0, "shift"), False),
+    ((2, 0.25, "shift"), True),
+    ((-4, 0.75, "shift_inverse"), True),
+    ((4, 0.5, "shift_inverse"), True),
 ], ids=["nontrivial-shift", "nontrivial-inverse", "trivial-shift",
-        "trivial-inverse"])
+        "trivial-inverse", "trivial-shift-at-zero", "quarter-eta-shift",
+        "quarter-eta-inverse", "inverse-at-the-radius"])
 def test_one_inflated_commutator_norm_fails(bench, small_box, monkeypatch,
                                             pair, reported):
-    """Any pair above its bound fails the check; only the nontrivial ones
-    set the reported excess."""
+    """Any pair above its bound fails the check, at every eta of
+    ``dirac.ETAS`` and up to the inverse shift at n = n_radius, whose
+    twin is the shift at n_radius + 1; only the nontrivial ones set the
+    reported excess."""
     _inflate_one_commutator(monkeypatch, *pair)
     row = _row(verify.dirac_bounds_suite(bench, small_box,
                                          tolerances.resolve(), n_radius=4),
@@ -582,6 +593,30 @@ def test_gns_suite_frees_each_pairs_operators(bench):
         try:
             rows = verify.gns_suite(bench, box, tols,
                                     np.random.default_rng(1), **counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in rows), bounds
+        assert peak <= limit, (bounds, peak)
+
+
+def test_dirac_bounds_suite_holds_one_block_at_a_time(bench):
+    """With the context built, ``dirac_bounds_suite`` peaks at or below
+    0.9e6 traced bytes at K = M = 20, radius 8 (about 0.57e6 here) and
+    1.6e6 at K = M = 32, radius 4 (about 1.10e6): the table is built one
+    block at a time, each block's corners and commutators one stack of
+    five (2M + 1)^2 matrices.  About 0.3e6 of that is the growth
+    sequence.  Built whole, every block's corners and commutators in one
+    stack each, the same table read about 5.4e6 and 7.2e6."""
+    tols = tolerances.resolve()
+    for bounds, n_radius, limit in (((20, 20), 8, 0.9e6),
+                                    ((32, 32), 4, 1.6e6)):
+        box = TruncationBox(*bounds)
+        verify.dirac_bounds_suite(bench, box, tols, n_radius=n_radius)
+        tracemalloc.start()
+        try:
+            rows = verify.dirac_bounds_suite(bench, box, tols,
+                                             n_radius=n_radius)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
