@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from itertools import chain, islice, repeat
+from itertools import chain, islice, product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -337,8 +337,8 @@ def _cmd_dirac(env: dict, out: Path) -> int:
                         box.block_bound, box.mode_bound)
     growth = dynamics.growth_sequence(d, max(radius, box.block_bound) + 1)
     # an empty element table raises here, before any artifact is written
-    elements = dirac.master_elements(d, box, master_radius, etas, growth)
-    master = verify.check("dirac_master", dirac.element_deviation(elements),
+    closed, dev = dirac.master_elements(d, box, master_radius, etas, growth)
+    master = verify.check("dirac_master", dirac.element_deviation(dev),
                           tols["dirac_master"])
     rows, (telescoping, margin, commutator) = verify.dirac_bound_checks(
         d, box, tols, growth, radius, etas)
@@ -346,10 +346,13 @@ def _cmd_dirac(env: dict, out: Path) -> int:
                ["n", "eta", "sigma_min", "bound", "margin"],
                [[row["n"], row["eta"], row["sigma_min"], row["bound"],
                  row["margin"]] for row in rows])
+    # rows in the tables' [eta, k, s, l] order, written as (eta, k, l, s)
+    span = range(-master_radius, master_radius + 1)
+    cells = zip(product(etas, span, span, span), closed.real.ravel().tolist(),
+                closed.imag.ravel().tolist(), dev.ravel().tolist())
     _write_csv(out / "dirac_elements.csv",
                ["eta", "k", "l", "s", "re", "im", "deviation"],
-               [[eta, k, l, s, closed.real, closed.imag, dev]
-                for eta, k, l, s, closed, dev in elements])
+               ([eta, k, l, s, *values] for (eta, k, s, l), *values in cells))
     report = {
         "master_deviation": master.observed,
         "master_tolerance": master.tolerance,

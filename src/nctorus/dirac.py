@@ -15,6 +15,8 @@ are one table over the shift generator (``_bound_table``).
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from .dynamics import DiffeoSpec, GrowthSequence, growth_sequence
@@ -140,38 +142,36 @@ def matrix_element_oracle_table(eta: float, k: int, d: DiffeoSpec,
 
 
 def master_elements(d: DiffeoSpec, box: TruncationBox, radius: int,
-                    etas=ETAS,
-                    growth: GrowthSequence | None = None) -> list[tuple]:
-    """Rows ``(eta, k, l, s, closed, |closed - oracle|)``, s before l, over
-    ``|k|, |l|, |s| <= radius``: the closed form against the grid oracle."""
+                    etas=ETAS, growth: GrowthSequence | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form elements and their distances ``|closed - oracle|``
+    from the grid oracle, two tables ``[eta, k, s, l]`` (k, s and l offset
+    by ``radius``) over the etas and ``|k|, |l|, |s| <= radius``."""
     if growth is None:
         growth = growth_sequence(d, box.block_bound)
     a = a_sequence(growth, box.block_bound)
     span = range(-radius, radius + 1)
-    index = [(l, s) for s in span for l in span]
-    rows = []
-    for eta in etas:
-        for k in span:
-            closed = matrix_element_closed_form(eta, k, d, box, a, radius)
-            oracle = matrix_element_oracle_table(eta, k, d, box, a, radius)
-            rows += [(eta, k, l, s, c, e) for (l, s), c, e in zip(
-                index, closed.ravel().tolist(),
-                np.abs(closed - oracle).ravel().tolist())]
-    return rows
+    closed = np.zeros((len(etas),) + (len(span),) * 3, dtype=complex)
+    deviation = np.zeros(closed.shape)
+    for (i, eta), (j, k) in product(enumerate(etas), enumerate(span)):
+        closed[i, j] = matrix_element_closed_form(eta, k, d, box, a, radius)
+        oracle = matrix_element_oracle_table(eta, k, d, box, a, radius)
+        deviation[i, j] = np.abs(closed[i, j] - oracle)
+    return closed, deviation
 
 
-def element_deviation(rows: list[tuple]) -> float:
-    """Sup of the deviation column of :func:`master_elements` rows."""
-    if not rows:
+def element_deviation(deviation: np.ndarray) -> float:
+    """Sup of :func:`master_elements`' deviation table."""
+    if not np.size(deviation):
         raise ValueError("no master elements (no eta, or radius < 0)")
-    return float(np.max([row[-1] for row in rows]))
+    return float(np.max(deviation))
 
 
 def master_deviation(d: DiffeoSpec, box: TruncationBox, radius: int,
                      etas=ETAS,
                      growth: GrowthSequence | None = None) -> float:
     """Sup deviation of closed-form elements from the grid oracle."""
-    return element_deviation(master_elements(d, box, radius, etas, growth))
+    return element_deviation(master_elements(d, box, radius, etas, growth)[1])
 
 
 def _singular_values(stack: np.ndarray) -> np.ndarray:

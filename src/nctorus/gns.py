@@ -258,19 +258,20 @@ class GnsOperator:
         out = self.apply_to_grid(x.on_grid())
         return GnsVector(self.box, project_to_modes(out, self.box.mode_bound))
 
-    def adjoint(self) -> "GnsOperator":
-        """Adjoint via ``(A*)_{n, s} = conj(m_{n + s... })`` reindexing.
-
-        Concretely the shift -s multiplier row n is the conjugate of the
-        shift s multiplier row n + s, zero where that row leaves the box.
-        """
-        new_terms: dict[int, np.ndarray] = {}
+    def _adjoint_terms(self):
+        """The adjoint's ``(-s, rows)`` pairs, one shift at a time in term
+        order: the shift -s multiplier row n is the conjugate of the shift
+        s multiplier row n + s, zero where that row leaves the box."""
         for s, mult in self.terms.items():
             arr = np.zeros_like(mult)
             lo, hi = max(0, -s), max(0, -s, len(mult) - max(0, s))
             arr[lo:hi] = np.conj(mult[lo + s:hi + s])
-            new_terms[-s] = new_terms.get(-s, 0) + arr
-        return GnsOperator(self.box, new_terms)
+            yield -s, arr
+
+    def adjoint(self) -> "GnsOperator":
+        """Adjoint via ``(A*)_{n, s} = conj(m_{n + s, s})`` reindexing
+        (:meth:`_adjoint_terms`)."""
+        return GnsOperator(self.box, dict(self._adjoint_terms()))
 
     def scaled(self, factor: complex) -> "GnsOperator":
         return GnsOperator(self.box,
@@ -345,12 +346,24 @@ class GnsOperator:
                 ).reshape(-1, nm, nm)
         return band
 
+    def _gram_apply(self, x: np.ndarray) -> np.ndarray:
+        """``A^H A x`` of a flat vector on the operator, not on the band:
+        :meth:`apply_to_grid` projected to the band, then the adjoint's
+        shift sum, one shift's rows at a time (:meth:`_adjoint_terms`)."""
+        box = self.box
+        m, g = box.mode_bound, box.grid_size
+        y = project_to_modes(self.apply_to_grid(
+            on_grid(x.reshape(box.n_blocks, -1), g)), m)
+        return project_to_modes(_shift_sum(
+            self._adjoint_terms(), on_grid(y, g), box.block_bound), m).ravel()
+
     def norm_estimate(self) -> float:
         """Spectral norm of the dense truncation, ``sqrt(lambda_max(A^H A))``.
 
         No dim x dim array is formed: the Gram is kept as its lower block
-        band (:meth:`_band_gram`).  A short Lanczos run on the Gram from
-        a fixed-seed random vector gives a lower bound and its residual a
+        band (:meth:`_band_gram`).  A short Lanczos run on the Gram,
+        applied through the operator (:meth:`_gram_apply`), from a
+        fixed-seed random vector gives a lower bound and its residual a
         first shift sigma.  A block Cholesky of ``sigma I - G`` exists
         only when ``sigma > lambda_max``, and Lanczos on its inverse
         (block substitution) separates the clustered top of the spectrum:
@@ -379,8 +392,8 @@ class GnsOperator:
         shape = (len(band), band.shape[-1])
         start = (rng.standard_normal(shape)
                  + 1j * rng.standard_normal(shape)).ravel()
-        theta, vector, residual = _top_ritz(
-            lambda x: _band_apply(band, x), start, _GRAM_STEPS)
+        theta, vector, residual = _top_ritz(self._gram_apply, start,
+                                            _GRAM_STEPS)
         lower = max(theta, peak)
         gap = max(residual / lower, _CERTIFY)
         for _ in range(_NORM_ROUNDS):
@@ -399,31 +412,6 @@ class GnsOperator:
             lower = max(lower, sigma - 1.0 / mu)
             gap = _CERTIFY
         return float("nan")
-
-
-def _band_apply(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A Hermitian matrix given by its lower block band
-    (:meth:`GnsOperator._band_gram`'s layout) times a flat vector.
-
-    One stacked product applies each block column's stored blocks to its
-    block of x, the lower half; the upper half is the conjugate transpose
-    of the same blocks, one stacked product with the blocks of x below.
-    """
-    nb, depth, nm, _ = band.shape
-    x = x.reshape(nb, nm)
-    lower = (band.reshape(nb, depth * nm, nm) @ x[..., None]).reshape(
-        nb, depth, nm)
-    y = lower[:, 0].copy()
-    for t in range(1, min(depth, nb)):
-        y[t:] += lower[:nb - t, t]
-    # B^H v as conj(v^H B): no conjugated copy of B; past the box the
-    # band and the padded blocks of x are zero
-    padded = np.zeros((nb + depth, nm), dtype=complex)
-    padded[:nb] = x
-    below = padded[np.arange(nb)[:, None] + np.arange(1, depth)]
-    y += (below.reshape(nb, 1, -1).conj()
-          @ band[:, 1:].reshape(nb, -1, nm))[:, 0].conj()
-    return y.ravel()
 
 
 def _band_cholesky(band: np.ndarray, sigma: float) -> bool:

@@ -338,16 +338,19 @@ def dirichlet_suite(d: DiffeoSpec, box: TruncationBox,
 
 
 def dirac_master_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
-                       radius: int = 8) -> list[CheckResult]:
-    return [check("dirac_master", dirac.master_deviation(d, box, radius),
+                       radius: int = 8, growth=None) -> list[CheckResult]:
+    return [check("dirac_master",
+                  dirac.master_deviation(d, box, radius, growth=growth),
                   tols["dirac_master"],
                   f"eta in {{0, 1/4, 1/2, 3/4, 1}}, "
                   f"|k|, |l|, |s| <= {radius}")]
 
 
 def dirac_bounds_suite(d: DiffeoSpec, box: TruncationBox, tols: dict,
-                       n_radius: int = 8) -> list[CheckResult]:
-    growth = dynamics.growth_sequence(d, max(n_radius, box.block_bound) + 1)
+                       n_radius: int = 8, growth=None) -> list[CheckResult]:
+    if growth is None:
+        growth = dynamics.growth_sequence(
+            d, max(n_radius, box.block_bound) + 1)
     return dirac_bound_checks(d, box, tols, growth, n_radius, dirac.ETAS)[1]
 
 
@@ -403,6 +406,8 @@ def run_all(d: DiffeoSpec, box: TruncationBox, tols: dict, seed: int = 7,
     results += wts_suite(d, box, tols, rng, radius=radius)
     results += summation_suite(d, box, tols, rng)
     results += dirichlet_suite(d, box, tols)
-    results += dirac_master_suite(d, box, tols, radius=radius)
-    results += dirac_bounds_suite(d, box, tols, n_radius=radius)
+    # one growth sequence for both Dirac suites (each Gamma_n on its own)
+    growth = dynamics.growth_sequence(d, max(box.block_bound, radius + 1) + 1)
+    results += dirac_master_suite(d, box, tols, radius, growth)
+    results += dirac_bounds_suite(d, box, tols, radius, growth)
     return results

@@ -242,12 +242,33 @@ def _complex_vector(size, seed):
 BAND_DEPTHS = [0, 1, 2, 4, 7, 9]
 
 
-@pytest.mark.parametrize("q", BAND_DEPTHS)
-def test_band_apply_matches_the_dense_product(q):
-    band, dense = _random_band(8, q, 5, q)
-    x = _complex_vector(len(dense), 1)
-    assert_allclose(gns._band_apply(band, x), dense @ x, rtol=0,
-                    atol=1e-12 * np.abs(dense @ x).max())
+@pytest.mark.parametrize("order", [[2], [0, 3, -2, 1, -3], [-10, 2, 9]],
+                         ids=["q0", "gapped-mixed", "dense"])
+def test_first_lanczos_applies_the_dense_gram(order, monkeypatch):
+    """The Gram apply the first Lanczos run receives, on the operator and
+    its adjoint, is ``A^H A``: the Hermitian matrix of the band, on
+    eleven blocks with one shift (q = 0), a gapped set in mixed order
+    and a spread past ``n_blocks - 1`` (the dense case)."""
+    rng = np.random.default_rng(7)
+    b = TruncationBox(5, 4)
+    shape = (b.n_blocks, b.grid_size)
+    op = gns.GnsOperator(b, {s: rng.standard_normal(shape)
+                             + 1j * rng.standard_normal(shape)
+                             for s in order})
+    runs = []
+    real = gns._top_ritz
+
+    def record(apply, start, steps):
+        runs.append((apply, steps))
+        return real(apply, start, steps)
+
+    monkeypatch.setattr(gns, "_top_ritz", record)
+    assert np.isfinite(op.norm_estimate())
+    apply, steps = runs[0]
+    assert steps == gns._GRAM_STEPS
+    x = _complex_vector(b.dim, 1)
+    want = _dense_of_band(op._band_gram()) @ x
+    assert_allclose(apply(x), want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("q", BAND_DEPTHS)
