@@ -242,16 +242,16 @@ def _complex_vector(size, seed):
 BAND_DEPTHS = [0, 1, 2, 4, 7, 9]
 
 
-@pytest.mark.parametrize("order", [[2], [0, 3, -2, 1, -3], [-10, 2, 9]],
-                         ids=["q0", "gapped-mixed", "dense"])
-def test_first_lanczos_applies_the_dense_gram(order, monkeypatch):
-    """The Gram apply the first Lanczos run receives, on the operator and
-    its adjoint, is ``A^H A``: the Hermitian matrix of the band, on
-    eleven blocks with one shift (q = 0), a gapped set in mixed order
-    and a spread past ``n_blocks - 1`` (the dense case)."""
+@pytest.mark.parametrize("q", BAND_DEPTHS)
+def test_band_apply_matches_the_dense_product(q, monkeypatch):
+    """The Gram apply the first Lanczos run receives is ``A^H A``: the
+    Hermitian matrix of the band, for shifts of spread q in mixed order
+    with gaps, on nine blocks (q = 0 block diagonal, 9 past
+    ``n_blocks - 1``, the dense case)."""
     rng = np.random.default_rng(7)
-    b = TruncationBox(5, 4)
+    b = TruncationBox(4, 3)
     shape = (b.n_blocks, b.grid_size)
+    order = dict.fromkeys(s - q // 2 for s in (q // 3, q, 0))
     op = gns.GnsOperator(b, {s: rng.standard_normal(shape)
                              + 1j * rng.standard_normal(shape)
                              for s in order})
@@ -266,6 +266,7 @@ def test_first_lanczos_applies_the_dense_gram(order, monkeypatch):
     assert np.isfinite(op.norm_estimate())
     apply, steps = runs[0]
     assert steps == gns._GRAM_STEPS
+    assert op._band_gram().shape[1] == min(q, b.n_blocks - 1) + 1
     x = _complex_vector(b.dim, 1)
     want = _dense_of_band(op._band_gram()) @ x
     assert_allclose(apply(x), want, rtol=0, atol=1e-12 * np.abs(want).max())
