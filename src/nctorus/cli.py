@@ -4,8 +4,8 @@ Outputs are data only and bitwise deterministic for a fixed config (no
 timestamps, fixed float formatting).  Every gate is a verify check over
 the library functions the verify suites call, so a NaN or infinite
 deviation fails it.  Exit codes: 0 on success, 1 for usage or
-configuration problems, 2 when a check fails (the report JSON then
-lists the failures).
+configuration problems or a failed allocation, 2 when a check fails
+(the report JSON then lists the failures).
 """
 
 from __future__ import annotations
@@ -439,6 +439,9 @@ def main(argv=None) -> int:
     except (NcTorusError, OSError, ValueError, KeyError,
             json.JSONDecodeError) as exc:
         print(f"nctorus: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"nctorus: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -37,6 +37,7 @@ before it is rounded.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,9 +55,7 @@ from .weyl import WeylElement, _Stack, _stack_of
 # The seed of the Lanczos start, the Lanczos steps on the Gram, the cap
 # on shift-invert steps, the relative width of the certificate, the
 # factor a failed Cholesky raises the gap by, the cap on Cholesky rounds
-# before the norm fails closed, the rows a Lanczos basis grows by, and
-# the largest triangular block that is inverted by LU rather than by
-# halves.
+# before the norm fails closed, and the rows a Lanczos basis grows by.
 _NORM_SEED = 0
 _GRAM_STEPS = 30
 _SHIFT_STEPS = 150
@@ -64,7 +63,6 @@ _CERTIFY = 1e-12
 _RAISE = 10.0
 _NORM_ROUNDS = 12
 _BASIS_ROWS = 16
-_TRIANGULAR_CUTOFF = 32
 
 
 @dataclass(frozen=True)
@@ -250,7 +248,7 @@ class GnsOperator:
         """Act on raw grid rows, returning complex grid rows.  Products are
         pointwise on the grid, so chaining applications keeps composites
         exact; only :meth:`apply` projects onto the band."""
-        return _shift_sum(self.terms.items(), source, self.box.block_bound)
+        return _shift_sum(self.terms.items(), source)
 
     def apply(self, x: GnsVector) -> GnsVector:
         if x.box != self.box:
@@ -258,20 +256,16 @@ class GnsOperator:
         out = self.apply_to_grid(x.on_grid())
         return GnsVector(self.box, project_to_modes(out, self.box.mode_bound))
 
-    def _adjoint_terms(self):
-        """The adjoint's ``(-s, rows)`` pairs, one shift at a time in term
-        order: the shift -s multiplier row n is the conjugate of the shift
-        s multiplier row n + s, zero where that row leaves the box."""
+    def adjoint(self) -> "GnsOperator":
+        """Adjoint via ``(A*)_{n, s} = conj(m_{n + s, s})`` reindexing: the
+        shift -s multiplier row n is the conjugate of the shift s
+        multiplier row n + s, zero where that row leaves the box."""
+        terms = {}
         for s, mult in self.terms.items():
-            arr = np.zeros_like(mult)
+            arr = terms[-s] = np.zeros_like(mult)
             lo, hi = max(0, -s), max(0, -s, len(mult) - max(0, s))
             arr[lo:hi] = np.conj(mult[lo + s:hi + s])
-            yield -s, arr
-
-    def adjoint(self) -> "GnsOperator":
-        """Adjoint via ``(A*)_{n, s} = conj(m_{n + s, s})`` reindexing
-        (:meth:`_adjoint_terms`)."""
-        return GnsOperator(self.box, dict(self._adjoint_terms()))
+        return GnsOperator(self.box, terms)
 
     def scaled(self, factor: complex) -> "GnsOperator":
         return GnsOperator(self.box,
@@ -293,13 +287,15 @@ class GnsOperator:
 
         Yields ``(i, cols, blocks)`` per block row i: block ``(i, i - s)``
         is the Toeplitz mode matrix of row i of shift s, and the row
-        holds one such block per shift that stays in the box.
+        holds one such block per shift that stays in the box.  The
+        shifts are walked in descending order, so the columns ascend
+        whatever the order of the terms.
         """
         nb, m = self.box.n_blocks, self.box.mode_bound
         if not self.terms:
             return
-        shifts = np.array(list(self.terms))
-        hats = np.stack([spectrum(mult) for mult in self.terms.values()])
+        shifts = np.array(sorted(self.terms, reverse=True))
+        hats = np.stack([spectrum(self.terms[s]) for s in shifts.tolist()])
         for i in range(nb):
             live = (0 <= i - shifts) & (i - shifts < nb)
             yield (i, list(i - shifts[live]),
@@ -325,7 +321,8 @@ class GnsOperator:
         (n_blocks, q + 1, n_m, n_m): ``[j, t]`` is the Gram block
         ``(j + t, j)``, zero where ``j + t`` leaves the box, and ``[j, 0]``
         is Hermitian.  A block row forms only the pairs the band holds:
-        one product per column b, against its columns a >= b.
+        one product per column b, against its columns a >= b, which
+        :meth:`_block_rows` yields ascending.
         """
         nb, nm = self.box.n_blocks, self.box.n_modes
         q = min(max(self.terms, default=0) - min(self.terms, default=0),
@@ -334,28 +331,27 @@ class GnsOperator:
         for _, cols, blocks in self._block_rows():
             if not cols:
                 continue
-            order = np.argsort(cols)
-            cols = np.array(cols)[order]
-            row = np.hstack([blocks[i] for i in order])
+            row = np.hstack(blocks)
             # A_ia^H A_ib as conj(A_ia)^T A_ib: a transposed view, no
             # conjugated transpose copied per product
             conj = row.conj()
-            for p, b in enumerate(cols.tolist()):
-                band[b, cols[p:] - b] += (
+            for p, b in enumerate(cols):
+                band[b, np.subtract(cols[p:], b)] += (
                     conj[:, p * nm:].T @ row[:, p * nm:(p + 1) * nm]
                 ).reshape(-1, nm, nm)
         return band
 
     def _gram_apply(self, x: np.ndarray) -> np.ndarray:
         """``A^H A x`` of a flat vector on the operator, not on the band:
-        :meth:`apply_to_grid` projected to the band, then the adjoint's
-        shift sum, one shift's rows at a time (:meth:`_adjoint_terms`)."""
+        :meth:`apply_to_grid` projected to the band, then ``A^H y`` as
+        ``conj(A^T conj(y))`` on the grid, the transposed :func:`_shift_sum`
+        reading the operator's own rows, so no adjoint row is formed."""
         box = self.box
         m, g = box.mode_bound, box.grid_size
         y = project_to_modes(self.apply_to_grid(
             on_grid(x.reshape(box.n_blocks, -1), g)), m)
-        return project_to_modes(_shift_sum(
-            self._adjoint_terms(), on_grid(y, g), box.block_bound), m).ravel()
+        z = _shift_sum(self.terms.items(), on_grid(y, g).conj(), True)
+        return project_to_modes(z.conj(), m).ravel()
 
     def norm_estimate(self) -> float:
         """Spectral norm of the dense truncation, ``sqrt(lambda_max(A^H A))``.
@@ -439,7 +435,7 @@ def _band_cholesky(band: np.ndarray, sigma: float) -> bool:
             factor = np.linalg.cholesky(shift - band[j, 0])
         except np.linalg.LinAlgError:
             return False
-        band[j, 0] = inverse = _triangular_inverse(factor)
+        band[j, 0] = inverse = np.linalg.inv(factor)
         k = min(depth - 1, nb - 1 - j)
         if not k:
             continue
@@ -452,27 +448,6 @@ def _band_cholesky(band: np.ndarray, sigma: float) -> bool:
             # blocks (j + 1 + t, j + 1 + u), t >= u, at [j + 1 + u, t - u]
             band[j + 1 + u, :k - u] += update[u:, :, u]
     return True
-
-
-def _triangular_inverse(lower: np.ndarray) -> np.ndarray:
-    """Inverse of a lower triangular matrix, by halves.
-
-    ``[[A, 0], [C, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} C A^{-1}, D^{-1}]]``;
-    up to ``_TRIANGULAR_CUTOFF`` rows the LU inverse does it.  About a
-    third of the flops of an LU inverse of the whole.  A NaN entry gives
-    NaN, or LinAlgError from the LU inverse of a small block, as the LU
-    inverse of the whole does.
-    """
-    size = len(lower)
-    if size <= _TRIANGULAR_CUTOFF:
-        return np.linalg.inv(lower)
-    half = size // 2
-    out = np.zeros_like(lower)
-    out[:half, :half] = _triangular_inverse(lower[:half, :half])
-    out[half:, half:] = _triangular_inverse(lower[half:, half:])
-    out[half:, :half] = -(out[half:, half:] @ lower[half:, :half]
-                          @ out[:half, :half])
-    return out
 
 
 def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -541,15 +516,22 @@ def _tridiagonal(alpha: list[float], beta: list[float]) -> np.ndarray:
     return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
 
 
-def _shift_sum(terms, source: np.ndarray, k: int) -> np.ndarray:
+def _shift_sum(terms, source: np.ndarray,
+               transpose: bool = False) -> np.ndarray:
     """``out_n = sum_s m_{n, s} x_{n - s}`` over ``terms``' pairs ``(s, m)``
-    in order, on grid rows (..., 2K + 1, G), into a complex output."""
+    in order, on grid rows (..., 2K + 1, G), into a complex output; the
+    transpose adds ``m_{n, s} x_n`` into ``out_{n - s}`` instead.  Either
+    way a term reads only its rows n with n and n - s in the box."""
     out = np.zeros(source.shape, dtype=complex)
+    nb = source.shape[-2]
     for s, mult in terms:
-        lo, hi = max(0, s), min(2 * k, 2 * k + s) + 1
+        lo, hi = max(0, s), min(nb, nb + s)
+        # a shift past the box leaves no row (and would mis-slice)
         if lo < hi:
-            out[..., lo:hi, :] += (mult[..., lo:hi, :]
-                                   * source[..., lo - s:hi - s, :])
+            src, dst = slice(lo - s, hi - s), slice(lo, hi)
+            if transpose:
+                src, dst = dst, src
+            out[..., dst, :] += mult[..., lo:hi, :] * source[..., src, :]
     return out
 
 
@@ -571,15 +553,20 @@ def _multiplier_rows(f: _Stack, d: DiffeoSpec, box: TruncationBox,
     Each reader multiplies the slice it reads (:func:`_rows`), so a NaN
     coefficient reaches the rows of its own table and shift only.  An
     alpha mismatch raises; each shift beyond the block range ``2K`` warns
-    once (pointing at the caller's caller), whichever bound is kept.
+    once, pointing at the first caller outside the package (the caller of
+    whichever public route got here), whichever bound is kept.
     """
     if f.alpha != d.alpha:
         raise AlphaMismatchError(
             f"element alpha {f.alpha!r} does not match dynamics {d.alpha!r}")
     ss = f.keys[:, 1]
-    for s in sorted(set(ss[np.abs(ss) > 2 * box.block_bound].tolist())):
+    far = sorted(set(ss[np.abs(ss) > 2 * box.block_bound].tolist()))
+    frame, level = sys._getframe(1), 2
+    while far and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    for s in far:
         warnings.warn(f"shift {s} exceeds the block range; term dropped",
-                      stacklevel=3)
+                      stacklevel=level)
     keep = np.abs(ss) <= bound
     ms, ss, coeffs = f.keys[keep, 0], ss[keep], f.values[:, keep]
     shifts, shift_at = np.unique(ss, return_inverse=True)
@@ -620,8 +607,7 @@ def _apply(f: _Stack, d: DiffeoSpec, box: TruncationBox, rows):
                                             lambda s: box.blocks())
     source = np.broadcast_to(rows, (len(table),) + rows.shape[-2:])
     return _shift_sum(((s, _rows(table[:, i], chart))
-                       for i, s in enumerate(shifts.tolist())),
-                      source, box.block_bound)
+                       for i, s in enumerate(shifts.tolist())), source)
 
 
 def _spread(box: TruncationBox, blocks: np.ndarray,

@@ -4,7 +4,8 @@ less accurate than its committed reference.
 ``accuracy_references.json`` holds the observed value of every verify
 row at the benchmark boxes, full K = M = 20 and quick K = M = 32, seeds
 41 and 101, on the benchmark lift and the rotation by the same angle,
-and ``represent``'s ``operator_norm`` at K = M = 24, seed 41, on both.
+and ``represent``'s ``operator_norm`` at K = M = 24 and 32, seed 41, on
+both.
 Each rerun row is held to its reference by the rule of its kind:
 
 - a deviation row fails when it rises past ``RISE`` times its

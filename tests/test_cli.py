@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nctorus import cli, dirac, fourier, gns, summation, weyl
+from nctorus import cli, dirac, fourier, gns, summation, verify, weyl
 
 import oracle
 
@@ -570,6 +570,22 @@ def test_represent_without_a_certified_norm_exits_two(
     assert code == 2
     assert "operator_norm_bound" in report["failures"]
     assert np.isnan(report["operator_norm"])
+
+
+def test_an_allocation_failure_exits_one(tmp_path, capsys, monkeypatch):
+    """An allocation that fails inside a command (numpy raises a
+    MemoryError subclass) ends in one nctorus: line and exit 1, not a
+    traceback; nothing is allocated here."""
+    message = ("Unable to allocate 1.00 GiB for an array with shape "
+               "(8192, 8192) and data type complex128")
+
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(verify, "run_all", fail)
+    code, _, report = run_cli(tmp_path, "verify", BENCH)
+    assert code == 1 and report is None
+    assert capsys.readouterr().err == f"nctorus: out of memory: {message}\n"
 
 
 def test_unknown_command_exits_nonzero(capsys):

@@ -6,6 +6,7 @@ exp(i t + 0.3 i sin t) up to the angle scaling.  scipy provides the
 independent oracle for that identity.
 """
 
+import json
 import re
 import tracemalloc
 import warnings
@@ -16,7 +17,8 @@ import pytest
 import scipy.special
 from numpy.testing import assert_allclose
 
-from nctorus import dynamics, fourier, gns, grids, weyl
+from nctorus import (cli, dynamics, fourier, gns, grids, modular, summation,
+                     weyl)
 from nctorus.errors import AlphaMismatchError, OutOfBoxError
 from nctorus.gns import TruncationBox
 
@@ -128,6 +130,30 @@ def test_adjoint_slices_match_the_row_loop(rng):
         assert np.array_equal(got[s], arr), s
 
 
+# ascending, descending and gapped mixed order, one shift at 0, and on
+# K = 3 shifts at +-2K (one row each), at +-n_blocks and past them (none)
+ADJOINT_SHIFTS = [[-3, -1, 0, 2, 5], [5, 2, 0, -1, -3], [2, -5, 0, 6, -1],
+                  [0], [6, -6, 7, -7, 9, -12]]
+
+
+@pytest.mark.parametrize("shifts", ADJOINT_SHIFTS)
+def test_transposed_shift_sum_is_the_adjoint_apply(shifts):
+    """``conj(A^T conj(x))``, the transposed ``_shift_sum`` over the
+    operator's own rows, equals ``adjoint().apply_to_grid(x)`` entry for
+    entry (a zero may differ in sign), on grid rows and on a stack of
+    three."""
+    rng = np.random.default_rng(11)
+    b = TruncationBox(3, 4)
+    shape = (b.n_blocks, b.grid_size)
+    op = gns.GnsOperator(b, {s: rng.standard_normal(shape)
+                             + 1j * rng.standard_normal(shape)
+                             for s in shifts})
+    for rows in (shape, (3,) + shape):
+        x = _complex_vector(rows, 5)
+        got = gns._shift_sum(op.terms.items(), x.conj(), True).conj()
+        assert np.array_equal(got, op.adjoint().apply_to_grid(x))
+
+
 def test_dense_matrix_agrees_with_apply(bench, rng):
     b = TruncationBox(2, 3)
     f = weyl.random_element(rng, bench.alpha, 2, decay=0.5)
@@ -220,6 +246,19 @@ def test_band_gram_is_the_dense_gram_in_any_term_order(order):
                     rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("order", [[-3, -2, 0, 1, 3], [3, 1, 0, -2, -3],
+                                   [0, 3, -2, 1, -3], [7, -7, 0, 12]])
+def test_block_rows_yield_ascending_columns(order):
+    """Each block row's columns ``i - s`` ascend, whatever the order of
+    the terms, and hold every shift that stays in the box."""
+    b = TruncationBox(5, 4)
+    shape = (b.n_blocks, b.grid_size)
+    op = gns.GnsOperator(b, {s: np.ones(shape) for s in order})
+    for i, cols, blocks in op._block_rows():
+        assert cols == sorted({i - s for s in order} & set(range(b.n_blocks)))
+        assert len(blocks) == len(cols)
+
+
 def _random_band(nb, q, nm, seed):
     """A random Hermitian lower block band, (nb, q + 1, nm, nm), zero past
     the box, and the dense matrix it stands for."""
@@ -294,49 +333,6 @@ def test_band_cholesky_below_the_top_eigenvalue_fails(q):
     band, dense = _random_band(8, q, 5, 20 + q)
     top = np.linalg.eigvalsh(dense)[-2:]
     assert not gns._band_cholesky(band, top.mean())
-
-
-def _cholesky_factor(size, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((size, size)) + 1j * rng.standard_normal(
-        (size, size))
-    return np.linalg.cholesky(a @ a.conj().T / size + np.eye(size))
-
-
-CUTOFF = gns._TRIANGULAR_CUTOFF
-
-
-@pytest.mark.parametrize("size", [1, 2, CUTOFF - 1, CUTOFF, CUTOFF + 1,
-                                  196, 500])
-def test_triangular_inverse_matches_the_lu_inverse(size):
-    lower = _cholesky_factor(size, size)
-    x = gns._triangular_inverse(lower)
-    lu = np.linalg.inv(lower)
-    eye = np.eye(size)
-    assert np.linalg.norm(x @ lower - eye, 2) <= 1e-13
-    assert np.linalg.norm(x - lu, 2) <= 1e-13 * np.linalg.norm(lu, 2)
-
-
-@pytest.mark.parametrize("where, products_only", [
-    ((60, 10), True), ((30, 5), True), ((70, 60), True),
-    ((0, 0), False), ((1, 0), False), ((99, 99), False)])
-def test_triangular_inverse_of_a_nan_entry_is_never_finite(where,
-                                                           products_only):
-    """A NaN in an off-diagonal half reaches only the products and gives
-    NaN; in a block small enough for the LU inverse it gives NaN or, as
-    with the LU inverse of the whole, LinAlgError (the pivot search may
-    call a NaN block singular).  Never a finite inverse."""
-    lower = _cholesky_factor(100, 3)
-    lower[where] = np.nan
-    try:
-        x = gns._triangular_inverse(lower)
-    except np.linalg.LinAlgError:
-        assert not products_only
-        return
-    if products_only:
-        # every entry that depends on the NaN, at least
-        assert np.isnan(x[where[0]:, :where[1] + 1]).all()
-    assert np.isnan(x).any()
 
 
 def test_norm_estimate_of_no_terms_is_zero():
@@ -523,20 +519,51 @@ def test_represent_rejects_foreign_alpha(bench, small_box):
         gns.represent(weyl.WeylElement.unit(0.25), bench, small_box)
 
 
-def test_oversized_shift_warns_and_drops(bench, small_box):
+def _dropped(*shifts):
+    return sorted(f"shift {s} exceeds the block range; term dropped"
+                  for s in shifts)
+
+
+def test_oversized_shift_warns_and_drops(bench, small_box, tmp_path):
     f = weyl.WeylElement(bench.alpha, {(0, 13): 1.0, (2, 13): 1.0,
                                        (1, -20): 1.0})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         a = gns.represent(f, bench, small_box)
     # one warning per dropped shift, however many keys it holds
-    assert sorted(str(w.message) for w in caught) == [
-        f"shift {s} exceeds the block range; term dropped" for s in (-20, 13)]
+    want = _dropped(-20, 13)
+    assert sorted(str(w.message) for w in caught) == want
     assert all(w.category is UserWarning for w in caught)
     # each warning points at the caller of represent
     assert all(w.filename == __file__ for w in caught)
     assert a.terms == {}
     assert a.apply(gns.vacuum(small_box)).norm() < 1e-15
+    # so does every public route that reads multiplier rows, however deep
+    # in the package it reads them; tomita_check also reads the adjoint's
+    # shifts, and the command line at K = 0 drops the element's shifts
+    # +-1 and +-2 from its vacuum image and from its operator
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"truncation": {"K": 0, "M": 4}}))
+    command = ["represent", "--config", str(config), "--out", str(tmp_path)]
+    routes = [
+        (lambda: gns.vacuum_image(f, bench, small_box), want),
+        (lambda: fourier.hat_functional(f, bench, small_box), want),
+        (lambda: gns.state_eval(f, bench, route="gns", box=small_box), want),
+        (lambda: fourier.paren_functional(f, bench, small_box), want),
+        (lambda: fourier.paren_functional(f, bench, small_box,
+                                          route="modular"), want),
+        (lambda: summation.summation_reference(f, bench, small_box, "paren"),
+         want),
+        (lambda: modular.tomita_check(f, bench, small_box),
+         _dropped(-20, -13, 13, 20)),
+        (lambda: cli.main(command), _dropped(*2 * (-2, -1, 1, 2))),
+    ]
+    for route, messages in routes:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            route()
+        assert sorted(str(w.message) for w in caught) == messages
+        assert {w.filename for w in caught} == {__file__}
 
 
 def test_apply_to_grid_takes_real_rows(bench, small_box, rng):
