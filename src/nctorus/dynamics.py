@@ -157,8 +157,9 @@ class DiffeoSpec:
         """Inverse of :meth:`to_dict`; a value of the wrong JSON type
         (``classical`` not a boolean, a conjugator that is not an object
         of coefficient lists) or a key it does not read raises
-        ``ValueError``."""
-        _json_keys(data, ("alpha", "conjugator", "classical"), "diffeo")
+        ``ValueError``, a missing ``alpha`` ``KeyError``."""
+        _json_keys(data, ("alpha", "conjugator", "classical"), "diffeo",
+                   required=1)
         conj = data.get("conjugator")
         conj = {} if conj is None else conj
         if not isinstance(conj, dict):

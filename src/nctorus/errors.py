@@ -72,10 +72,18 @@ def _json_numbers(values, label: str, kind: type = float) -> tuple:
     return tuple(_json_number(v, label, kind) for v in values)
 
 
-def _json_keys(data: dict, known, label: str) -> None:
+class _MissingKeyError(NcTorusError, KeyError):
+    __str__ = Exception.__str__  # the message unquoted, unlike KeyError's
+
+
+def _json_keys(data: dict, known, label: str, required: int = 0) -> None:
     """Raise ``ValueError`` naming ``label`` when the JSON object ``data``
     holds a key outside ``known``: a misspelt key must not run the
-    default silently."""
+    default silently.  A missing key among the first ``required`` of
+    ``known`` raises ``KeyError`` naming ``label`` and the key."""
     unknown = sorted(set(data).difference(known))
     if unknown:
         raise ValueError(f"unknown {label} keys {unknown}")
+    for key in tuple(known)[:required]:
+        if key not in data:
+            raise _MissingKeyError(f"{label} needs key {key!r}")

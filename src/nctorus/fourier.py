@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import DiffeoSpec, rotation
 from .errors import GridTooSmallError
-from .gns import (GnsVector, TruncationBox, _context, _multiplier_rows,
+from .gns import (GnsVector, TruncationBox, _context, _one_block_rows,
                   _u_kl_rows, vacuum_image)
 from .grids import at_modes, dirichlet_kernel, l2, project_to_modes, spectrum
 from .modular import _epsilon_pairings, _j_on_grid, _j_waves, _root_rows
@@ -115,11 +115,9 @@ def _vacuum_paren(f: WeylElement, d: DiffeoSpec,
                   box: TruncationBox) -> FourierCoeffs:
     """Paren table read off row n = 0 of each shift multiplier: entry
     ``(k, l)`` is the mode ``-l`` of the shift ``-k`` row."""
-    shifts, twists, chart = _multiplier_rows(_stack_of(f), d, box,
-                                             box.block_bound, lambda s: 0)
+    shifts, rows = _one_block_rows(_stack_of(f), d, box, lambda s: 0)
     table = np.zeros((box.n_blocks, box.n_modes), dtype=complex)
-    table[box.block_bound - shifts] = at_modes(
-        spectrum(twists[0, :, 0] @ chart), -box.modes())
+    table[box.block_bound - shifts] = at_modes(spectrum(rows[0]), -box.modes())
     return FourierCoeffs("paren", table, box)
 
 

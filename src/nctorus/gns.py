@@ -544,9 +544,9 @@ def _multiplier_rows(f: _Stack, d: DiffeoSpec, box: TruncationBox,
     ``weyl._stack_of(f)``).  Rows are taken for the distinct shifts s of
     the support with ``|s| <= bound``, ascending, at the blocks
     ``n = block_of(s)`` (s a column, so n may add a block axis): every
-    block for :func:`represent` and :func:`_apply`, ``n = s`` for the
-    vacuum image (the only row of shift s that meets the vacuum),
-    ``n = 0`` for the vacuum-route paren table.  Returns the shifts, the
+    block for :func:`represent` and :func:`_apply`, one block
+    (:func:`_one_block_rows`) for ``n = s``, the one row meeting the
+    vacuum, and ``n = 0``, the paren table.  Returns the shifts, the
     twist table (tables, shifts, blocks, distinct modes), each cycle
     count reduced by ``grids.waves`` once and shared by the stack, and
     the chart waves ``exp(2 pi i m u)`` (modes, G), ``m u`` exact too.
@@ -587,6 +587,15 @@ def _rows(table: np.ndarray, chart: np.ndarray) -> np.ndarray:
     product over all its rows (a stacked ``@`` is slower)."""
     flat = table.reshape(int(np.prod(table.shape[:-1])), table.shape[-1])
     return (flat @ chart).reshape(table.shape[:-1] + chart.shape[1:])
+
+
+def _one_block_rows(f: _Stack, d: DiffeoSpec, box: TruncationBox,
+                    block_of) -> tuple[np.ndarray, np.ndarray]:
+    """The shifts ``|s| <= K`` of a stack and the grid rows (tables,
+    shifts, G) of their multipliers at the one block ``block_of(s)``."""
+    shifts, table, chart = _multiplier_rows(f, d, box, box.block_bound,
+                                            block_of)
+    return shifts, _rows(table[:, :, 0], chart)
 
 
 def represent(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> GnsOperator:
@@ -647,9 +656,8 @@ def _vacuum_rows(f: _Stack, d: DiffeoSpec,
     the band rows (tables, shifts, 2M + 1), the multiplier row of shift
     s being block s."""
     def band(part):
-        _, table, chart = _multiplier_rows(part, d, box, box.block_bound,
-                                           lambda s: s)
-        return project_to_modes(_rows(table[:, :, 0], chart), box.mode_bound)
+        rows = _one_block_rows(part, d, box, lambda s: s)[1]
+        return project_to_modes(rows, box.mode_bound)
 
     return (_shifts(f, box.block_bound) + box.block_bound,
             _chunked(band, f, box))

@@ -41,7 +41,7 @@ import numpy as np
 from .dynamics import DiffeoSpec
 from .errors import AliasingError, SingularBlockError
 from .gns import (GnsVector, TruncationBox, _chunked, _context,
-                  _multiplier_rows, _rows, _spread, _vacuum_rows)
+                  _one_block_rows, _spread, _vacuum_rows)
 from .grids import (at_modes, frequencies, inner, l2, on_grid,
                     project_to_modes, spectrum, tail_mass, waves)
 from .weyl import WeylElement, _involution_stack, _Stack, _stack_of
@@ -188,10 +188,8 @@ def _root_stack(f: _Stack, d: DiffeoSpec,
     """Unprojected grid rows of ``Delta^{1/2} pi(f_i) xi`` for a stack of
     tables, built only here: the blocks of the shifts and their rows
     (tables, shifts, G)."""
-    shifts, table, chart = _multiplier_rows(f, d, box, box.block_bound,
-                                            lambda s: s)
+    shifts, rows = _one_block_rows(f, d, box, lambda s: s)
     at = shifts + box.block_bound
-    rows = _rows(table[:, :, 0], chart)
     rows *= _context(d, box).sqrt_delta[at]
     return at, rows
 
@@ -226,15 +224,15 @@ def tomita_check(f: WeylElement, d: DiffeoSpec, box: TruncationBox) -> float:
     return float(_tomita_deviations(_stack_of(f), d, box)[0])
 
 
-def _fn_values(fn, t: np.ndarray, inverse: bool = False,
-               conjugate: bool = False) -> np.ndarray:
-    """Evaluate a tagged function descriptor on positive spectra ``t``."""
-    arg = 1.0 / t if inverse else t
+def _fn_values(fn, t: np.ndarray, dual: bool = False) -> np.ndarray:
+    """Evaluate a tagged function descriptor on positive spectra ``t``,
+    or with ``dual`` its conjugate conj-fn on ``1 / t``."""
+    arg = 1.0 / t if dual else t
     kind = fn[0]
     if kind == "power":
         return np.asarray(arg, dtype=complex) ** float(fn[1])
     if kind == "rational":
-        num, den = (np.conj(c) if conjugate else np.asarray(c, dtype=complex)
+        num, den = (np.conj(c) if dual else np.asarray(c, dtype=complex)
                     for c in fn[1:3])
         den_vals = np.polyval(den, arg)
         if float(np.min(np.abs(den_vals))) < 1e-12:
@@ -285,8 +283,7 @@ def _borel_stack(ctx, blocks: np.ndarray, rows: np.ndarray, norms, fns):
         return gated(back_at, back[k], norms[0], "conjugated Borel calculus")
 
     def right(k):
-        inverse = _fn_values(fns[k], ctx.delta[blocks], inverse=True,
-                             conjugate=True)
+        inverse = _fn_values(fns[k], ctx.delta[blocks], dual=True)
         return gated(blocks, rows[0] * inverse, norms[0], "Borel calculus")
 
     return j, left, right

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import _json_number
+from .errors import _json_keys, _json_number
 
 DEFAULTS: dict[str, float] = {
     "weyl_relation": 1e-14,
@@ -45,18 +45,16 @@ def resolve(overrides: dict[str, float] | None = None, scale: float = 1.0) -> di
     """Return the tolerance table with ``overrides`` applied, then scaled.
 
     Band edges (``fejer_ratio_*``) and the Dirichlet band are structural
-    and are never scaled; everything else multiplies by ``scale``.  A
-    scale or override that is not a finite positive number (an override
-    that is not a number at all included) raises ``ValueError``, and so
+    and are never scaled; everything else multiplies by ``scale``.  An
+    unknown name, or a scale or override that is not a finite positive
+    number (not a number at all included), raises ``ValueError``, and so
     does a product that overflows: a NaN or infinite tolerance would
     pass every check.
     """
     _require_positive("tolerance scale", scale)
     table = dict(DEFAULTS)
     if overrides:
-        unknown = sorted(set(overrides) - set(table))
-        if unknown:
-            raise KeyError(f"unknown tolerance names: {', '.join(unknown)}")
+        _json_keys(overrides, table, "tolerances")
         table.update({k: _json_number(v, f"tolerance {k}")
                       for k, v in overrides.items()})
     if scale != 1.0:

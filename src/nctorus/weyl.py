@@ -8,7 +8,7 @@ side of everything the representation modules compute concretely.
 A table is two arrays, sorted distinct keys and their nonzero values.
 Arbitrary keys go through one reducer, :func:`_reduce`; tables whose
 keys are already sorted and distinct (random, scaled, adjoint) skip the
-sort, and the star product reads its sort from a bounded plan cache.
+sort, and the star product sorts its pair sums once per product.
 The twist ``exp(2 pi i alpha sigma)`` is ``grids.waves(alpha, sigma)``:
 ``alpha sigma`` is reduced modulo 1 exactly before it is rounded, so
 far keys keep their phase, and :func:`weyl_relation_check` holds it
@@ -19,14 +19,12 @@ work on a :class:`_Stack`, many tables over one support with an exactly
 zero value for an absent key, with a leading table axis; the per-table
 functions are their stacks of one.  A verify suite that draws its
 probes as one stack thus takes the normals in the order of one draw per
-table, reads one plan per product, and gets each table with the bits
+table, builds one plan per product, and gets each table with the bits
 of the per-table call.
 """
 
 from __future__ import annotations
 
-import functools
-import struct
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -222,16 +220,16 @@ class WeylElement:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WeylElement":
-        """Inverse of :meth:`to_dict`; a value of the wrong JSON type or a
-        key it does not read raises ``ValueError``."""
-        _json_keys(data, ("alpha", "coeffs"), "element")
+        """Inverse of :meth:`to_dict`; a value of the wrong JSON type or an
+        unread key raises ``ValueError``, a missing key ``KeyError``."""
+        _json_keys(data, ("alpha", "coeffs"), "element", required=2)
         coeffs = data["coeffs"]
         if not (isinstance(coeffs, list)
                 and all(isinstance(c, dict) for c in coeffs)):
             raise ValueError(f"element coeffs must be a list of objects, "
                              f"got {coeffs!r}")
         for c in coeffs:
-            _json_keys(c, ("m", "n", "re", "im"), "coefficient")
+            _json_keys(c, ("m", "n", "re", "im"), "coefficient", required=3)
         table = {(_json_number(c["m"], "coefficient m", int),
                   _json_number(c["n"], "coefficient n", int)):
                  complex(_json_number(c["re"], "coefficient re"),
@@ -249,33 +247,23 @@ def _check_alpha(f: WeylElement, g: WeylElement) -> None:
             f"alpha values {f.alpha!r} and {g.alpha!r} differ")
 
 
-@functools.lru_cache(maxsize=16)
-def _plan(alpha: bytes, left: bytes,
-          right: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ``(phase, slot, keys)`` of the products of two supports.
+def _plan(alpha: float, a: np.ndarray,
+          b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(phase, slot, keys)`` of the products of two (N, 2) supports.
 
-    ``alpha`` is the float's 8 bytes and ``left``, ``right`` the bytes
-    of the (N, 2) int64 key arrays, so -0.0 and 0.0 are separate
-    entries.  ``phase`` (|f|, |g|) holds the pair twists
+    ``phase`` (|a|, |b|) holds the pair twists
     ``exp(2 pi i alpha sigma(a, b))``, ``slot`` the place of each pair
-    sum ``a + b`` among the distinct sums ``keys``, in the order of the
-    double loop over ``f`` then ``g``.  ``alpha sigma`` is reduced
-    modulo 1 exactly (``grids.cycles``) before it is rounded, so far
-    keys keep their phase; only sigma modulo 2^64 counts there, so the
-    int64 form may wrap.  An entry holds at most 24 bytes per pair
-    (phase and slot) plus 16 bytes per key (its distinct sums and the
-    two supports of its cache key), and at most 16 entries are kept.
+    sum among the distinct sums ``keys``, in the order of the double
+    loop over ``a`` then ``b``.  ``alpha sigma`` is reduced modulo 1
+    exactly (``grids.cycles``) before it is rounded, so far keys keep
+    their phase; only sigma modulo 2^64 counts there, so the int64 form
+    may wrap.  The pair sums are sorted before sigma and the phases
+    are formed, so no pair table is alive beside the sort's own.
     """
-    a, b = (np.frombuffer(side, dtype=np.int64).reshape(-1, 2)
-            for side in (left, right))
-    (twist,) = struct.unpack("d", alpha)
+    slot, keys = _runs((a[:, None, :] + b[None, :, :]).reshape(-1, 2))
     sigma = (np.multiply.outer(a[:, 0], b[:, 1])
              - np.multiply.outer(a[:, 1], b[:, 0]))
-    phase = waves(twist, sigma)
-    slot, keys = _runs((a[:, None, :] + b[None, :, :]).reshape(-1, 2))
-    for array in (phase, slot, keys):
-        array.flags.writeable = False
-    return phase, slot, keys
+    return waves(alpha, sigma), slot, keys
 
 
 # Pair terms per chunk of a stacked star product: a few MB of transient
@@ -294,8 +282,7 @@ def _star_stack(f: _Stack, g: _Stack) -> _Stack:
     its term is set to zero, since zero times a NaN would not be.
     """
     _check_alpha(f, g)
-    phase, slot, keys = _plan(struct.pack("d", f.alpha), f.keys.tobytes(),
-                              g.keys.tobytes())
+    phase, slot, keys = _plan(f.alpha, f.keys, g.keys)
     count = len(f.values) if len(g.values) == 1 else len(g.values)
     step = max(1, _CHUNK_PAIRS // max(phase.size, 1))
     sums = np.empty((count, len(keys)), dtype=complex)
@@ -323,11 +310,11 @@ def star_product(f: WeylElement, g: WeylElement) -> WeylElement:
     """Twisted convolution realizing the symbol product.
 
     The pair phases and the places of the pair sums depend only on the
-    two supports and alpha, and come from the bounded plan cache
-    :func:`_plan`.  Products that land on the same lattice point are
-    summed in the order of the double loop over ``f`` then ``g``.  Cost
-    and memory are O(|f| |g|), however far apart the supports lie.  The
-    stack of one of :func:`_star_stack`.
+    two supports and alpha; :func:`_plan` builds them for this product,
+    which drops them when it returns.  Products that land on the same
+    lattice point are summed in the order of the double loop over ``f``
+    then ``g``.  Cost and memory are O(|f| |g|), however far apart the
+    supports lie.  The stack of one of :func:`_star_stack`.
     """
     return _star_stack(_stack_of(f), _stack_of(g)).element(0)
 

@@ -335,7 +335,7 @@ def borel_identity_by_grid(fn, x, d):
     """``modular.borel_identity_check`` on whole grid arrays."""
     left = conjugated_borel_by_grid(x, fn, d)
     rows = x.on_grid() * modular._fn_values(
-        fn, gns._context(d, x.box).delta, inverse=True, conjugate=True)
+        fn, gns._context(d, x.box).delta, dual=True)
     return (left - modular._reproject(x, rows, "Borel calculus")).norm()
 
 

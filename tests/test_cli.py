@@ -471,6 +471,28 @@ def test_malformed_config_exits_one_before_any_artifact(tmp_path, capsys,
         assert "K, M >= 6" in err
 
 
+@pytest.mark.parametrize("config, line", [
+    ({"diffeo": {"conjugator": {}}}, "diffeo needs key 'alpha'"),
+    ({"element": {"coeffs": []}}, "element needs key 'alpha'"),
+    ({"element": {"alpha": 0.3}}, "element needs key 'coeffs'"),
+    ({"element": _element([{"n": 0, "re": 1.0}])},
+     "coefficient needs key 'm'"),
+    ({"element": _element([{"m": 1, "re": 1.0}])},
+     "coefficient needs key 'n'"),
+    ({"element": _element([{"m": 1, "n": 0}])}, "coefficient needs key 're'"),
+    ({"tolerances": {"foo": 1e-9}}, "unknown tolerances keys ['foo']"),
+], ids=["diffeo-alpha", "element-alpha", "element-coeffs", "coefficient-m",
+        "coefficient-n", "coefficient-re", "unknown-tolerance"])
+def test_a_missing_or_unknown_key_is_named_with_its_section(
+        tmp_path, capsys, config, line):
+    # each used to print the bare repr of the key ('alpha', or the
+    # quoted message of a KeyError)
+    code, out, _ = run_cli(tmp_path, "star", config)
+    assert code == 1
+    assert capsys.readouterr().err == f"nctorus: {line}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("dynamics, code", [({}, 2), ({"alpha": 0.3}, 0)],
                          ids=["bench", "rot"])
 def test_verify_at_the_probe_margin_writes_its_report(tmp_path, dynamics,

@@ -6,6 +6,7 @@ exp(i t + 0.3 i sin t) up to the angle scaling.  scipy provides the
 independent oracle for that identity.
 """
 
+import inspect
 import json
 import re
 import tracemalloc
@@ -696,6 +697,41 @@ def test_every_cache_is_bounded():
             if not re.fullmatch(r"\(maxsize=[1-9][0-9]*\)", args):
                 unbounded.append(f"{path.name}: lru_cache{args}")
     assert unbounded == []
+
+
+# A memoizing decorator or its import, however it is spelled.
+_CACHE = re.compile(r"\blru_cache\b|\bfunctools\.cache\b|@cache\b"
+                    r"|\bcached_property\b|\bimport\b[^#\n]*\bcache\b")
+
+
+def test_cache_scan_sees_every_spelling():
+    for code in ("@functools.lru_cache(maxsize=16)", "@lru_cache(maxsize=8)",
+                 "@functools.lru_cache", "from functools import lru_cache",
+                 "@functools.cache", "@cache", "from functools import cache",
+                 "from functools import cached_property",
+                 "@functools.cached_property", "@cached_property",
+                 "plan = functools.cache(build)",
+                 "plan = functools.lru_cache(None)(build)"):
+        assert _CACHE.search(code), code
+    for code in ("gns._context.cache_info()", "_plan.cache_clear()",
+                 "the package's one cache", "cached = {}",
+                 "import numpy as np  # no cache", "np.frombuffer(side)"):
+        assert not _CACHE.search(code), code
+
+
+def test_the_context_is_the_only_cache():
+    """``gns._context`` is the one memoized function in the package: the
+    star-product plan is built per product, and ROADMAP item 9 bounds
+    the one cache left by bytes."""
+    package = Path(gns.__file__).parent
+    found = [(path.name, line.strip())
+             for path in sorted(package.glob("*.py"))
+             for line in path.read_text().splitlines()
+             if _CACHE.search(line)]
+    assert found == [("gns.py", "from functools import lru_cache"),
+                     ("gns.py", "@lru_cache(maxsize=8)")]
+    assert inspect.getsource(gns._context).startswith(
+        "@lru_cache(maxsize=8)\ndef _context(")
 
 
 def test_represent_matches_the_per_coefficient_loop(bench, small_box):

@@ -396,45 +396,6 @@ def test_a_nan_coefficient_fails_the_tomita_and_parseval_checks(
                                            3))
 
 
-def _battery(d, box):
-    tols = tolerances.resolve()
-    return (verify.star_algebra_suite(d.alpha, tols,
-                                      np.random.default_rng(3), count=10)
-            + verify.run_all(d, box, tols, quick=True))
-
-
-def test_star_product_plans_are_transparent(bench, small_box, monkeypatch):
-    """A plan built afresh for every product gives the same checks,
-    observed values to the bit, as the warm cache."""
-    weyl._plan.cache_clear()
-    warm = _battery(bench, small_box)
-    assert weyl._plan.cache_info().hits > 0
-    real = weyl._plan
-
-    def cold(*args):
-        real.cache_clear()
-        return real(*args)
-
-    monkeypatch.setattr(weyl, "_plan", cold)
-    assert _battery(bench, small_box) == warm
-    assert real.cache_info().hits == 0
-
-
-def test_quick_verify_builds_seven_star_product_plans(rot, small_box):
-    """The star products of quick ``run_all`` meet seven distinct pairs of
-    supports, so the plan cache misses seven times.  A change that
-    defeats the cache (a key that differs between equal supports, a
-    bound below the pairs in use) raises the count.  The products of
-    the star algebra and Parseval probes run as stacks, one plan lookup
-    per stacked product: 16 lookups, where one product per table took
-    198."""
-    weyl._plan.cache_clear()
-    verify.run_all(rot, small_box, tolerances.resolve(), quick=True)
-    info = weyl._plan.cache_info()
-    assert info.misses == 7
-    assert info.hits + info.misses == 16
-
-
 @pytest.mark.parametrize("name", ["bench", "rot"])
 @pytest.mark.parametrize("bounds", [(6, 8), (8, 10)])
 def test_stacked_suites_give_the_per_element_values(name, bounds, request,
@@ -473,8 +434,7 @@ def _one_wrong_phase_in_the_last_table(real):
         out = real(f, g)
         if len(out.values) < 2:
             return out
-        phase, slot, _ = weyl._plan(struct.pack("d", f.alpha),
-                                    f.keys.tobytes(), g.keys.tobytes())
+        phase, slot, _ = weyl._plan(f.alpha, f.keys, g.keys)
         pair = np.flatnonzero(np.abs(phase.imag) > 0.1)[0]
         a, b = divmod(pair, phase.shape[1])
         values = out.values.copy()
